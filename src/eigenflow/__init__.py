@@ -11,32 +11,30 @@ __version__ = "0.1.0"
 
 from .grids import TimeGrid
 from .kernels import (BrownianKernel, CovarianceKernel, FractionalBrownianKernel,
-                      TableKernel, check_h1, check_h2, diag_variance_derivative,
-                      eval_kernel, make_kernel)
+                      TableKernel, check_h1, check_h2, make_kernel)
 from .limitlaw import (AtomicMeasure, BurgersEvolved, LimitLaw, Semicircle,
-                       burgers_solve, density_and_cdf, law_at_time, limit_at_time,
+                       burgers_solve, law_at_time, limit_at_time,
                        moment_from_stieltjes, semicircle_stieltjes)
 from .matrixflow import (MatrixFlowSample, SpectralFlow, assemble_flow,
                          eigendecompose, eigenvalue_derivatives, make_shift,
                          sample_flows)
-from .measures import (EmpiricalMeasure, cauchy_transform, divided_difference_form,
+from .measures import (EmpiricalMeasure, cauchy_transform, divided_difference_stack,
                        integrate, kolmogorov_distance, wasserstein1_distance)
-from .sampling import (EntryPath, PathFactor, circulant_fbm_sampler, factor_grid,
-                       sample_entry_path)
+from .sampling import PathFactor, factor_grid, sample_entry_block
 from .testfunctions import (GaussianBump, Resolvent, SmoothBump, TestFunction,
                             TruncatedPolynomial)
 
 __all__ = [
     "TimeGrid",
     "CovarianceKernel", "BrownianKernel", "FractionalBrownianKernel", "TableKernel",
-    "eval_kernel", "diag_variance_derivative", "check_h1", "check_h2", "make_kernel",
+    "check_h1", "check_h2", "make_kernel",
     "AtomicMeasure", "LimitLaw", "Semicircle", "BurgersEvolved",
     "semicircle_stieltjes", "burgers_solve", "limit_at_time", "law_at_time",
-    "density_and_cdf", "moment_from_stieltjes",
+    "moment_from_stieltjes",
     "MatrixFlowSample", "SpectralFlow", "assemble_flow", "eigendecompose",
     "eigenvalue_derivatives", "make_shift", "sample_flows",
-    "EmpiricalMeasure", "integrate", "cauchy_transform", "divided_difference_form",
+    "EmpiricalMeasure", "integrate", "cauchy_transform", "divided_difference_stack",
     "kolmogorov_distance", "wasserstein1_distance",
-    "PathFactor", "EntryPath", "factor_grid", "sample_entry_path", "circulant_fbm_sampler",
+    "PathFactor", "factor_grid", "sample_entry_block",
     "TestFunction", "Resolvent", "GaussianBump", "SmoothBump", "TruncatedPolynomial",
 ]

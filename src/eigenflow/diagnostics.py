@@ -17,7 +17,7 @@
   deterministic limit law, per (n, t), with the sup over grid times.
 * ``holder_increments``: moment scaling of measure increments in the time
   separation, fitted as a log-log slope.
-* ``collision_proximity``: minimum spectral gap statistics.
+* ``collision_experiment``: minimum spectral gap statistics.
 * ``dyson_crosscheck``: Brownian-only Euler-Maruyama integration of the
   n-rescaled non-colliding eigenvalue SDE
 
@@ -25,13 +25,18 @@
 
   compared against exactly sampled matrix spectra through the Wasserstein-1
   distance of path-averaged sorted spectra.
+
+Every Monte Carlo experiment streams its ensemble through
+:func:`ensemble_map`: paths are sampled, diagonalised and reduced chunk by
+chunk under one byte budget, and the per-path results are placed in path
+order, so neither the chunking nor the worker count changes an output.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,11 +44,34 @@ from . import rng
 from .grids import TimeGrid
 from .kernels import BrownianKernel, CovarianceKernel
 from .limitlaw import AtomicMeasure, LimitLaw, law_at_time, limit_stieltjes
-from .matrixflow import make_shift, sample_flows, spectra_of_stack
+from .matrixflow import DEGENERATE_GAP, make_shift, sample_flows, spectra_of_stack
 from .measures import EmpiricalMeasure, divided_difference_stack, kolmogorov_distance
 from .testfunctions import TestFunction
 
-DEGENERATE_GAP = 1e-8
+# Bytes of sampled matrices per chunk of paths: the one chunk rule of the
+# ensemble experiments.  Each worker holds one chunk at a time, so peak
+# memory does not grow with the number of paths.
+CHUNK_BYTES = 5e6
+
+
+def ensemble_map(kernel: CovarianceKernel, grid: TimeGrid, n: int, shift: np.ndarray,
+                 seed: int, paths: int, reduce: Callable[[np.ndarray], np.ndarray],
+                 method: str = "cholesky", mapper=map) -> np.ndarray:
+    """``reduce`` of the spectra (P, K+1, n) of paths 0..paths-1, chunk by chunk.
+
+    The chunk results are concatenated along the first axis in path order.
+    Flows are pure functions of (seed, path index) and ``reduce`` must act
+    on each path on its own, so neither the chunk size nor ``mapper`` (a
+    thread pool's map, say) changes the result.
+    """
+    chunk = max(1, int(CHUNK_BYTES / (len(grid) * n * n * 8)))
+
+    def task(pid: range) -> np.ndarray:
+        y = sample_flows(kernel, grid, n, shift, seed, pid, method=method)
+        return reduce(spectra_of_stack(y))
+
+    chunks = [range(lo, min(lo + chunk, paths)) for lo in range(0, paths, chunk)]
+    return np.concatenate(list(mapper(task, chunks)))
 
 
 # ---------------------------------------------------------------------------
@@ -87,33 +115,16 @@ class ResidualReport:
     residuals: np.ndarray = field(repr=False)
 
 
-def _chunk_ranges(total: int, chunk: int) -> List[range]:
-    return [range(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-
-
 def residual_experiment(kernel: CovarianceKernel, grid: TimeGrid,
                         n_values: Sequence[int], f: TestFunction, paths: int,
                         seed: int, shift_spec: str = "zero",
                         method: str = "cholesky", mapper=map) -> List[ResidualReport]:
-    """Monte Carlo estimate of E[G^2] for each matrix dimension.
-
-    ``mapper`` may be a thread pool's map; chunks are pure functions of
-    (seed, path range) and results are placed by index, so the output does
-    not depend on the worker count.
-    """
+    """Monte Carlo estimate of E[G^2] for each matrix dimension."""
     reports = []
     for n in n_values:
-        shift = make_shift(shift_spec, n)
-        resid = np.empty(paths)
-        chunk = max(1, int(4e7 / (len(grid) * n * n * 8)))
-
-        def task(pid, n=n, shift=shift):
-            y = sample_flows(kernel, grid, n, shift, seed, pid, method=method)
-            return weak_equation_residual(spectra_of_stack(y), kernel, grid, f)
-
-        ranges = _chunk_ranges(paths, chunk)
-        for pid, part in zip(ranges, mapper(task, ranges)):
-            resid[pid.start:pid.stop] = part
+        resid = ensemble_map(kernel, grid, n, make_shift(shift_spec, n), seed, paths,
+                             lambda lam: weak_equation_residual(lam, kernel, grid, f),
+                             method, mapper)
         sq = resid ** 2
         reports.append(ResidualReport(
             n=n, paths=paths, test_function=f.name,
@@ -164,20 +175,15 @@ def convergence_study(kernel: CovarianceKernel, grid: TimeGrid,
         shift = make_shift(shift_spec, n)
         mu0 = AtomicMeasure.from_eigenvalues(np.linalg.eigvalsh(shift))
         laws: List[LimitLaw] = [law_at_time(kernel, mu0, float(t)) for t in grid.times]
-        dist = np.empty((paths, len(grid)))
-        chunk = max(1, int(4e7 / (len(grid) * n * n * 8)))
 
-        def task(pid, n=n, shift=shift, laws=laws):
-            lam = spectra_of_stack(sample_flows(kernel, grid, n, shift, seed, pid, method=method))
+        def distances(lam):
             out = np.empty(lam.shape[:2])
             for p in range(lam.shape[0]):
                 for k in range(len(grid)):
                     out[p, k] = kolmogorov_distance(EmpiricalMeasure(lam[p, k]), laws[k])
             return out
 
-        ranges = _chunk_ranges(paths, chunk)
-        for pid, part in zip(ranges, mapper(task, ranges)):
-            dist[pid.start:pid.stop] = part
+        dist = ensemble_map(kernel, grid, n, shift, seed, paths, distances, method, mapper)
         for k, t in enumerate(grid.times):
             rows.append(ConvergenceRow(
                 n=n, t=float(t), mean_distance=float(dist[:, k].mean()),
@@ -212,11 +218,14 @@ class HolderReport:
 
 def holder_increments(kernel: CovarianceKernel, n: int, f: TestFunction,
                       p: float, t_base: float, separations: Sequence[float],
-                      paths: int, seed: int, shift_spec: str = "zero") -> HolderReport:
+                      paths: int, seed: int, shift_spec: str = "zero",
+                      mapper=map) -> HolderReport:
     """E|<mu_{t2}, f> - <mu_{t1}, f>|^p for pairs (t_base, t_base + delta).
 
     The fitted log-log slope is meaningful when the separations span at
-    least a decade; a constant f yields the degenerate report.
+    least a decade; a constant f yields the degenerate report.  Paths are
+    sampled through the Cholesky factor of the non-uniform grid
+    {0, t_base, t_base + delta}.
     """
     seps = np.asarray(sorted(separations), dtype=float)
     if np.any(seps <= 0):
@@ -224,23 +233,16 @@ def holder_increments(kernel: CovarianceKernel, n: int, f: TestFunction,
     times = np.unique(np.concatenate([[0.0, t_base], t_base + seps]))
     grid = TimeGrid.from_times(times)
     base_idx = grid.index_of(t_base)
-    shift = make_shift(shift_spec, n)
+    idx = [grid.index_of(t_base + d) for d in seps]
 
-    moments = np.empty(seps.size)
-    errs = np.empty(seps.size)
-    incr_all = np.empty((paths, seps.size))
-    chunk = max(1, int(4e7 / (len(grid) * n * n * 8)))
-    for lo in range(0, paths, chunk):
-        pid = range(lo, min(lo + chunk, paths))
-        lam = spectra_of_stack(sample_flows(kernel, grid, n, shift, seed, pid))
+    def increments(lam):
         mu_f = np.mean(f.f(lam), axis=-1)            # (P, K+1)
-        for k, d in enumerate(seps):
-            idx = grid.index_of(t_base + d)
-            incr_all[lo:lo + mu_f.shape[0], k] = np.abs(mu_f[:, idx] - mu_f[:, base_idx]) ** p
+        return np.abs(mu_f[:, idx] - mu_f[:, base_idx, None]) ** p
 
-    for k in range(seps.size):
-        moments[k] = incr_all[:, k].mean()
-        errs[k] = incr_all[:, k].std(ddof=1) / math.sqrt(paths)
+    incr = ensemble_map(kernel, grid, n, make_shift(shift_spec, n), seed, paths,
+                        increments, mapper=mapper)
+    moments = np.array([col.mean() for col in incr.T])
+    errs = np.array([col.std(ddof=1) for col in incr.T]) / math.sqrt(paths)
 
     pairs = [HolderPair(t1=t_base, t2=float(t_base + d), moment=float(m), stderr=float(e))
              for d, m, e in zip(seps, moments, errs)]
@@ -268,25 +270,37 @@ class CollisionReport:
 GAP_QUANTILES = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
 
 
-def collision_proximity(lambdas: np.ndarray, n: int, paths: int) -> CollisionReport:
-    """Minimum spectral gap per (path, time); n = 1 reports infinity."""
+def _min_gaps(lambdas: np.ndarray) -> np.ndarray:
+    """Minimum spectral gap of each spectrum in (..., n); n = 1 gives infinity."""
+    lam = np.asarray(lambdas)
+    if lam.shape[-1] < 2:
+        return np.full(lam.shape[:-1], math.inf)
+    return np.min(np.abs(np.diff(lam, axis=-1)), axis=-1)
+
+
+def _gap_report(gaps: np.ndarray, n: int, paths: int) -> CollisionReport:
     if n < 2:
         return CollisionReport(n=n, paths=paths,
                                quantiles={q: math.inf for q in GAP_QUANTILES},
                                degenerate_fraction=0.0)
-    gaps = np.min(np.abs(np.diff(np.asarray(lambdas), axis=-1)), axis=-1)
     flat = gaps.reshape(-1)
     qs = {q: float(np.quantile(flat, q)) for q in GAP_QUANTILES}
     return CollisionReport(n=n, paths=paths, quantiles=qs,
                            degenerate_fraction=float(np.mean(flat < DEGENERATE_GAP)))
 
 
+def collision_proximity(lambdas: np.ndarray, n: int, paths: int) -> CollisionReport:
+    """Minimum spectral gap statistics over (path, time); n = 1 reports infinity."""
+    return _gap_report(_min_gaps(lambdas), n, paths)
+
+
 def collision_experiment(kernel: CovarianceKernel, grid: TimeGrid, n: int,
                          paths: int, seed: int, shift_spec: str = "zero",
-                         method: str = "cholesky") -> CollisionReport:
-    shift = make_shift(shift_spec, n)
-    lam = spectra_of_stack(sample_flows(kernel, grid, n, shift, seed, range(paths), method=method))
-    return collision_proximity(lam, n, paths)
+                         method: str = "cholesky", mapper=map) -> CollisionReport:
+    """Gap statistics of the (P, K+1) minimum gaps, streamed in chunks."""
+    gaps = ensemble_map(kernel, grid, n, make_shift(shift_spec, n), seed, paths,
+                        _min_gaps, method, mapper)
+    return _gap_report(gaps, n, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +416,8 @@ def dyson_crosscheck(n: int, t_max: float, dt: float, paths: int, seed: int,
                         w1_mc_error=0.0, forced_sorts=0)
     grid = TimeGrid.uniform(t_max, max(steps_grid, 1))
 
-    lam_matrix = np.sort(spectra_of_stack(
-        sample_flows(kernel, grid, n, shift, seed, range(paths)))[:, -1, :], axis=1)
+    lam_matrix = ensemble_map(kernel, grid, n, shift, seed, paths,
+                              lambda lam: np.sort(lam[:, -1, :], axis=1))
     mean_matrix = lam_matrix.mean(axis=0)
     se_matrix = lam_matrix.std(axis=0, ddof=1) / math.sqrt(paths)
 

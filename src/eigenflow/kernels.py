@@ -235,16 +235,6 @@ def _check_nonnegative(s, t):
 # Operations
 # ---------------------------------------------------------------------------
 
-def eval_kernel(kernel: CovarianceKernel, s, t):
-    """R(s,t); symmetric in its arguments."""
-    return kernel.eval(s, t)
-
-
-def diag_variance_derivative(kernel: CovarianceKernel, s):
-    """d/ds R(s,s), analytic when the kernel provides it."""
-    return kernel.diag_rate(s)
-
-
 @dataclass(frozen=True)
 class H2Report:
     kappa_hat: float

@@ -335,11 +335,6 @@ def law_at_time(kernel: CovarianceKernel, mu0: AtomicMeasure, t: float) -> Limit
     return BurgersEvolved(initial=mu0, tau=tau)
 
 
-def density_and_cdf(law: LimitLaw, x: float):
-    """(pdf, cdf) of a limit law at a point."""
-    return float(law.pdf(x)), float(law.cdf(x))
-
-
 def moment_from_stieltjes(law: LimitLaw, order: int, radius: float | None = None,
                           nodes: int = 512) -> float:
     """k-th moment extracted from the Stieltjes transform.

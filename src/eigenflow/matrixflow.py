@@ -5,9 +5,11 @@ A matrix flow is Y(t) = scaled Gaussian part + deterministic shift A:
     Y_ij(t) = X_ij(t) / sqrt(n) + A_ij          (i < j)
     Y_ii(t) = sqrt(2) X_ii(t) / sqrt(n) + A_ii
 
-built from one Gaussian path per upper-triangle entry.  The spectral flow
-holds descending eigenvalues per grid time and, optionally, eigenvector
-frames.  ``eigenvalue_derivatives`` produces the first and second
+built from one Gaussian path per upper-triangle entry.  ``sample_flows``
+samples the upper-triangle paths of a batch of realisations and assembles
+them with ``assemble_from_triangle`` in one call; ``assemble_flow`` does the
+same for per-entry paths given by (i, j).  The spectral flow holds
+descending eigenvalues per grid time and, optionally, eigenvector frames.  ``eigenvalue_derivatives`` produces the first and second
 derivatives of a single eigenvalue with respect to the free coordinates
 ``y_{k,h}`` (k <= h) of the scaled Gaussian part, in which the diagonal
 coordinate enters the matrix with weight sqrt(2); these feed the gradient
@@ -78,27 +80,23 @@ def diagonal_scale(n: int) -> Tuple[float, float]:
 
 def assemble_flow(entries: Dict[Tuple[int, int], np.ndarray],
                   shift: np.ndarray, n: int, grid: TimeGrid) -> MatrixFlowSample:
-    """Assemble one flow sample from per-entry paths for all i <= j."""
+    """One flow sample from per-entry paths keyed by (i, j) for all i <= j."""
     shift = np.asarray(shift, dtype=float)
     if shift.shape != (n, n):
         raise ValueError(f"shift must be {n}x{n}")
-    if not np.allclose(shift, shift.T, atol=0, rtol=0):
+    if not np.array_equal(shift, shift.T):
         raise ValueError("shift matrix must be symmetric")
     k = len(grid)
-    off, diag = diagonal_scale(n)
-    y = np.zeros((k, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            try:
-                path = np.asarray(entries[(i, j)], dtype=float)
-            except KeyError:
-                raise ValueError(f"missing entry path for ({i},{j})") from None
-            if path.shape != (k,):
-                raise ValueError(f"entry ({i},{j}) path length {path.shape} != grid length {k}")
-            scale = diag if i == j else off
-            y[:, i, j] = scale * path + shift[i, j]
-            y[:, j, i] = y[:, i, j]
-    return MatrixFlowSample(n=n, grid=grid, shift=shift, matrices=y)
+    tri = np.empty((n * (n + 1) // 2, k))
+    for row, (i, j) in enumerate(zip(*np.triu_indices(n))):
+        path = entries.get((int(i), int(j)))
+        if path is None:
+            raise ValueError(f"missing entry path for ({i},{j})")
+        if np.shape(path) != (k,):
+            raise ValueError(f"entry ({i},{j}) path length {np.shape(path)} != grid length {k}")
+        tri[row] = path
+    return MatrixFlowSample(n=n, grid=grid, shift=shift,
+                            matrices=assemble_from_triangle(tri, shift, n, grid))
 
 
 def assemble_from_triangle(values: np.ndarray, shift: np.ndarray, n: int,
@@ -119,22 +117,14 @@ def assemble_from_triangle(values: np.ndarray, shift: np.ndarray, n: int,
 
 def sample_flows(kernel: CovarianceKernel, grid: TimeGrid, n: int,
                  shift: np.ndarray, seed: int, paths: Sequence[int],
-                 method: str = "cholesky", chunk: int = 0) -> np.ndarray:
+                 method: str = "cholesky") -> np.ndarray:
     """Matrix stacks (P, K+1, n, n) for a batch of path indices.
 
-    Pure function of (seed, path index); chunking only bounds memory.
+    A pure function of (seed, path index); ensembles are bounded in memory
+    by streaming them through ``diagnostics.ensemble_map``.
     """
-    paths = np.asarray(list(paths), dtype=np.uint64)
-    if chunk <= 0:
-        # keep the working set of triangle paths around 200 MB
-        per_path = (n * (n + 1) // 2) * len(grid) * 8
-        chunk = max(1, min(len(paths), int(2e8 / max(per_path, 1))))
-    out = np.empty((len(paths), len(grid), n, n))
-    for lo in range(0, len(paths), chunk):
-        block = paths[lo:lo + chunk]
-        tri = sampling.upper_triangle_paths(kernel, grid, n, seed, block, method=method)
-        out[lo:lo + len(block)] = assemble_from_triangle(tri, shift, n, grid)
-    return out
+    tri = sampling.upper_triangle_paths(kernel, grid, n, seed, paths, method=method)
+    return assemble_from_triangle(tri, shift, n, grid)
 
 
 def eigendecompose(flow: MatrixFlowSample, want_vectors: bool = False,

@@ -45,27 +45,14 @@ def cauchy_transform(measure: EmpiricalMeasure, z: complex) -> complex:
     return complex(np.mean(1.0 / (measure.atoms - z)))
 
 
-def divided_difference_form(measure: EmpiricalMeasure, f: TestFunction) -> float:
-    """Double average of (f'(x) - f'(y)) / (x - y) over atom pairs.
+def divided_difference_stack(lambdas: np.ndarray, f: TestFunction) -> np.ndarray:
+    """Double average of (f'(x) - f'(y)) / (x - y) over the atom pairs of
+    each eigenvalue vector; ``lambdas`` is (..., n), the result drops the
+    last axis.
 
     Near-coincident pairs (|x - y| below a relative threshold) use
     f''((x+y)/2), which is also the exact diagonal convention.
     """
-    x = measure.atoms
-    d1 = f.d1(x)
-    diff = x[:, None] - x[None, :]
-    switch = 1e-6 * (1.0 + np.abs(x)[:, None] + np.abs(x)[None, :])
-    far = np.abs(diff) > switch
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quot = (d1[:, None] - d1[None, :]) / diff
-    mid = f.d2(0.5 * (x[:, None] + x[None, :]))
-    vals = np.where(far, quot, mid)
-    return float(np.mean(vals))
-
-
-def divided_difference_stack(lambdas: np.ndarray, f: TestFunction) -> np.ndarray:
-    """Vectorised divided-difference form over stacks of eigenvalue
-    vectors; ``lambdas`` is (..., n), the result drops the last axis."""
     x = np.asarray(lambdas, dtype=float)
     d1 = f.d1(x)
     diff = x[..., :, None] - x[..., None, :]

@@ -120,9 +120,3 @@ def normals(seed: int, ids: np.ndarray, count: int, start: int = 0) -> np.ndarra
     z[:, 0::2] = r * np.cos(theta)
     z[:, 1::2] = r * np.sin(theta)
     return z[:, :count].reshape(shape + (count,))
-
-
-def normals_single(seed: int, sid: int, count: int) -> np.ndarray:
-    """Normals for one stream id; identical to the corresponding row of
-    a batched :func:`normals` call."""
-    return normals(seed, np.array([sid], dtype=np.uint64), count)[0]

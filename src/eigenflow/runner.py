@@ -115,6 +115,9 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
             raise RunUsageError("sampler.method = circulant requires kernel.kind = fbm")
         if not grid.is_uniform():
             raise RunUsageError("sampler.method = circulant requires a uniform grid")
+    if subcommand in ("holder", "dyson", "limit") and len(cfg.matrix_n) > 1:
+        raise RunUsageError(f"{subcommand} runs one matrix dimension; "
+                            f"matrix.n lists {len(cfg.matrix_n)}")
     written: List[Path] = []
 
     if subcommand == "converge":
@@ -150,12 +153,15 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
         written.append(path)
 
     elif subcommand == "holder":
+        if cfg.sampler_method == "circulant":
+            raise RunUsageError("holder samples on the non-uniform grid "
+                                "{0, t_base, t_base + separations}; use sampler.method = cholesky")
         f = _real_test_function(cfg)
         n = cfg.matrix_n[0]
         rep = diagnostics.holder_increments(
             kernel, n, f, cfg.experiment_p, cfg.experiment_t_base,
             cfg.experiment_separations, cfg.experiment_m, cfg.sampler_seed,
-            shift_spec=cfg.matrix_shift)
+            shift_spec=cfg.matrix_shift, mapper=mapper)
         path = out / f"holder_n{n}.csv"
         _write_csv(path, cfg, subcommand, "t1,t2,p,moment,stderr",
                    [(p.t1, p.t2, rep.p, p.moment, p.stderr) for p in rep.pairs])
@@ -170,7 +176,7 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
         for n in cfg.matrix_n:
             rep = diagnostics.collision_experiment(
                 kernel, grid, n, cfg.experiment_m, cfg.sampler_seed,
-                shift_spec=cfg.matrix_shift, method=cfg.sampler_method)
+                shift_spec=cfg.matrix_shift, method=cfg.sampler_method, mapper=mapper)
             path = out / f"collisions_n{n}.csv"
             rows = [(n, f"q{int(q * 100):02d}", v) for q, v in rep.quantiles.items()]
             rows.append((n, "degenerate_fraction", rep.degenerate_fraction))
@@ -222,7 +228,11 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
 
 
 def _real_test_function(cfg: ExperimentConfig):
-    f = by_name(cfg.observables_test_functions[0])
+    names = cfg.observables_test_functions
+    if len(names) > 1:
+        raise RunUsageError("this experiment uses one test function; "
+                            f"observables.test_functions lists {len(names)}")
+    f = by_name(names[0])
     if f.complex_valued:
         raise RunUsageError(
             "this experiment needs a real bounded test function; "

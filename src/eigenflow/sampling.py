@@ -1,23 +1,27 @@
 """Exact joint sampling of Gaussian entry paths on a time grid.
 
-Two exact-in-distribution samplers are provided:
+Two exact-in-distribution block samplers are provided.  Each takes an
+array of stream ids and returns one path per id:
 
-* ``sample_entry_path`` draws L @ z where L is a (jittered) Cholesky factor
-  of the Gram matrix [R(t_i, t_j)] and z comes from the counter-based
-  stream keyed by (seed, entry id).  Works for every kernel.
-* ``circulant_fbm_path`` draws fractional Gaussian noise by circulant
-  embedding (FFT) and cumulates it into a fractional Brownian path; only
-  for uniform grids, same distribution as the Cholesky route.
+* ``sample_entry_block`` draws z @ L.T where L is a (jittered) Cholesky
+  factor of the Gram matrix [R(t_i, t_j)] (``factor_grid``) and each row of
+  z comes from the counter-based stream keyed by (seed, stream id).  Works
+  for every kernel and grid.
+* ``circulant_fbm_block`` draws fractional Gaussian noise by circulant
+  embedding (FFT) and cumulates it into fractional Brownian paths; only for
+  uniform grids, same distribution as the Cholesky route.
 
-Both have vectorised batch variants used by the ensemble drivers.  There is
-no discretisation error anywhere: the law on the grid is exact.
+Every row is a pure function of (seed, stream id), independent of the block
+it is drawn in, so one path is a block of one id.  ``upper_triangle_paths``
+draws all upper-triangle entries of a batch of matrix realisations.  There
+is no discretisation error anywhere: the law on the grid is exact.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable
 
 import numpy as np
 
@@ -45,14 +49,6 @@ class PathFactor:
     @property
     def gram(self) -> np.ndarray:
         return self.lower @ self.lower.T
-
-
-@dataclass(frozen=True)
-class EntryPath:
-    """One sampled path of a single matrix entry process."""
-
-    values: np.ndarray
-    entry_id: Tuple[int, int, int]  # (i, j, path index)
 
 
 def factor_grid(kernel: CovarianceKernel, grid: TimeGrid) -> PathFactor:
@@ -109,20 +105,12 @@ def _apply_factor(z: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_entry_path(factor: PathFactor, seed: int, entry_id: Tuple[int, int, int]) -> EntryPath:
-    """One path; identical (seed, entry_id) gives bit-identical output."""
-    i, j, path = entry_id
-    sid = rng.stream_id(rng.DOMAIN_ENTRY, i, j, path)
-    values = sample_entry_block(factor, seed, np.array([sid], dtype=np.uint64))[0]
-    return EntryPath(values=values, entry_id=entry_id)
-
-
 def sample_entry_block(factor: PathFactor, seed: int, ids: np.ndarray) -> np.ndarray:
     """Paths for a whole block of stream ids at once.
 
     ``ids`` is any uint64 array of entry stream ids; returns
-    ``ids.shape + (K+1,)``.  Row ``s`` equals ``sample_entry_path`` for the
-    corresponding id by construction, independent of the block layout.
+    ``ids.shape + (K+1,)``.  Each row depends only on (seed, its id), not
+    on the block layout.
     """
     ids = np.asarray(ids, dtype=np.uint64)
     z = rng.normals(seed, ids.reshape(-1), factor.lower.shape[0])
@@ -194,15 +182,6 @@ def circulant_fbm_block(hurst: float, grid: TimeGrid, seed: int,
     paths = np.zeros((flat.size, n_steps + 1))
     np.cumsum(noise, axis=1, out=paths[:, 1:])
     return paths.reshape(shape + (n_steps + 1,))
-
-
-def circulant_fbm_sampler(hurst: float, grid: TimeGrid, seed: int,
-                          entry_id: Tuple[int, int, int]) -> EntryPath:
-    """Single-path interface to the circulant sampler."""
-    i, j, path = entry_id
-    sid = rng.stream_id(rng.DOMAIN_CIRCULANT, i, j, path)
-    values = circulant_fbm_block(hurst, grid, seed, np.array([sid], dtype=np.uint64))[0]
-    return EntryPath(values=values, entry_id=entry_id)
 
 
 def upper_triangle_paths(kernel: CovarianceKernel, grid: TimeGrid, n: int,

@@ -87,6 +87,31 @@ class TestConverge:
         assert a != b
 
 
+class TestThreadInvariance:
+    CASES = {
+        "residual": MINIMAL.replace("n = 8", "n = 4, 8"),
+        "holder": MINIMAL,
+        "collisions": MINIMAL,
+        "collisions-circulant": FBM.replace("seed = 11", "seed = 11\nmethod = circulant"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_csvs_identical_at_one_and_two_threads(self, tmp_path, monkeypatch, case, budget):
+        from eigenflow import diagnostics
+        if budget is not None:  # one path per chunk, so two threads share the work
+            monkeypatch.setattr(diagnostics, "CHUNK_BYTES", budget)
+        p = tmp_path / "exp.cfg"
+        p.write_text(self.CASES[case])
+        out = tmp_path / "run"
+        csvs = []
+        for threads in ("1", "2"):
+            assert main([case.split("-")[0], "--config", str(p), "--out", str(out),
+                         "--threads", threads]) == 0
+            csvs.append({f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))})
+        assert csvs[0] and csvs[0] == csvs[1]
+
+
 class TestManifest:
     def test_manifest_contents(self, cfg_file, tmp_path):
         out = tmp_path / "run"
@@ -158,6 +183,26 @@ class TestSubcommands:
         p = tmp_path / "exp.cfg"
         p.write_text(MINIMAL.replace("seed = 11", "seed = 11\nmethod = circulant"))
         assert main(["converge", "--config", str(p), "--out", str(tmp_path / "y")]) == 1
+
+    def test_holder_rejects_circulant(self, tmp_path):
+        # the holder grid {0, t_base, t_base + separations} is not uniform
+        p = tmp_path / "exp.cfg"
+        p.write_text(FBM.replace("seed = 11", "seed = 11\nmethod = circulant"))
+        out = tmp_path / "run"
+        assert main(["holder", "--config", str(p), "--out", str(out)]) == 1
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("subcommand", ["holder", "dyson", "limit"])
+    def test_single_dimension_subcommands_reject_a_list(self, tmp_path, subcommand):
+        p = tmp_path / "exp.cfg"
+        p.write_text(MINIMAL.replace("n = 8", "n = 4, 8"))
+        assert main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("subcommand", ["residual", "holder"])
+    def test_single_test_function_subcommands_reject_a_list(self, tmp_path, subcommand):
+        p = tmp_path / "exp.cfg"
+        p.write_text(MINIMAL + "\n[observables]\ntest_functions = gaussian_bump, smooth_bump\n")
+        assert main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")]) == 1
 
     def test_circulant_fbm_runs(self, tmp_path):
         p = tmp_path / "exp.cfg"

@@ -1,8 +1,11 @@
 """Diagnostics: residual bookkeeping, convergence, scaling, SDE cross-check."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from eigenflow import diagnostics
 from eigenflow.diagnostics import (burgers_pde_residual, collision_experiment,
                                    collision_proximity, convergence_study,
                                    dyson_crosscheck, fit_loglog_slope,
@@ -75,7 +78,6 @@ class TestWeakEquationResidual:
             assert b <= a + 2.0 * np.hypot(sa, sb)
 
     def test_mapper_equivalence(self):
-        from concurrent.futures import ThreadPoolExecutor
         f = GaussianBump()
         grid = TimeGrid.uniform(1.0, 8)
         serial = residual_experiment(BrownianKernel(), grid, [6], f, 50, seed=3)
@@ -194,6 +196,29 @@ class TestDyson:
     def test_zero_horizon_distance_is_zero(self):
         row = dyson_crosscheck(2, 0.0, 0.001, paths=10, seed=1)
         assert row.w1_distance == 0.0
+
+
+class TestEnsembleMap:
+    def test_experiments_ignore_chunk_budget_and_workers(self, monkeypatch):
+        kernel = FractionalBrownianKernel(0.7)
+        grid = TimeGrid.uniform(1.0, 4)
+        f = GaussianBump()
+
+        def run(mapper=map):
+            return (residual_experiment(kernel, grid, [3, 5], f, 9, seed=2, mapper=mapper,
+                                        method="circulant")[1].residuals,
+                    convergence_study(kernel, grid, [4], 5, seed=3, mapper=mapper),
+                    holder_increments(kernel, 4, f, 2.0, 0.5, [0.01, 0.1], 9, seed=4,
+                                      mapper=mapper),
+                    collision_experiment(kernel, grid, 4, 9, seed=5, shift_spec="diag:1,1,0,0",
+                                         mapper=mapper))
+
+        whole = run()
+        monkeypatch.setattr(diagnostics, "CHUNK_BYTES", 1)  # one path per chunk
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            chunked = run(pool.map)
+        assert np.array_equal(whole[0], chunked[0])
+        assert whole[1:] == chunked[1:]
 
 
 class TestBurgersPde:

@@ -6,8 +6,7 @@ import pytest
 from eigenflow.grids import TimeGrid
 from eigenflow.kernels import (BrownianKernel, DerivativeSingularError,
                                FractionalBrownianKernel, KernelDomainError,
-                               TableKernel, check_h1, check_h2,
-                               diag_variance_derivative, eval_kernel)
+                               TableKernel, check_h1, check_h2)
 
 BUILTIN_KERNELS = [
     BrownianKernel(),
@@ -21,18 +20,18 @@ BUILTIN_KERNELS = [
 class TestEval:
     def test_brownian_is_min(self):
         k = BrownianKernel()
-        assert eval_kernel(k, 1.0, 2.0) == 1.0
-        assert eval_kernel(k, 3.5, 0.25) == 0.25
+        assert k.eval(1.0, 2.0) == 1.0
+        assert k.eval(3.5, 0.25) == 0.25
 
     def test_fbm_half_reduces_to_brownian(self):
         k = FractionalBrownianKernel(0.5)
-        assert eval_kernel(k, 1.0, 2.0) == pytest.approx(1.0, abs=1e-14)
+        assert k.eval(1.0, 2.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_fbm_formula_value(self):
         # direct arithmetic: (1 + 2^1.5 - 1)/2 = 2^0.5
         k = FractionalBrownianKernel(0.75)
         expected = 0.5 * (1.0 + 2.0 ** 1.5 - 1.0)
-        assert eval_kernel(k, 1.0, 2.0) == pytest.approx(expected, rel=1e-15)
+        assert k.eval(1.0, 2.0) == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
     @pytest.mark.parametrize("kernel", BUILTIN_KERNELS, ids=lambda k: k.kind + str(getattr(k, "hurst", "")))
@@ -115,18 +114,18 @@ class TestTableKernel:
 
 class TestDiagDerivative:
     def test_brownian_rate_is_one(self):
-        assert diag_variance_derivative(BrownianKernel(), 3.0) == 1.0
+        assert BrownianKernel().diag_rate(3.0) == 1.0
 
     def test_fbm_rate_closed_form(self):
-        assert diag_variance_derivative(FractionalBrownianKernel(0.75), 1.0) \
+        assert FractionalBrownianKernel(0.75).diag_rate(1.0) \
             == pytest.approx(1.5, rel=1e-15)
         # 2 H s^{2H-1} at H=1/4, s=1/4: 0.5 * 0.25^{-0.5} = 1
-        assert diag_variance_derivative(FractionalBrownianKernel(0.25), 0.25) \
+        assert FractionalBrownianKernel(0.25).diag_rate(0.25) \
             == pytest.approx(1.0, rel=1e-12)
 
     def test_rough_kernel_singular_at_zero(self):
         with pytest.raises(DerivativeSingularError):
-            diag_variance_derivative(FractionalBrownianKernel(0.25), 0.0)
+            FractionalBrownianKernel(0.25).diag_rate(0.0)
 
     @pytest.mark.parametrize("kernel", BUILTIN_KERNELS,
                              ids=lambda k: k.kind + str(getattr(k, "hurst", "")))

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from eigenflow.limitlaw import (AtomicMeasure, BurgersEvolved,
-                                Semicircle, burgers_solve, density_and_cdf,
+                                Semicircle, burgers_solve,
                                 law_at_time, limit_at_time, limit_stieltjes,
                                 moment_from_stieltjes, semicircle_stieltjes)
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
@@ -138,7 +138,8 @@ class TestLimitAtTime:
 
 class TestSemicircleLaw:
     def test_density_and_cdf_center(self):
-        pdf, cdf = density_and_cdf(Semicircle(0.0, 1.0), 0.0)
+        law = Semicircle(0.0, 1.0)
+        pdf, cdf = float(law.pdf(0.0)), float(law.cdf(0.0))
         assert pdf == pytest.approx(1 / np.pi, rel=1e-12)
         assert cdf == pytest.approx(0.5, abs=1e-14)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eigenflow import diagnostics
 from eigenflow.grids import TimeGrid
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
 from eigenflow.matrixflow import (DegenerateEigenvalueError, MatrixFlowSample,
@@ -60,20 +61,28 @@ class TestAssembly:
         fast = assemble_from_triangle(tri, shift, n, grid)
         iu, ju = np.triu_indices(n)
         entries = {(int(i), int(j)): tri[k] for k, (i, j) in enumerate(zip(iu, ju))}
-        slow = assemble_flow(entries, shift, n, grid)
-        assert np.allclose(fast, slow.matrices, atol=1e-15)
+        off, diag = diagonal_scale(n)
+        slow = np.zeros((len(grid), n, n))
+        for (i, j), path in entries.items():
+            slow[:, i, j] = slow[:, j, i] = (diag if i == j else off) * path + shift[i, j]
+        assert np.allclose(fast, slow, atol=1e-15)
+        assert np.array_equal(assemble_flow(entries, shift, n, grid).matrices, fast)
 
     def test_scales(self):
         off, diag = diagonal_scale(4)
         assert off == pytest.approx(0.5)
         assert diag == pytest.approx(np.sqrt(2.0) / 2.0)
 
-    def test_chunking_does_not_change_samples(self):
+    def test_chunking_does_not_change_samples(self, monkeypatch):
+        # ensembles are chunked by diagnostics.ensemble_map, not by sample_flows
         grid = TimeGrid.uniform(1.0, 3)
         kernel = FractionalBrownianKernel(0.6)
-        a = sample_flows(kernel, grid, 5, np.zeros((5, 5)), 23, range(7), chunk=1)
-        b = sample_flows(kernel, grid, 5, np.zeros((5, 5)), 23, range(7), chunk=0)
-        assert np.array_equal(a, b)
+        shift = np.zeros((5, 5))
+        whole = spectra_of_stack(sample_flows(kernel, grid, 5, shift, 23, range(7)))
+        for budget in (1, 1e12):  # one path per chunk, one chunk for all paths
+            monkeypatch.setattr(diagnostics, "CHUNK_BYTES", budget)
+            chunked = diagnostics.ensemble_map(kernel, grid, 5, shift, 23, 7, lambda lam: lam)
+            assert np.array_equal(chunked, whole)
 
 
 class TestSpectra:

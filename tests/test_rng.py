@@ -55,7 +55,7 @@ def test_normals_deterministic_and_order_independent():
     a = rng.normals(123, ids, 9)
     b = rng.normals(123, ids[::-1], 9)[::-1]
     assert np.array_equal(a, b)
-    single = rng.normals_single(123, int(ids[3]), 9)
+    single = rng.normals(123, ids[3:4], 9)[0]
     assert np.array_equal(a[3], single)
 
 

@@ -6,9 +6,12 @@ import pytest
 from eigenflow import rng
 from eigenflow.grids import TimeGrid
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
-from eigenflow.sampling import (EntryPath, circulant_fbm_block, circulant_fbm_sampler,
-                                factor_grid, fgn_autocovariance, sample_entry_block,
-                                sample_entry_path, upper_triangle_paths)
+from eigenflow.sampling import (circulant_fbm_block, factor_grid, fgn_autocovariance,
+                                sample_entry_block, upper_triangle_paths)
+
+
+def _one_id(domain, i, j, path):
+    return np.array([rng.stream_id(domain, i, j, path)], dtype=np.uint64)
 
 
 class TestTimeGrid:
@@ -98,10 +101,10 @@ class TestFactorGrid:
 class TestEntrySampling:
     def test_bit_identical_repeat(self):
         f = factor_grid(BrownianKernel(), TimeGrid.uniform(1.0, 5))
-        a = sample_entry_path(f, 42, (1, 2, 7))
-        b = sample_entry_path(f, 42, (1, 2, 7))
-        assert isinstance(a, EntryPath)
-        assert np.array_equal(a.values, b.values)
+        a = sample_entry_block(f, 42, _one_id(rng.DOMAIN_ENTRY, 1, 2, 7))[0]
+        b = sample_entry_block(f, 42, _one_id(rng.DOMAIN_ENTRY, 1, 2, 7))[0]
+        assert a.shape == (6,)
+        assert np.array_equal(a, b)
 
     def test_block_matches_single(self):
         f = factor_grid(FractionalBrownianKernel(0.7), TimeGrid.uniform(1.0, 4))
@@ -110,8 +113,9 @@ class TestEntrySampling:
         iu, ju = np.triu_indices(3)
         for p in range(3):
             for k in range(len(iu)):
-                single = sample_entry_path(f, 9, (int(iu[k]), int(ju[k]), p))
-                assert np.array_equal(block[p, k], single.values)
+                single = sample_entry_block(
+                    f, 9, _one_id(rng.DOMAIN_ENTRY, int(iu[k]), int(ju[k]), p))[0]
+                assert np.array_equal(block[p, k], single)
 
     def test_brownian_terminal_variance(self):
         f = factor_grid(BrownianKernel(), TimeGrid.from_times([0.0, 1.0]))
@@ -194,15 +198,16 @@ class TestCirculant:
 
     def test_single_path_interface(self):
         grid = TimeGrid.uniform(1.0, 8)
-        p = circulant_fbm_sampler(0.75, grid, 3, (0, 0, 5))
-        assert p.values.shape == (9,)
-        assert p.values[0] == 0.0
-        q = circulant_fbm_sampler(0.75, grid, 3, (0, 0, 5))
-        assert np.array_equal(p.values, q.values)
+        p = circulant_fbm_block(0.75, grid, 3, _one_id(rng.DOMAIN_CIRCULANT, 0, 0, 5))[0]
+        assert p.shape == (9,)
+        assert p[0] == 0.0
+        q = circulant_fbm_block(0.75, grid, 3, _one_id(rng.DOMAIN_CIRCULANT, 0, 0, 5))[0]
+        assert np.array_equal(p, q)
 
     def test_requires_uniform_grid(self):
         with pytest.raises(ValueError):
-            circulant_fbm_sampler(0.5, TimeGrid.from_times([0, 0.1, 1.0]), 1, (0, 0, 0))
+            circulant_fbm_block(0.5, TimeGrid.from_times([0, 0.1, 1.0]), 1,
+                                _one_id(rng.DOMAIN_CIRCULANT, 0, 0, 0))
 
 
 class TestUpperTrianglePaths:
