@@ -14,7 +14,9 @@ semicircle transform in closed form
 
 with the square root branch chosen as the product of principal roots of
 (z - 2 sqrt(tau)) and (z + 2 sqrt(tau)), which is continuous on the upper
-half-plane and behaves like z at infinity.
+half-plane and behaves like z at infinity.  On the real axis the limit is
+mu_0 boxplus semicircle(tau); ``BurgersEvolved`` evaluates its density and
+CDF exactly through Biane's parametrisation of the subordination boundary.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .kernels import CovarianceKernel
 
 FIXED_POINT_TOL = 1e-12
 NEWTON_MAX_ITERS = 200
-INVERSION_EPS = 1e-6
+BOUNDARY_NODES = 1025
+BOUNDARY_RTOL = 2.0 ** -48
 
 
 class BurgersError(RuntimeError):
@@ -206,19 +208,6 @@ def limit_at_time(kernel: CovarianceKernel, mu0: AtomicMeasure, t: float,
 class LimitLaw:
     """Common interface: stieltjes(z), pdf(x), cdf(x), support bounds."""
 
-    def stieltjes(self, z: complex) -> complex:
-        raise NotImplementedError
-
-    def pdf(self, x):
-        raise NotImplementedError
-
-    def cdf(self, x):
-        raise NotImplementedError
-
-    @property
-    def support(self):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Semicircle(LimitLaw):
@@ -263,9 +252,15 @@ class BurgersEvolved(LimitLaw):
     """The law whose Cauchy transform is F_tau started from an atomic mu_0.
 
     tau = 0 degenerates to the atomic initial law itself (the ``cdf`` is a
-    step function and ``atom_positions`` exposes the jumps).  For tau > 0
-    the density comes from boundary values of F: Im F(x + i eps)/pi at
-    eps = 1e-6 with one Richardson step, accurate to about 1e-5.
+    step function and ``atom_positions`` exposes the jumps).  For tau > 0 it
+    is mu_0 boxplus semicircle(tau), exact up to rounding through Biane's
+    boundary parametrisation (Indiana Univ. Math. J. 46, 1997): a real x is
+    omega - tau F_0(omega) for one omega = u + iv, where v >= 0 solves
+    sum w_i / ((u - a_i)^2 + v^2) = 1/tau (v = 0 where the sum at v = 0 is
+    at most 1/tau) and x(u) increases strictly.  Then pdf(x) = v/(pi tau),
+    and integrating G along z = omega + tau G_0(omega), G_0 = -F_0, gives
+    cdf(x) = 1 - [sum w_i arg(omega - a_i) + (tau/2) Im G_0(omega)^2] / pi
+    with arg in [0, pi].
     """
 
     initial: AtomicMeasure = None
@@ -276,6 +271,15 @@ class BurgersEvolved(LimitLaw):
             raise ValueError("an initial atomic measure is required")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
+        if self.tau > 0:
+            # (u, v^2, x) nodes that bracket every root-find, built here
+            # because laws are shared across threads
+            keep = self.initial.weights > 0
+            a, w = self.initial.atoms[keep], self.initial.weights[keep]
+            object.__setattr__(self, "_atoms", (a, w))
+            u = np.linspace(a[0] - math.sqrt(self.tau), a[-1] + math.sqrt(self.tau),
+                            BOUNDARY_NODES)
+            object.__setattr__(self, "_nodes", (u,) + self._point(u, 0.0 * u)[:2])
 
     @property
     def atom_positions(self) -> Optional[np.ndarray]:
@@ -293,36 +297,68 @@ class BurgersEvolved(LimitLaw):
     def pdf(self, x):
         if self.tau == 0:
             raise ValueError("the initial atomic law has no density")
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        eps = INVERSION_EPS
-        out = np.empty(xs.shape)
-        for k, xv in enumerate(xs):
-            rho1 = self.stieltjes(complex(xv, eps)).imag / np.pi
-            rho2 = self.stieltjes(complex(xv, 0.5 * eps)).imag / np.pi
-            out[k] = max(2.0 * rho2 - rho1, 0.0)
-        return out[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+        return self._pdf_cdf(x)[0]
 
     def cdf(self, x):
-        if self.tau == 0:
-            return self.initial.cdf(x)
-        lo, hi = self.support
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        order = np.argsort(xs)
-        out = np.empty(xs.shape)
-        acc = 0.0
-        prev = lo - 1e-9
-        for idx in order:
-            xv = xs[idx]
-            if xv <= lo:
-                out[idx] = 0.0
-                continue
-            top = min(xv, hi + 1e-9)
-            if top > prev:
-                seg, _ = quad(lambda u: self.pdf(u), prev, top, limit=200)
-                acc += seg
-                prev = top
-            out[idx] = min(max(acc, 0.0), 1.0)
-        return out[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+        return self.initial.cdf(x) if self.tau == 0 else self._pdf_cdf(x)[1]
+
+    def _pdf_cdf(self, x):
+        # Newton on the increasing x(u), bisecting whenever a step would leave
+        # the bracket the table starts; done once x(u) = x or u is settled to
+        # rounding (|x - u| <= sqrt(tau) on the boundary sets the scale)
+        nodes_u, nodes_s, nodes_x = self._nodes
+        x = np.asarray(x, dtype=float)
+        pdf, cdf = np.zeros(x.shape), np.where(x >= nodes_x[-1], 1.0, 0.0)
+        inside = (x > nodes_x[0]) & (x < nodes_x[-1])
+        xs = x[inside]
+        k = np.searchsorted(nodes_x, xs, side="right")
+        lo, hi = nodes_u[k - 1], nodes_u[k]
+        u, s = np.interp(xs, nodes_x, nodes_u), np.interp(xs, nodes_x, nodes_s)
+        tol = BOUNDARY_RTOL * (np.abs(xs) + math.sqrt(self.tau))
+        done = np.zeros(u.shape, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(NEWTON_MAX_ITERS):
+                s, xu, slope = self._point(u, s)
+                f = xu - xs
+                lo, hi = np.where(f < 0, u, lo), np.where(f > 0, u, hi)
+                new = u - f / slope
+                new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+                done |= (np.abs(f) <= tol) | (np.abs(new - u) <= tol)
+                if done.all():
+                    break
+                u = np.where(done, u, new)
+            else:
+                raise BurgersNonConvergence(complex(xs[~done][0]), self.tau, complex(u[~done][0]))
+        # on the boundary Re G_0 = (x - u)/tau and Im G_0 = -v/tau
+        a, w = self._atoms
+        v = np.sqrt(s)
+        arg = np.arctan2(v[:, None], u[:, None] - a) @ w
+        pdf[inside] = v / (np.pi * self.tau)
+        cdf[inside] = np.clip(1.0 - (arg - (xu - u) * v / self.tau) / np.pi, 0.0, 1.0)
+        return pdf[()], cdf[()]
+
+    def _point(self, u, s):
+        """(v^2, x, dx/du) over each u.  v^2 is Newton's root of the concave,
+        increasing 1 / sum w_i / ((u - a_i)^2 + v^2) = tau: from a start above
+        the root one step lands below it, and from below it climbs monotonically."""
+        a, w = self._atoms
+        e = u[:, None] - a
+        d = e * e
+        floor = np.maximum((w * self.tau - d).max(axis=1), 0.0)
+        s = np.maximum(s, floor)
+        for _ in range(NEWTON_MAX_ITERS):
+            big_d = d + s[:, None]
+            r = w / big_d
+            h, h1 = r.sum(axis=1), (r / big_d).sum(axis=1)
+            step = np.maximum(s + (self.tau * h - 1.0) * h / h1, floor) - s
+            if (np.abs(step) <= BOUNDARY_RTOL * h / h1).all():
+                # dx/du is 1 - tau h off the support and 2 tau (s h1 + g^2 / h1)
+                # on it, with g = sum w_i (u - a_i) / ((u - a_i)^2 + s)^2
+                g = (r * e / big_d).sum(axis=1)
+                slope = np.where(s > 0, 2.0 * self.tau * (s * h1 + g * g / h1), 1.0 - self.tau * h)
+                return s, u + self.tau * (r * e).sum(axis=1), slope
+            s = s + step
+        raise BurgersNonConvergence(complex(u[0]), self.tau, complex(s[0]))
 
 
 def law_at_time(kernel: CovarianceKernel, mu0: AtomicMeasure, t: float) -> LimitLaw:

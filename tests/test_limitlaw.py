@@ -168,7 +168,7 @@ class TestBurgersEvolvedLaw:
     def test_density_matches_semicircle(self):
         law = BurgersEvolved(initial=AtomicMeasure.point_mass(0.0), tau=1.0)
         ref = Semicircle(0.0, 1.0)
-        for x in (-1.5, -0.3, 0.0, 0.9):
+        for x in (-2.0, -1.99, -1.5, -0.3, 0.0, 0.9, 1.99, 2.0):
             assert law.pdf(x) == pytest.approx(ref.pdf(x), abs=1e-5)
         assert law.pdf(0.0) == pytest.approx(1 / np.pi, abs=1e-5)
 
@@ -185,6 +185,12 @@ class TestBurgersEvolvedLaw:
         mass, _ = quad(law.pdf, lo, hi, limit=300)
         assert mass == pytest.approx(1.0, abs=1e-4)
 
+    def test_density_vanishes_at_cusp(self):
+        # at tau = 1 the two halves of the +-1 start touch at 0, where the
+        # density grows like |x|^(1/3)
+        mu0 = AtomicMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+        assert BurgersEvolved(initial=mu0, tau=1.0).pdf(0.0) <= 1e-4
+
     def test_tau_zero_cdf_is_step(self):
         mu0 = AtomicMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
         law = BurgersEvolved(initial=mu0, tau=0.0)
@@ -199,6 +205,52 @@ class TestBurgersEvolvedLaw:
         two = AtomicMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
         assert isinstance(law_at_time(k, two, 1.0), BurgersEvolved)
         assert law_at_time(k, two, 0.0).tau == 0.0
+
+
+TWO_ATOMS = AtomicMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+THREE_ATOMS = AtomicMeasure(np.array([-2.0, 0.3, 1.0]), np.array([0.2, 0.5, 0.3]))
+
+
+@pytest.fixture(params=[(TWO_ATOMS, 0.0625), (TWO_ATOMS, 0.5), (TWO_ATOMS, 1.0),
+                        (THREE_ATOMS, 0.05)],
+                ids=["two-0.0625", "two-0.5", "two-1", "three-0.05"])
+def evolved(request):
+    mu0, tau = request.param
+    return BurgersEvolved(initial=mu0, tau=tau)
+
+
+class TestBoundaryExactness:
+    """The closed-form CDF against its own density and the known moments."""
+
+    def test_cdf_is_zero_and_one_off_support(self, evolved):
+        lo, hi = evolved.support
+        assert np.all(evolved.cdf(np.linspace(lo - 3.0, lo, 50)) == 0.0)
+        assert np.all(evolved.cdf(np.linspace(hi, hi + 3.0, 50)) == 1.0)
+
+    def test_cdf_nondecreasing(self, evolved):
+        lo, hi = evolved.support
+        assert np.all(np.diff(evolved.cdf(np.linspace(lo - 0.1, hi + 0.1, 2001))) >= 0.0)
+
+    def test_cdf_increments_match_density_quadrature(self, evolved):
+        lo, hi = evolved.support
+        for a, b in ((lo, hi), (lo + 0.3 * (hi - lo), lo + 0.55 * (hi - lo))):
+            mass, _ = quad(evolved.pdf, a, b, limit=200, epsabs=1e-10, epsrel=1e-10)
+            assert evolved.cdf(b) - evolved.cdf(a) == pytest.approx(mass, abs=1e-9)
+
+    def test_mean_and_variance_from_cdf(self, evolved):
+        # E X = lo + int (1 - F) and E (X - lo)^2 = 2 int (x - lo)(1 - F)
+        lo, hi = evolved.support
+        tail, _ = quad(lambda x: 1.0 - evolved.cdf(x), lo, hi,
+                       limit=200, epsabs=1e-11, epsrel=1e-11)
+        second, _ = quad(lambda x: 2.0 * (x - lo) * (1.0 - evolved.cdf(x)), lo, hi,
+                         limit=200, epsabs=1e-11, epsrel=1e-11)
+        mean, var = lo + tail, second - tail ** 2
+        atoms, weights = evolved.initial.atoms, evolved.initial.weights
+        mean0 = weights @ atoms
+        assert mean == pytest.approx(mean0, abs=1e-8)
+        assert var == pytest.approx(weights @ (atoms - mean0) ** 2 + evolved.tau, abs=1e-8)
+        assert moment_from_stieltjes(evolved, 1) == pytest.approx(mean, abs=1e-6)
+        assert moment_from_stieltjes(evolved, 2) == pytest.approx(var + mean ** 2, abs=1e-6)
 
 
 class TestAtomicMeasure:
