@@ -27,15 +27,10 @@ canonical form produce identical runs.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-COMPLEX_RE = re.compile(
-    r"^\s*(?P<re>[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)?\s*"
-    r"(?P<im>[+-]\s*\d*(?:\.\d*)?(?:[eE][+-]?\d+)?)?\s*i\s*$|"
-    r"^\s*(?P<real_only>[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)\s*$")
-
 
 class ConfigError(ValueError):
     """Carries every problem found in a config, not just the first."""
@@ -284,7 +279,19 @@ def parse_config(text: str) -> ExperimentConfig:
             if not (1 <= n <= 4095):
                 problems.append(f"matrix.n entries must lie in [1, 4095], got {n}")
     shift = values.get(("matrix", "shift"))
-    if shift is not None and shift != "zero" and not shift.startswith(("diag:", "file:")):
+    if shift is not None and shift.startswith("diag:"):
+        try:
+            entries = [float(x) for x in shift[len("diag:"):].split(",")]
+        except ValueError:
+            entries = []
+        if not entries or not all(map(math.isfinite, entries)):
+            problems.append(f"matrix.shift diag: entries must be finite numbers, got {shift!r}")
+        else:
+            for n in sorted(set(n_vals or ())):
+                if n != len(entries):
+                    problems.append(f"matrix.shift lists {len(entries)} diagonal entries, "
+                                    f"but matrix.n = {n}")
+    elif shift is not None and shift != "zero" and not shift.startswith("file:"):
         problems.append(f"matrix.shift must be zero, diag:<csv> or file:<path>, got {shift!r}")
     seed = values.get(("sampler", "seed"))
     if seed is not None and not (0 <= seed < 2 ** 64):

@@ -1,18 +1,15 @@
 """Symmetric eigensolvers.
 
-Three interchangeable engines behind one contract (descending eigenvalues,
-orthonormal eigenvector columns, deterministic sign convention):
+Every decomposition the package makes goes through LAPACK: ``eigh`` for
+eigenvalues and eigenvectors of one matrix or a (..., n, n) stack, and
+``eigvalsh_stack`` for the spectra of the sampled ensembles.  ``eigh``
+returns descending eigenvalues and orthonormal eigenvector columns whose
+first nonzero component is positive.
 
-* ``jacobi``  - cyclic Jacobi rotations, the default for n <= 32;
-* ``ql``      - Householder tridiagonalisation followed by implicit-shift
-                QL, the default above n = 32;
-* ``lapack``  - ``numpy.linalg.eigh``, used by the ensemble drivers where
-                throughput matters.
-
-The two hand-rolled engines exist so every production decomposition can be
-cross-checked against an independent implementation; all three must pass
-the same oracle suite.  Non-convergence is a hard error carrying the
-offending matrix for reproduction.
+``eigh_jacobi`` (cyclic Jacobi rotations) keeps the same contract for one
+matrix.  It shares no code with LAPACK and serves as the independent
+reference the tests compare the production path against; exceeding its
+sweep cap is a hard error carrying the offending matrix for reproduction.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import math
 import numpy as np
 
 JACOBI_MAX_SWEEPS = 30
-QL_MAX_ITERS_PER_N = 50
 
 
 class EigenConvergenceError(RuntimeError):
@@ -34,33 +30,36 @@ class EigenConvergenceError(RuntimeError):
 
 
 def _check_symmetric(a: np.ndarray) -> np.ndarray:
+    """``a`` as floats; rejects a non-square or non-symmetric matrix, or a
+    stack holding one."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.array_equal(a, a.T):
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if np.max(np.abs(a - a.T)) > 1e-12 * scale:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    at = np.swapaxes(a, -1, -2)
+    if not np.array_equal(a, at):
+        scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+        if np.any(np.max(np.abs(a - at), axis=(-2, -1)) > 1e-12 * scale):
             raise ValueError("matrix is not symmetric")
     return a
 
 
 def fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make the first nonzero component of each column positive."""
+    """Make the first nonzero component of each column positive, for one
+    (n, n) frame or a (..., n, n) stack of them."""
     v = vectors
-    n = v.shape[0]
     tiny = 1e-12
-    first = np.argmax(np.abs(v) > tiny * np.max(np.abs(v), axis=0, keepdims=True), axis=0)
-    signs = np.sign(v[first, np.arange(n)])
+    first = np.argmax(np.abs(v) > tiny * np.max(np.abs(v), axis=-2, keepdims=True), axis=-2)
+    signs = np.sign(np.take_along_axis(v, first[..., None, :], axis=-2))
     signs[signs == 0] = 1.0
-    return v * signs[None, :]
+    return v * signs
 
 
 def _sorted_descending(values: np.ndarray, vectors: np.ndarray | None):
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
+    order = np.argsort(-values, axis=-1, kind="stable")
+    values = np.take_along_axis(values, order, axis=-1)
     if vectors is None:
         return values, None
-    return values, fix_eigenvector_signs(vectors[:, order])
+    return values, fix_eigenvector_signs(np.take_along_axis(vectors, order[..., None, :], axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +72,10 @@ def _offdiag_idx(n: int):
 
 def eigh_jacobi(a: np.ndarray, want_vectors: bool = True,
                 max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Cyclic Jacobi diagonalisation of a symmetric matrix."""
+    """Cyclic Jacobi diagonalisation of one symmetric matrix."""
     a0 = _check_symmetric(a)
+    if a0.ndim != 2:
+        raise ValueError("expected a square matrix")
     A = a0.copy()
     n = A.shape[0]
     V = np.eye(n) if want_vectors else None
@@ -130,146 +131,16 @@ def eigh_jacobi(a: np.ndarray, want_vectors: bool = True,
 
 
 # ---------------------------------------------------------------------------
-# Householder tridiagonalisation + implicit-shift QL
+# LAPACK
 # ---------------------------------------------------------------------------
 
-def householder_tridiagonal(a: np.ndarray, want_vectors: bool = True):
-    """Reduce a symmetric matrix to tridiagonal form by Householder
-    reflections.  Returns (diagonal, subdiagonal, Q) with Q.T @ A @ Q
-    tridiagonal (Q is None when vectors are not requested)."""
-    A = _check_symmetric(a).copy()
-    n = A.shape[0]
-    Q = np.eye(n) if want_vectors else None
-    for k in range(n - 2):
-        x = A[k + 1:, k]
-        normx = np.linalg.norm(x)
-        if normx == 0.0:
-            continue
-        alpha = -math.copysign(normx, x[0] if x[0] != 0 else 1.0)
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = np.linalg.norm(v)
-        if vnorm < 1e-300:
-            continue
-        v /= vnorm
-        sub = A[k + 1:, k + 1:]
-        w = sub @ v
-        u = w - v * (v @ w)
-        sub -= 2.0 * np.outer(v, u)
-        sub -= 2.0 * np.outer(u, v)
-        A[k + 1, k] = alpha
-        A[k, k + 1] = alpha
-        A[k + 2:, k] = 0.0
-        A[k, k + 2:] = 0.0
-        if Q is not None:
-            qsub = Q[:, k + 1:]
-            qsub -= 2.0 * np.outer(qsub @ v, v)
-    d = np.diag(A).copy()
-    e = np.diag(A, -1).copy()
-    return d, e, Q
-
-
-def ql_implicit(d: np.ndarray, e: np.ndarray, q: np.ndarray | None,
-                source: np.ndarray, max_total_iters: int):
-    """Implicit-shift QL iteration on a tridiagonal (d, e(sub)) pair.
-
-    Accumulates rotations into q when given.  ``source`` is only used for
-    the error report.
-    """
-    n = d.size
-    d = d.copy()
-    e = np.concatenate([e, [0.0]])
-    iters = 0
-    for l in range(n):
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= np.finfo(float).eps * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            iters += 1
-            if iters > max_total_iters:
-                raise EigenConvergenceError(
-                    f"implicit QL exceeded {max_total_iters} iterations (n={n})", source)
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if q is not None:
-                    qi = q[:, i].copy()
-                    qi1 = q[:, i + 1].copy()
-                    q[:, i + 1] = s * qi + c * qi1
-                    q[:, i] = c * qi - s * qi1
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return d, q
-
-
-def eigh_ql(a: np.ndarray, want_vectors: bool = True):
-    """Householder tridiagonalisation + implicit-shift QL."""
-    a0 = _check_symmetric(a)
-    n = a0.shape[0]
-    d, e, q = householder_tridiagonal(a0, want_vectors=want_vectors)
-    d, q = ql_implicit(d, e, q, a0, max_total_iters=QL_MAX_ITERS_PER_N * max(n, 1))
-    return _sorted_descending(d, q)
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-def eigh_lapack(a: np.ndarray, want_vectors: bool = True):
+def eigh(a: np.ndarray, want_vectors: bool = True):
+    """Descending eigenvalues and, when asked, eigenvector columns of one
+    symmetric matrix or of a (..., n, n) stack of them (LAPACK)."""
     a0 = _check_symmetric(a)
     if want_vectors:
-        w, v = np.linalg.eigh(a0)
-        return _sorted_descending(w, v)
+        return _sorted_descending(*np.linalg.eigh(a0))
     return _sorted_descending(np.linalg.eigvalsh(a0), None)
-
-
-ENGINES = ("auto", "jacobi", "ql", "lapack")
-
-
-def eigh(a: np.ndarray, want_vectors: bool = True, engine: str = "auto"):
-    """Eigendecompose with the requested engine.
-
-    ``auto`` follows the size rule: Jacobi for n <= 32, QL above.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    n = np.asarray(a).shape[0]
-    if engine == "auto":
-        engine = "jacobi" if n <= 32 else "ql"
-    if engine == "jacobi":
-        return eigh_jacobi(a, want_vectors)
-    if engine == "ql":
-        return eigh_ql(a, want_vectors)
-    return eigh_lapack(a, want_vectors)
 
 
 def eigvalsh_stack(matrices: np.ndarray) -> np.ndarray:

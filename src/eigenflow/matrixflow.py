@@ -9,11 +9,12 @@ built from one Gaussian path per upper-triangle entry.  ``sample_flows``
 samples the upper-triangle paths of a batch of realisations and assembles
 them with ``assemble_from_triangle`` in one call; ``assemble_flow`` does the
 same for per-entry paths given by (i, j).  The spectral flow holds
-descending eigenvalues per grid time and, optionally, eigenvector frames.  ``eigenvalue_derivatives`` produces the first and second
-derivatives of a single eigenvalue with respect to the free coordinates
-``y_{k,h}`` (k <= h) of the scaled Gaussian part, in which the diagonal
-coordinate enters the matrix with weight sqrt(2); these feed the gradient
-and curvature identities used throughout the diagnostics.
+descending eigenvalues per grid time and, optionally, eigenvector frames.
+``eigenvalue_derivatives`` produces the first and second derivatives of a
+single eigenvalue with respect to the free coordinates ``y_{k,h}`` (k <= h)
+of the scaled Gaussian part, in which the diagonal coordinate enters the
+matrix with weight sqrt(2); these feed the gradient and curvature
+identities used throughout the diagnostics.
 """
 
 from __future__ import annotations
@@ -65,12 +66,6 @@ class SpectralFlow:
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[1]
-
-    def min_gap(self, t_index: int) -> float:
-        lam = self.eigenvalues[t_index]
-        if lam.size < 2:
-            return np.inf
-        return float(np.min(np.abs(np.diff(lam))))
 
 
 def diagonal_scale(n: int) -> Tuple[float, float]:
@@ -127,17 +122,10 @@ def sample_flows(kernel: CovarianceKernel, grid: TimeGrid, n: int,
     return assemble_from_triangle(tri, shift, n, grid)
 
 
-def eigendecompose(flow: MatrixFlowSample, want_vectors: bool = False,
-                   engine: str = "auto") -> SpectralFlow:
-    """Spectral decomposition of a flow sample at every grid time."""
-    k = len(flow.grid)
-    lam = np.empty((k, flow.n))
-    vec = np.empty((k, flow.n, flow.n)) if want_vectors else None
-    for t in range(k):
-        w, v = eigensolvers.eigh(flow.matrices[t], want_vectors=want_vectors, engine=engine)
-        lam[t] = w
-        if want_vectors:
-            vec[t] = v
+def eigendecompose(flow: MatrixFlowSample, want_vectors: bool = False) -> SpectralFlow:
+    """Spectral decomposition of a flow sample at every grid time, in one
+    stacked LAPACK call."""
+    lam, vec = eigensolvers.eigh(flow.matrices, want_vectors=want_vectors)
     return SpectralFlow(grid=flow.grid, eigenvalues=lam, eigenvectors=vec)
 
 
@@ -228,6 +216,8 @@ def make_shift(spec: str, n: int) -> np.ndarray:
         a = np.atleast_2d(a)
         if a.shape != (n, n):
             raise ValueError(f"shift file has shape {a.shape}, expected ({n},{n})")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("shift file must hold finite numbers")
         if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
             raise ValueError("shift file must hold a symmetric matrix")
         return 0.5 * (a + a.T)

@@ -118,6 +118,11 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
     if subcommand in ("holder", "dyson", "limit") and len(cfg.matrix_n) > 1:
         raise RunUsageError(f"{subcommand} runs one matrix dimension; "
                             f"matrix.n lists {len(cfg.matrix_n)}")
+    for n in cfg.matrix_n:  # parse_config checks diag: shifts; a file: one is read here
+        try:
+            make_shift(cfg.matrix_shift, n)
+        except ValueError as exc:
+            raise RunUsageError(f"matrix.shift: {exc}") from None
     written: List[Path] = []
 
     if subcommand == "converge":

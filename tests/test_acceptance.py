@@ -113,7 +113,7 @@ def test_criterion_4_perturbation_identities():
     for p in range(1000):
         flow = MatrixFlowSample(n=n, grid=grid, shift=np.zeros((n, n)),
                                 matrices=y[p][None].repeat(2, axis=0))
-        spec = eigendecompose(flow, want_vectors=True, engine="jacobi")
+        spec = eigendecompose(flow, want_vectors=True)
         lam = spec.eigenvalues[0]
         if np.min(np.abs(np.diff(lam))) <= 1e-6:
             continue

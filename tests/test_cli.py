@@ -1,11 +1,15 @@
 """CLI and runner: outputs, manifests, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eigenflow
 from eigenflow.cli import main
 
 MINIMAL = """
@@ -35,6 +39,15 @@ def cfg_file(tmp_path):
     p = tmp_path / "exp.cfg"
     p.write_text(MINIMAL)
     return p
+
+
+def run_cli(args):
+    """The CLI in a fresh interpreter, as a user runs it."""
+    src = str(Path(eigenflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "eigenflow.cli", *args], env=env,
+                          capture_output=True, text=True)
 
 
 def read_rows(path):
@@ -241,6 +254,32 @@ class TestExitCodes:
         p = tmp_path / "bad.cfg"
         p.write_text(MINIMAL.replace("kind = brownian", "kind = fbm\nhurst = 2"))
         assert main(["converge", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("n, shift", [("2, 4", "diag:1,-1"), ("2", "diag:1,x"),
+                                          ("2", "diag:nan,1")],
+                             ids=["count", "entry", "nonfinite"])
+    def test_malformed_diag_shift_is_config_error(self, tmp_path, n, shift):
+        p = tmp_path / "bad.cfg"
+        p.write_text(MINIMAL.replace("n = 8", f"n = {n}\nshift = {shift}"))
+        proc = run_cli(["converge", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("eigenflow: configuration error:")
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize("content", ["1,2\n3,4\n", "1,0,0\n0,1,0\n0,0,1\n",
+                                         "nan,0\n0,1\n"],
+                             ids=["asymmetric", "shape", "nonfinite"])
+    def test_bad_shift_file_is_config_error(self, tmp_path, content):
+        shift = tmp_path / "shift.csv"
+        shift.write_text(content)
+        p = tmp_path / "bad.cfg"
+        p.write_text(MINIMAL.replace("n = 8", f"n = 2\nshift = file:{shift}"))
+        proc = run_cli(["converge", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("eigenflow: configuration error: matrix.shift:")
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.rglob("*.csv")) == [shift]
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["converge", "--config", str(tmp_path / "nope.cfg")]) == 3

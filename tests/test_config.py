@@ -99,6 +99,20 @@ seed = 1
         cfg = parse_config(MINIMAL.replace("seed = 1", "seed = 1  # master seed"))
         assert cfg.sampler_seed == 1
 
+    def test_diag_shift_checked_against_every_n(self):
+        text = MINIMAL.replace("n = 10", "n = 2, 4, 10\nshift = diag:1,-1\nkind = x")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        problems = err.value.problems
+        assert sum("diagonal entries, but matrix.n" in p for p in problems) == 2
+        assert any("unknown key matrix.kind" in p for p in problems)
+
+    @pytest.mark.parametrize("shift", ["diag:1,x", "diag:", "diag:nan,1", "diag:1,inf"])
+    def test_diag_shift_entries_must_be_finite_numbers(self, shift):
+        text = MINIMAL.replace("n = 10", f"n = 2\nshift = {shift}")
+        with pytest.raises(ConfigError, match="entries must be finite numbers"):
+            parse_config(text)
+
     def test_z_points_must_be_upper_half(self):
         text = MINIMAL + "\n[observables]\nz_points = 1-1i\n"
         with pytest.raises(ConfigError, match="positive imaginary"):

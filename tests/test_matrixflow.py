@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eigenflow import diagnostics
+from eigenflow.eigensolvers import eigh_jacobi
 from eigenflow.grids import TimeGrid
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
 from eigenflow.matrixflow import (DegenerateEigenvalueError, MatrixFlowSample,
@@ -110,8 +111,29 @@ class TestSpectra:
         y = sample_flows(BrownianKernel(), grid, 9, np.zeros((9, 9)), 17, range(4))
         lam = spectra_of_stack(y)
         flow = MatrixFlowSample(n=9, grid=grid, shift=np.zeros((9, 9)), matrices=y[2])
-        spec = eigendecompose(flow, engine="jacobi")
-        assert np.max(np.abs(lam[2] - spec.eigenvalues)) < 1e-10
+        spec = eigendecompose(flow)
+        # cyclic Jacobi per grid time is the independent reference
+        ref = np.array([eigh_jacobi(m, want_vectors=False)[0] for m in y[2]])
+        assert np.max(np.abs(lam[2] - ref)) < 1e-10
+        assert np.max(np.abs(spec.eigenvalues - ref)) < 1e-10
+
+    @pytest.mark.parametrize("n", [8, 40])
+    def test_stacked_decomposition(self, n):
+        grid = TimeGrid.uniform(1.0, 5)
+        shift = np.diag(np.linspace(-1.0, 1.0, n))
+        y = sample_flows(FractionalBrownianKernel(0.7), grid, n, shift, 41, [0])[0]
+        flow = MatrixFlowSample(n=n, grid=grid, shift=shift, matrices=y)
+        spec = eigendecompose(flow, want_vectors=True)
+        assert spec.eigenvalues.shape == (len(grid), n)
+        assert spec.eigenvectors.shape == (len(grid), n, n)
+        for k in range(len(grid)):
+            u, lam = spec.eigenvectors[k], spec.eigenvalues[k]
+            assert np.all(np.diff(lam) <= 0)
+            recon = (u * lam) @ u.T
+            assert np.max(np.abs(recon - y[k])) <= 1e-8 * np.max(np.abs(y[k]))
+            assert np.max(np.abs(u.T @ u - np.eye(n))) <= 1e-9
+            first = np.argmax(np.abs(u) > 1e-12 * np.max(np.abs(u), axis=0), axis=0)
+            assert np.all(u[first, np.arange(n)] > 0)
 
 
 class TestPerturbationDerivatives:

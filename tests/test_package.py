@@ -1,5 +1,6 @@
 """The package's public names and import graph."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -22,3 +23,14 @@ def test_cli_import_does_not_load_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark's tracer wraps these names; moving one breaks its --trace runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{owner}.{attr}" for owner, attr, _, _ in tracer.SPANS
+               if not callable(getattr(tracer._resolve(owner), attr, None))]
+    assert missing == []
