@@ -29,7 +29,9 @@
 Every Monte Carlo experiment streams its ensemble through
 :func:`ensemble_map`: paths are sampled, diagonalised and reduced chunk by
 chunk under one byte budget, and the per-path results are placed in path
-order, so neither the chunking nor the worker count changes an output.
+order, so neither the chunking nor the worker count changes an output.  The
+Dyson SDE side is chunked by the same rule, with noise keyed by (seed, path,
+step), so its paths are pure functions of (seed, path) as well.
 """
 
 from __future__ import annotations
@@ -48,10 +50,19 @@ from .matrixflow import DEGENERATE_GAP, make_shift, sample_flows, spectra_of_sta
 from .measures import EmpiricalMeasure, divided_difference_stack, kolmogorov_distance
 from .testfunctions import TestFunction
 
-# Bytes of sampled matrices per chunk of paths: the one chunk rule of the
-# ensemble experiments.  Each worker holds one chunk at a time, so peak
-# memory does not grow with the number of paths.
+# Bytes per chunk of paths: the one chunk rule of every Monte Carlo side,
+# counting sampled matrices for the ensemble experiments and the drift's
+# pairwise differences for the SDE.  Each worker holds one chunk at a time,
+# so peak memory does not grow with the number of paths.
 CHUNK_BYTES = 5e6
+
+
+def _map_chunks(task: Callable[[range], object], paths: int, path_bytes: int,
+                mapper=map) -> list:
+    """``task`` of each chunk of paths 0..paths-1 under ``CHUNK_BYTES``, in path order."""
+    chunk = max(1, int(CHUNK_BYTES / path_bytes))
+    return list(mapper(task, [range(lo, min(lo + chunk, paths))
+                              for lo in range(0, paths, chunk)]))
 
 
 def ensemble_map(kernel: CovarianceKernel, grid: TimeGrid, n: int, shift: np.ndarray,
@@ -64,14 +75,11 @@ def ensemble_map(kernel: CovarianceKernel, grid: TimeGrid, n: int, shift: np.nda
     on each path on its own, so neither the chunk size nor ``mapper`` (a
     thread pool's map, say) changes the result.
     """
-    chunk = max(1, int(CHUNK_BYTES / (len(grid) * n * n * 8)))
-
     def task(pid: range) -> np.ndarray:
         y = sample_flows(kernel, grid, n, shift, seed, pid, method=method)
         return reduce(spectra_of_stack(y))
 
-    chunks = [range(lo, min(lo + chunk, paths)) for lo in range(0, paths, chunk)]
-    return np.concatenate(list(mapper(task, chunks)))
+    return np.concatenate(_map_chunks(task, paths, len(grid) * n * n * 8, mapper))
 
 
 # ---------------------------------------------------------------------------
@@ -79,28 +87,25 @@ def ensemble_map(kernel: CovarianceKernel, grid: TimeGrid, n: int, shift: np.nda
 # ---------------------------------------------------------------------------
 
 def weak_equation_residual(lambdas: np.ndarray, kernel: CovarianceKernel,
-                           grid: TimeGrid, f: TestFunction,
-                           t_index: Optional[int] = None) -> np.ndarray:
+                           grid: TimeGrid, f: TestFunction) -> np.ndarray:
     """Residual G for each eigenvalue flow in ``lambdas`` (..., K+1, n).
 
-    Returns the residuals with shape ``lambdas.shape[:-2]``.
+    G is taken at the last grid time; returns the residuals with shape
+    ``lambdas.shape[:-2]``.
     """
     lam = np.asarray(lambdas, dtype=float)
-    if t_index is None:
-        t_index = len(grid) - 1
     n = lam.shape[-1]
-    times = grid.times[:t_index + 1]
 
     mu_f = np.mean(f.f(lam), axis=-1)               # (..., K+1)
     dd = divided_difference_stack(lam, f)            # (..., K+1)
     s2 = np.sum(f.d2(lam), axis=-1)                  # (..., K+1)
     integrand = 0.5 * dd + s2 / (2.0 * n ** 2)
 
-    dr = kernel.diag_increment(times[:-1], times[1:])           # (t_index,)
-    pair_mean = 0.5 * (integrand[..., :t_index] + integrand[..., 1:t_index + 1])
+    dr = kernel.diag_increment(grid.times[:-1], grid.times[1:])  # (K,)
+    pair_mean = 0.5 * (integrand[..., :-1] + integrand[..., 1:])
     drift = np.sum(pair_mean * dr, axis=-1)
 
-    return mu_f[..., t_index] - mu_f[..., 0] - drift
+    return mu_f[..., -1] - mu_f[..., 0] - drift
 
 
 @dataclass(frozen=True)
@@ -326,14 +331,9 @@ def _sde_drift(lam: np.ndarray, n: int) -> np.ndarray:
     return inv.sum(axis=2) / n
 
 
-def _refinement_noise(seed: int, counter: int, shape) -> np.ndarray:
-    """Fresh noise for refined sub-steps from a keyed counter-based stream."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (3 << 60) | counter], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal(shape)
-
-
 _SDE_MAX_DEPTH = 3
+# refined half steps under one Euler step (node 0): node h has children 2h+1, 2h+2
+_SDE_NODES = 2 ** (_SDE_MAX_DEPTH + 1) - 2
 
 
 def _tamed_displacement(drift: np.ndarray, dt: float, lam: np.ndarray, n: int) -> np.ndarray:
@@ -356,15 +356,17 @@ def _tamed_displacement(drift: np.ndarray, dt: float, lam: np.ndarray, n: int) -
     return disp * tame
 
 
-def _sde_step(lam: np.ndarray, dt: float, noise: np.ndarray, n: int,
-              depth: int, stats: dict, seed: int, counter: list) -> np.ndarray:
-    """One Euler-Maruyama step with step-size rejection near collisions.
+def _sde_step(lam: np.ndarray, dt: float, noise: np.ndarray, n: int, depth: int,
+              stats: dict, tree: Callable[[np.ndarray], np.ndarray],
+              node: int = 0) -> np.ndarray:
+    """One Euler-Maruyama step (heap node ``node``) with step-size rejection near collisions.
 
-    A step is rejected and redone as two halves (fresh noise) when the
+    A step is rejected and redone as two halves, with keyed noise, when the
     starting state cannot resolve the repulsion at this step size (minimum
-    gap below the step-dependent threshold 2 dt max|drift|).  The
-    criterion depends only on the starting state, so refinement is pure
-    step-size adaptivity and does not condition the outcome.  At the
+    gap below the step-dependent threshold 2 dt max|drift|).  ``tree(stiff)``
+    gives the stiff rows' (rows, _SDE_NODES, n) noise, column h - 1 for node
+    h.  The criterion depends only on the starting state, so refinement is
+    pure step-size adaptivity and does not condition the outcome.  At the
     recursion cap the drift is gap-tamed instead.  Crossed proposals are
     reflected by sorting (exact relabelling for coincident starts, counted
     otherwise).
@@ -383,10 +385,10 @@ def _sde_step(lam: np.ndarray, dt: float, noise: np.ndarray, n: int,
         prop = lam + drift * dt + sigma * math.sqrt(dt) * noise
         if np.any(stiff):
             sub = lam[stiff]
-            for _ in range(2):
-                counter[0] += 1
-                fresh = _refinement_noise(seed, counter[0], sub.shape)
-                sub = _sde_step(sub, 0.5 * dt, fresh, n, depth + 1, stats, seed, counter)
+            below = tree(stiff)
+            for child in (2 * node + 1, 2 * node + 2):
+                sub = _sde_step(sub, 0.5 * dt, below[:, child - 1], n, depth + 1, stats,
+                                below.__getitem__, child)
             prop[stiff] = sub
 
     if n > 1:
@@ -398,15 +400,43 @@ def _sde_step(lam: np.ndarray, dt: float, noise: np.ndarray, n: int,
     return prop
 
 
+def _sde_paths(lam0: np.ndarray, dt: float, n_steps: int, seed: int, pid: range):
+    """Sorted final states (len(pid), n) and forced-sort count of SDE paths ``pid``.
+
+    Noise is keyed as laid out in :mod:`eigenflow.rng`, so each path is a
+    pure function of (seed, path).
+    """
+    n = lam0.size
+    base_ids, tree_ids = (np.array([rng.stream_id(rng.DOMAIN_SDE, i, 0, p) for p in pid],
+                                   dtype=np.uint64) for i in (0, 1))
+    lam = np.tile(lam0, (len(pid), 1))
+    stats = {"forced_sorts": 0}
+    # base noise drawn in step blocks (cache-friendly), block-aligned streams
+    block_steps = 2 * max(1, 256 // n)
+    for step in range(n_steps):
+        k = step % block_steps
+        if k == 0:
+            m = min(block_steps, n_steps - step)
+            base_noise = rng.normals(seed, base_ids, m * n,
+                                     start=step * n).reshape(len(pid), m, n)
+
+        def tree(stiff, step=step):
+            # one draw per step covers every refinement of its stiff rows
+            return rng.normals(seed, tree_ids[stiff], _SDE_NODES * n,
+                               start=step * _SDE_NODES * n).reshape(-1, _SDE_NODES, n)
+        lam = _sde_step(lam, dt, base_noise[:, k, :], n, 0, stats, tree)
+    return np.sort(lam, axis=1), stats["forced_sorts"]
+
+
 def dyson_crosscheck(n: int, t_max: float, dt: float, paths: int, seed: int,
-                     shift_spec: str = "zero", steps_grid: int = 1) -> DysonRow:
+                     shift_spec: str = "zero", mapper=map) -> DysonRow:
     """Wasserstein-1 distance between SDE and matrix spectra at time t_max.
 
     Both ensembles start from the spectrum of the shift matrix; the matrix
     side is sampled exactly, the SDE side by Euler-Maruyama with
-    non-collision step rejection.  Sorted spectra are averaged over paths
-    before the distance; ``w1_mc_error`` combines the standard errors of
-    the two averages.
+    non-collision step rejection, both chunked over paths.  Sorted spectra
+    are averaged over paths before the distance; ``w1_mc_error`` combines
+    the standard errors of the two averages.
     """
     kernel = BrownianKernel()
     shift = make_shift(shift_spec, n)
@@ -414,41 +444,24 @@ def dyson_crosscheck(n: int, t_max: float, dt: float, paths: int, seed: int,
         # both ensembles sit at the spectrum of the shift
         return DysonRow(n=n, t=0.0, dt=dt, paths=paths, w1_distance=0.0,
                         w1_mc_error=0.0, forced_sorts=0)
-    grid = TimeGrid.uniform(t_max, max(steps_grid, 1))
-
-    lam_matrix = ensemble_map(kernel, grid, n, shift, seed, paths,
-                              lambda lam: np.sort(lam[:, -1, :], axis=1))
+    lam_matrix = ensemble_map(kernel, TimeGrid.uniform(t_max, 1), n, shift, seed, paths,
+                              lambda lam: np.sort(lam[:, -1, :], axis=1), mapper=mapper)
     mean_matrix = lam_matrix.mean(axis=0)
     se_matrix = lam_matrix.std(axis=0, ddof=1) / math.sqrt(paths)
 
     lam0 = np.sort(np.linalg.eigvalsh(shift))
-    lam = np.tile(lam0, (paths, 1)).astype(float)
     n_steps = int(round(t_max / dt))
     if not math.isclose(n_steps * dt, t_max, rel_tol=1e-9):
         raise ValueError("dt must divide t_max")
-    sid_base = np.array([rng.stream_id(rng.DOMAIN_SDE, 0, 0, p) for p in range(paths)],
-                        dtype=np.uint64)
-    stats = {"forced_sorts": 0}
-    counter = [0]
-    # base noise drawn in step blocks (cache-friendly), block-aligned streams:
-    # step k consumes positions [k*n, (k+1)*n) of each path stream
-    block_steps = 2 * max(1, 256 // max(n, 1))
-    base_noise = None
-    for step in range(n_steps):
-        k = step % block_steps
-        if k == 0:
-            m = min(block_steps, n_steps - step)
-            base_noise = rng.normals(seed, sid_base, m * n,
-                                     start=step * n).reshape(paths, m, n)
-        lam = _sde_step(lam, dt, base_noise[:, k, :], n, 0, stats, seed, counter)
-
-    lam = np.sort(lam, axis=1)
+    chunks = _map_chunks(lambda pid: _sde_paths(lam0, dt, n_steps, seed, pid),
+                         paths, n * n * 8, mapper)
+    lam = np.concatenate([c[0] for c in chunks])
     mean_sde = lam.mean(axis=0)
     se_sde = lam.std(axis=0, ddof=1) / math.sqrt(paths)
     w1 = float(np.mean(np.abs(mean_sde - mean_matrix)))
     mc_err = float(np.mean(np.sqrt(se_sde ** 2 + se_matrix ** 2)))
     return DysonRow(n=n, t=t_max, dt=dt, paths=paths, w1_distance=w1,
-                    w1_mc_error=mc_err, forced_sorts=stats["forced_sorts"])
+                    w1_mc_error=mc_err, forced_sorts=sum(c[1] for c in chunks))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ Three kernel families are built in:
 
 A kernel carries the covariance itself, the diagonal rate d/ds R(s,s), the
 exact diagonal increment R(b,b) - R(a,a) (used so that time integrals against
-d/ds R(s,s) never touch the s=0 singularity of rough kernels), and declared
-regularity metadata.  Two numerical checkers probe the integrability
-hypothesis on dR/ds (``check_h1``) and the Hoelder hypothesis on the
-increment variance (``check_h2``); they produce evidence, not proofs.
+d/ds R(s,s) never touch the s=0 singularity of rough kernels).  Two numerical
+checkers probe the integrability hypothesis on dR/ds (``check_h1``) and the
+Hoelder hypothesis on the increment variance (``check_h2``); they produce
+evidence, not proofs.
 
 All kernels are immutable and safe to share across workers.
 """
@@ -39,14 +39,6 @@ class CovarianceKernel:
     """Base class; subclasses implement ``eval`` on nonnegative times."""
 
     kind: str = "abstract"
-    #: declared Hoelder exponent gamma of the increment variance bound
-    holder_exponent: float = 1.0
-    #: declared Hoelder constant kappa
-    holder_constant: float = 1.0
-    #: declared integrability exponent alpha (> 1)
-    integrability_exponent: float = 2.0
-    #: True when d/ds R(s,s) is unbounded near s = 0
-    diag_rate_singular_at_zero: bool = False
 
     def eval(self, s, t):
         raise NotImplementedError
@@ -92,9 +84,6 @@ class BrownianKernel(CovarianceKernel):
     """R(s,t) = min(s,t)."""
 
     kind = "brownian"
-    holder_exponent = 1.0
-    holder_constant = 1.0
-    integrability_exponent = 2.0
 
     def eval(self, s, t):
         s = np.asarray(s, dtype=float)
@@ -121,15 +110,6 @@ class FractionalBrownianKernel(CovarianceKernel):
         if not (0.0 < hurst < 1.0):
             raise ValueError(f"hurst must lie in (0,1), got {hurst}")
         self.hurst = float(hurst)
-        self.holder_exponent = 2.0 * self.hurst
-        self.holder_constant = 1.0
-        # |dR/ds(s,t)| ~ s^{2H-1} near 0 is alpha-integrable iff
-        # alpha(1-2H) < 1; stay safely inside for rough kernels.
-        if hurst >= 0.5:
-            self.integrability_exponent = 2.0
-        else:
-            self.integrability_exponent = min(2.0, 0.5 * (1.0 + 1.0 / (1.0 - 2.0 * self.hurst)))
-        self.diag_rate_singular_at_zero = hurst < 0.5
 
     def eval(self, s, t):
         s = np.asarray(s, dtype=float)
@@ -196,8 +176,6 @@ class TableKernel(CovarianceKernel):
             raise ValueError(f"table is not symmetric (max asymmetry {asym:.3e})")
         self.times = times
         self.values = 0.5 * (values + values.T)
-        self.holder_exponent = 1.0
-        self.integrability_exponent = 2.0
 
     def _locate(self, x):
         lo, hi = self.times[0], self.times[-1]

@@ -9,7 +9,11 @@ worker count.  Generation is vectorised across streams, which is what makes
 large Monte Carlo ensembles affordable in pure numpy.
 
 Stream ids pack a small domain tag (which subsystem is drawing), two matrix
-indices and a path index into one 64-bit word, see :func:`stream_id`.
+indices and a path index into one 64-bit word, see :func:`stream_id`.  SDE
+path p draws its Euler noise of step k from ``stream_id(DOMAIN_SDE, 0, 0, p)``
+at positions [k n, (k+1) n), and the noise of the refined half steps under
+step k from ``stream_id(DOMAIN_SDE, 1, 0, p)``: half-step node h = 1..14 (a
+heap under the step) at positions [(14 k + h - 1) n, (14 k + h) n).
 """
 
 from __future__ import annotations
@@ -58,7 +62,10 @@ def philox4x32(counter, key0: int, key1: int):
 
 
 def stream_id(domain: int, i: int, j: int, path: int) -> int:
-    """Pack (domain, i, j, path) into a 64-bit stream id."""
+    """Pack (domain, i, j, path) into a 64-bit stream id.
+
+    ``DOMAIN_SDE`` takes i = 0 for Euler noise, i = 1 for refinement noise.
+    """
     if not (0 <= domain < 16):
         raise ValueError(f"stream domain {domain} out of range")
     if not (0 <= i < _MAX_INDEX and 0 <= j < _MAX_INDEX):

@@ -111,6 +111,9 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
     kernel = config_to_kernel(cfg)
     grid = config_to_grid(cfg)
     if cfg.sampler_method == "circulant":
+        if subcommand not in ("converge", "residual", "collisions"):
+            raise RunUsageError("sampler.method = circulant serves converge, residual and "
+                                f"collisions only, not {subcommand}")
         if kernel.kind != "fbm":
             raise RunUsageError("sampler.method = circulant requires kernel.kind = fbm")
         if not grid.is_uniform():
@@ -158,9 +161,6 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
         written.append(path)
 
     elif subcommand == "holder":
-        if cfg.sampler_method == "circulant":
-            raise RunUsageError("holder samples on the non-uniform grid "
-                                "{0, t_base, t_base + separations}; use sampler.method = cholesky")
         f = _real_test_function(cfg)
         n = cfg.matrix_n[0]
         rep = diagnostics.holder_increments(
@@ -196,7 +196,7 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
         for dt in (cfg.experiment_dt, 0.5 * cfg.experiment_dt):
             r = diagnostics.dyson_crosscheck(
                 n, grid.t_max, dt, cfg.experiment_m, cfg.sampler_seed,
-                shift_spec=cfg.matrix_shift)
+                shift_spec=cfg.matrix_shift, mapper=mapper)
             rows.append((r.n, r.t, r.dt, r.paths, r.w1_distance, r.w1_mc_error,
                          r.forced_sorts))
         path = out / f"dyson_n{n}.csv"

@@ -106,6 +106,7 @@ class TestThreadInvariance:
         "holder": MINIMAL,
         "collisions": MINIMAL,
         "collisions-circulant": FBM.replace("seed = 11", "seed = 11\nmethod = circulant"),
+        "dyson": MINIMAL,
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -197,12 +198,15 @@ class TestSubcommands:
         p.write_text(MINIMAL.replace("seed = 11", "seed = 11\nmethod = circulant"))
         assert main(["converge", "--config", str(p), "--out", str(tmp_path / "y")]) == 1
 
-    def test_holder_rejects_circulant(self, tmp_path):
-        # the holder grid {0, t_base, t_base + separations} is not uniform
+    @pytest.mark.parametrize("subcommand", ["holder", "limit"])
+    def test_rejects_circulant(self, tmp_path, capsys, subcommand):
+        # holder samples on the non-uniform grid {0, t_base, t_base + separations};
+        # limit samples nothing, so the key would only be echoed into its CSVs
         p = tmp_path / "exp.cfg"
         p.write_text(FBM.replace("seed = 11", "seed = 11\nmethod = circulant"))
         out = tmp_path / "run"
-        assert main(["holder", "--config", str(p), "--out", str(out)]) == 1
+        assert main([subcommand, "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("eigenflow: configuration error:")
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("subcommand", ["holder", "dyson", "limit"])

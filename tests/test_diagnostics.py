@@ -197,6 +197,21 @@ class TestDyson:
         row = dyson_crosscheck(2, 0.0, 0.001, paths=10, seed=1)
         assert row.w1_distance == 0.0
 
+    def test_extending_the_batch_leaves_shared_paths_unchanged(self, monkeypatch):
+        depths = []
+        real_step = diagnostics._sde_step
+
+        def spy(lam, dt, noise, n, depth, *rest):
+            depths.append(depth)
+            return real_step(lam, dt, noise, n, depth, *rest)
+
+        monkeypatch.setattr(diagnostics, "_sde_step", spy)
+        lam0 = np.zeros(4)
+        small, _ = diagnostics._sde_paths(lam0, 1e-2, 100, 8, range(200))
+        large, _ = diagnostics._sde_paths(lam0, 1e-2, 100, 8, range(400))
+        assert max(depths) == diagnostics._SDE_MAX_DEPTH  # refinement was exercised
+        assert np.array_equal(small, large[:200])
+
 
 class TestEnsembleMap:
     def test_experiments_ignore_chunk_budget_and_workers(self, monkeypatch):
@@ -211,14 +226,16 @@ class TestEnsembleMap:
                     holder_increments(kernel, 4, f, 2.0, 0.5, [0.01, 0.1], 9, seed=4,
                                       mapper=mapper),
                     collision_experiment(kernel, grid, 4, 9, seed=5, shift_spec="diag:1,1,0,0",
-                                         mapper=mapper))
+                                         mapper=mapper),
+                    dyson_crosscheck(4, 0.5, 1e-2, 9, seed=6, mapper=mapper))
 
         whole = run()
         monkeypatch.setattr(diagnostics, "CHUNK_BYTES", 1)  # one path per chunk
         with ThreadPoolExecutor(max_workers=2) as pool:
             chunked = run(pool.map)
         assert np.array_equal(whole[0], chunked[0])
-        assert whole[1:] == chunked[1:]
+        assert whole[1:] == chunked[1:]  # DysonRow includes forced_sorts
+        assert whole[-1].forced_sorts > 0
 
 
 class TestBurgersPde:

@@ -25,6 +25,14 @@ def test_cli_import_does_not_load_scipy_integrate():
     assert out.stdout.strip() == "False"
 
 
+def test_one_random_generator():
+    # every draw goes through eigenflow.rng, keyed by (seed, stream id, position)
+    src = Path(eigenflow.__file__).resolve().parent
+    offenders = [p.name for p in sorted(src.rglob("*.py"))
+                 if "np.random" in p.read_text() or "numpy.random" in p.read_text()]
+    assert offenders == []
+
+
 def test_benchmark_traced_names_resolve():
     # the benchmark's tracer wraps these names; moving one breaks its --trace runs
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
