@@ -15,11 +15,8 @@ from .kernels import (BrownianKernel, CovarianceKernel, FractionalBrownianKernel
 from .limitlaw import (AtomicMeasure, BurgersEvolved, LimitLaw, Semicircle,
                        burgers_solve, law_at_time, limit_at_time,
                        moment_from_stieltjes, semicircle_stieltjes)
-from .matrixflow import (MatrixFlowSample, SpectralFlow, assemble_flow,
-                         eigendecompose, eigenvalue_derivatives, make_shift,
-                         sample_flows)
-from .measures import (EmpiricalMeasure, cauchy_transform, divided_difference_stack,
-                       integrate, kolmogorov_distance, wasserstein1_distance)
+from .matrixflow import eigenvalue_derivatives, make_shift, sample_flows
+from .measures import divided_difference_stack, kolmogorov_distance
 from .sampling import PathFactor, factor_grid, sample_entry_block
 from .testfunctions import (GaussianBump, Resolvent, SmoothBump, TestFunction,
                             TruncatedPolynomial)
@@ -31,10 +28,8 @@ __all__ = [
     "AtomicMeasure", "LimitLaw", "Semicircle", "BurgersEvolved",
     "semicircle_stieltjes", "burgers_solve", "limit_at_time", "law_at_time",
     "moment_from_stieltjes",
-    "MatrixFlowSample", "SpectralFlow", "assemble_flow", "eigendecompose",
     "eigenvalue_derivatives", "make_shift", "sample_flows",
-    "EmpiricalMeasure", "integrate", "cauchy_transform", "divided_difference_stack",
-    "kolmogorov_distance", "wasserstein1_distance",
+    "divided_difference_stack", "kolmogorov_distance",
     "PathFactor", "factor_grid", "sample_entry_block",
     "TestFunction", "Resolvent", "GaussianBump", "SmoothBump", "TruncatedPolynomial",
 ]

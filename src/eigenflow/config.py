@@ -27,9 +27,10 @@ canonical form produce identical runs.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 class ConfigError(ValueError):
@@ -41,7 +42,8 @@ class ConfigError(ValueError):
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``re+im i`` style complex literals like ``1+2i`` or ``2i``."""
+    """Parse ``re+im i`` style complex literals like ``1+2i``, ``2i`` or
+    ``0+1e-05i``."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty complex literal")
@@ -49,8 +51,9 @@ def parse_complex(text: str) -> complex:
         body = s[:-1]
         if body in ("", "+", "-"):
             return complex(0.0, float(body + "1"))
-        m = re.match(r"^([+-]?[\d.eE+-]*?)([+-][\d.eE]*)$", body)
-        if m and m.group(1) not in ("", "+", "-"):
+        number = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+        m = re.fullmatch(rf"([+-]?{number})([+-]{number})", body)
+        if m:
             return complex(float(m.group(1)), float(m.group(2)))
         return complex(0.0, float(body))
     return complex(float(s), 0.0)
@@ -121,30 +124,11 @@ class ExperimentConfig:
     def canonical_text(self) -> str:
         """A normal form: same resolved values -> byte-identical text."""
         lines = []
-        values = {
-            "kernel": [("kind", self.kernel_kind), ("hurst", self.kernel_hurst),
-                       ("table_path", self.kernel_table_path)],
-            "grid": [("t_max", self.grid_t_max), ("steps", self.grid_steps),
-                     ("times", self.grid_times)],
-            "matrix": [("n", self.matrix_n), ("shift", self.matrix_shift)],
-            "sampler": [("method", self.sampler_method), ("seed", self.sampler_seed)],
-            "observables": [("test_functions", self.observables_test_functions),
-                            ("z_points", self.observables_z_points)],
-            "experiment": [("m", self.experiment_m), ("p", self.experiment_p),
-                           ("t_base", self.experiment_t_base),
-                           ("separations", self.experiment_separations),
-                           ("dt", self.experiment_dt),
-                           ("x_min", self.experiment_x_min),
-                           ("x_max", self.experiment_x_max),
-                           ("x_points", self.experiment_x_points)],
-            "output": [("directory", self.output_directory), ("format", self.output_format)],
-        }
         for section in _SECTIONS:
             lines.append(f"[{section}]")
-            for key, val in values[section]:
-                if val is None:
-                    continue
-                lines.append(f"{key} = {_format_value(val)}")
+            for sec, key in _SCHEMA:
+                if sec == section and (val := getattr(self, f"{sec}_{key}")) is not None:
+                    lines.append(f"{key} = {_format_value(val)}")
             lines.append("")
         return "\n".join(lines)
 
@@ -161,10 +145,17 @@ def _format_value(val) -> str:
     if isinstance(val, tuple):
         return ", ".join(_format_value(v) for v in val)
     if isinstance(val, complex):
-        return f"{val.real:g}{val.imag:+g}i"
+        return f"{_format_part(val.real).lstrip('+')}{_format_part(val.imag)}i"
     if isinstance(val, float):
         return repr(val)
     return str(val)
+
+
+def _format_part(x: float) -> str:
+    """Signed ``x`` in the fewest significant digits, six or more, that read
+    back as ``x``; six is what ``{:g}`` writes."""
+    return next((text for digits in range(6, 17) if float(text := f"{x:+.{digits}g}") == x),
+                f"{x:+.17g}")
 
 
 def _convert(raw: str, kind: str):
@@ -297,41 +288,21 @@ def parse_config(text: str) -> ExperimentConfig:
     if seed is not None and not (0 <= seed < 2 ** 64):
         problems.append(f"sampler.seed must be an unsigned 64-bit integer, got {seed}")
     m = values.get(("experiment", "m"))
-    if m is not None and m < 1:
-        problems.append(f"experiment.m must be positive, got {m}")
+    if m is not None and m < 2:
+        problems.append(f"experiment.m must be at least 2, got {m}: "
+                        "a standard error needs two paths")
     zp = values.get(("observables", "z_points"))
     if zp:
         for z in zp:
-            if z.imag <= 0:
-                problems.append(f"observables.z_points must have positive imaginary parts, got {_format_value(z)}")
+            if not (cmath.isfinite(z) and z.imag > 0):
+                problems.append("observables.z_points must be finite with positive imaginary "
+                                f"parts, got {_format_value(z)}")
 
     if problems:
         raise ConfigError(problems)
 
-    return ExperimentConfig(
-        kernel_kind=kind,
-        kernel_hurst=hurst,
-        kernel_table_path=values[("kernel", "table_path")],
-        grid_t_max=t_max,
-        grid_steps=steps,
-        grid_times=times,
-        matrix_n=tuple(n_vals),
-        matrix_shift=shift,
-        sampler_method=values[("sampler", "method")],
-        sampler_seed=int(seed),
-        observables_test_functions=tuple(values[("observables", "test_functions")]),
-        observables_z_points=tuple(values[("observables", "z_points")]),
-        experiment_m=int(m),
-        experiment_p=float(values[("experiment", "p")]),
-        experiment_t_base=float(values[("experiment", "t_base")]),
-        experiment_separations=tuple(values[("experiment", "separations")]),
-        experiment_dt=float(values[("experiment", "dt")]),
-        experiment_x_min=float(values[("experiment", "x_min")]),
-        experiment_x_max=float(values[("experiment", "x_max")]),
-        experiment_x_points=int(values[("experiment", "x_points")]),
-        output_directory=values[("output", "directory")],
-        output_format=values[("output", "format")],
-    )
+    return ExperimentConfig(**{f"{section}_{key}": val
+                               for (section, key), val in values.items()})
 
 
 def config_to_grid(cfg: ExperimentConfig):

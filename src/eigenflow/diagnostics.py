@@ -47,7 +47,7 @@ from .grids import TimeGrid
 from .kernels import BrownianKernel, CovarianceKernel
 from .limitlaw import AtomicMeasure, LimitLaw, law_at_time, limit_stieltjes
 from .matrixflow import DEGENERATE_GAP, make_shift, sample_flows, spectra_of_stack
-from .measures import EmpiricalMeasure, divided_difference_stack, kolmogorov_distance
+from .measures import divided_difference_stack, kolmogorov_distance
 from .testfunctions import TestFunction
 
 # Bytes per chunk of paths: the one chunk rule of every Monte Carlo side,
@@ -182,11 +182,8 @@ def convergence_study(kernel: CovarianceKernel, grid: TimeGrid,
         laws: List[LimitLaw] = [law_at_time(kernel, mu0, float(t)) for t in grid.times]
 
         def distances(lam):
-            out = np.empty(lam.shape[:2])
-            for p in range(lam.shape[0]):
-                for k in range(len(grid)):
-                    out[p, k] = kolmogorov_distance(EmpiricalMeasure(lam[p, k]), laws[k])
-            return out
+            return np.stack([kolmogorov_distance(lam[:, k], law)
+                             for k, law in enumerate(laws)], axis=1)
 
         dist = ensemble_map(kernel, grid, n, shift, seed, paths, distances, method, mapper)
         for k, t in enumerate(grid.times):

@@ -304,8 +304,10 @@ class BurgersEvolved(LimitLaw):
 
     def _pdf_cdf(self, x):
         # Newton on the increasing x(u), bisecting whenever a step would leave
-        # the bracket the table starts; done once x(u) = x or u is settled to
-        # rounding (|x - u| <= sqrt(tau) on the boundary sets the scale)
+        # the bracket the table starts; an element is done once x(u) = x or u
+        # is settled to rounding (|x - u| <= sqrt(tau) on the boundary sets the
+        # scale), and only unfinished elements are advanced, so every value is
+        # the same whatever else is in the block
         nodes_u, nodes_s, nodes_x = self._nodes
         x = np.asarray(x, dtype=float)
         pdf, cdf = np.zeros(x.shape), np.where(x >= nodes_x[-1], 1.0, 0.0)
@@ -314,25 +316,30 @@ class BurgersEvolved(LimitLaw):
         k = np.searchsorted(nodes_x, xs, side="right")
         lo, hi = nodes_u[k - 1], nodes_u[k]
         u, s = np.interp(xs, nodes_x, nodes_u), np.interp(xs, nodes_x, nodes_s)
+        xu = np.empty(u.shape)
         tol = BOUNDARY_RTOL * (np.abs(xs) + math.sqrt(self.tau))
-        done = np.zeros(u.shape, dtype=bool)
+        todo = np.arange(u.size)
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(NEWTON_MAX_ITERS):
-                s, xu, slope = self._point(u, s)
-                f = xu - xs
-                lo, hi = np.where(f < 0, u, lo), np.where(f > 0, u, hi)
-                new = u - f / slope
-                new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
-                done |= (np.abs(f) <= tol) | (np.abs(new - u) <= tol)
-                if done.all():
+                ut = u[todo]
+                s[todo], xu[todo], slope = self._point(ut, s[todo])
+                f = xu[todo] - xs[todo]
+                lo[todo] = lt = np.where(f < 0, ut, lo[todo])
+                hi[todo] = ht = np.where(f > 0, ut, hi[todo])
+                new = ut - f / slope
+                new = np.where((new > lt) & (new < ht), new, 0.5 * (lt + ht))
+                going = (np.abs(f) > tol[todo]) & (np.abs(new - ut) > tol[todo])
+                todo = todo[going]
+                if todo.size == 0:
                     break
-                u = np.where(done, u, new)
+                u[todo] = new[going]
             else:
-                raise BurgersNonConvergence(complex(xs[~done][0]), self.tau, complex(u[~done][0]))
-        # on the boundary Re G_0 = (x - u)/tau and Im G_0 = -v/tau
+                raise BurgersNonConvergence(complex(xs[todo[0]]), self.tau, complex(u[todo[0]]))
+        # on the boundary Re G_0 = (x - u)/tau and Im G_0 = -v/tau; a row sum,
+        # unlike a matrix product, adds each element's terms in a fixed order
         a, w = self._atoms
         v = np.sqrt(s)
-        arg = np.arctan2(v[:, None], u[:, None] - a) @ w
+        arg = (np.arctan2(v[:, None], u[:, None] - a) * w).sum(axis=1)
         pdf[inside] = v / (np.pi * self.tau)
         cdf[inside] = np.clip(1.0 - (arg - (xu - u) * v / self.tau) / np.pi, 0.0, 1.0)
         return pdf[()], cdf[()]
@@ -340,25 +347,33 @@ class BurgersEvolved(LimitLaw):
     def _point(self, u, s):
         """(v^2, x, dx/du) over each u.  v^2 is Newton's root of the concave,
         increasing 1 / sum w_i / ((u - a_i)^2 + v^2) = tau: from a start above
-        the root one step lands below it, and from below it climbs monotonically."""
+        the root one step lands below it, and from below it climbs
+        monotonically.  Each element stops at its own converged step."""
         a, w = self._atoms
         e = u[:, None] - a
         d = e * e
         floor = np.maximum((w * self.tau - d).max(axis=1), 0.0)
         s = np.maximum(s, floor)
+        todo = np.arange(u.size)
         for _ in range(NEWTON_MAX_ITERS):
-            big_d = d + s[:, None]
+            big_d = d[todo] + s[todo, None]
             r = w / big_d
             h, h1 = r.sum(axis=1), (r / big_d).sum(axis=1)
-            step = np.maximum(s + (self.tau * h - 1.0) * h / h1, floor) - s
-            if (np.abs(step) <= BOUNDARY_RTOL * h / h1).all():
-                # dx/du is 1 - tau h off the support and 2 tau (s h1 + g^2 / h1)
-                # on it, with g = sum w_i (u - a_i) / ((u - a_i)^2 + s)^2
-                g = (r * e / big_d).sum(axis=1)
-                slope = np.where(s > 0, 2.0 * self.tau * (s * h1 + g * g / h1), 1.0 - self.tau * h)
-                return s, u + self.tau * (r * e).sum(axis=1), slope
-            s = s + step
-        raise BurgersNonConvergence(complex(u[0]), self.tau, complex(s[0]))
+            step = np.maximum(s[todo] + (self.tau * h - 1.0) * h / h1, floor[todo]) - s[todo]
+            going = np.abs(step) > BOUNDARY_RTOL * h / h1
+            todo = todo[going]
+            if todo.size == 0:
+                break
+            s[todo] += step[going]
+        else:
+            raise BurgersNonConvergence(complex(u[todo[0]]), self.tau, complex(s[todo[0]]))
+        # dx/du is 1 - tau h off the support and 2 tau (s h1 + g^2 / h1) on it,
+        # with g = sum w_i (u - a_i) / ((u - a_i)^2 + s)^2
+        big_d = d + s[:, None]
+        r = w / big_d
+        h, h1, g = r.sum(axis=1), (r / big_d).sum(axis=1), (r * e / big_d).sum(axis=1)
+        slope = np.where(s > 0, 2.0 * self.tau * (s * h1 + g * g / h1), 1.0 - self.tau * h)
+        return s, u + self.tau * (r * e).sum(axis=1), slope
 
 
 def law_at_time(kernel: CovarianceKernel, mu0: AtomicMeasure, t: float) -> LimitLaw:

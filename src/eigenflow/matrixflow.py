@@ -5,22 +5,23 @@ A matrix flow is Y(t) = scaled Gaussian part + deterministic shift A:
     Y_ij(t) = X_ij(t) / sqrt(n) + A_ij          (i < j)
     Y_ii(t) = sqrt(2) X_ii(t) / sqrt(n) + A_ii
 
-built from one Gaussian path per upper-triangle entry.  ``sample_flows``
-samples the upper-triangle paths of a batch of realisations and assembles
-them with ``assemble_from_triangle`` in one call; ``assemble_flow`` does the
-same for per-entry paths given by (i, j).  The spectral flow holds
-descending eigenvalues per grid time and, optionally, eigenvector frames.
-``eigenvalue_derivatives`` produces the first and second derivatives of a
-single eigenvalue with respect to the free coordinates ``y_{k,h}`` (k <= h)
-of the scaled Gaussian part, in which the diagonal coordinate enters the
-matrix with weight sqrt(2); these feed the gradient and curvature
-identities used throughout the diagnostics.
+built from one Gaussian path per upper-triangle entry.  Flows and spectra
+are plain arrays: ``sample_flows`` samples the upper-triangle paths of a
+batch of realisations and ``assemble_from_triangle`` turns them into
+(..., K+1, n, n) matrix stacks, whose descending eigenvalues
+``spectra_of_stack`` returns as (..., K+1, n).  ``eigenvalue_derivatives``
+produces the first and second derivatives of a single eigenvalue of one
+matrix, from the eigenvalues and eigenvectors ``eigensolvers.eigh``
+returns, with respect to the free coordinates ``y_{k,h}`` (k <= h) of the
+scaled Gaussian part, in which the diagonal coordinate enters the matrix
+with weight sqrt(2); these feed the gradient and curvature identities used
+throughout the diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -41,57 +42,9 @@ class DegenerateEigenvalueError(RuntimeError):
         self.gap = gap
 
 
-@dataclass(frozen=True)
-class MatrixFlowSample:
-    """One realisation {Y(t_k)} of the scaled symmetric flow."""
-
-    n: int
-    grid: TimeGrid
-    shift: np.ndarray          # (n, n) symmetric
-    matrices: np.ndarray       # (K+1, n, n) symmetric
-
-    def __post_init__(self):
-        if self.matrices.shape != (len(self.grid), self.n, self.n):
-            raise ValueError("matrix stack shape does not match grid and dimension")
-
-
-@dataclass(frozen=True)
-class SpectralFlow:
-    """Per-time descending eigenvalues and optional eigenvector frames."""
-
-    grid: TimeGrid
-    eigenvalues: np.ndarray               # (K+1, n), descending
-    eigenvectors: Optional[np.ndarray]    # (K+1, n, n) columns match eigenvalues
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[1]
-
-
 def diagonal_scale(n: int) -> Tuple[float, float]:
     """(off-diagonal, diagonal) multipliers of the Gaussian part."""
     return 1.0 / np.sqrt(n), np.sqrt(2.0) / np.sqrt(n)
-
-
-def assemble_flow(entries: Dict[Tuple[int, int], np.ndarray],
-                  shift: np.ndarray, n: int, grid: TimeGrid) -> MatrixFlowSample:
-    """One flow sample from per-entry paths keyed by (i, j) for all i <= j."""
-    shift = np.asarray(shift, dtype=float)
-    if shift.shape != (n, n):
-        raise ValueError(f"shift must be {n}x{n}")
-    if not np.array_equal(shift, shift.T):
-        raise ValueError("shift matrix must be symmetric")
-    k = len(grid)
-    tri = np.empty((n * (n + 1) // 2, k))
-    for row, (i, j) in enumerate(zip(*np.triu_indices(n))):
-        path = entries.get((int(i), int(j)))
-        if path is None:
-            raise ValueError(f"missing entry path for ({i},{j})")
-        if np.shape(path) != (k,):
-            raise ValueError(f"entry ({i},{j}) path length {np.shape(path)} != grid length {k}")
-        tri[row] = path
-    return MatrixFlowSample(n=n, grid=grid, shift=shift,
-                            matrices=assemble_from_triangle(tri, shift, n, grid))
 
 
 def assemble_from_triangle(values: np.ndarray, shift: np.ndarray, n: int,
@@ -122,13 +75,6 @@ def sample_flows(kernel: CovarianceKernel, grid: TimeGrid, n: int,
     return assemble_from_triangle(tri, shift, n, grid)
 
 
-def eigendecompose(flow: MatrixFlowSample, want_vectors: bool = False) -> SpectralFlow:
-    """Spectral decomposition of a flow sample at every grid time, in one
-    stacked LAPACK call."""
-    lam, vec = eigensolvers.eigh(flow.matrices, want_vectors=want_vectors)
-    return SpectralFlow(grid=flow.grid, eigenvalues=lam, eigenvectors=vec)
-
-
 def spectra_of_stack(matrices: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of (..., n, n) symmetric stacks via LAPACK."""
     return eigensolvers.eigvalsh_stack(matrices)
@@ -156,17 +102,15 @@ class EigenvalueDerivatives:
         return float(np.sum(self.hess_diag[iu]))
 
 
-def eigenvalue_derivatives(spec: SpectralFlow, t_index: int, i: int) -> EigenvalueDerivatives:
-    """Derivatives of eigenvalue ``i`` at grid time ``t_index``.
+def eigenvalue_derivatives(lam: np.ndarray, vectors: np.ndarray, i: int) -> EigenvalueDerivatives:
+    """Derivatives of eigenvalue ``i`` of one matrix with eigenvalues
+    ``lam`` (n,) and eigenvector columns ``vectors`` (n, n).
 
     grad_{k,h} = 2 u_k u_h for k < h and sqrt(2) u_k^2 on the diagonal,
     where u is the i-th eigenvector; hess_diag_{k,h} sums the usual
     second-order perturbation quotients over the other eigenvalues.
-    Requires eigenvectors and a simple eigenvalue.
+    Requires a simple eigenvalue.
     """
-    if spec.eigenvectors is None:
-        raise ValueError("eigenvalue derivatives require eigenvectors")
-    lam = spec.eigenvalues[t_index]
     n = lam.size
     if not (0 <= i < n):
         raise IndexError(f"eigenvalue index {i} out of range")
@@ -176,14 +120,13 @@ def eigenvalue_derivatives(spec: SpectralFlow, t_index: int, i: int) -> Eigenval
         if min_gap < DEGENERATE_GAP:
             raise DegenerateEigenvalueError(i, min_gap)
 
-    U = spec.eigenvectors[t_index]
-    u = U[:, i]
+    u = vectors[:, i]
 
     grad = 2.0 * np.outer(u, u)
     np.fill_diagonal(grad, np.sqrt(2.0) * u ** 2)
 
     others = np.delete(np.arange(n), i)
-    V = U[:, others]                        # (n, n-1)
+    V = vectors[:, others]                  # (n, n-1)
     inv_gap = 1.0 / (lam[i] - lam[others])  # (n-1,)
 
     # cross_{k,h,j} = u_k V_{h,j} + u_h V_{k,j}

@@ -285,6 +285,16 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert list(tmp_path.rglob("*.csv")) == [shift]
 
+    @pytest.mark.parametrize("subcommand", ["converge", "residual", "dyson"])
+    def test_single_path_is_config_error(self, tmp_path, subcommand):
+        # one path has no standard error; it used to be written as nan
+        p = tmp_path / "one.cfg"
+        p.write_text(MINIMAL.replace("m = 6", "m = 1"))
+        proc = run_cli([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 1
+        assert "experiment.m must be at least 2" in proc.stderr
+        assert list(tmp_path.rglob("*.csv")) == []
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["converge", "--config", str(tmp_path / "nope.cfg")]) == 3
 

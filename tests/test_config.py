@@ -119,6 +119,16 @@ seed = 1
             parse_config(text)
 
 
+    def test_z_points_must_be_finite(self):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(MINIMAL + "\n[observables]\nz_points = nani\n")
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_standard_errors_need_two_paths(self, m):
+        with pytest.raises(ConfigError, match="experiment.m must be at least 2.*two paths"):
+            parse_config(MINIMAL + f"\n[experiment]\nm = {m}\n")
+
+
 class TestComplexLiterals:
     @pytest.mark.parametrize("text,expected", [
         ("1+2i", 1 + 2j),
@@ -127,6 +137,9 @@ class TestComplexLiterals:
         ("i", 1j),
         ("3", 3 + 0j),
         ("1.5e-1+2e0i", 0.15 + 2j),
+        ("0+1e-05i", 1e-05j),
+        ("-2500+3e-07i", -2500 + 3e-07j),
+        ("1e-5i", 1e-05j),
     ])
     def test_parse(self, text, expected):
         assert parse_complex(text) == expected
@@ -143,6 +156,14 @@ class TestCanonical:
         again = parse_config(canon)
         assert again == cfg
         assert again.canonical_text() == canon
+
+    @pytest.mark.parametrize("z", ["0.1234567+1i", "0+1e-05i", "-2500+3e-07i"])
+    def test_complex_z_points_survive_replay(self, z):
+        cfg = parse_config(MINIMAL + f"\n[observables]\nz_points = {z}\n")
+        assert parse_config(cfg.canonical_text()) == cfg
+
+    def test_default_z_point_text_unchanged(self):
+        assert "z_points = 0+1i\n" in parse_config(MINIMAL).canonical_text()
 
     def test_equivalent_configs_same_canonical_form(self):
         a = parse_config(MINIMAL)

@@ -222,7 +222,8 @@ class TestEnsembleMap:
         def run(mapper=map):
             return (residual_experiment(kernel, grid, [3, 5], f, 9, seed=2, mapper=mapper,
                                         method="circulant")[1].residuals,
-                    convergence_study(kernel, grid, [4], 5, seed=3, mapper=mapper),
+                    convergence_study(kernel, grid, [4], 5, seed=3, mapper=mapper,
+                                      shift_spec="diag:1,1,-1,-1"),
                     holder_increments(kernel, 4, f, 2.0, 0.5, [0.01, 0.1], 9, seed=4,
                                       mapper=mapper),
                     collision_experiment(kernel, grid, 4, 9, seed=5, shift_spec="diag:1,1,0,0",

@@ -219,8 +219,27 @@ def evolved(request):
     return BurgersEvolved(initial=mu0, tau=tau)
 
 
+def _assert_block_equals_elements(law):
+    lo, hi = law.support
+    x = np.linspace(lo - 0.1, hi + 0.1, 301)
+    for name in ("pdf", "cdf"):
+        evaluate = getattr(law, name)
+        block = evaluate(x)
+        assert np.array_equal(block, [evaluate(xi) for xi in x]), name
+        assert np.array_equal(evaluate(x[::-1].reshape(7, 43)), block[::-1].reshape(7, 43)), name
+
+
 class TestBoundaryExactness:
     """The closed-form CDF against its own density and the known moments."""
+
+    def test_block_equals_elements(self, evolved):
+        # bit for bit, so a value never depends on the rest of its block
+        _assert_block_equals_elements(evolved)
+
+    def test_block_equals_elements_fifty_atoms(self):
+        gen = np.random.default_rng(50)
+        mu0 = AtomicMeasure(3.0 * gen.normal(size=50), gen.dirichlet(np.ones(50)))
+        _assert_block_equals_elements(BurgersEvolved(initial=mu0, tau=0.2))
 
     def test_cdf_is_zero_and_one_off_support(self, evolved):
         lo, hi = evolved.support

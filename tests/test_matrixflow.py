@@ -4,38 +4,36 @@ import numpy as np
 import pytest
 
 from eigenflow import diagnostics
-from eigenflow.eigensolvers import eigh_jacobi
+from eigenflow.eigensolvers import eigh, eigh_jacobi
 from eigenflow.grids import TimeGrid
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
-from eigenflow.matrixflow import (DegenerateEigenvalueError, MatrixFlowSample,
-                                  assemble_flow, assemble_from_triangle,
-                                  diagonal_scale, eigendecompose,
-                                  eigenvalue_derivatives, hoffman_wielandt_holds,
-                                  make_shift, sample_flows, spectra_of_stack)
+from eigenflow.matrixflow import (DegenerateEigenvalueError, assemble_from_triangle,
+                                  diagonal_scale, eigenvalue_derivatives,
+                                  hoffman_wielandt_holds, make_shift, sample_flows,
+                                  spectra_of_stack)
 
 
 def _flow_with_vectors(n, seed, t_max=1.0, steps=2, kernel=None):
+    """Matrices (K+1, n, n) of one sampled flow, their eigenvalues and eigenvectors."""
     kernel = kernel or BrownianKernel()
     grid = TimeGrid.uniform(t_max, steps)
     y = sample_flows(kernel, grid, n, np.zeros((n, n)), seed, [0])[0]
-    flow = MatrixFlowSample(n=n, grid=grid, shift=np.zeros((n, n)), matrices=y)
-    return flow, eigendecompose(flow, want_vectors=True)
+    return (y,) + eigh(y)
 
 
 class TestAssembly:
     def test_scalar_flow_diagonal_scaling(self):
         grid = TimeGrid.from_times([0.0, 1.0])
         x = 0.8312
-        flow = assemble_flow({(0, 0): np.array([0.0, x])}, np.zeros((1, 1)), 1, grid)
-        assert flow.matrices[1, 0, 0] == pytest.approx(np.sqrt(2.0) * x, rel=1e-15)
+        y = assemble_from_triangle(np.array([[0.0, x]]), np.zeros((1, 1)), 1, grid)
+        assert y[1, 0, 0] == pytest.approx(np.sqrt(2.0) * x, rel=1e-15)
 
     def test_two_by_two_unit_entries(self):
         grid = TimeGrid.from_times([0.0, 1.0])
-        entries = {(0, 0): np.array([0.0, 1.0]), (0, 1): np.array([0.0, 1.0]),
-                   (1, 1): np.array([0.0, 1.0])}
-        flow = assemble_flow(entries, np.zeros((2, 2)), 2, grid)
+        # rows (0, 0), (0, 1), (1, 1) in triu_indices order
+        y = assemble_from_triangle(np.tile([0.0, 1.0], (3, 1)), np.zeros((2, 2)), 2, grid)
         expected = np.array([[1.0, 1 / np.sqrt(2)], [1 / np.sqrt(2), 1.0]])
-        assert np.allclose(flow.matrices[1], expected, atol=1e-15)
+        assert np.allclose(y[1], expected, atol=1e-15)
 
     def test_flow_starts_at_shift(self):
         grid = TimeGrid.uniform(1.0, 3)
@@ -47,11 +45,6 @@ class TestAssembly:
         y = sample_flows(FractionalBrownianKernel(0.3), TimeGrid.uniform(1.0, 4),
                          7, np.zeros((7, 7)), 11, range(3))
         assert np.array_equal(y, np.swapaxes(y, -1, -2))
-
-    def test_missing_entry_is_error(self):
-        grid = TimeGrid.from_times([0.0, 1.0])
-        with pytest.raises(ValueError, match="missing entry"):
-            assemble_flow({(0, 0): np.zeros(2)}, np.zeros((2, 2)), 2, grid)
 
     def test_triangle_assembly_matches_loop(self):
         grid = TimeGrid.uniform(1.0, 2)
@@ -67,7 +60,6 @@ class TestAssembly:
         for (i, j), path in entries.items():
             slow[:, i, j] = slow[:, j, i] = (diag if i == j else off) * path + shift[i, j]
         assert np.allclose(fast, slow, atol=1e-15)
-        assert np.array_equal(assemble_flow(entries, shift, n, grid).matrices, fast)
 
     def test_scales(self):
         off, diag = diagonal_scale(4)
@@ -88,46 +80,44 @@ class TestAssembly:
 
 class TestSpectra:
     def test_sorted_descending_and_trace(self):
-        flow, spec = _flow_with_vectors(12, seed=5)
-        assert np.all(np.diff(spec.eigenvalues, axis=1) <= 1e-12)
-        for k in range(len(flow.grid)):
-            y = flow.matrices[k]
-            tol = 1e-9 * flow.n * (1.0 + np.max(np.abs(y)))
-            assert abs(spec.eigenvalues[k].sum() - np.trace(y)) <= tol
-            assert abs((spec.eigenvalues[k] ** 2).sum() - (y * y).sum()) \
+        ys, lam, _ = _flow_with_vectors(12, seed=5)
+        assert np.all(np.diff(lam, axis=1) <= 1e-12)
+        for k in range(len(ys)):
+            y = ys[k]
+            tol = 1e-9 * 12 * (1.0 + np.max(np.abs(y)))
+            assert abs(lam[k].sum() - np.trace(y)) <= tol
+            assert abs((lam[k] ** 2).sum() - (y * y).sum()) \
                 <= 1e-8 * (1 + (y * y).sum())
 
     def test_eigenvector_frame_quality(self):
-        flow, spec = _flow_with_vectors(10, seed=6)
-        for k in range(len(flow.grid)):
-            u = spec.eigenvectors[k]
-            y = flow.matrices[k]
+        ys, lam, vec = _flow_with_vectors(10, seed=6)
+        for k in range(len(ys)):
+            u = vec[k]
+            y = ys[k]
             assert np.max(np.abs(u.T @ u - np.eye(10))) <= 1e-9
-            recon = u @ np.diag(spec.eigenvalues[k]) @ u.T
+            recon = u @ np.diag(lam[k]) @ u.T
             assert np.max(np.abs(recon - y)) <= 1e-8 * (1 + np.max(np.abs(y)))
 
     def test_stack_matches_flow_decomposition(self):
         grid = TimeGrid.uniform(1.0, 3)
         y = sample_flows(BrownianKernel(), grid, 9, np.zeros((9, 9)), 17, range(4))
         lam = spectra_of_stack(y)
-        flow = MatrixFlowSample(n=9, grid=grid, shift=np.zeros((9, 9)), matrices=y[2])
-        spec = eigendecompose(flow)
+        values, _ = eigh(y[2], want_vectors=False)
         # cyclic Jacobi per grid time is the independent reference
         ref = np.array([eigh_jacobi(m, want_vectors=False)[0] for m in y[2]])
         assert np.max(np.abs(lam[2] - ref)) < 1e-10
-        assert np.max(np.abs(spec.eigenvalues - ref)) < 1e-10
+        assert np.max(np.abs(values - ref)) < 1e-10
 
     @pytest.mark.parametrize("n", [8, 40])
     def test_stacked_decomposition(self, n):
         grid = TimeGrid.uniform(1.0, 5)
         shift = np.diag(np.linspace(-1.0, 1.0, n))
         y = sample_flows(FractionalBrownianKernel(0.7), grid, n, shift, 41, [0])[0]
-        flow = MatrixFlowSample(n=n, grid=grid, shift=shift, matrices=y)
-        spec = eigendecompose(flow, want_vectors=True)
-        assert spec.eigenvalues.shape == (len(grid), n)
-        assert spec.eigenvectors.shape == (len(grid), n, n)
+        values, vectors = eigh(y)
+        assert values.shape == (len(grid), n)
+        assert vectors.shape == (len(grid), n, n)
         for k in range(len(grid)):
-            u, lam = spec.eigenvectors[k], spec.eigenvalues[k]
+            u, lam = vectors[k], values[k]
             assert np.all(np.diff(lam) <= 0)
             recon = (u * lam) @ u.T
             assert np.max(np.abs(recon - y[k])) <= 1e-8 * np.max(np.abs(y[k]))
@@ -138,26 +128,26 @@ class TestSpectra:
 
 class TestPerturbationDerivatives:
     def test_gradient_square_sum_is_two(self):
-        flow, spec = _flow_with_vectors(8, seed=9)
+        _, lam, vec = _flow_with_vectors(8, seed=9)
         for i in range(8):
-            der = eigenvalue_derivatives(spec, 1, i)
+            der = eigenvalue_derivatives(lam[1], vec[1], i)
             assert der.grad_square_sum() == pytest.approx(2.0, abs=1e-10)
 
     def test_hessian_sum_identity(self):
-        flow, spec = _flow_with_vectors(8, seed=10)
-        lam = spec.eigenvalues[1]
+        _, values, vec = _flow_with_vectors(8, seed=10)
+        lam = values[1]
         for i in range(8):
-            der = eigenvalue_derivatives(spec, 1, i)
+            der = eigenvalue_derivatives(lam, vec[1], i)
             expected = np.sum(2.0 / (lam[i] - np.delete(lam, i)))
             assert der.hess_sum() == pytest.approx(expected, rel=1e-8)
 
     def test_gradient_matches_finite_differences(self):
-        flow, spec = _flow_with_vectors(8, seed=11)
-        y = flow.matrices[1]
-        lam = spec.eigenvalues[1]
+        ys, values, vec = _flow_with_vectors(8, seed=11)
+        y = ys[1]
+        lam = values[1]
         eps = 1e-6
         for i in (0, 3, 7):
-            der = eigenvalue_derivatives(spec, 1, i)
+            der = eigenvalue_derivatives(lam, vec[1], i)
             for (k, h) in ((0, 1), (2, 2), (4, 7)):
                 e = np.zeros((8, 8))
                 e[k, h] = 1.0
@@ -170,11 +160,11 @@ class TestPerturbationDerivatives:
                 assert fd * scale == pytest.approx(der.grad[k, h], rel=1e-4, abs=1e-8)
 
     def test_hessian_matches_finite_differences(self):
-        flow, spec = _flow_with_vectors(6, seed=12)
-        y = flow.matrices[1]
+        ys, lam, vec = _flow_with_vectors(6, seed=12)
+        y = ys[1]
         eps = 1e-4
         i = 2
-        der = eigenvalue_derivatives(spec, 1, i)
+        der = eigenvalue_derivatives(lam[1], vec[1], i)
         for (k, h) in ((0, 1), (3, 3)):
             e = np.zeros((6, 6))
             e[k, h] = 1.0
@@ -187,19 +177,10 @@ class TestPerturbationDerivatives:
             assert fd2 * scale == pytest.approx(der.hess_diag[k, h], rel=1e-3, abs=1e-6)
 
     def test_degenerate_gap_is_error(self):
-        grid = TimeGrid.from_times([0.0, 1.0])
-        flow = MatrixFlowSample(n=2, grid=grid, shift=np.zeros((2, 2)),
-                                matrices=np.array([np.eye(2), np.eye(2)]))
-        spec = eigendecompose(flow, want_vectors=True)
+        lam, vec = eigh(np.eye(2))
         with pytest.raises(DegenerateEigenvalueError) as err:
-            eigenvalue_derivatives(spec, 1, 0)
+            eigenvalue_derivatives(lam, vec, 0)
         assert err.value.gap < 1e-8
-
-    def test_requires_vectors(self):
-        flow, _ = _flow_with_vectors(4, seed=13)
-        spec = eigendecompose(flow, want_vectors=False)
-        with pytest.raises(ValueError):
-            eigenvalue_derivatives(spec, 0, 0)
 
 
 class TestHoffmanWielandt:
