@@ -13,8 +13,8 @@ from .grids import TimeGrid
 from .kernels import (BrownianKernel, CovarianceKernel, FractionalBrownianKernel,
                       TableKernel, check_h1, check_h2, make_kernel)
 from .limitlaw import (AtomicMeasure, BurgersEvolved, LimitLaw, Semicircle,
-                       burgers_solve, law_at_time, limit_at_time,
-                       moment_from_stieltjes, semicircle_stieltjes)
+                       burgers_solve, law_at_time, moment_from_stieltjes,
+                       semicircle_stieltjes)
 from .matrixflow import eigenvalue_derivatives, make_shift, sample_flows
 from .measures import divided_difference_stack, kolmogorov_distance
 from .sampling import PathFactor, factor_grid, sample_entry_block
@@ -26,7 +26,7 @@ __all__ = [
     "CovarianceKernel", "BrownianKernel", "FractionalBrownianKernel", "TableKernel",
     "check_h1", "check_h2", "make_kernel",
     "AtomicMeasure", "LimitLaw", "Semicircle", "BurgersEvolved",
-    "semicircle_stieltjes", "burgers_solve", "limit_at_time", "law_at_time",
+    "semicircle_stieltjes", "burgers_solve", "law_at_time",
     "moment_from_stieltjes",
     "eigenvalue_derivatives", "make_shift", "sample_flows",
     "divided_difference_stack", "kolmogorov_distance",

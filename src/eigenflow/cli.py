@@ -23,7 +23,7 @@ import sys
 from .config import ConfigError, parse_config
 from .eigensolvers import EigenConvergenceError
 from .limitlaw import BurgersError
-from .runner import SUBCOMMANDS, RunUsageError, run
+from .runner import SUBCOMMANDS, NumericalFailure, RunUsageError, run
 from .sampling import FactorizationError
 
 EXIT_OK = 0
@@ -82,7 +82,7 @@ def main(argv=None) -> int:
         print(f"eigenflow: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EigenConvergenceError, BurgersError, FactorizationError,
-            FloatingPointError) as exc:
+            NumericalFailure) as exc:
         print(f"eigenflow: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -425,6 +425,14 @@ def _sde_paths(lam0: np.ndarray, dt: float, n_steps: int, seed: int, pid: range)
     return np.sort(lam, axis=1), stats["forced_sorts"]
 
 
+def sde_steps(t_max: float, dt: float) -> int:
+    """The number of Euler steps of size dt to t_max; dt > 0 must divide t_max."""
+    n_steps = int(round(t_max / dt)) if dt > 0 else 0
+    if not math.isclose(n_steps * dt, t_max, rel_tol=1e-9):
+        raise ValueError(f"dt = {dt!r} must be positive and divide t_max = {t_max!r}")
+    return n_steps
+
+
 def dyson_crosscheck(n: int, t_max: float, dt: float, paths: int, seed: int,
                      shift_spec: str = "zero", mapper=map) -> DysonRow:
     """Wasserstein-1 distance between SDE and matrix spectra at time t_max.
@@ -447,9 +455,7 @@ def dyson_crosscheck(n: int, t_max: float, dt: float, paths: int, seed: int,
     se_matrix = lam_matrix.std(axis=0, ddof=1) / math.sqrt(paths)
 
     lam0 = np.sort(np.linalg.eigvalsh(shift))
-    n_steps = int(round(t_max / dt))
-    if not math.isclose(n_steps * dt, t_max, rel_tol=1e-9):
-        raise ValueError("dt must divide t_max")
+    n_steps = sde_steps(t_max, dt)
     chunks = _map_chunks(lambda pid: _sde_paths(lam0, dt, n_steps, seed, pid),
                          paths, n * n * 8, mapper)
     lam = np.concatenate([c[0] for c in chunks])

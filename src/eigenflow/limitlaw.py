@@ -7,7 +7,10 @@ tau = R(t,t), where F solves the complex inviscid Burgers' equation
 
 Along characteristics this collapses to the implicit fixed point
 F = F_0(z + tau F), which is solved here by damped Newton iteration kept
-inside the upper half-plane.  For a point-mass start the solution is the
+inside the upper half-plane.  Newton starts from F_0(z) and, where that
+fails, from the exact subordination point: omega = z + tau F is the one
+root in the upper half-plane of omega - tau F_0(omega) = z, an eigenvalue
+of a bordered matrix.  For a point-mass start the solution is the
 semicircle transform in closed form
 
     F_tau(z) = (sqrt(z^2 - 4 tau) - z) / (2 tau),
@@ -22,7 +25,7 @@ CDF exactly through Biane's parametrisation of the subordination boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -54,10 +57,12 @@ class BranchViolation(BurgersError):
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """A finitely-supported initial law."""
+    """A finitely-supported initial law; ``cumulative`` is the CDF at each
+    sorted atom, exactly k/n when built ``from_eigenvalues``."""
 
     atoms: np.ndarray
     weights: np.ndarray
+    cumulative: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float).ravel()
@@ -69,6 +74,7 @@ class AtomicMeasure:
         order = np.argsort(atoms)
         object.__setattr__(self, "atoms", atoms[order])
         object.__setattr__(self, "weights", weights[order])
+        object.__setattr__(self, "cumulative", np.cumsum(self.weights))
 
     @classmethod
     def point_mass(cls, a: float = 0.0) -> "AtomicMeasure":
@@ -78,7 +84,9 @@ class AtomicMeasure:
     def from_eigenvalues(cls, values) -> "AtomicMeasure":
         values = np.asarray(values, dtype=float).ravel()
         atoms, counts = np.unique(values, return_counts=True)
-        return cls(atoms, counts / values.size)
+        measure = cls(atoms, counts / values.size)
+        object.__setattr__(measure, "cumulative", np.cumsum(counts) / values.size)
+        return measure
 
     def stieltjes(self, w: complex) -> complex:
         return complex(np.sum(self.weights / (self.atoms - w)))
@@ -89,8 +97,7 @@ class AtomicMeasure:
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.atoms, x, side="right")
-        cum = np.concatenate([[0.0], np.cumsum(self.weights)])
-        return cum[idx]
+        return np.concatenate([[0.0], self.cumulative])[idx]
 
 
 def semicircle_stieltjes(tau: float, z: complex) -> complex:
@@ -135,18 +142,17 @@ def _newton_fixed_point(mu0: AtomicMeasure, tau: float, z: complex,
     raise BurgersNonConvergence(z, tau, f)
 
 
-def _tau_continuation(mu0: AtomicMeasure, tau: float, z: complex,
-                      start: complex) -> complex:
-    last_error = None
-    for stages in (8, 32, 128):
-        f = start
-        try:
-            for k in range(1, stages + 1):
-                f = _newton_fixed_point(mu0, tau * k / stages, z, f)
-            return f
-        except BurgersError as exc:
-            last_error = exc
-    raise last_error
+def _subordination_start(mu0: AtomicMeasure, tau: float, z: complex) -> complex:
+    """F_0(omega) at the unique root in the upper half-plane of omega -
+    tau F_0(omega) = z (Biane, Indiana Univ. Math. J. 46, 1997): the top
+    eigenvalue by imaginary part of [[z, i s^T], [i s, diag(a)]], s_i =
+    sqrt(tau w_i), of characteristic polynomial
+    prod (a_i - omega) (z - omega + tau F_0(omega))."""
+    border = 1j * np.sqrt(tau * mu0.weights)
+    bordered = np.diag(np.concatenate([[z], mu0.atoms]))
+    bordered[0, 1:] = bordered[1:, 0] = border
+    roots = np.linalg.eigvals(bordered)
+    return mu0.stieltjes(roots[np.argmax(roots.imag)])
 
 
 def burgers_solve(mu0: AtomicMeasure, tau: float, z: complex) -> complex:
@@ -154,9 +160,10 @@ def burgers_solve(mu0: AtomicMeasure, tau: float, z: complex) -> complex:
 
     Starts from F_0(z); each step is halved until the iterate stays in the
     upper half-plane and the characteristic argument z + tau F does too.
-    Converges when |F - F_0(z + tau F)| <= 1e-12 (1 + |F|).  Hard points
-    (large tau close to the real axis) fall back to a geometric
-    continuation in tau, warm-starting Newton at each stage.
+    Converges when |F - F_0(z + tau F)| <= 1e-12 (1 + |F|).  Where that
+    first try fails (large tau close to the real axis), the same Newton
+    runs once more from the exact subordination start, one O(m^3)
+    eigenvalue problem in the m atoms of mu_0.
     """
     z = complex(z)
     if z.imag <= 0:
@@ -169,20 +176,7 @@ def burgers_solve(mu0: AtomicMeasure, tau: float, z: complex) -> complex:
     try:
         return _newton_fixed_point(mu0, tau, z, mu0.stieltjes(z))
     except BurgersError:
-        pass
-    # hard points sit close to the real axis or at large tau: walk the
-    # spectral parameter down an imaginary ladder (warm starts), falling
-    # back to geometric continuation in tau on any rung that resists
-    rungs = [complex(z.real, im) for im in (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
-             if im > z.imag] + [z]
-    f = None
-    for zz in rungs:
-        start = f if f is not None else mu0.stieltjes(zz)
-        try:
-            f = _newton_fixed_point(mu0, tau, zz, start)
-        except BurgersError:
-            f = _tau_continuation(mu0, tau, zz, start)
-    return f
+        return _newton_fixed_point(mu0, tau, z, _subordination_start(mu0, tau, z))
 
 
 def limit_stieltjes(mu0: AtomicMeasure, tau: float, z: complex) -> complex:
@@ -190,15 +184,6 @@ def limit_stieltjes(mu0: AtomicMeasure, tau: float, z: complex) -> complex:
     if mu0.atoms.size == 1:
         return semicircle_stieltjes(tau, complex(z) - mu0.atoms[0])
     return burgers_solve(mu0, tau, z)
-
-
-def limit_at_time(kernel: CovarianceKernel, mu0: AtomicMeasure, t: float,
-                  z: complex) -> complex:
-    """G_t(z): the limiting Cauchy transform at matrix time t."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    tau = float(kernel.diag(t))
-    return limit_stieltjes(mu0, tau, z)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +264,11 @@ class BurgersEvolved(LimitLaw):
             object.__setattr__(self, "_atoms", (a, w))
             u = np.linspace(a[0] - math.sqrt(self.tau), a[-1] + math.sqrt(self.tau),
                             BOUNDARY_NODES)
-            object.__setattr__(self, "_nodes", (u,) + self._point(u, 0.0 * u)[:2])
+            nodes = (u,) + self._point(u, 0.0 * u)[:2]
+            if not np.isfinite(nodes).all():
+                raise BurgersError(f"the boundary table of mu_0 boxplus semicircle({self.tau}) "
+                                   f"overflows: mu_0 spans [{a[0]:g}, {a[-1]:g}]")
+            object.__setattr__(self, "_nodes", nodes)
 
     @property
     def atom_positions(self) -> Optional[np.ndarray]:

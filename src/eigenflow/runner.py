@@ -5,8 +5,10 @@ subcommand, the master seed and the full resolved configuration, followed
 by a header row.  Floats are written with ``repr`` (shortest round-trip),
 chunk results are placed by index and reduced in a fixed order, so a run
 is a pure function of (canonical config, seed) regardless of the thread
-count.  The manifest records the canonical config and environment; a run
-can be reproduced from it.
+count.  Every table is checked before any file is written: a non-finite
+value where a healthy run has none is a ``NumericalFailure``.  The
+manifest records the canonical config and environment; a run can be
+reproduced from it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import scipy
 from . import __version__, diagnostics
 from .config import ExperimentConfig, config_to_grid, config_to_kernel
 from .kernels import BrownianKernel
-from .limitlaw import AtomicMeasure, law_at_time, limit_at_time
+from .limitlaw import AtomicMeasure, law_at_time
 from .matrixflow import make_shift
 from .testfunctions import by_name
 
@@ -34,6 +36,10 @@ MANIFEST_NAME = "run_manifest.json"
 
 class RunUsageError(ValueError):
     """The configuration cannot drive the requested subcommand."""
+
+
+class NumericalFailure(ArithmeticError):
+    """The run produced a non-finite number where a healthy run has none."""
 
 
 def _fmt(v) -> str:
@@ -126,18 +132,24 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
             make_shift(cfg.matrix_shift, n)
         except ValueError as exc:
             raise RunUsageError(f"matrix.shift: {exc}") from None
-    written: List[Path] = []
+    if subcommand == "dyson":
+        try:
+            diagnostics.sde_steps(grid.t_max, cfg.experiment_dt)
+        except ValueError as exc:
+            raise RunUsageError(f"experiment.dt: {exc}") from None
+    if subcommand == "holder" and min(cfg.experiment_separations) <= 0:
+        raise RunUsageError("experiment.separations must be positive, got "
+                            f"{list(cfg.experiment_separations)}")
+    tables = []  # (file name, header, rows, whether non-finite cells are expected)
 
     if subcommand == "converge":
         rows = diagnostics.convergence_study(
             kernel, grid, cfg.matrix_n, cfg.experiment_m, cfg.sampler_seed,
             shift_spec=cfg.matrix_shift, method=cfg.sampler_method, mapper=mapper)
         for n in cfg.matrix_n:
-            path = out / f"converge_n{n}.csv"
-            _write_csv(path, cfg, subcommand, "n,t,mean_distance,stderr,M",
-                       [(r.n, r.t, r.mean_distance, r.stderr, r.paths)
-                        for r in rows if r.n == n])
-            written.append(path)
+            tables.append((f"converge_n{n}.csv", "n,t,mean_distance,stderr,M",
+                           [(r.n, r.t, r.mean_distance, r.stderr, r.paths)
+                            for r in rows if r.n == n], False))
 
     elif subcommand == "residual":
         f = _real_test_function(cfg)
@@ -145,20 +157,19 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
             kernel, grid, cfg.matrix_n, f, cfg.experiment_m, cfg.sampler_seed,
             shift_spec=cfg.matrix_shift, method=cfg.sampler_method, mapper=mapper)
         for rep in reports:
-            path = out / f"residual_n{rep.n}.csv"
-            _write_csv(path, cfg, subcommand,
-                       "n,test_function,M,mean_residual,mean_residual_se,"
-                       "mean_square,mean_square_se",
-                       [(rep.n, rep.test_function, rep.paths, rep.mean_residual,
-                         rep.mean_residual_se, rep.mean_square, rep.mean_square_se)])
-            written.append(path)
+            tables.append((f"residual_n{rep.n}.csv",
+                           "n,test_function,M,mean_residual,mean_residual_se,"
+                           "mean_square,mean_square_se",
+                           [(rep.n, rep.test_function, rep.paths, rep.mean_residual,
+                             rep.mean_residual_se, rep.mean_square, rep.mean_square_se)],
+                           False))
         slope = diagnostics.fit_loglog_slope(
             np.array([r.n for r in reports], dtype=float),
             np.array([r.mean_square for r in reports]))
-        path = out / "residual_fit.csv"
-        _write_csv(path, cfg, subcommand, "test_function,n_values,slope",
-                   [(f.name, ";".join(str(n) for n in cfg.matrix_n), slope)])
-        written.append(path)
+        # one matrix size fits no slope and writes nan
+        tables.append(("residual_fit.csv", "test_function,n_values,slope",
+                       [(f.name, ";".join(str(n) for n in cfg.matrix_n), slope)],
+                       len(reports) == 1))
 
     elif subcommand == "holder":
         f = _real_test_function(cfg)
@@ -167,26 +178,21 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
             kernel, n, f, cfg.experiment_p, cfg.experiment_t_base,
             cfg.experiment_separations, cfg.experiment_m, cfg.sampler_seed,
             shift_spec=cfg.matrix_shift, mapper=mapper)
-        path = out / f"holder_n{n}.csv"
-        _write_csv(path, cfg, subcommand, "t1,t2,p,moment,stderr",
-                   [(p.t1, p.t2, rep.p, p.moment, p.stderr) for p in rep.pairs])
-        written.append(path)
-        path = out / f"holder_fit_n{n}.csv"
+        tables.append((f"holder_n{n}.csv", "t1,t2,p,moment,stderr",
+                       [(p.t1, p.t2, rep.p, p.moment, p.stderr) for p in rep.pairs], False))
         qhat = rep.slope if rep.slope is not None else "degenerate"
-        _write_csv(path, cfg, subcommand, "p,qhat,M,test_function",
-                   [(rep.p, qhat, rep.paths, rep.test_function)])
-        written.append(path)
+        tables.append((f"holder_fit_n{n}.csv", "p,qhat,M,test_function",
+                       [(rep.p, qhat, rep.paths, rep.test_function)], False))
 
     elif subcommand == "collisions":
         for n in cfg.matrix_n:
             rep = diagnostics.collision_experiment(
                 kernel, grid, n, cfg.experiment_m, cfg.sampler_seed,
                 shift_spec=cfg.matrix_shift, method=cfg.sampler_method, mapper=mapper)
-            path = out / f"collisions_n{n}.csv"
             rows = [(n, f"q{int(q * 100):02d}", v) for q, v in rep.quantiles.items()]
             rows.append((n, "degenerate_fraction", rep.degenerate_fraction))
-            _write_csv(path, cfg, subcommand, "n,stat,value", rows)
-            written.append(path)
+            # one eigenvalue has no gap, and its gap quantiles are inf
+            tables.append((f"collisions_n{n}.csv", "n,stat,value", rows, n == 1))
 
     elif subcommand == "dyson":
         if not isinstance(kernel, BrownianKernel):
@@ -199,37 +205,37 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
                 shift_spec=cfg.matrix_shift, mapper=mapper)
             rows.append((r.n, r.t, r.dt, r.paths, r.w1_distance, r.w1_mc_error,
                          r.forced_sorts))
-        path = out / f"dyson_n{n}.csv"
-        _write_csv(path, cfg, subcommand, "n,t,dt,M,w1_distance,w1_mc_error,forced_sorts",
-                   rows)
-        written.append(path)
+        tables.append((f"dyson_n{n}.csv", "n,t,dt,M,w1_distance,w1_mc_error,forced_sorts",
+                       rows, False))
 
     elif subcommand == "limit":
         n = cfg.matrix_n[0]
         shift = make_shift(cfg.matrix_shift, n)
         mu0 = AtomicMeasure.from_eigenvalues(np.linalg.eigvalsh(shift))
         xs = np.linspace(cfg.experiment_x_min, cfg.experiment_x_max, cfg.experiment_x_points)
-        for k, t in enumerate(grid.times):
-            law = law_at_time(kernel, mu0, float(t))
-            path = out / f"limit_density_t{k}.csv"
+        laws = [law_at_time(kernel, mu0, float(t)) for t in grid.times]
+        for k, law in enumerate(laws):
             cdf = np.atleast_1d(law.cdf(xs))
-            if getattr(law, "atom_positions", None) is not None:
-                pdf = np.zeros_like(xs)
-            else:
-                pdf = np.atleast_1d(law.pdf(xs))
-            rows = list(zip(xs, pdf, cdf))
-            _write_csv(path, cfg, subcommand, "x,pdf,cdf", rows)
-            written.append(path)
+            atomic = getattr(law, "atom_positions", None) is not None
+            pdf = np.zeros_like(xs) if atomic else np.atleast_1d(law.pdf(xs))
+            tables.append((f"limit_density_t{k}.csv", "x,pdf,cdf", list(zip(xs, pdf, cdf)),
+                           False))
         rows = []
-        for t in grid.times:
+        for t, law in zip(grid.times, laws):
             for z in cfg.observables_z_points:
-                fval = limit_at_time(kernel, mu0, float(t), z)
+                fval = law.stieltjes(z)
                 rows.append((float(t), z.real, z.imag, fval.real, fval.imag))
-        path = out / "limit_stieltjes.csv"
-        _write_csv(path, cfg, subcommand, "t,re_z,im_z,re_F,im_F", rows)
-        written.append(path)
+        tables.append(("limit_stieltjes.csv", "t,re_z,im_z,re_F,im_F", rows, False))
 
-    return written
+    for name, header, rows, nonfinite_expected in tables:
+        for i, row in enumerate([] if nonfinite_expected else rows, start=1):
+            for column, v in zip(header.split(","), row):
+                if isinstance(v, float) and not np.isfinite(v):
+                    raise NumericalFailure(f"{name} data row {i} column {column} is {_fmt(v)}; "
+                                           "no file was written")
+    for name, header, rows, _ in tables:
+        _write_csv(out / name, cfg, subcommand, header, rows)
+    return [out / name for name, *_ in tables]
 
 
 def _real_test_function(cfg: ExperimentConfig):

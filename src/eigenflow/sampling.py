@@ -46,10 +46,6 @@ class PathFactor:
     lower: np.ndarray
     jitter_used: float
 
-    @property
-    def gram(self) -> np.ndarray:
-        return self.lower @ self.lower.T
-
 
 def factor_grid(kernel: CovarianceKernel, grid: TimeGrid) -> PathFactor:
     """Cholesky-factor the Gram matrix, climbing a jitter ladder if needed.

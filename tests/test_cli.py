@@ -295,6 +295,51 @@ class TestExitCodes:
         assert "experiment.m must be at least 2" in proc.stderr
         assert list(tmp_path.rglob("*.csv")) == []
 
+    @pytest.mark.parametrize("subcommand, edits", [
+        ("dyson", [("t_max = 1.0", "t_max = 0.25"), ("dt = 0.05", "dt = 0.003")]),
+        ("dyson", [("dt = 0.05", "dt = -0.05")]),
+        ("holder", [("m = 6", "m = 6\nseparations = 0.1, -0.2")]),
+    ], ids=["dt-does-not-divide", "negative-dt", "negative-separation"])
+    def test_unusable_experiment_value_is_config_error(self, tmp_path, subcommand, edits):
+        # checked before any sampling, so these exit at once
+        text = MINIMAL
+        for old, new in edits:
+            text = text.replace(old, new)
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        proc = run_cli([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("eigenflow: configuration error:")
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize("subcommand", ["converge", "residual", "collisions", "dyson",
+                                            "limit"])
+    def test_nonfinite_numbers_are_numerical_failure(self, tmp_path, subcommand):
+        # the shift's scale overflows: the outputs would hold nan or the
+        # Burgers boundary table overflows; holder is absent because its
+        # increments are exactly 0 at this scale, which is finite and honest
+        p = tmp_path / "huge.cfg"
+        p.write_text(MINIMAL.replace("steps = 4", "steps = 2").replace("m = 6", "m = 4")
+                     .replace("n = 8", "n = 2\nshift = diag:1e308,-1e308"))
+        proc = run_cli([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 2
+        # numpy's overflow warnings come first and say where the overflow happened
+        assert proc.stderr.splitlines()[-1].startswith("eigenflow: numerical failure:")
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize("subcommand, n, name, cell", [
+        ("collisions", 1, "collisions_n1.csv", "inf"), ("residual", 8, "residual_fit.csv", "nan")])
+    def test_expected_nonfinite_cells_are_written(self, tmp_path, subcommand, n, name, cell):
+        # one eigenvalue has no gap, and one matrix size fits no slope
+        p = tmp_path / "one.cfg"
+        p.write_text(MINIMAL.replace("n = 8", f"n = {n}"))
+        proc = run_cli([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 0, proc.stderr
+        _, rows = read_rows(tmp_path / "o" / name)
+        assert cell in [v for row in rows for v in row]
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["converge", "--config", str(tmp_path / "nope.cfg")]) == 3
 

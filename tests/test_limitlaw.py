@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from eigenflow.limitlaw import (AtomicMeasure, BurgersEvolved,
-                                Semicircle, burgers_solve,
-                                law_at_time, limit_at_time, limit_stieltjes,
+from eigenflow.limitlaw import (AtomicMeasure, BurgersError, BurgersEvolved,
+                                Semicircle, _newton_fixed_point, burgers_solve,
+                                law_at_time, limit_stieltjes,
                                 moment_from_stieltjes, semicircle_stieltjes)
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
 
@@ -91,6 +91,41 @@ class TestBurgersSolver:
             assert f.imag > 0
             assert (z + tau * f).imag > 0
 
+    def test_subordination_start_matches_cubic(self):
+        # for the +-1 start omega = z + tau F is the root in the upper
+        # half-plane of omega^3 - z omega^2 - (1 - tau) omega + z = 0; the
+        # points checked are those where Newton from F_0(z) fails
+        mu0 = AtomicMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+        checked = 0
+        for tau in (0.1, 1.0, 10.0):
+            for im in (1e-3, 1e-6, 1e-9):
+                for re in np.linspace(-4.0, 4.0, 17):
+                    z = complex(re, im)
+                    try:
+                        _newton_fixed_point(mu0, tau, z, mu0.stieltjes(z))
+                        continue
+                    except BurgersError:
+                        checked += 1
+                    roots = np.roots([1.0, -z, -(1.0 - tau), z])
+                    exact = (roots[np.argmax(roots.imag)] - z) / tau
+                    f = burgers_solve(mu0, tau, z)
+                    assert abs(f - exact) <= 1e-13 * (1.0 + abs(f)), (tau, z)
+        assert checked > 0
+
+    def test_near_axis_multi_atom_starts(self):
+        gen = np.random.default_rng(2024)
+        for _ in range(200):
+            m = int(gen.integers(2, 31))
+            mu0 = AtomicMeasure(gen.normal(size=m), gen.dirichlet(np.ones(m)))
+            tau = float(10.0 ** gen.uniform(-3.0, np.log10(30.0)))
+            spread = 2.0 * np.sqrt(tau)
+            z = complex(gen.uniform(mu0.atoms[0] - spread, mu0.atoms[-1] + spread),
+                        10.0 ** gen.uniform(-9.0, -2.0))
+            f = burgers_solve(mu0, tau, z)
+            assert abs(f - mu0.stieltjes(z + tau * f)) <= 1e-12 * (1.0 + abs(f))
+            assert f.imag > 0
+            assert (z + tau * f).imag > 0
+
     def test_herglotz_two_atom_grid(self):
         mu0 = AtomicMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
         for tau in (0.1, 1.0, 10.0):
@@ -121,19 +156,19 @@ class TestLimitAtTime:
     def test_fbm_time_one(self):
         k = FractionalBrownianKernel(0.75)
         mu0 = AtomicMeasure.point_mass(0.0)
-        assert limit_at_time(k, mu0, 1.0, 1j) == pytest.approx(GOLDEN * 1j, abs=1e-12)
+        assert law_at_time(k, mu0, 1.0).stieltjes(1j) == pytest.approx(GOLDEN * 1j, abs=1e-12)
 
     def test_brownian_time_four(self):
         k = BrownianKernel()
         mu0 = AtomicMeasure.point_mass(0.0)
-        got = limit_at_time(k, mu0, 4.0, 2j)
+        got = law_at_time(k, mu0, 4.0).stieltjes(2j)
         assert got == pytest.approx(semicircle_stieltjes(4.0, 2j), abs=1e-12)
 
     def test_time_zero_returns_initial(self):
         k = FractionalBrownianKernel(0.3)
         mu0 = AtomicMeasure(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
         z = 1j
-        assert limit_at_time(k, mu0, 0.0, z) == mu0.stieltjes(z)
+        assert law_at_time(k, mu0, 0.0).stieltjes(z) == mu0.stieltjes(z)
 
 
 class TestSemicircleLaw:

@@ -94,9 +94,10 @@ class TestKolmogorov:
         assert d == pytest.approx(0.5, abs=1e-12)
 
     def test_identical_atomic_measures(self):
-        atoms = np.array([-1.0, 0.0, 2.0])
-        law = BurgersEvolved(initial=AtomicMeasure.from_eigenvalues(atoms), tau=0.0)
-        assert kolmogorov_distance(atoms, law) == 0.0
+        # exactly 0: the t = 0 law reads the same k/n as the empirical side
+        for atoms in (np.array([-1.0, 0.0, 2.0]), np.arange(5.0), np.arange(20.0)):
+            law = BurgersEvolved(initial=AtomicMeasure.from_eigenvalues(atoms), tau=0.0)
+            assert kolmogorov_distance(atoms, law) == 0.0, atoms.size
 
     def test_atomic_mismatch(self):
         law = BurgersEvolved(initial=AtomicMeasure.point_mass(0.0), tau=0.0)
