@@ -18,8 +18,7 @@ from .limitlaw import (AtomicMeasure, BurgersEvolved, LimitLaw, Semicircle,
 from .matrixflow import eigenvalue_derivatives, make_shift, sample_flows
 from .measures import divided_difference_stack, kolmogorov_distance
 from .sampling import PathFactor, factor_grid, sample_entry_block
-from .testfunctions import (GaussianBump, Resolvent, SmoothBump, TestFunction,
-                            TruncatedPolynomial)
+from .testfunctions import GaussianBump, SmoothBump, TestFunction, TruncatedPolynomial
 
 __all__ = [
     "TimeGrid",
@@ -31,5 +30,5 @@ __all__ = [
     "eigenvalue_derivatives", "make_shift", "sample_flows",
     "divided_difference_stack", "kolmogorov_distance",
     "PathFactor", "factor_grid", "sample_entry_block",
-    "TestFunction", "Resolvent", "GaussianBump", "SmoothBump", "TruncatedPolynomial",
+    "TestFunction", "GaussianBump", "SmoothBump", "TruncatedPolynomial",
 ]

@@ -31,7 +31,10 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
+
+from .testfunctions import BUILTINS
+
 
 class ConfigError(ValueError):
     """Carries every problem found in a config, not just the first."""
@@ -73,8 +76,8 @@ _SCHEMA: Dict[Tuple[str, str], dict] = {
     ("sampler", "method"): dict(kind="str", required=False, default="cholesky",
                                 choices=("cholesky", "circulant")),
     ("sampler", "seed"): dict(kind="int", required=True),
-    ("observables", "test_functions"): dict(kind="str_list", required=False,
-                                            default=("gaussian_bump",)),
+    ("observables", "test_functions"): dict(kind="str", required=False,
+                                            default="gaussian_bump", choices=tuple(BUILTINS)),
     ("observables", "z_points"): dict(kind="complex_list", required=False,
                                       default=(complex(0.0, 1.0),)),
     ("experiment", "m"): dict(kind="int", required=False, default=20),
@@ -108,7 +111,7 @@ class ExperimentConfig:
     matrix_shift: str
     sampler_method: str
     sampler_seed: int
-    observables_test_functions: Tuple[str, ...]
+    observables_test_functions: str
     observables_z_points: Tuple[complex, ...]
     experiment_m: int
     experiment_p: float
@@ -131,6 +134,14 @@ class ExperimentConfig:
                     lines.append(f"{key} = {_format_value(val)}")
             lines.append("")
         return "\n".join(lines)
+
+    def away_from_default(self, sections: Iterable[str]) -> Dict[str, str]:
+        """``section.key`` -> canonical default text, for every optional key
+        of ``sections`` whose value differs from its default."""
+        return {f"{sec}.{key}": _format_value(spec["default"])
+                for (sec, key), spec in _SCHEMA.items()
+                if sec in sections and not spec["required"]
+                and getattr(self, f"{sec}_{key}") != spec["default"]}
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         from dataclasses import replace
@@ -166,13 +177,14 @@ def _convert(raw: str, kind: str):
             raise ValueError(f"expected an integer, got {raw!r}")
         return int(raw)
     if kind == "float":
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {raw!r}")
+        return value
     if kind == "int_list":
         return tuple(_convert(part.strip(), "int") for part in raw.split(","))
     if kind == "float_list":
-        return tuple(float(part) for part in raw.split(","))
-    if kind == "str_list":
-        return tuple(part.strip() for part in raw.split(","))
+        return tuple(_convert(part.strip(), "float") for part in raw.split(","))
     if kind == "complex_list":
         return tuple(parse_complex(part) for part in raw.split(","))
     raise AssertionError(kind)
@@ -245,6 +257,10 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append(f"kernel.hurst must lie in (0,1), got {hurst}")
     if kind == "table" and values.get(("kernel", "table_path")) is None:
         problems.append("kernel.table_path is required when kernel.kind = table")
+    for key, owner in (("hurst", "fbm"), ("table_path", "table")):
+        if kind is not None and kind != owner and ("kernel", key) in seen:
+            problems.append(f"line {seen[('kernel', key)]}: kernel.{key} applies to "
+                            f"kernel.kind = {owner} only, not {kind}")
 
     t_max = values.get(("grid", "t_max"))
     steps = values.get(("grid", "steps"))
@@ -291,6 +307,12 @@ def parse_config(text: str) -> ExperimentConfig:
     if m is not None and m < 2:
         problems.append(f"experiment.m must be at least 2, got {m}: "
                         "a standard error needs two paths")
+    t_base = values.get(("experiment", "t_base"))
+    if t_base is not None and t_base < 0:
+        problems.append(f"experiment.t_base must be nonnegative, got {t_base}")
+    x_points = values.get(("experiment", "x_points"))
+    if x_points is not None and x_points < 1:
+        problems.append(f"experiment.x_points must be at least 1, got {x_points}")
     zp = values.get(("observables", "z_points"))
     if zp:
         for z in zp:

@@ -9,12 +9,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing times 0 = t_0 < ... < t_K with trapezoid weights.
-
-    ``weights[k]`` is the coefficient of a node value in the trapezoid
-    approximation of an integral over [t_0, t_K]; the weights sum to
-    t_K - t_0 exactly up to rounding.
-    """
+    """Strictly increasing times 0 = t_0 < ... < t_K."""
 
     times: np.ndarray = field()
 
@@ -56,14 +51,6 @@ class TimeGrid:
     @property
     def deltas(self) -> np.ndarray:
         return np.diff(self.times)
-
-    @property
-    def weights(self) -> np.ndarray:
-        d = self.deltas
-        w = np.zeros(self.times.size)
-        w[:-1] += 0.5 * d
-        w[1:] += 0.5 * d
-        return w
 
     @property
     def t_max(self) -> float:

@@ -6,12 +6,12 @@ Three kernel families are built in:
 * fractional Brownian: R(s,t) = (s^{2H} + t^{2H} - |t-s|^{2H}) / 2,  H in (0,1)
 * tabulated:           bilinear interpolation of a symmetric grid of samples
 
-A kernel carries the covariance itself, the diagonal rate d/ds R(s,s), the
-exact diagonal increment R(b,b) - R(a,a) (used so that time integrals against
-d/ds R(s,s) never touch the s=0 singularity of rough kernels).  Two numerical
-checkers probe the integrability hypothesis on dR/ds (``check_h1``) and the
-Hoelder hypothesis on the increment variance (``check_h2``); they produce
-evidence, not proofs.
+A kernel carries the covariance itself and the exact diagonal increment
+R(b,b) - R(a,a); every time integral against d/ds R(s,s) uses the
+increment, so none touches the s=0 singularity of rough kernels.  Two
+numerical checkers probe the integrability hypothesis on dR/ds
+(``check_h1``) and the Hoelder hypothesis on the increment variance
+(``check_h2``); they produce evidence, not proofs.
 
 All kernels are immutable and safe to share across workers.
 """
@@ -31,10 +31,6 @@ class KernelDomainError(ValueError):
     """Evaluation requested outside the kernel's domain."""
 
 
-class DerivativeSingularError(ValueError):
-    """d/ds R(s,s) diverges at the requested point."""
-
-
 class CovarianceKernel:
     """Base class; subclasses implement ``eval`` on nonnegative times."""
 
@@ -46,13 +42,6 @@ class CovarianceKernel:
     def diag(self, t):
         """R(t,t)."""
         return self.eval(t, t)
-
-    def diag_rate(self, s):
-        """d/ds R(s,s); symmetric finite difference unless overridden."""
-        s = np.asarray(s, dtype=float)
-        h = np.maximum(1e-6, 1e-6 * s)
-        lo = np.maximum(s - h, 0.0)
-        return (self.diag(s + h) - self.diag(lo)) / (s + h - lo)
 
     def diag_increment(self, a, b):
         """Exact integral of d/ds R(s,s) over [a, b], i.e. R(b,b) - R(a,a).
@@ -91,10 +80,6 @@ class BrownianKernel(CovarianceKernel):
         _check_nonnegative(s, t)
         return np.minimum(s, t)[()]
 
-    def diag_rate(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.ones_like(s)[()]
-
     def partial_s(self, s, t):
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
@@ -121,23 +106,6 @@ class FractionalBrownianKernel(CovarianceKernel):
     def diag(self, t):
         t = np.asarray(t, dtype=float)
         return (t ** (2.0 * self.hurst))[()]
-
-    def diag_rate(self, s):
-        s = np.asarray(s, dtype=float)
-        if np.any(s < 0):
-            raise KernelDomainError("time must be nonnegative")
-        if self.hurst < 0.5 and np.any(s == 0):
-            raise DerivativeSingularError(
-                f"d/ds R(s,s) diverges at s=0 for hurst={self.hurst} < 1/2; "
-                "integrate with diag_increment instead")
-        h2 = 2.0 * self.hurst
-        with np.errstate(divide="ignore"):
-            out = h2 * s ** (h2 - 1.0)
-        if self.hurst > 0.5:
-            out = np.where(s == 0, 0.0, out)
-        elif self.hurst == 0.5:
-            out = np.where(s == 0, 1.0, out)
-        return out[()]
 
     def partial_s(self, s, t):
         s = np.asarray(s, dtype=float)
@@ -179,9 +147,10 @@ class TableKernel(CovarianceKernel):
 
     def _locate(self, x):
         lo, hi = self.times[0], self.times[-1]
-        if np.any(x < lo) or np.any(x > hi):
+        outside = (x < lo) | (x > hi)
+        if np.any(outside):
             raise KernelDomainError(
-                f"time outside tabulated domain [{lo}, {hi}]")
+                f"time {float(x[outside].flat[0])} outside tabulated domain [{lo}, {hi}]")
         idx = np.clip(np.searchsorted(self.times, x, side="right") - 1, 0, self.times.size - 2)
         frac = (x - self.times[idx]) / (self.times[idx + 1] - self.times[idx])
         return idx, frac

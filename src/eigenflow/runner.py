@@ -1,5 +1,9 @@
 """Experiment orchestration: dispatch, worker pool, CSV and manifest output.
 
+``READS`` names the optional sampler, observables and experiment keys each
+subcommand reads; a run rejects any other key of those sections that is
+set away from its default, so no setting is silently ignored.
+
 Every output CSV starts with a ``#``-prefixed JSON comment embedding the
 subcommand, the master seed and the full resolved configuration, followed
 by a header row.  Floats are written with ``repr`` (shortest round-trip),
@@ -25,12 +29,22 @@ import scipy
 
 from . import __version__, diagnostics
 from .config import ExperimentConfig, config_to_grid, config_to_kernel
-from .kernels import BrownianKernel
+from .kernels import BrownianKernel, KernelDomainError
 from .limitlaw import AtomicMeasure, law_at_time
 from .matrixflow import make_shift
 from .testfunctions import by_name
 
-SUBCOMMANDS = ("converge", "residual", "holder", "collisions", "dyson", "limit")
+READS = {
+    "converge": ("sampler.method", "experiment.m"),
+    "residual": ("sampler.method", "experiment.m", "observables.test_functions"),
+    "holder": ("experiment.m", "experiment.p", "experiment.t_base", "experiment.separations",
+               "observables.test_functions"),
+    "collisions": ("sampler.method", "experiment.m"),
+    "dyson": ("experiment.m", "experiment.dt"),
+    "limit": ("observables.z_points", "experiment.x_min", "experiment.x_max",
+              "experiment.x_points"),
+}
+SUBCOMMANDS = tuple(READS)
 MANIFEST_NAME = "run_manifest.json"
 
 
@@ -79,6 +93,10 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
     """Execute a subcommand; returns the list of files written."""
     if subcommand not in SUBCOMMANDS:
         raise RunUsageError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
+    for name, default in cfg.away_from_default(("sampler", "observables", "experiment")).items():
+        if name not in READS[subcommand]:
+            raise RunUsageError(f"{subcommand} does not read {name}; "
+                                f"leave it at its default {default}")
     if out_dir is not None:
         cfg = cfg.with_output_directory(out_dir)
     out = Path(cfg.output_directory)
@@ -117,9 +135,6 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
     kernel = config_to_kernel(cfg)
     grid = config_to_grid(cfg)
     if cfg.sampler_method == "circulant":
-        if subcommand not in ("converge", "residual", "collisions"):
-            raise RunUsageError("sampler.method = circulant serves converge, residual and "
-                                f"collisions only, not {subcommand}")
         if kernel.kind != "fbm":
             raise RunUsageError("sampler.method = circulant requires kernel.kind = fbm")
         if not grid.is_uniform():
@@ -140,6 +155,14 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
     if subcommand == "holder" and min(cfg.experiment_separations) <= 0:
         raise RunUsageError("experiment.separations must be positive, got "
                             f"{list(cfg.experiment_separations)}")
+    times = grid.times
+    if subcommand == "holder":  # holder samples on {0, t_base, t_base + separations}
+        times = np.concatenate(([0.0, cfg.experiment_t_base],
+                                cfg.experiment_t_base + np.array(cfg.experiment_separations)))
+    try:  # a table kernel covers a bounded range of times
+        kernel.diag(times)
+    except KernelDomainError as exc:
+        raise RunUsageError(f"kernel.table_path = {cfg.kernel_table_path}: {exc}") from None
     tables = []  # (file name, header, rows, whether non-finite cells are expected)
 
     if subcommand == "converge":
@@ -152,7 +175,7 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
                             for r in rows if r.n == n], False))
 
     elif subcommand == "residual":
-        f = _real_test_function(cfg)
+        f = by_name(cfg.observables_test_functions)
         reports = diagnostics.residual_experiment(
             kernel, grid, cfg.matrix_n, f, cfg.experiment_m, cfg.sampler_seed,
             shift_spec=cfg.matrix_shift, method=cfg.sampler_method, mapper=mapper)
@@ -172,7 +195,7 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
                        len(reports) == 1))
 
     elif subcommand == "holder":
-        f = _real_test_function(cfg)
+        f = by_name(cfg.observables_test_functions)
         n = cfg.matrix_n[0]
         rep = diagnostics.holder_increments(
             kernel, n, f, cfg.experiment_p, cfg.experiment_t_base,
@@ -236,16 +259,3 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
     for name, header, rows, _ in tables:
         _write_csv(out / name, cfg, subcommand, header, rows)
     return [out / name for name, *_ in tables]
-
-
-def _real_test_function(cfg: ExperimentConfig):
-    names = cfg.observables_test_functions
-    if len(names) > 1:
-        raise RunUsageError("this experiment uses one test function; "
-                            f"observables.test_functions lists {len(names)}")
-    f = by_name(names[0])
-    if f.complex_valued:
-        raise RunUsageError(
-            "this experiment needs a real bounded test function; "
-            f"got {f.name}")
-    return f

@@ -42,7 +42,6 @@ class FactorizationError(RuntimeError):
 class PathFactor:
     """Lower-triangular factor L with L @ L.T equal to the grid Gram matrix."""
 
-    grid: TimeGrid
     lower: np.ndarray
     jitter_used: float
 
@@ -71,7 +70,7 @@ def factor_grid(kernel: CovarianceKernel, grid: TimeGrid) -> PathFactor:
             if jitter > 0:
                 log.info("gram factorization used jitter %.1e on grid up to t=%g",
                          jitter, grid.t_max)
-            return PathFactor(grid=grid, lower=lower, jitter_used=jitter * scale)
+            return PathFactor(lower=lower, jitter_used=jitter * scale)
     raise FactorizationError(
         f"could not factor the Gram matrix on grid {np.array2string(grid.times, threshold=12)} "
         f"(jitter ladder {JITTER_LADDER} exhausted)")

@@ -1,15 +1,15 @@
 """A closed library of smooth bounded test functions.
 
-Four families, each with analytic derivatives up to order three (all
+Three real families, each with analytic derivatives up to order two (all
 bounded, so every member can probe weak convergence of measures):
 
-* ``Resolvent(z)``            f(x) = 1 / (x - z), Im z > 0 (complex valued)
 * ``SmoothBump``              tanh-based plateau bump
 * ``GaussianBump``            f(x) = exp(-x^2) (optionally shifted/scaled)
 * ``TruncatedPolynomial``     p(x) * exp(-(x/w)^8), deg p <= 4
 
 The library is deliberately fixed so residual experiments stay
-reproducible; user-defined functions are out of scope.
+reproducible: a run names one of the ``BUILTINS``, and user-defined
+functions are out of scope.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ import numpy as np
 
 
 class TestFunction:
-    """f with derivative evaluators f', f'', f'''."""
+    """f with derivative evaluators f' and f''."""
 
     name: str = "abstract"
-    complex_valued: bool = False
 
     def f(self, x):
         raise NotImplementedError
@@ -31,40 +30,6 @@ class TestFunction:
 
     def d2(self, x):
         raise NotImplementedError
-
-    def d3(self, x):
-        raise NotImplementedError
-
-    def __call__(self, x):
-        return self.f(x)
-
-    def derivative(self, order: int):
-        return {0: self.f, 1: self.d1, 2: self.d2, 3: self.d3}[order]
-
-
-class Resolvent(TestFunction):
-    """f_z(x) = 1/(x - z) for a spectral parameter z in the upper half-plane."""
-
-    complex_valued = True
-
-    def __init__(self, z: complex):
-        z = complex(z)
-        if z.imag <= 0:
-            raise ValueError(f"resolvent spectral parameter needs Im z > 0, got {z}")
-        self.z = z
-        self.name = f"resolvent({z.real:g}{z.imag:+g}i)"
-
-    def f(self, x):
-        return 1.0 / (np.asarray(x) - self.z)
-
-    def d1(self, x):
-        return -1.0 / (np.asarray(x) - self.z) ** 2
-
-    def d2(self, x):
-        return 2.0 / (np.asarray(x) - self.z) ** 3
-
-    def d3(self, x):
-        return -6.0 / (np.asarray(x) - self.z) ** 4
 
 
 class GaussianBump(TestFunction):
@@ -91,10 +56,6 @@ class GaussianBump(TestFunction):
     def d2(self, x):
         u = self._u(x)
         return (4.0 * u ** 2 - 2.0) * np.exp(-u ** 2) / self.width ** 2
-
-    def d3(self, x):
-        u = self._u(x)
-        return (12.0 * u - 8.0 * u ** 3) * np.exp(-u ** 2) / self.width ** 3
 
 
 class SmoothBump(TestFunction):
@@ -131,13 +92,6 @@ class SmoothBump(TestFunction):
         tl, tr = np.tanh(ul), np.tanh(ur)
         return 0.5 * self.a ** 2 * (-2.0 * tl * self._t1(tl) + 2.0 * tr * self._t1(tr))
 
-    def d3(self, x):
-        ul, ur = self._edges(x)
-        tl, tr = np.tanh(ul), np.tanh(ur)
-        gl = 2.0 * self._t1(tl) * (3.0 * tl ** 2 - 1.0)
-        gr = 2.0 * self._t1(tr) * (3.0 * tr ** 2 - 1.0)
-        return 0.5 * self.a ** 3 * (gl - gr)
-
 
 class TruncatedPolynomial(TestFunction):
     """p(x) * exp(-(x/w)^8) for a polynomial p of degree at most 4.
@@ -164,7 +118,7 @@ class TruncatedPolynomial(TestFunction):
     def _q(self, x, order: int):
         x = np.asarray(x, dtype=float)
         k = 8 - order
-        fact = {0: 1.0, 1: 8.0, 2: 56.0, 3: 336.0}[order]
+        fact = {0: 1.0, 1: 8.0, 2: 56.0}[order]
         return fact * x ** k / self.w ** 8
 
     def f(self, x):
@@ -180,15 +134,8 @@ class TruncatedPolynomial(TestFunction):
         e = np.exp(-self._q(x, 0))
         return (p2 - 2.0 * p1 * q1 - p * q2 + p * q1 ** 2) * e
 
-    def d3(self, x):
-        p, p1, p2, p3 = (self._p(x, k) for k in range(4))
-        q1, q2, q3 = (self._q(x, k) for k in (1, 2, 3))
-        e = np.exp(-self._q(x, 0))
-        return (p3 - 3.0 * p2 * q1 - 3.0 * p1 * q2 - p * q3
-                + 3.0 * p1 * q1 ** 2 + 3.0 * p * q1 * q2 - p * q1 ** 3) * e
 
-
-_BUILTINS = {
+BUILTINS = {
     "gaussian_bump": lambda: GaussianBump(),
     "smooth_bump": lambda: SmoothBump(),
     "poly_quadratic": lambda: TruncatedPolynomial([0.0, 0.0, 1.0], cutoff_width=10.0),
@@ -196,11 +143,7 @@ _BUILTINS = {
 
 
 def by_name(name: str) -> TestFunction:
-    """Look up a test function by its configuration name."""
-    if name in _BUILTINS:
-        return _BUILTINS[name]()
-    if name.startswith("resolvent(") and name.endswith(")"):
-        from .config import parse_complex  # local import to avoid a cycle
-        return Resolvent(parse_complex(name[len("resolvent("):-1]))
-    raise ValueError(f"unknown test function {name!r}; "
-                     f"built-ins: {sorted(_BUILTINS)} or resolvent(<re>+<im>i)")
+    """The built-in test function of a configuration name."""
+    if name not in BUILTINS:
+        raise ValueError(f"unknown test function {name!r}; built-ins: {sorted(BUILTINS)}")
+    return BUILTINS[name]()

@@ -28,8 +28,17 @@ seed = 11
 
 [experiment]
 m = 6
-dt = 0.05
 """
+# A run rejects any key it does not read that is set away from its default:
+# only dyson reads experiment.dt, and limit samples nothing, so it leaves
+# experiment.m at its default.
+DYSON = MINIMAL + "dt = 0.05\n"
+LIMIT = MINIMAL.replace("\n[experiment]\nm = 6\n", "")
+
+
+def config_for(subcommand):
+    return {"dyson": DYSON, "limit": LIMIT}.get(subcommand, MINIMAL)
+
 
 FBM = MINIMAL.replace("kind = brownian", "kind = fbm\nhurst = 0.75")
 
@@ -106,7 +115,7 @@ class TestThreadInvariance:
         "holder": MINIMAL,
         "collisions": MINIMAL,
         "collisions-circulant": FBM.replace("seed = 11", "seed = 11\nmethod = circulant"),
-        "dyson": MINIMAL,
+        "dyson": DYSON,
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -179,9 +188,11 @@ class TestSubcommands:
         stats = {r[1] for r in rows}
         assert "degenerate_fraction" in stats
 
-    def test_dyson_files(self, cfg_file, tmp_path):
+    def test_dyson_files(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text(DYSON)
         out = tmp_path / "run"
-        assert main(["dyson", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert main(["dyson", "--config", str(p), "--out", str(out)]) == 0
         header, rows = read_rows(out / "dyson_n8.csv")
         assert header == ["n", "t", "dt", "M", "w1_distance", "w1_mc_error",
                           "forced_sorts"]
@@ -189,7 +200,7 @@ class TestSubcommands:
 
     def test_dyson_requires_brownian(self, tmp_path):
         p = tmp_path / "exp.cfg"
-        p.write_text(FBM)
+        p.write_text(DYSON.replace("kind = brownian", "kind = fbm\nhurst = 0.75"))
         assert main(["dyson", "--config", str(p), "--out", str(tmp_path / "x")]) == 1
 
     def test_circulant_requires_fbm(self, tmp_path):
@@ -203,17 +214,21 @@ class TestSubcommands:
         # holder samples on the non-uniform grid {0, t_base, t_base + separations};
         # limit samples nothing, so the key would only be echoed into its CSVs
         p = tmp_path / "exp.cfg"
-        p.write_text(FBM.replace("seed = 11", "seed = 11\nmethod = circulant"))
+        p.write_text(config_for(subcommand).replace("kind = brownian", "kind = fbm\nhurst = 0.75")
+                     .replace("seed = 11", "seed = 11\nmethod = circulant"))
         out = tmp_path / "run"
         assert main([subcommand, "--config", str(p), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("eigenflow: configuration error:")
+        err = capsys.readouterr().err
+        assert err.startswith("eigenflow: configuration error:")
+        assert "sampler.method" in err
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("subcommand", ["holder", "dyson", "limit"])
-    def test_single_dimension_subcommands_reject_a_list(self, tmp_path, subcommand):
+    def test_single_dimension_subcommands_reject_a_list(self, tmp_path, capsys, subcommand):
         p = tmp_path / "exp.cfg"
-        p.write_text(MINIMAL.replace("n = 8", "n = 4, 8"))
+        p.write_text(config_for(subcommand).replace("n = 8", "n = 4, 8"))
         assert main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert "matrix.n lists 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand", ["residual", "holder"])
     def test_single_test_function_subcommands_reject_a_list(self, tmp_path, subcommand):
@@ -241,9 +256,11 @@ class TestSubcommands:
         assert main(["collisions", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "collisions_n8.csv").exists()
 
-    def test_limit_files(self, cfg_file, tmp_path):
+    def test_limit_files(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text(LIMIT)
         out = tmp_path / "run"
-        assert main(["limit", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert main(["limit", "--config", str(p), "--out", str(out)]) == 0
         header, rows = read_rows(out / "limit_density_t4.csv")
         assert header == ["x", "pdf", "cdf"]
         # the x = 0 row of the variance-1 semicircle carries pdf 1/pi
@@ -251,6 +268,52 @@ class TestSubcommands:
         assert float(mid[1]) == pytest.approx(1 / np.pi, rel=1e-10)
         header, rows = read_rows(out / "limit_stieltjes.csv")
         assert header == ["t", "re_z", "im_z", "re_F", "im_F"]
+
+
+class TestReads:
+    def test_table_covers_the_optional_keys(self):
+        from eigenflow.config import _SCHEMA
+        from eigenflow.runner import READS, SUBCOMMANDS
+        optional = {f"{sec}.{key}" for (sec, key), spec in _SCHEMA.items()
+                    if sec in ("sampler", "observables", "experiment") and not spec["required"]}
+        read = {name for names in READS.values() for name in names}
+        assert read == optional
+        assert SUBCOMMANDS == ("converge", "residual", "holder", "collisions", "dyson", "limit")
+
+    @pytest.mark.parametrize("subcommand, setting, key", [
+        ("converge", "[experiment]\np = 3.0", "experiment.p"),
+        ("residual", "[experiment]\ndt = 0.01", "experiment.dt"),
+        ("holder", "[experiment]\nx_points = 5", "experiment.x_points"),
+        ("collisions", "[observables]\ntest_functions = smooth_bump",
+         "observables.test_functions"),
+        ("dyson", "[experiment]\nt_base = 0.25", "experiment.t_base"),
+        ("limit", "[experiment]\np = 3.0", "experiment.p"),
+        ("limit", "[observables]\ntest_functions = gaussian_bump, smooth_bump\n"
+                  "[experiment]\np = 3.0", "observables.test_functions"),
+        ("converge", "[observables]\ntest_functions = gaussian_bump, smooth_bump\n"
+                     "[experiment]\np = 3.0", "observables.test_functions"),
+    ], ids=["converge", "residual", "holder", "collisions", "dyson", "limit",
+            "limit-two-test-functions", "converge-two-test-functions"])
+    def test_unread_key_is_config_error(self, tmp_path, subcommand, setting, key):
+        # a setting the subcommand never reads used to exit 0 and be echoed into its CSVs
+        p = tmp_path / "exp.cfg"
+        p.write_text(config_for(subcommand) + "\n" + setting + "\n")
+        proc = run_cli([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("eigenflow: configuration error:")
+        assert key in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize("subcommand", ["residual", "holder", "collisions", "dyson", "limit"])
+    def test_manifest_replays(self, tmp_path, subcommand):
+        # the canonical config in a manifest prints every default
+        p = tmp_path / "exp.cfg"
+        p.write_text(config_for(subcommand))
+        out = tmp_path / "one"
+        assert main([subcommand, "--config", str(p), "--out", str(out)]) == 0
+        assert main([subcommand, "--config", str(out / "run_manifest.json"),
+                     "--out", str(tmp_path / "two")]) == 0
 
 
 class TestExitCodes:
@@ -289,27 +352,44 @@ class TestExitCodes:
     def test_single_path_is_config_error(self, tmp_path, subcommand):
         # one path has no standard error; it used to be written as nan
         p = tmp_path / "one.cfg"
-        p.write_text(MINIMAL.replace("m = 6", "m = 1"))
+        p.write_text(config_for(subcommand).replace("m = 6", "m = 1"))
         proc = run_cli([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])
         assert proc.returncode == 1
         assert "experiment.m must be at least 2" in proc.stderr
         assert list(tmp_path.rglob("*.csv")) == []
 
-    @pytest.mark.parametrize("subcommand, edits", [
-        ("dyson", [("t_max = 1.0", "t_max = 0.25"), ("dt = 0.05", "dt = 0.003")]),
-        ("dyson", [("dt = 0.05", "dt = -0.05")]),
-        ("holder", [("m = 6", "m = 6\nseparations = 0.1, -0.2")]),
-    ], ids=["dt-does-not-divide", "negative-dt", "negative-separation"])
-    def test_unusable_experiment_value_is_config_error(self, tmp_path, subcommand, edits):
+    @pytest.mark.parametrize("subcommand, edits, expect", [
+        ("dyson", [("t_max = 1.0", "t_max = 0.25"), ("dt = 0.05", "dt = 0.003")],
+         "experiment.dt"),
+        ("dyson", [("dt = 0.05", "dt = -0.05")], "experiment.dt"),
+        ("holder", [("m = 6", "m = 6\nseparations = 0.1, -0.2")], "experiment.separations"),
+        ("holder", [("m = 6", "m = 6\nt_base = -0.5")], "experiment.t_base"),
+        ("limit", [("seed = 11", "seed = 11\n\n[experiment]\nx_points = -3")],
+         "experiment.x_points"),
+        ("limit", [("seed = 11", "seed = 11\n\n[experiment]\nx_points = 0")],
+         "experiment.x_points"),
+        ("converge", [("kind = brownian", "kind = table\ntable_path = TABLE")],
+         "time 0.75 outside tabulated domain [0.0, 0.5]"),
+        ("limit", [("kind = brownian", "kind = table\ntable_path = TABLE")],
+         "time 0.75 outside tabulated domain [0.0, 0.5]"),
+    ], ids=["dt-does-not-divide", "negative-dt", "negative-separation", "negative-t-base",
+            "negative-x-points", "zero-x-points", "short-table-converge", "short-table-limit"])
+    def test_unusable_experiment_value_is_config_error(self, tmp_path, subcommand, edits,
+                                                       expect):
         # checked before any sampling, so these exit at once
-        text = MINIMAL
+        table = tmp_path / "half_table.txt"  # Brownian, tabulated on [0, 0.5] only
+        ts = np.linspace(0.0, 0.5, 5)
+        table.write_text("s,t,value\n" + "".join(f"{s},{t},{min(s, t)}\n"
+                                                 for s in ts for t in ts))
+        text = config_for(subcommand)
         for old, new in edits:
-            text = text.replace(old, new)
+            text = text.replace(old, new.replace("TABLE", str(table)))
         p = tmp_path / "bad.cfg"
         p.write_text(text)
         proc = run_cli([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])
         assert proc.returncode == 1
         assert proc.stderr.startswith("eigenflow: configuration error:")
+        assert expect in proc.stderr
         assert "Traceback" not in proc.stderr
         assert list(tmp_path.rglob("*.csv")) == []
 
@@ -320,8 +400,8 @@ class TestExitCodes:
         # Burgers boundary table overflows; holder is absent because its
         # increments are exactly 0 at this scale, which is finite and honest
         p = tmp_path / "huge.cfg"
-        p.write_text(MINIMAL.replace("steps = 4", "steps = 2").replace("m = 6", "m = 4")
-                     .replace("n = 8", "n = 2\nshift = diag:1e308,-1e308"))
+        p.write_text(config_for(subcommand).replace("steps = 4", "steps = 2")
+                     .replace("m = 6", "m = 4").replace("n = 8", "n = 2\nshift = diag:1e308,-1e308"))
         proc = run_cli([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])
         assert proc.returncode == 2
         # numpy's overflow warnings come first and say where the overflow happened

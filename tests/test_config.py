@@ -80,6 +80,15 @@ seed = 1
         with pytest.raises(ConfigError, match="expected an integer"):
             parse_config(MINIMAL.replace("n = 10", "n = ten"))
 
+    @pytest.mark.parametrize("old, new", [
+        ("t_max = 1.0", "t_max = nan"), ("seed = 1", "seed = 1\n[experiment]\nt_base = inf"),
+        ("seed = 1", "seed = 1\n[experiment]\nseparations = 0.1, nan"),
+    ], ids=["t_max", "t_base", "separations"])
+    def test_float_must_be_finite(self, old, new):
+        # nan slipped past every sign check: a grid traceback, or exit 2 from sampling
+        with pytest.raises(ConfigError, match=r"line \d+: .*expected a finite number"):
+            parse_config(MINIMAL.replace(old, new))
+
     def test_times_exclusive_with_steps(self):
         text = MINIMAL.replace("steps = 8", "steps = 8\ntimes = 0, 0.5, 1")
         with pytest.raises(ConfigError, match="excludes"):
@@ -128,6 +137,36 @@ seed = 1
         with pytest.raises(ConfigError, match="experiment.m must be at least 2.*two paths"):
             parse_config(MINIMAL + f"\n[experiment]\nm = {m}\n")
 
+    @pytest.mark.parametrize("names", ["gaussian_bump, smooth_bump", "resolvent(1+2i)"])
+    def test_test_functions_name_one_builtin(self, names):
+        text = MINIMAL + f"\n[observables]\ntest_functions = {names}\n"
+        lineno = len(text.splitlines())
+        with pytest.raises(ConfigError, match=rf"line {lineno}: observables.test_functions "
+                                              r"must be one of \('gaussian_bump', "):
+            parse_config(text)
+
+    @pytest.mark.parametrize("kind, key, owner", [
+        ("brownian", "hurst = 0.3", "fbm"),
+        ("brownian", "table_path = R.csv", "table"),
+        ("fbm\nhurst = 0.3", "table_path = R.csv", "table"),
+        ("table\ntable_path = R.csv", "hurst = 0.3", "fbm"),
+    ], ids=["hurst-brownian", "table_path-brownian", "table_path-fbm", "hurst-table"])
+    def test_kernel_keys_of_another_kind(self, kind, key, owner):
+        text = MINIMAL.replace("kind = brownian", f"kind = {kind}\n{key}")
+        name = key.split(" =")[0]
+        with pytest.raises(ConfigError, match=rf"line \d+: kernel.{name} applies to "
+                                              rf"kernel.kind = {owner} only"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("setting, message", [
+        ("t_base = -0.5", "experiment.t_base must be nonnegative"),
+        ("x_points = 0", "experiment.x_points must be at least 1"),
+        ("x_points = -3", "experiment.x_points must be at least 1"),
+    ], ids=["negative-t-base", "zero-x-points", "negative-x-points"])
+    def test_experiment_domains(self, setting, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(MINIMAL + f"\n[experiment]\n{setting}\n")
+
 
 class TestComplexLiterals:
     @pytest.mark.parametrize("text,expected", [
@@ -164,6 +203,18 @@ class TestCanonical:
 
     def test_default_z_point_text_unchanged(self):
         assert "z_points = 0+1i\n" in parse_config(MINIMAL).canonical_text()
+
+    def test_default_test_function_text_unchanged(self):
+        # one name prints as the one-element list it used to be
+        assert "test_functions = gaussian_bump\n" in parse_config(MINIMAL).canonical_text()
+
+    def test_away_from_default(self):
+        # a key written at its default value is not away from it
+        cfg = parse_config(MINIMAL.replace("seed = 1", "seed = 1\nmethod = cholesky")
+                           + "\n[experiment]\nm = 20\np = 3.0\ndt = 0.001\n")
+        assert cfg.away_from_default(("sampler", "observables", "experiment")) == {
+            "experiment.p": "4.0"}
+        assert cfg.away_from_default(("sampler",)) == {}
 
     def test_equivalent_configs_same_canonical_form(self):
         a = parse_config(MINIMAL)

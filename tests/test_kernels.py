@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from eigenflow.grids import TimeGrid
-from eigenflow.kernels import (BrownianKernel, DerivativeSingularError,
-                               FractionalBrownianKernel, KernelDomainError,
+from eigenflow.kernels import (BrownianKernel, FractionalBrownianKernel, KernelDomainError,
                                TableKernel, check_h1, check_h2)
 
 BUILTIN_KERNELS = [
@@ -113,30 +112,6 @@ class TestTableKernel:
 
 
 class TestDiagDerivative:
-    def test_brownian_rate_is_one(self):
-        assert BrownianKernel().diag_rate(3.0) == 1.0
-
-    def test_fbm_rate_closed_form(self):
-        assert FractionalBrownianKernel(0.75).diag_rate(1.0) \
-            == pytest.approx(1.5, rel=1e-15)
-        # 2 H s^{2H-1} at H=1/4, s=1/4: 0.5 * 0.25^{-0.5} = 1
-        assert FractionalBrownianKernel(0.25).diag_rate(0.25) \
-            == pytest.approx(1.0, rel=1e-12)
-
-    def test_rough_kernel_singular_at_zero(self):
-        with pytest.raises(DerivativeSingularError):
-            FractionalBrownianKernel(0.25).diag_rate(0.0)
-
-    @pytest.mark.parametrize("kernel", BUILTIN_KERNELS,
-                             ids=lambda k: k.kind + str(getattr(k, "hurst", "")))
-    def test_matches_central_difference(self, kernel):
-        gen = np.random.default_rng(17)
-        s = gen.uniform(0.1, 10.0, size=100)
-        h = 1e-6 * np.maximum(1.0, s)
-        fd = (kernel.diag(s + h) - kernel.diag(s - h)) / (2 * h)
-        an = kernel.diag_rate(s)
-        assert np.max(np.abs(an - fd) / np.abs(an)) < 1e-5
-
     def test_diag_increment_telescopes(self):
         k = FractionalBrownianKernel(0.3)
         # exact integral of the rate across the s=0 singularity

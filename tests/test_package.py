@@ -7,6 +7,18 @@ import sys
 from pathlib import Path
 
 import eigenflow
+from eigenflow.config import parse_config
+from eigenflow.runner import READS
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_public_name_resolves():
@@ -35,10 +47,17 @@ def test_one_random_generator():
 
 def test_benchmark_traced_names_resolve():
     # the benchmark's tracer wraps these names; moving one breaks its --trace runs
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load("tracer")
     missing = [f"{owner}.{attr}" for owner, attr, _, _ in tracer.SPANS
                if not callable(getattr(tracer._resolve(owner), attr, None))]
     assert missing == []
+
+
+def test_benchmark_configs_set_only_keys_their_subcommand_reads():
+    # a key a subcommand does not read, set away from its default, fails the run
+    unread = {}
+    for name, workload in _load("workloads").WORKLOADS.items():
+        cfg = parse_config(workload.config_path.read_text())
+        keys = cfg.away_from_default(("sampler", "observables", "experiment"))
+        unread[name] = sorted(set(keys) - set(READS[workload.subcommand]))
+    assert unread == {name: [] for name in unread}
