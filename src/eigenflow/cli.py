@@ -21,7 +21,6 @@ import os
 import sys
 
 from .config import ConfigError, parse_config
-from .eigensolvers import EigenConvergenceError
 from .limitlaw import BurgersError
 from .runner import SUBCOMMANDS, NumericalFailure, RunUsageError, run
 from .sampling import FactorizationError
@@ -81,8 +80,7 @@ def main(argv=None) -> int:
     except (ConfigError, RunUsageError, json.JSONDecodeError) as exc:
         print(f"eigenflow: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EigenConvergenceError, BurgersError, FactorizationError,
-            NumericalFailure) as exc:
+    except (BurgersError, FactorizationError, NumericalFailure) as exc:
         print(f"eigenflow: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

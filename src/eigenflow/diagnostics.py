@@ -31,7 +31,9 @@ Every Monte Carlo experiment streams its ensemble through
 chunk under one byte budget, and the per-path results are placed in path
 order, so neither the chunking nor the worker count changes an output.  The
 Dyson SDE side is chunked by the same rule, with noise keyed by (seed, path,
-step), so its paths are pure functions of (seed, path) as well.
+step) and drawn one step at a time, so its paths are pure functions of
+(seed, path) as well and its chunk budget counts the drift and one step's
+noise.
 """
 
 from __future__ import annotations
@@ -51,9 +53,10 @@ from .measures import divided_difference_stack, kolmogorov_distance
 from .testfunctions import TestFunction
 
 # Bytes per chunk of paths: the one chunk rule of every Monte Carlo side,
-# counting sampled matrices for the ensemble experiments and the drift's
-# pairwise differences for the SDE.  Each worker holds one chunk at a time,
-# so peak memory does not grow with the number of paths.
+# counting sampled matrices for the ensemble experiments, and for the SDE
+# the drift's pairwise differences plus one step's noise (the Euler step
+# and its refinement tree).  Each worker holds one chunk at a time, so peak
+# memory does not grow with the number of paths.
 CHUNK_BYTES = 5e6
 
 
@@ -404,24 +407,16 @@ def _sde_paths(lam0: np.ndarray, dt: float, n_steps: int, seed: int, pid: range)
     pure function of (seed, path).
     """
     n = lam0.size
-    base_ids, tree_ids = (np.array([rng.stream_id(rng.DOMAIN_SDE, i, 0, p) for p in pid],
-                                   dtype=np.uint64) for i in (0, 1))
+    base_ids, tree_ids = rng.stream_id(rng.DOMAIN_SDE, np.array([[0], [1]]), 0, np.asarray(pid))
     lam = np.tile(lam0, (len(pid), 1))
     stats = {"forced_sorts": 0}
-    # base noise drawn in step blocks (cache-friendly), block-aligned streams
-    block_steps = 2 * max(1, 256 // n)
     for step in range(n_steps):
-        k = step % block_steps
-        if k == 0:
-            m = min(block_steps, n_steps - step)
-            base_noise = rng.normals(seed, base_ids, m * n,
-                                     start=step * n).reshape(len(pid), m, n)
-
         def tree(stiff, step=step):
             # one draw per step covers every refinement of its stiff rows
             return rng.normals(seed, tree_ids[stiff], _SDE_NODES * n,
                                start=step * _SDE_NODES * n).reshape(-1, _SDE_NODES, n)
-        lam = _sde_step(lam, dt, base_noise[:, k, :], n, 0, stats, tree)
+        noise = rng.normals(seed, base_ids, n, start=step * n)
+        lam = _sde_step(lam, dt, noise, n, 0, stats, tree)
     return np.sort(lam, axis=1), stats["forced_sorts"]
 
 
@@ -457,7 +452,7 @@ def dyson_crosscheck(n: int, t_max: float, dt: float, paths: int, seed: int,
     lam0 = np.sort(np.linalg.eigvalsh(shift))
     n_steps = sde_steps(t_max, dt)
     chunks = _map_chunks(lambda pid: _sde_paths(lam0, dt, n_steps, seed, pid),
-                         paths, n * n * 8, mapper)
+                         paths, (n + _SDE_NODES) * n * 8, mapper)
     lam = np.concatenate([c[0] for c in chunks])
     mean_sde = lam.mean(axis=0)
     se_sde = lam.std(axis=0, ddof=1) / math.sqrt(paths)

@@ -9,9 +9,12 @@ worker count.  Generation is vectorised across streams, which is what makes
 large Monte Carlo ensembles affordable in pure numpy.
 
 Stream ids pack a small domain tag (which subsystem is drawing), two matrix
-indices and a path index into one 64-bit word, see :func:`stream_id`.  SDE
-path p draws its Euler noise of step k from ``stream_id(DOMAIN_SDE, 0, 0, p)``
-at positions [k n, (k+1) n), and the noise of the refined half steps under
+indices and a path index into one 64-bit word.  :func:`stream_id` is the
+one packer; its arguments broadcast, so a caller builds a whole block of
+ids in one call.  :func:`normals` draws positions [start, start + count)
+of each stream for any start.  SDE path p draws its Euler noise of step k
+from ``stream_id(DOMAIN_SDE, 0, 0, p)`` at positions [k n, (k+1) n), one
+draw per step, and the noise of the refined half steps under
 step k from ``stream_id(DOMAIN_SDE, 1, 0, p)``: half-step node h = 1..14 (a
 heap under the step) at positions [(14 k + h - 1) n, (14 k + h) n).
 """
@@ -61,52 +64,40 @@ def philox4x32(counter, key0: int, key1: int):
     return x0, x1, x2, x3
 
 
-def stream_id(domain: int, i: int, j: int, path: int) -> int:
-    """Pack (domain, i, j, path) into a 64-bit stream id.
+def stream_id(domain, i, j, path):
+    """Pack (domain, i, j, path) into 64-bit stream ids.
 
+    The arguments broadcast against each other like numpy operands; the
+    result is a uint64 array (or scalar) of their common shape.
     ``DOMAIN_SDE`` takes i = 0 for Euler noise, i = 1 for refinement noise.
     """
-    if not (0 <= domain < 16):
-        raise ValueError(f"stream domain {domain} out of range")
-    if not (0 <= i < _MAX_INDEX and 0 <= j < _MAX_INDEX):
-        raise ValueError(f"matrix index ({i},{j}) exceeds the supported {_MAX_INDEX - 1}")
-    if not (0 <= path < _MAX_PATH):
-        raise ValueError(f"path index {path} exceeds the supported {_MAX_PATH - 1}")
-    return (domain << 60) | (i << 48) | (j << 36) | path
-
-
-def entry_stream_ids(n: int, paths: np.ndarray, domain: int = DOMAIN_ENTRY) -> np.ndarray:
-    """Stream ids for all upper-triangle entries (i <= j) x all paths.
-
-    Returns a uint64 array of shape ``(len(paths), n*(n+1)//2)`` ordered
-    row-major over the upper triangle, matching
-    ``numpy.triu_indices(n)``.
-    """
-    iu, ju = np.triu_indices(n)
-    base = (np.uint64(domain) << np.uint64(60)) \
-        | (iu.astype(np.uint64) << np.uint64(48)) \
-        | (ju.astype(np.uint64) << np.uint64(36))
-    paths = np.asarray(paths, dtype=np.uint64)
-    if paths.size and int(paths.max()) >= _MAX_PATH:
-        raise ValueError("path index exceeds the supported range")
-    return base[None, :] | paths[:, None]
+    fields = []
+    for name, value, bound in (("stream domain", domain, 16), ("matrix index", i, _MAX_INDEX),
+                               ("matrix index", j, _MAX_INDEX), ("path index", path, _MAX_PATH)):
+        value = np.asarray(value)
+        if value.size and (value.min() < 0 or value.max() >= bound):
+            raise ValueError(f"{name} out of range [0, {bound - 1}]")
+        fields.append(value.astype(np.uint64))
+    d, i, j, path = fields
+    return (d << np.uint64(60)) | (i << np.uint64(48)) | (j << np.uint64(36)) | path
 
 
 def normals(seed: int, ids: np.ndarray, count: int, start: int = 0) -> np.ndarray:
     """Standard normal variates for each stream id.
 
     Returns shape ``ids.shape + (count,)`` holding positions
-    ``[start, start + count)`` of each stream; ``start`` must be even
-    (Philox blocks carry two normals).  Stream ``s`` yields the same
-    values at the same positions no matter how the draw is chunked.
+    ``[start, start + count)`` of each stream, for any ``start >= 0``:
+    Philox block b carries positions 2b and 2b + 1, so the draw runs from
+    block ``start // 2`` and drops the first normal when ``start`` is odd.
+    Stream ``s`` yields the same values at the same positions no matter
+    how the draw is chunked.
     """
-    if start % 2:
-        raise ValueError("start must be even (block aligned)")
     ids = np.asarray(ids, dtype=np.uint64)
     shape = ids.shape
     flat = ids.reshape(-1)
-    n_blocks = (count + 1) // 2  # one Philox block -> two normals
-    blocks = np.arange(start // 2, start // 2 + n_blocks, dtype=np.uint64)
+    first, skip = divmod(start, 2)
+    n_blocks = (skip + count + 1) // 2
+    blocks = np.arange(first, first + n_blocks, dtype=np.uint64)
 
     c0 = np.broadcast_to(blocks, (flat.size, n_blocks))
     c1 = np.broadcast_to((flat & _MASK32)[:, None], c0.shape)
@@ -126,4 +117,4 @@ def normals(seed: int, ids: np.ndarray, count: int, start: int = 0) -> np.ndarra
     z = np.empty((flat.size, 2 * n_blocks), dtype=np.float64)
     z[:, 0::2] = r * np.cos(theta)
     z[:, 1::2] = r * np.sin(theta)
-    return z[:, :count].reshape(shape + (count,))
+    return z[:, skip:skip + count].reshape(shape + (count,))

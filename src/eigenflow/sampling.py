@@ -187,14 +187,14 @@ def upper_triangle_paths(kernel: CovarianceKernel, grid: TimeGrid, n: int,
     Returns shape ``(n_paths, n*(n+1)//2, K+1)`` ordered like
     ``numpy.triu_indices(n)``.
     """
-    path_arr = np.asarray(list(paths), dtype=np.uint64)
+    iu, ju = np.triu_indices(n)
+    path_col = np.asarray(list(paths), dtype=np.int64)[:, None]
     if method == "cholesky":
-        ids = rng.entry_stream_ids(n, path_arr, domain=rng.DOMAIN_ENTRY)
-        factor = factor_grid(kernel, grid)
-        return sample_entry_block(factor, seed, ids)
+        ids = rng.stream_id(rng.DOMAIN_ENTRY, iu, ju, path_col)
+        return sample_entry_block(factor_grid(kernel, grid), seed, ids)
     if method == "circulant":
         if not isinstance(kernel, FractionalBrownianKernel):
             raise ValueError("the circulant sampler only applies to fbm kernels")
-        ids = rng.entry_stream_ids(n, path_arr, domain=rng.DOMAIN_CIRCULANT)
+        ids = rng.stream_id(rng.DOMAIN_CIRCULANT, iu, ju, path_col)
         return circulant_fbm_block(kernel.hurst, grid, seed, ids)
     raise ValueError(f"unknown sampling method {method!r}")

@@ -217,8 +217,7 @@ def test_criterion_7_sampler_exactness():
     grid = TimeGrid.uniform(1.0, 7)  # 8-point grid
     n_paths = 200_000
     factor = factor_grid(kernel, grid)
-    ids_c = np.array([rng.stream_id(rng.DOMAIN_ENTRY, 0, 0, p) for p in range(n_paths)],
-                     dtype=np.uint64)
+    ids_c = rng.stream_id(rng.DOMAIN_ENTRY, 0, 0, np.arange(n_paths))
     chol = sample_entry_block(factor, 7777, ids_c)
 
     gram = kernel.gram(grid.times)
@@ -228,8 +227,7 @@ def test_criterion_7_sampler_exactness():
     worst_units = float(np.max(err / se[1:, 1:]))
     assert worst_units <= 4.0, f"empirical Gram off by {worst_units:.2f} se units"
 
-    ids_f = np.array([rng.stream_id(rng.DOMAIN_CIRCULANT, 0, 0, p) for p in range(n_paths)],
-                     dtype=np.uint64)
+    ids_f = rng.stream_id(rng.DOMAIN_CIRCULANT, 0, 0, np.arange(n_paths))
     circ = circulant_fbm_block(hurst, grid, 7777, ids_f)
     alpha = 0.01 / (len(grid) - 1)  # Bonferroni across the marginals
     min_p = 1.0

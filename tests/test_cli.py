@@ -432,11 +432,10 @@ class TestExitCodes:
 
     def test_numerical_failure_maps_to_exit_2(self, cfg_file, monkeypatch):
         from eigenflow import cli
-        from eigenflow.eigensolvers import EigenConvergenceError
-        import numpy as np
+        from eigenflow.sampling import FactorizationError
 
         def boom(*args, **kwargs):
-            raise EigenConvergenceError("did not converge", np.eye(2))
+            raise FactorizationError("could not factor the Gram matrix")
 
         monkeypatch.setattr(cli, "run", boom)
         assert main(["converge", "--config", str(cfg_file)]) == 2

@@ -1,5 +1,6 @@
 """Diagnostics: residual bookkeeping, convergence, scaling, SDE cross-check."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -197,7 +198,8 @@ class TestDyson:
         row = dyson_crosscheck(2, 0.0, 0.001, paths=10, seed=1)
         assert row.w1_distance == 0.0
 
-    def test_extending_the_batch_leaves_shared_paths_unchanged(self, monkeypatch):
+    @pytest.mark.parametrize("n", [3, 4])  # odd n puts every other step at an odd start
+    def test_extending_the_batch_leaves_shared_paths_unchanged(self, n, monkeypatch):
         depths = []
         real_step = diagnostics._sde_step
 
@@ -206,11 +208,21 @@ class TestDyson:
             return real_step(lam, dt, noise, n, depth, *rest)
 
         monkeypatch.setattr(diagnostics, "_sde_step", spy)
-        lam0 = np.zeros(4)
+        lam0 = np.zeros(n)
         small, _ = diagnostics._sde_paths(lam0, 1e-2, 100, 8, range(200))
         large, _ = diagnostics._sde_paths(lam0, 1e-2, 100, 8, range(400))
         assert max(depths) == diagnostics._SDE_MAX_DEPTH  # refinement was exercised
         assert np.array_equal(small, large[:200])
+
+    def test_peak_memory_of_the_sde_side_stays_small(self):
+        # the dyson-sde benchmark shape: 250 steps of 3000 paths in one chunk
+        tracemalloc.start()
+        try:
+            dyson_crosscheck(2, 0.25, 1e-3, 3000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestEnsembleMap:

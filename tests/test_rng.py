@@ -66,8 +66,10 @@ def test_normals_chunked_start_offset():
                             rng.normals(99, ids, 14, start=10),
                             rng.normals(99, ids, 7, start=24)], axis=1)
     assert np.array_equal(full, parts)
-    with pytest.raises(ValueError):
-        rng.normals(99, ids, 4, start=3)
+    # odd starts drop the first normal of their Philox block
+    for start, count in ((3, 4), (1, 1), (5, 26), (29, 2)):
+        assert np.array_equal(rng.normals(99, ids, count, start=start),
+                              full[:, start:start + count])
 
 
 def test_normals_marginal_statistics():
@@ -101,9 +103,17 @@ def test_stream_id_packing_rejects_out_of_range():
     assert a != b
 
 
-def test_entry_stream_ids_layout():
-    ids = rng.entry_stream_ids(3, np.array([0, 7]))
-    assert ids.shape == (2, 6)
+def test_stream_id_broadcasts():
     iu, ju = np.triu_indices(3)
-    for k, (i, j) in enumerate(zip(iu, ju)):
-        assert int(ids[1, k]) == rng.stream_id(rng.DOMAIN_ENTRY, int(i), int(j), 7)
+    paths = np.array([0, 7])
+    ids = rng.stream_id(rng.DOMAIN_ENTRY, iu, ju, paths[:, None])
+    assert ids.shape == (2, 6) and ids.dtype == np.uint64
+    for row, p in enumerate(paths):
+        for k, (i, j) in enumerate(zip(iu, ju)):
+            packed = (rng.DOMAIN_ENTRY << 60) | (int(i) << 48) | (int(j) << 36) | int(p)
+            assert int(ids[row, k]) == rng.stream_id(rng.DOMAIN_ENTRY, int(i), int(j), int(p))
+            assert int(ids[row, k]) == packed
+    for bad in ((0, np.array([0, 4096]), 0, 0), (0, 0, np.array([1, -1]), 0),
+                (0, 0, 0, np.array([[3], [1 << 36]])), (np.array([2, 16]), 0, 0, 0)):
+        with pytest.raises(ValueError):
+            rng.stream_id(*bad)

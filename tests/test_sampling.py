@@ -11,7 +11,7 @@ from eigenflow.sampling import (circulant_fbm_block, factor_grid, fgn_autocovari
 
 
 def _one_id(domain, i, j, path):
-    return np.array([rng.stream_id(domain, i, j, path)], dtype=np.uint64)
+    return rng.stream_id(domain, i, j, np.array([path]))
 
 
 class TestTimeGrid:
@@ -107,9 +107,9 @@ class TestEntrySampling:
 
     def test_block_matches_single(self):
         f = factor_grid(FractionalBrownianKernel(0.7), TimeGrid.uniform(1.0, 4))
-        ids = rng.entry_stream_ids(3, np.array([0, 1, 2]))
-        block = sample_entry_block(f, 9, ids)
         iu, ju = np.triu_indices(3)
+        block = sample_entry_block(f, 9, rng.stream_id(rng.DOMAIN_ENTRY, iu, ju,
+                                                       np.arange(3)[:, None]))
         for p in range(3):
             for k in range(len(iu)):
                 single = sample_entry_block(
@@ -118,7 +118,7 @@ class TestEntrySampling:
 
     def test_brownian_terminal_variance(self):
         f = factor_grid(BrownianKernel(), TimeGrid.from_times([0.0, 1.0]))
-        ids = np.array([rng.stream_id(0, 0, 0, p) for p in range(100_000)], dtype=np.uint64)
+        ids = rng.stream_id(0, 0, 0, np.arange(100_000))
         vals = sample_entry_block(f, 77, ids)[:, 1]
         # Var X(1) = 1; sample variance within ~3 standard errors
         assert vals.var() == pytest.approx(1.0, abs=0.02)
@@ -127,7 +127,7 @@ class TestEntrySampling:
         grid = TimeGrid.from_times([0.0, 0.5, 1.0])
         kern = FractionalBrownianKernel(0.3)
         f = factor_grid(kern, grid)
-        ids = np.array([rng.stream_id(0, 0, 0, p) for p in range(100_000)], dtype=np.uint64)
+        ids = rng.stream_id(0, 0, 0, np.arange(100_000))
         v = sample_entry_block(f, 123, ids)
         cov = np.mean(v[:, 1] * v[:, 2])
         assert cov == pytest.approx(kern.eval(0.5, 1.0), abs=0.02)
@@ -138,8 +138,7 @@ class TestEntrySampling:
         n_paths = 200_000
         for kern in (BrownianKernel(), FractionalBrownianKernel(0.3)):
             f = factor_grid(kern, grid)
-            ids = np.array([rng.stream_id(0, 1, 1, p) for p in range(n_paths)],
-                           dtype=np.uint64)
+            ids = rng.stream_id(0, 1, 1, np.arange(n_paths))
             v = sample_entry_block(f, 2718, ids)
             emp = v.T @ v / n_paths
             gram = kern.gram(grid.times)
@@ -150,8 +149,8 @@ class TestEntrySampling:
 
     def test_distinct_entries_independent(self):
         f = factor_grid(BrownianKernel(), TimeGrid.from_times([0.0, 1.0]))
-        ids_a = np.array([rng.stream_id(0, 0, 1, p) for p in range(100_000)], dtype=np.uint64)
-        ids_b = np.array([rng.stream_id(0, 1, 1, p) for p in range(100_000)], dtype=np.uint64)
+        ids_a = rng.stream_id(0, 0, 1, np.arange(100_000))
+        ids_b = rng.stream_id(0, 1, 1, np.arange(100_000))
         a = sample_entry_block(f, 5, ids_a)[:, 1]
         b = sample_entry_block(f, 5, ids_b)[:, 1]
         assert abs(np.mean(a * b)) < 4.0 / np.sqrt(a.size)
@@ -165,7 +164,7 @@ class TestCirculant:
 
     def test_h_half_increments_uncorrelated(self):
         grid = TimeGrid.uniform(1.0, 64)
-        ids = np.array([rng.stream_id(1, 0, 0, p) for p in range(20_000)], dtype=np.uint64)
+        ids = rng.stream_id(1, 0, 0, np.arange(20_000))
         paths = circulant_fbm_block(0.5, grid, 11, ids)
         inc = np.diff(paths, axis=1)
         lag1 = np.mean(inc[:, :-1] * inc[:, 1:]) / np.mean(inc ** 2)
@@ -178,7 +177,7 @@ class TestCirculant:
     def test_unit_lag_autocovariance(self, hurst, expected):
         # unit spacing: 8 steps of dt=1 via t_max=8
         grid = TimeGrid.uniform(8.0, 8)
-        ids = np.array([rng.stream_id(1, 0, 0, p) for p in range(200_000)], dtype=np.uint64)
+        ids = rng.stream_id(1, 0, 0, np.arange(200_000))
         paths = circulant_fbm_block(hurst, grid, 13, ids)
         inc = np.diff(paths, axis=1)
         lag1 = np.mean(inc[:, :-1] * inc[:, 1:])
@@ -188,7 +187,7 @@ class TestCirculant:
     def test_matches_cholesky_distribution_covariance(self):
         grid = TimeGrid.uniform(1.0, 7)
         kern = FractionalBrownianKernel(0.3)
-        ids = np.array([rng.stream_id(1, 0, 0, p) for p in range(150_000)], dtype=np.uint64)
+        ids = rng.stream_id(1, 0, 0, np.arange(150_000))
         v = circulant_fbm_block(0.3, grid, 999, ids)
         emp = v.T @ v / v.shape[0]
         gram = kern.gram(grid.times)
