@@ -18,7 +18,7 @@ from .limitlaw import (AtomicMeasure, BurgersEvolved, LimitLaw, Semicircle,
 from .matrixflow import eigenvalue_derivatives, make_shift, sample_flows
 from .measures import divided_difference_stack, kolmogorov_distance
 from .sampling import PathFactor, factor_grid, sample_entry_block
-from .testfunctions import GaussianBump, SmoothBump, TestFunction, TruncatedPolynomial
+from .testfunctions import TestFunction, by_name
 
 __all__ = [
     "TimeGrid",
@@ -30,5 +30,5 @@ __all__ = [
     "eigenvalue_derivatives", "make_shift", "sample_flows",
     "divided_difference_stack", "kolmogorov_distance",
     "PathFactor", "factor_grid", "sample_entry_block",
-    "TestFunction", "GaussianBump", "SmoothBump", "TruncatedPolynomial",
+    "TestFunction", "by_name",
 ]

@@ -221,6 +221,14 @@ class HolderReport:
     test_function: str
 
 
+def holder_times(t_base: float, separations: Sequence[float]) -> np.ndarray:
+    """The sorted time set {0, t_base, t_base + delta} that holder samples on."""
+    seps = np.asarray(separations, dtype=float)
+    if np.any(seps <= 0):
+        raise ValueError(f"separations must be positive, got {seps.tolist()}")
+    return np.unique(np.concatenate([[0.0, t_base], t_base + seps]))
+
+
 def holder_increments(kernel: CovarianceKernel, n: int, f: TestFunction,
                       p: float, t_base: float, separations: Sequence[float],
                       paths: int, seed: int, shift_spec: str = "zero",
@@ -230,13 +238,10 @@ def holder_increments(kernel: CovarianceKernel, n: int, f: TestFunction,
     The fitted log-log slope is meaningful when the separations span at
     least a decade; a constant f yields the degenerate report.  Paths are
     sampled through the Cholesky factor of the non-uniform grid
-    {0, t_base, t_base + delta}.
+    ``holder_times(t_base, separations)``.
     """
     seps = np.asarray(sorted(separations), dtype=float)
-    if np.any(seps <= 0):
-        raise ValueError("separations must be positive")
-    times = np.unique(np.concatenate([[0.0, t_base], t_base + seps]))
-    grid = TimeGrid.from_times(times)
+    grid = TimeGrid.from_times(holder_times(t_base, seps))
     base_idx = grid.index_of(t_base)
     idx = [grid.index_of(t_base + d) for d in seps]
 

@@ -152,13 +152,12 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
             diagnostics.sde_steps(grid.t_max, cfg.experiment_dt)
         except ValueError as exc:
             raise RunUsageError(f"experiment.dt: {exc}") from None
-    if subcommand == "holder" and min(cfg.experiment_separations) <= 0:
-        raise RunUsageError("experiment.separations must be positive, got "
-                            f"{list(cfg.experiment_separations)}")
     times = grid.times
-    if subcommand == "holder":  # holder samples on {0, t_base, t_base + separations}
-        times = np.concatenate(([0.0, cfg.experiment_t_base],
-                                cfg.experiment_t_base + np.array(cfg.experiment_separations)))
+    if subcommand == "holder":
+        try:
+            times = diagnostics.holder_times(cfg.experiment_t_base, cfg.experiment_separations)
+        except ValueError as exc:
+            raise RunUsageError(f"experiment.separations: {exc}") from None
     try:  # a table kernel covers a bounded range of times
         kernel.diag(times)
     except KernelDomainError as exc:

@@ -9,7 +9,10 @@ array of stream ids and returns one path per id:
   for every kernel and grid.
 * ``circulant_fbm_block`` draws fractional Gaussian noise by circulant
   embedding (FFT) and cumulates it into fractional Brownian paths; only for
-  uniform grids, same distribution as the Cholesky route.
+  uniform grids, same distribution as the Cholesky route.  An embedding
+  that is not nonnegative definite raises ``FactorizationError``.  No
+  embedding had a negative eigenvalue in a scan of 502 Hurst indices in
+  (0, 1) at every step count from 1 to 1024 and at 2047-2049 and 4095-4097.
 
 Every row is a pure function of (seed, stream id), independent of the block
 it is drawn in, so one path is a block of one id.  ``upper_triangle_paths``
@@ -35,7 +38,8 @@ JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
 
 class FactorizationError(RuntimeError):
-    """Gram matrix could not be factored even with maximal jitter."""
+    """A covariance could not be factored: a Gram matrix even with maximal
+    jitter, or a circulant embedding that is not nonnegative definite."""
 
 
 @dataclass(frozen=True)
@@ -124,17 +128,20 @@ def fgn_autocovariance(hurst: float, lags: np.ndarray) -> np.ndarray:
     return 0.5 * ((k + 1.0) ** h2 - 2.0 * k ** h2 + np.abs(k - 1.0) ** h2)
 
 
-def circulant_sqrt_spectrum(hurst: float, n_steps: int) -> np.ndarray | None:
-    """Square root of the circulant embedding eigenvalues, or None.
+def circulant_sqrt_spectrum(hurst: float, n_steps: int) -> np.ndarray:
+    """Square root of the circulant embedding eigenvalues.
 
-    Returns None when the embedding is not nonnegative definite (callers
-    then fall back to the Cholesky route).
+    Raises ``FactorizationError``, naming the Hurst index and the step
+    count, when the embedding is not nonnegative definite.
     """
     rho = fgn_autocovariance(hurst, np.arange(n_steps + 1))
     circ = np.concatenate([rho[:-1], rho[-1:], rho[-2:0:-1]])
     eigs = np.fft.fft(circ).real
     if eigs.min() < -1e-8 * eigs.max():
-        return None
+        raise FactorizationError(
+            f"circulant embedding of fractional Gaussian noise with hurst={hurst:g} "
+            f"on {n_steps} steps is not nonnegative definite "
+            f"(smallest eigenvalue {eigs.min():.3g})")
     return np.sqrt(np.maximum(eigs, 0.0))
 
 
@@ -142,21 +149,14 @@ def circulant_fbm_block(hurst: float, grid: TimeGrid, seed: int,
                         ids: np.ndarray) -> np.ndarray:
     """Fractional Brownian paths on a uniform grid for a block of stream ids.
 
-    Exact in distribution; falls back to the Cholesky sampler (with a logged
-    notice) if the circulant embedding fails.  Stream ids should carry the
-    circulant domain tag so the two samplers stay on independent streams.
+    Exact in distribution.  Stream ids should carry the circulant domain
+    tag so the two samplers stay on independent streams.
     """
     if not grid.is_uniform():
         raise ValueError("the circulant sampler requires a uniform grid")
     n_steps = len(grid) - 1
     dt = float(grid.deltas[0])
     sqrt_eigs = circulant_sqrt_spectrum(hurst, n_steps)
-    if sqrt_eigs is None:
-        log.warning("circulant embedding not nonnegative for hurst=%g, n=%d; "
-                    "falling back to Cholesky", hurst, n_steps)
-        factor = factor_grid(FractionalBrownianKernel(hurst), grid)
-        return sample_entry_block(factor, seed, ids)
-
     m = 2 * n_steps
     ids = np.asarray(ids, dtype=np.uint64)
     shape = ids.shape

@@ -25,7 +25,7 @@ from eigenflow.matrixflow import (eigenvalue_derivatives, hoffman_wielandt_holds
                                   sample_flows, spectra_of_stack)
 from eigenflow.measures import kolmogorov_distance
 from eigenflow.sampling import circulant_fbm_block, factor_grid, sample_entry_block
-from eigenflow.testfunctions import GaussianBump
+from eigenflow.testfunctions import gaussian_bump
 
 
 def _report(num: int, name: str, ok: bool, detail: str):
@@ -83,7 +83,7 @@ def test_criterion_2_cauchy_transform_match():
 
 def test_criterion_3_weak_equation_residual_decay():
     started = time.perf_counter()
-    f = GaussianBump()
+    f = gaussian_bump
     n_values = (8, 16, 32, 64)
     details = []
     for hurst in (0.3, 0.75):
@@ -166,7 +166,7 @@ def test_criterion_5_hoffman_wielandt_and_holder_scaling():
     seps = np.geomspace(1e-3, 1e-1, 7)
     slopes = {}
     for kernel, gamma in ((BrownianKernel(), 1.0), (FractionalBrownianKernel(0.75), 1.5)):
-        rep = holder_increments(kernel, 32, GaussianBump(), 4.0, 0.5, seps,
+        rep = holder_increments(kernel, 32, gaussian_bump, 4.0, 0.5, seps,
                                 paths=400, seed=5150)
         bound = 0.9 * (4.0 * gamma / 2.0)
         slopes[kernel.kind + f"(g={gamma})"] = rep.slope

@@ -16,7 +16,7 @@ from eigenflow.grids import TimeGrid
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel, TableKernel
 from eigenflow.limitlaw import AtomicMeasure
 from eigenflow.matrixflow import sample_flows, spectra_of_stack
-from eigenflow.testfunctions import GaussianBump
+from eigenflow.testfunctions import TestFunction, gaussian_bump
 
 
 class TestWeakEquationResidual:
@@ -26,7 +26,7 @@ class TestWeakEquationResidual:
         kernel = TableKernel(ts, np.zeros((5, 5)))
         grid = TimeGrid.from_times(ts)
         lam = np.tile(np.array([1.0, 0.0, -2.0]), (4, len(grid), 1))
-        g = weak_equation_residual(lam, kernel, grid, GaussianBump())
+        g = weak_equation_residual(lam, kernel, grid, gaussian_bump)
         assert np.all(g == 0.0)
 
     def test_scalar_case_matches_ito_oracle(self):
@@ -36,7 +36,7 @@ class TestWeakEquationResidual:
         # the same grid functional
         kernel = BrownianKernel()
         grid = TimeGrid.uniform(1.0, 32)
-        f = GaussianBump()
+        f = gaussian_bump
         paths = 10_000
 
         reports = residual_experiment(kernel, grid, [1], f, paths, seed=99)
@@ -57,7 +57,7 @@ class TestWeakEquationResidual:
         assert abs(module_msq - oracle_msq) < 3.0 * np.hypot(module_se, oracle_se)
 
     def test_mean_zero_within_four_se(self):
-        f = GaussianBump()
+        f = gaussian_bump
         for kernel, grid in [
             (BrownianKernel(), TimeGrid.uniform(1.0, 16)),
             (FractionalBrownianKernel(0.75), TimeGrid.uniform(1.0, 16)),
@@ -69,7 +69,7 @@ class TestWeakEquationResidual:
                     f"{kernel.kind} n={rep.n}"
 
     def test_mean_square_decreases_in_n(self):
-        f = GaussianBump()
+        f = gaussian_bump
         grid = TimeGrid.uniform(1.0, 12)
         reports = residual_experiment(FractionalBrownianKernel(0.75), grid,
                                       [4, 8, 16, 32], f, 400, seed=7)
@@ -79,7 +79,7 @@ class TestWeakEquationResidual:
             assert b <= a + 2.0 * np.hypot(sa, sb)
 
     def test_mapper_equivalence(self):
-        f = GaussianBump()
+        f = gaussian_bump
         grid = TimeGrid.uniform(1.0, 8)
         serial = residual_experiment(BrownianKernel(), grid, [6], f, 50, seed=3)
         with ThreadPoolExecutor(max_workers=4) as pool:
@@ -129,7 +129,7 @@ class TestConvergenceStudy:
 
 class TestHolder:
     def test_brownian_p4_slope(self):
-        rep = holder_increments(BrownianKernel(), 24, GaussianBump(), 4.0,
+        rep = holder_increments(BrownianKernel(), 24, gaussian_bump, 4.0,
                                 t_base=0.5, separations=np.geomspace(1e-3, 1e-1, 7),
                                 paths=300, seed=23)
         assert rep.slope is not None
@@ -137,16 +137,14 @@ class TestHolder:
         assert rep.slope >= 1.8
 
     def test_smooth_fbm_p4_slope(self):
-        rep = holder_increments(FractionalBrownianKernel(0.75), 24, GaussianBump(), 4.0,
+        rep = holder_increments(FractionalBrownianKernel(0.75), 24, gaussian_bump, 4.0,
                                 t_base=0.5, separations=np.geomspace(1e-3, 1e-1, 7),
                                 paths=300, seed=29)
         assert rep.slope >= 2.7
 
     def test_constant_function_degenerate(self):
-        class Constant(GaussianBump):
-            def f(self, x):
-                return np.ones_like(np.asarray(x, dtype=float))
-        rep = holder_increments(BrownianKernel(), 6, Constant(), 4.0, 0.5,
+        constant = TestFunction("constant", np.ones_like, np.zeros_like, np.zeros_like)
+        rep = holder_increments(BrownianKernel(), 6, constant, 4.0, 0.5,
                                 [0.01, 0.1], paths=20, seed=31)
         assert rep.slope is None
 
@@ -229,7 +227,7 @@ class TestEnsembleMap:
     def test_experiments_ignore_chunk_budget_and_workers(self, monkeypatch):
         kernel = FractionalBrownianKernel(0.7)
         grid = TimeGrid.uniform(1.0, 4)
-        f = GaussianBump()
+        f = gaussian_bump
 
         def run(mapper=map):
             return (residual_experiment(kernel, grid, [3, 5], f, 9, seed=2, mapper=mapper,

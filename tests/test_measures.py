@@ -5,22 +5,23 @@ import pytest
 
 from eigenflow.limitlaw import AtomicMeasure, BurgersEvolved, Semicircle
 from eigenflow.measures import divided_difference_stack, kolmogorov_distance
-from eigenflow.testfunctions import GaussianBump, SmoothBump, TruncatedPolynomial
+from eigenflow.testfunctions import TestFunction, gaussian_bump, smooth_bump
 
 
 class TestDividedDifference:
     def test_single_atom_gives_second_derivative(self):
-        f = GaussianBump()
+        f = gaussian_bump
         assert divided_difference_stack(np.array([0.37]), f) == pytest.approx(f.d2(0.37),
                                                                       rel=1e-12)
 
     def test_quadratic_gives_constant_two(self):
-        f = TruncatedPolynomial([0.0, 0.0, 1.0], cutoff_width=100.0)
+        f = TestFunction("quadratic", lambda x: x ** 2, lambda x: 2.0 * x,
+                         lambda x: np.full_like(x, 2.0))
         assert divided_difference_stack(np.array([0.0, 1.0]), f) == pytest.approx(2.0, abs=1e-8)
 
     def test_matches_bruteforce_double_loop(self):
         gen = np.random.default_rng(4)
-        f = SmoothBump()
+        f = smooth_bump
         atoms = np.concatenate([gen.normal(size=9), [0.5, 0.5 + 1e-9]])
         n = atoms.size
         total = 0.0
@@ -35,7 +36,7 @@ class TestDividedDifference:
     def test_symmetric_under_permutation(self):
         gen = np.random.default_rng(5)
         atoms = gen.normal(size=12)
-        f = GaussianBump()
+        f = gaussian_bump
         a = divided_difference_stack(np.sort(atoms), f)
         b = divided_difference_stack(np.sort(atoms[::-1]), f)
         assert a == b
@@ -43,7 +44,7 @@ class TestDividedDifference:
     def test_stable_under_switch_halving(self):
         gen = np.random.default_rng(6)
         atoms = gen.normal(size=15)
-        f = GaussianBump()
+        f = gaussian_bump
         x = np.sort(atoms)
         base = divided_difference_stack(x, f)
 
@@ -62,7 +63,7 @@ class TestDividedDifference:
     def test_stack_matches_scalar(self):
         gen = np.random.default_rng(7)
         lam = gen.normal(size=(3, 4, 6))
-        f = GaussianBump()
+        f = gaussian_bump
         stacked = divided_difference_stack(lam, f)
         for i in range(3):
             for k in range(4):

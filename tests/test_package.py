@@ -6,11 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import eigenflow
 from eigenflow.config import parse_config
 from eigenflow.runner import READS
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -24,6 +27,16 @@ def _load(name):
 def test_every_public_name_resolves():
     missing = [name for name in eigenflow.__all__ if not hasattr(eigenflow, name)]
     assert missing == []
+
+
+def test_readme_library_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("```python\n", readme.index("## Library quick start")) + len("```python\n")
+    code = readme[start:readme.index("```", start)]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["d"].shape == (20,)
+    assert np.all((namespace["d"] > 0.0) & (namespace["d"] < 1.0))
 
 
 def test_cli_import_does_not_load_scipy_integrate():

@@ -207,6 +207,18 @@ class TestCirculant:
             circulant_fbm_block(0.5, TimeGrid.from_times([0, 0.1, 1.0]), 1,
                                 _one_id(rng.DOMAIN_CIRCULANT, 0, 0, 0))
 
+    def test_indefinite_embedding_fails_hard(self, monkeypatch):
+        from eigenflow import sampling
+        from eigenflow.sampling import FactorizationError
+
+        def indefinite(hurst, lags):  # unit variance, lag-1 covariance 2
+            lags = np.asarray(lags)
+            return (lags == 0) + 2.0 * (lags == 1)
+        monkeypatch.setattr(sampling, "fgn_autocovariance", indefinite)
+        with pytest.raises(FactorizationError, match=r"hurst=0\.7 on 8 steps"):
+            circulant_fbm_block(0.7, TimeGrid.uniform(1.0, 8), 1,
+                                _one_id(rng.DOMAIN_CIRCULANT, 0, 0, 0))
+
 
 class TestUpperTrianglePaths:
     def test_shapes_and_determinism(self):
