@@ -285,21 +285,8 @@ def parse_config(text: str) -> ExperimentConfig:
         for n in n_vals:
             if not (1 <= n <= 4095):
                 problems.append(f"matrix.n entries must lie in [1, 4095], got {n}")
-    shift = values.get(("matrix", "shift"))
-    if shift is not None and shift.startswith("diag:"):
-        try:
-            entries = [float(x) for x in shift[len("diag:"):].split(",")]
-        except ValueError:
-            entries = []
-        if not entries or not all(map(math.isfinite, entries)):
-            problems.append(f"matrix.shift diag: entries must be finite numbers, got {shift!r}")
-        else:
-            for n in sorted(set(n_vals or ())):
-                if n != len(entries):
-                    problems.append(f"matrix.shift lists {len(entries)} diagonal entries, "
-                                    f"but matrix.n = {n}")
-    elif shift is not None and shift != "zero" and not shift.startswith("file:"):
-        problems.append(f"matrix.shift must be zero, diag:<csv> or file:<path>, got {shift!r}")
+        if len(set(n_vals)) < len(n_vals):
+            problems.append(f"matrix.n entries must be distinct, got {_format_value(n_vals)}")
     seed = values.get(("sampler", "seed"))
     if seed is not None and not (0 <= seed < 2 ** 64):
         problems.append(f"sampler.seed must be an unsigned 64-bit integer, got {seed}")

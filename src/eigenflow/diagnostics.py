@@ -14,7 +14,8 @@
   divergent rate at s=0 are integrated without touching the singularity.
   G is a centered quantity whose second moment must vanish as n grows.
 * ``convergence_study``: Kolmogorov distance of empirical spectra to the
-  deterministic limit law, per (n, t), with the sup over grid times.
+  deterministic limit law, the Burgers evolution of ``initial_law``, per
+  grid time, with the sup over grid times.
 * ``holder_increments``: moment scaling of measure increments in the time
   separation, fitted as a log-log slope.
 * ``collision_experiment``: minimum spectral gap statistics.
@@ -26,7 +27,10 @@
   compared against exactly sampled matrix spectra through the Wasserstein-1
   distance of path-averaged sorted spectra.
 
-Every Monte Carlo experiment streams its ensemble through
+Every experiment takes one matrix size n and its (n, n) shift matrix A,
+which ``matrixflow.make_shift`` builds once per run; ``initial_law(A)`` is
+mu_0, the spectral law of A that every flow starts at.  Every Monte Carlo
+experiment streams its ensemble through
 :func:`ensemble_map`: paths are sampled, diagonalised and reduced chunk by
 chunk under one byte budget, and the per-path results are placed in path
 order, so neither the chunking nor the worker count changes an output.  The
@@ -48,7 +52,7 @@ from . import rng
 from .grids import TimeGrid
 from .kernels import BrownianKernel, CovarianceKernel
 from .limitlaw import AtomicMeasure, LimitLaw, law_at_time, limit_stieltjes
-from .matrixflow import DEGENERATE_GAP, make_shift, sample_flows, spectra_of_stack
+from .matrixflow import DEGENERATE_GAP, sample_flows, spectra_of_stack
 from .measures import divided_difference_stack, kolmogorov_distance
 from .testfunctions import TestFunction
 
@@ -123,25 +127,21 @@ class ResidualReport:
     residuals: np.ndarray = field(repr=False)
 
 
-def residual_experiment(kernel: CovarianceKernel, grid: TimeGrid,
-                        n_values: Sequence[int], f: TestFunction, paths: int,
-                        seed: int, shift_spec: str = "zero",
-                        method: str = "cholesky", mapper=map) -> List[ResidualReport]:
-    """Monte Carlo estimate of E[G^2] for each matrix dimension."""
-    reports = []
-    for n in n_values:
-        resid = ensemble_map(kernel, grid, n, make_shift(shift_spec, n), seed, paths,
-                             lambda lam: weak_equation_residual(lam, kernel, grid, f),
-                             method, mapper)
-        sq = resid ** 2
-        reports.append(ResidualReport(
-            n=n, paths=paths, test_function=f.name,
-            mean_residual=float(resid.mean()),
-            mean_residual_se=float(resid.std(ddof=1) / math.sqrt(paths)),
-            mean_square=float(sq.mean()),
-            mean_square_se=float(sq.std(ddof=1) / math.sqrt(paths)),
-            residuals=resid))
-    return reports
+def residual_experiment(kernel: CovarianceKernel, grid: TimeGrid, n: int,
+                        shift: np.ndarray, f: TestFunction, paths: int, seed: int,
+                        method: str = "cholesky", mapper=map) -> ResidualReport:
+    """Monte Carlo estimate of E[G^2] at one matrix dimension."""
+    resid = ensemble_map(kernel, grid, n, shift, seed, paths,
+                         lambda lam: weak_equation_residual(lam, kernel, grid, f),
+                         method, mapper)
+    sq = resid ** 2
+    return ResidualReport(
+        n=n, paths=paths, test_function=f.name,
+        mean_residual=float(resid.mean()),
+        mean_residual_se=float(resid.std(ddof=1) / math.sqrt(paths)),
+        mean_square=float(sq.mean()),
+        mean_square_se=float(sq.std(ddof=1) / math.sqrt(paths)),
+        residuals=resid)
 
 
 def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -168,35 +168,36 @@ class ConvergenceRow:
     paths: int
 
 
-def convergence_study(kernel: CovarianceKernel, grid: TimeGrid,
-                      n_values: Sequence[int], paths: int, seed: int,
-                      shift_spec: str = "zero",
+def initial_law(shift: np.ndarray) -> AtomicMeasure:
+    """mu_0, the spectral law of the shift matrix that every flow starts at."""
+    return AtomicMeasure.from_eigenvalues(np.linalg.eigvalsh(shift))
+
+
+def convergence_study(kernel: CovarianceKernel, grid: TimeGrid, n: int,
+                      shift: np.ndarray, paths: int, seed: int,
                       method: str = "cholesky", mapper=map) -> List[ConvergenceRow]:
-    """Mean Kolmogorov distance to the limit law per (n, grid time).
+    """Mean Kolmogorov distance to the limit law per grid time, at one n.
 
     The initial law is the spectral distribution of the shift matrix, so
     the limit at time t is the evolved law with tau = R(t,t); a sup row
     (t = None) reports the uniform-over-grid-times distance per path.
     """
-    rows: List[ConvergenceRow] = []
-    for n in n_values:
-        shift = make_shift(shift_spec, n)
-        mu0 = AtomicMeasure.from_eigenvalues(np.linalg.eigvalsh(shift))
-        laws: List[LimitLaw] = [law_at_time(kernel, mu0, float(t)) for t in grid.times]
+    mu0 = initial_law(shift)
+    laws: List[LimitLaw] = [law_at_time(kernel, mu0, float(t)) for t in grid.times]
 
-        def distances(lam):
-            return np.stack([kolmogorov_distance(lam[:, k], law)
-                             for k, law in enumerate(laws)], axis=1)
+    def distances(lam):
+        return np.stack([kolmogorov_distance(lam[:, k], law)
+                         for k, law in enumerate(laws)], axis=1)
 
-        dist = ensemble_map(kernel, grid, n, shift, seed, paths, distances, method, mapper)
-        for k, t in enumerate(grid.times):
-            rows.append(ConvergenceRow(
-                n=n, t=float(t), mean_distance=float(dist[:, k].mean()),
-                stderr=float(dist[:, k].std(ddof=1) / math.sqrt(paths)), paths=paths))
-        sup = dist.max(axis=1)
-        rows.append(ConvergenceRow(
-            n=n, t=None, mean_distance=float(sup.mean()),
-            stderr=float(sup.std(ddof=1) / math.sqrt(paths)), paths=paths))
+    dist = ensemble_map(kernel, grid, n, shift, seed, paths, distances, method, mapper)
+    rows = [ConvergenceRow(n=n, t=float(t), mean_distance=float(dist[:, k].mean()),
+                           stderr=float(dist[:, k].std(ddof=1) / math.sqrt(paths)),
+                           paths=paths)
+            for k, t in enumerate(grid.times)]
+    sup = dist.max(axis=1)
+    rows.append(ConvergenceRow(
+        n=n, t=None, mean_distance=float(sup.mean()),
+        stderr=float(sup.std(ddof=1) / math.sqrt(paths)), paths=paths))
     return rows
 
 
@@ -229,9 +230,9 @@ def holder_times(t_base: float, separations: Sequence[float]) -> np.ndarray:
     return np.unique(np.concatenate([[0.0, t_base], t_base + seps]))
 
 
-def holder_increments(kernel: CovarianceKernel, n: int, f: TestFunction,
-                      p: float, t_base: float, separations: Sequence[float],
-                      paths: int, seed: int, shift_spec: str = "zero",
+def holder_increments(kernel: CovarianceKernel, n: int, shift: np.ndarray,
+                      f: TestFunction, p: float, t_base: float,
+                      separations: Sequence[float], paths: int, seed: int,
                       mapper=map) -> HolderReport:
     """E|<mu_{t2}, f> - <mu_{t1}, f>|^p for pairs (t_base, t_base + delta).
 
@@ -249,8 +250,7 @@ def holder_increments(kernel: CovarianceKernel, n: int, f: TestFunction,
         mu_f = np.mean(f.f(lam), axis=-1)            # (P, K+1)
         return np.abs(mu_f[:, idx] - mu_f[:, base_idx, None]) ** p
 
-    incr = ensemble_map(kernel, grid, n, make_shift(shift_spec, n), seed, paths,
-                        increments, mapper=mapper)
+    incr = ensemble_map(kernel, grid, n, shift, seed, paths, increments, mapper=mapper)
     moments = np.array([col.mean() for col in incr.T])
     errs = np.array([col.std(ddof=1) for col in incr.T]) / math.sqrt(paths)
 
@@ -305,11 +305,10 @@ def collision_proximity(lambdas: np.ndarray, n: int, paths: int) -> CollisionRep
 
 
 def collision_experiment(kernel: CovarianceKernel, grid: TimeGrid, n: int,
-                         paths: int, seed: int, shift_spec: str = "zero",
+                         shift: np.ndarray, paths: int, seed: int,
                          method: str = "cholesky", mapper=map) -> CollisionReport:
     """Gap statistics of the (P, K+1) minimum gaps, streamed in chunks."""
-    gaps = ensemble_map(kernel, grid, n, make_shift(shift_spec, n), seed, paths,
-                        _min_gaps, method, mapper)
+    gaps = ensemble_map(kernel, grid, n, shift, seed, paths, _min_gaps, method, mapper)
     return _gap_report(gaps, n, paths)
 
 
@@ -433,8 +432,8 @@ def sde_steps(t_max: float, dt: float) -> int:
     return n_steps
 
 
-def dyson_crosscheck(n: int, t_max: float, dt: float, paths: int, seed: int,
-                     shift_spec: str = "zero", mapper=map) -> DysonRow:
+def dyson_crosscheck(n: int, shift: np.ndarray, t_max: float, dt: float, paths: int,
+                     seed: int, mapper=map) -> DysonRow:
     """Wasserstein-1 distance between SDE and matrix spectra at time t_max.
 
     Both ensembles start from the spectrum of the shift matrix; the matrix
@@ -444,7 +443,6 @@ def dyson_crosscheck(n: int, t_max: float, dt: float, paths: int, seed: int,
     the standard errors of the two averages.
     """
     kernel = BrownianKernel()
-    shift = make_shift(shift_spec, n)
     if t_max == 0.0:
         # both ensembles sit at the spectrum of the shift
         return DysonRow(n=n, t=0.0, dt=dt, paths=paths, w1_distance=0.0,

@@ -143,14 +143,21 @@ def eigenvalue_derivatives(lam: np.ndarray, vectors: np.ndarray, i: int) -> Eige
 # ---------------------------------------------------------------------------
 
 def make_shift(spec: str, n: int) -> np.ndarray:
-    """Build the deterministic shift from its configuration string.
+    """Build the n x n deterministic shift from its configuration string.
 
-    ``zero``, ``diag:<comma separated diagonal>`` or ``file:<csv path>``.
+    ``zero``, ``diag:<comma separated finite diagonal>`` or ``file:<csv
+    path>`` of a finite symmetric matrix.  This is the one parser of the
+    spec; a spec that gives no such matrix raises ``ValueError``.
     """
     if spec == "zero":
         return np.zeros((n, n))
     if spec.startswith("diag:"):
-        vals = np.array([float(x) for x in spec[len("diag:"):].split(",")])
+        try:
+            vals = np.array([float(x) for x in spec[len("diag:"):].split(",")])
+        except ValueError:  # an entry that is no number fails the check below
+            vals = np.array([np.nan])
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"diag: entries must be finite numbers, got {spec!r}")
         if vals.size != n:
             raise ValueError(f"diagonal shift has {vals.size} entries, expected {n}")
         return np.diag(vals)
@@ -164,7 +171,7 @@ def make_shift(spec: str, n: int) -> np.ndarray:
         if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
             raise ValueError("shift file must hold a symmetric matrix")
         return 0.5 * (a + a.T)
-    raise ValueError(f"unknown shift spec {spec!r}")
+    raise ValueError(f"expected zero, diag:<csv> or file:<path>, got {spec!r}")
 
 
 def hoffman_wielandt_holds(y1: np.ndarray, y2: np.ndarray,

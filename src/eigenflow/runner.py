@@ -2,7 +2,9 @@
 
 ``READS`` names the optional sampler, observables and experiment keys each
 subcommand reads; a run rejects any other key of those sections that is
-set away from its default, so no setting is silently ignored.
+set away from its default, so no setting is silently ignored.  The shift
+matrix of each ``matrix.n`` is built once, by ``matrixflow.make_shift``,
+before anything is sampled, and every experiment takes that matrix.
 
 Every output CSV starts with a ``#``-prefixed JSON comment embedding the
 subcommand, the master seed and the full resolved configuration, followed
@@ -30,7 +32,7 @@ import scipy
 from . import __version__, diagnostics
 from .config import ExperimentConfig, config_to_grid, config_to_kernel
 from .kernels import BrownianKernel, KernelDomainError
-from .limitlaw import AtomicMeasure, law_at_time
+from .limitlaw import law_at_time
 from .matrixflow import make_shift
 from .testfunctions import by_name
 
@@ -142,11 +144,14 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
     if subcommand in ("holder", "dyson", "limit") and len(cfg.matrix_n) > 1:
         raise RunUsageError(f"{subcommand} runs one matrix dimension; "
                             f"matrix.n lists {len(cfg.matrix_n)}")
-    for n in cfg.matrix_n:  # parse_config checks diag: shifts; a file: one is read here
+    shifts, problems = {}, []
+    for n in cfg.matrix_n:
         try:
-            make_shift(cfg.matrix_shift, n)
+            shifts[n] = make_shift(cfg.matrix_shift, n)
         except ValueError as exc:
-            raise RunUsageError(f"matrix.shift: {exc}") from None
+            problems.append(str(exc))
+    if problems:  # a problem that does not depend on n is named once
+        raise RunUsageError("matrix.shift: " + "; ".join(dict.fromkeys(problems)))
     if subcommand == "dyson":
         try:
             diagnostics.sde_steps(grid.t_max, cfg.experiment_dt)
@@ -165,19 +170,19 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
     tables = []  # (file name, header, rows, whether non-finite cells are expected)
 
     if subcommand == "converge":
-        rows = diagnostics.convergence_study(
-            kernel, grid, cfg.matrix_n, cfg.experiment_m, cfg.sampler_seed,
-            shift_spec=cfg.matrix_shift, method=cfg.sampler_method, mapper=mapper)
-        for n in cfg.matrix_n:
+        for n, shift in shifts.items():
+            rows = diagnostics.convergence_study(
+                kernel, grid, n, shift, cfg.experiment_m, cfg.sampler_seed,
+                method=cfg.sampler_method, mapper=mapper)
             tables.append((f"converge_n{n}.csv", "n,t,mean_distance,stderr,M",
-                           [(r.n, r.t, r.mean_distance, r.stderr, r.paths)
-                            for r in rows if r.n == n], False))
+                           [(r.n, r.t, r.mean_distance, r.stderr, r.paths) for r in rows],
+                           False))
 
     elif subcommand == "residual":
         f = by_name(cfg.observables_test_functions)
-        reports = diagnostics.residual_experiment(
-            kernel, grid, cfg.matrix_n, f, cfg.experiment_m, cfg.sampler_seed,
-            shift_spec=cfg.matrix_shift, method=cfg.sampler_method, mapper=mapper)
+        reports = [diagnostics.residual_experiment(
+            kernel, grid, n, shift, f, cfg.experiment_m, cfg.sampler_seed,
+            method=cfg.sampler_method, mapper=mapper) for n, shift in shifts.items()]
         for rep in reports:
             tables.append((f"residual_n{rep.n}.csv",
                            "n,test_function,M,mean_residual,mean_residual_se,"
@@ -197,9 +202,8 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
         f = by_name(cfg.observables_test_functions)
         n = cfg.matrix_n[0]
         rep = diagnostics.holder_increments(
-            kernel, n, f, cfg.experiment_p, cfg.experiment_t_base,
-            cfg.experiment_separations, cfg.experiment_m, cfg.sampler_seed,
-            shift_spec=cfg.matrix_shift, mapper=mapper)
+            kernel, n, shifts[n], f, cfg.experiment_p, cfg.experiment_t_base,
+            cfg.experiment_separations, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
         tables.append((f"holder_n{n}.csv", "t1,t2,p,moment,stderr",
                        [(p.t1, p.t2, rep.p, p.moment, p.stderr) for p in rep.pairs], False))
         qhat = rep.slope if rep.slope is not None else "degenerate"
@@ -207,10 +211,10 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
                        [(rep.p, qhat, rep.paths, rep.test_function)], False))
 
     elif subcommand == "collisions":
-        for n in cfg.matrix_n:
+        for n, shift in shifts.items():
             rep = diagnostics.collision_experiment(
-                kernel, grid, n, cfg.experiment_m, cfg.sampler_seed,
-                shift_spec=cfg.matrix_shift, method=cfg.sampler_method, mapper=mapper)
+                kernel, grid, n, shift, cfg.experiment_m, cfg.sampler_seed,
+                method=cfg.sampler_method, mapper=mapper)
             rows = [(n, f"q{int(q * 100):02d}", v) for q, v in rep.quantiles.items()]
             rows.append((n, "degenerate_fraction", rep.degenerate_fraction))
             # one eigenvalue has no gap, and its gap quantiles are inf
@@ -223,17 +227,14 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
         rows = []
         for dt in (cfg.experiment_dt, 0.5 * cfg.experiment_dt):
             r = diagnostics.dyson_crosscheck(
-                n, grid.t_max, dt, cfg.experiment_m, cfg.sampler_seed,
-                shift_spec=cfg.matrix_shift, mapper=mapper)
+                n, shifts[n], grid.t_max, dt, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
             rows.append((r.n, r.t, r.dt, r.paths, r.w1_distance, r.w1_mc_error,
                          r.forced_sorts))
         tables.append((f"dyson_n{n}.csv", "n,t,dt,M,w1_distance,w1_mc_error,forced_sorts",
                        rows, False))
 
     elif subcommand == "limit":
-        n = cfg.matrix_n[0]
-        shift = make_shift(cfg.matrix_shift, n)
-        mu0 = AtomicMeasure.from_eigenvalues(np.linalg.eigvalsh(shift))
+        mu0 = diagnostics.initial_law(shifts[cfg.matrix_n[0]])
         xs = np.linspace(cfg.experiment_x_min, cfg.experiment_x_max, cfg.experiment_x_points)
         laws = [law_at_time(kernel, mu0, float(t)) for t in grid.times]
         for k, law in enumerate(laws):

@@ -70,21 +70,20 @@ def _smooth_d2(x):
     return 0.5 * (-2.0 * tl * (1.0 - tl ** 2) + 2.0 * tr * (1.0 - tr ** 2))
 
 
-# x^2 and its derivative 2x keep the leading "0.0 +" of Horner's rule.
 def _poly_f(x):
     x = np.asarray(x, dtype=float)
-    return (0.0 + x * x) * np.exp(-(x ** 8 / 10.0 ** 8))
+    return x * x * np.exp(-(x ** 8 / 10.0 ** 8))
 
 
 def _poly_d1(x):
     x = np.asarray(x, dtype=float)
     q1 = 8.0 * x ** 7 / 10.0 ** 8
-    return ((0.0 + 2.0 * x) - (0.0 + x * x) * q1) * np.exp(-(x ** 8 / 10.0 ** 8))
+    return (2.0 * x - x * x * q1) * np.exp(-(x ** 8 / 10.0 ** 8))
 
 
 def _poly_d2(x):
     x = np.asarray(x, dtype=float)
-    p, p1 = 0.0 + x * x, 0.0 + 2.0 * x
+    p, p1 = x * x, 2.0 * x
     q1, q2 = 8.0 * x ** 7 / 10.0 ** 8, 56.0 * x ** 6 / 10.0 ** 8
     return (2.0 - 2.0 * p1 * q1 - p * q2 + p * q1 ** 2) * np.exp(-(x ** 8 / 10.0 ** 8))
 

@@ -88,8 +88,9 @@ def test_criterion_3_weak_equation_residual_decay():
     details = []
     for hurst in (0.3, 0.75):
         grid = TimeGrid.power_graded(1.0, 24) if hurst < 0.5 else TimeGrid.uniform(1.0, 24)
-        reports = residual_experiment(FractionalBrownianKernel(hurst), grid,
-                                      n_values, f, 2000, seed=2024)
+        kernel = FractionalBrownianKernel(hurst)
+        reports = [residual_experiment(kernel, grid, n, np.zeros((n, n)), f, 2000, seed=2024)
+                   for n in n_values]
         msq = np.array([r.mean_square for r in reports])
         ses = np.array([r.mean_square_se for r in reports])
         for a, b, sa, sb in zip(msq, msq[1:], ses, ses[1:]):
@@ -166,7 +167,7 @@ def test_criterion_5_hoffman_wielandt_and_holder_scaling():
     seps = np.geomspace(1e-3, 1e-1, 7)
     slopes = {}
     for kernel, gamma in ((BrownianKernel(), 1.0), (FractionalBrownianKernel(0.75), 1.5)):
-        rep = holder_increments(kernel, 32, gaussian_bump, 4.0, 0.5, seps,
+        rep = holder_increments(kernel, 32, np.zeros((32, 32)), gaussian_bump, 4.0, 0.5, seps,
                                 paths=400, seed=5150)
         bound = 0.9 * (4.0 * gamma / 2.0)
         slopes[kernel.kind + f"(g={gamma})"] = rep.slope
@@ -275,9 +276,9 @@ m = 12
 
 
 def test_criterion_9_dyson_crosscheck():
-    row = dyson_crosscheck(2, 1.0, 1e-3, 10_000, seed=90210)
+    row = dyson_crosscheck(2, np.zeros((2, 2)), 1.0, 1e-3, 10_000, seed=90210)
     assert row.w1_distance <= 0.05, f"W1 {row.w1_distance:.4f} > 0.05"
-    half = dyson_crosscheck(2, 1.0, 5e-4, 10_000, seed=90210)
+    half = dyson_crosscheck(2, np.zeros((2, 2)), 1.0, 5e-4, 10_000, seed=90210)
     budget = 2.0 * np.hypot(row.w1_mc_error, half.w1_mc_error)
     assert half.w1_distance <= row.w1_distance + budget, \
         f"refinement increased W1 beyond MC error: {row.w1_distance:.4f} -> " \

@@ -334,6 +334,27 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert list(tmp_path.rglob("*.csv")) == []
 
+    def test_diag_shift_checked_against_every_n(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_text(MINIMAL.replace("n = 8", "n = 2, 4, 10\nshift = diag:1,-1"))
+        proc = run_cli(["converge", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("eigenflow: configuration error: matrix.shift:")
+        assert "expected 4" in proc.stderr and "expected 10" in proc.stderr
+        assert "expected 2" not in proc.stderr
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize("subcommand", ["converge", "residual"])
+    def test_repeated_n_is_config_error(self, tmp_path, subcommand):
+        # a repeated n used to write, and fit, the same matrix size twice
+        p = tmp_path / "twice.cfg"
+        p.write_text(MINIMAL.replace("n = 8", "n = 6, 6"))
+        proc = run_cli([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 1
+        assert "matrix.n entries must be distinct" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.rglob("*.csv")) == []
+
     @pytest.mark.parametrize("content", ["1,2\n3,4\n", "1,0,0\n0,1,0\n0,0,1\n",
                                          "nan,0\n0,1\n"],
                              ids=["asymmetric", "shape", "nonfinite"])
@@ -439,6 +460,28 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "run", boom)
         assert main(["converge", "--config", str(cfg_file)]) == 2
+
+
+class TestShiftBuiltOnce:
+    @pytest.mark.parametrize("subcommand, n, shift, calls", [
+        ("dyson", "2", "diag:1,-1", [2]), ("converge", "4, 8", "zero", [4, 8])])
+    def test_make_shift_runs_once_per_n(self, tmp_path, monkeypatch, subcommand, n, shift,
+                                        calls):
+        from eigenflow.matrixflow import make_shift
+        seen = []
+
+        def counting(spec, n):
+            seen.append(n)
+            return make_shift(spec, n)
+
+        # every module that bound the name, so a call from any layer counts
+        for name, module in list(sys.modules.items()):
+            if name.startswith("eigenflow") and hasattr(module, "make_shift"):
+                monkeypatch.setattr(module, "make_shift", counting)
+        p = tmp_path / "exp.cfg"
+        p.write_text(config_for(subcommand).replace("n = 8", f"n = {n}\nshift = {shift}"))
+        assert main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert seen == calls
 
 
 class TestEnvOverride:

@@ -39,9 +39,9 @@ class TestWeakEquationResidual:
         f = gaussian_bump
         paths = 10_000
 
-        reports = residual_experiment(kernel, grid, [1], f, paths, seed=99)
-        module_msq = reports[0].mean_square
-        module_se = reports[0].mean_square_se
+        report = residual_experiment(kernel, grid, 1, np.zeros((1, 1)), f, paths, seed=99)
+        module_msq = report.mean_square
+        module_se = report.mean_square_se
 
         gen = np.random.default_rng(123456)  # independent sampler
         dt = np.diff(grid.times)
@@ -63,7 +63,8 @@ class TestWeakEquationResidual:
             (FractionalBrownianKernel(0.75), TimeGrid.uniform(1.0, 16)),
             (FractionalBrownianKernel(0.3), TimeGrid.power_graded(1.0, 16)),
         ]:
-            reports = residual_experiment(kernel, grid, [4, 16], f, 600, seed=5)
+            reports = [residual_experiment(kernel, grid, n, np.zeros((n, n)), f, 600, seed=5)
+                       for n in (4, 16)]
             for rep in reports:
                 assert abs(rep.mean_residual) <= 4.0 * rep.mean_residual_se, \
                     f"{kernel.kind} n={rep.n}"
@@ -71,8 +72,9 @@ class TestWeakEquationResidual:
     def test_mean_square_decreases_in_n(self):
         f = gaussian_bump
         grid = TimeGrid.uniform(1.0, 12)
-        reports = residual_experiment(FractionalBrownianKernel(0.75), grid,
-                                      [4, 8, 16, 32], f, 400, seed=7)
+        kernel = FractionalBrownianKernel(0.75)
+        reports = [residual_experiment(kernel, grid, n, np.zeros((n, n)), f, 400, seed=7)
+                   for n in (4, 8, 16, 32)]
         msq = [r.mean_square for r in reports]
         ses = [r.mean_square_se for r in reports]
         for a, b, sa, sb in zip(msq, msq[1:], ses, ses[1:]):
@@ -81,38 +83,42 @@ class TestWeakEquationResidual:
     def test_mapper_equivalence(self):
         f = gaussian_bump
         grid = TimeGrid.uniform(1.0, 8)
-        serial = residual_experiment(BrownianKernel(), grid, [6], f, 50, seed=3)
+        serial = residual_experiment(BrownianKernel(), grid, 6, np.zeros((6, 6)), f, 50, seed=3)
         with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = residual_experiment(BrownianKernel(), grid, [6], f, 50,
+            parallel = residual_experiment(BrownianKernel(), grid, 6, np.zeros((6, 6)), f, 50,
                                            seed=3, mapper=pool.map)
-        assert np.array_equal(serial[0].residuals, parallel[0].residuals)
+        assert np.array_equal(serial.residuals, parallel.residuals)
 
 
 class TestConvergenceStudy:
     def test_distance_shrinks_with_n(self):
         grid = TimeGrid.uniform(1.0, 2)
-        rows = convergence_study(BrownianKernel(), grid, [10, 60], 30, seed=11)
+        rows = [r for n in (10, 60)
+                for r in convergence_study(BrownianKernel(), grid, n, np.zeros((n, n)), 30,
+                                           seed=11)]
         at_t1 = {r.n: r.mean_distance for r in rows if r.t == 1.0}
         assert at_t1[60] < at_t1[10]
 
     def test_distances_decrease_in_n_for_each_hurst(self):
         grid = TimeGrid.uniform(1.0, 2)
         for hurst in (0.3, 0.5, 0.75):
-            rows = convergence_study(FractionalBrownianKernel(hurst), grid,
-                                     [25, 50, 100, 200], 10, seed=61)
+            kernel = FractionalBrownianKernel(hurst)
+            rows = [r for n in (25, 50, 100, 200)
+                    for r in convergence_study(kernel, grid, n, np.zeros((n, n)), 10, seed=61)]
             seq = [(r.mean_distance, r.stderr) for r in rows if r.t == 1.0]
             for (a, sa), (b, sb) in zip(seq, seq[1:]):
                 assert b <= a + 2.0 * np.hypot(sa, sb), f"H={hurst}"
 
     def test_time_zero_distance_is_zero(self):
         grid = TimeGrid.uniform(1.0, 2)
-        rows = convergence_study(BrownianKernel(), grid, [12], 10, seed=13)
+        rows = convergence_study(BrownianKernel(), grid, 12, np.zeros((12, 12)), 10, seed=13)
         z = [r for r in rows if r.t == 0.0][0]
         assert z.mean_distance == 0.0
 
     def test_sup_row_bounds_pointwise_rows(self):
         grid = TimeGrid.uniform(1.0, 3)
-        rows = convergence_study(FractionalBrownianKernel(0.75), grid, [16], 15, seed=17)
+        rows = convergence_study(FractionalBrownianKernel(0.75), grid, 16, np.zeros((16, 16)),
+                                 15, seed=17)
         sup = [r for r in rows if r.t is None][0]
         for r in rows:
             if r.t is not None:
@@ -120,16 +126,15 @@ class TestConvergenceStudy:
 
     def test_nonzero_shift_uses_evolved_law(self):
         grid = TimeGrid.uniform(1.0, 2)
-        rows = convergence_study(BrownianKernel(), grid, [40], 10, seed=19,
-                                 shift_spec="diag:" + ",".join(
-                                     ["1"] * 20 + ["-1"] * 20))
+        rows = convergence_study(BrownianKernel(), grid, 40, np.diag([1.0] * 20 + [-1.0] * 20),
+                                 10, seed=19)
         at_t1 = [r for r in rows if r.t == 1.0][0]
         assert at_t1.mean_distance < 0.25
 
 
 class TestHolder:
     def test_brownian_p4_slope(self):
-        rep = holder_increments(BrownianKernel(), 24, gaussian_bump, 4.0,
+        rep = holder_increments(BrownianKernel(), 24, np.zeros((24, 24)), gaussian_bump, 4.0,
                                 t_base=0.5, separations=np.geomspace(1e-3, 1e-1, 7),
                                 paths=300, seed=23)
         assert rep.slope is not None
@@ -137,14 +142,15 @@ class TestHolder:
         assert rep.slope >= 1.8
 
     def test_smooth_fbm_p4_slope(self):
-        rep = holder_increments(FractionalBrownianKernel(0.75), 24, gaussian_bump, 4.0,
+        rep = holder_increments(FractionalBrownianKernel(0.75), 24, np.zeros((24, 24)),
+                                gaussian_bump, 4.0,
                                 t_base=0.5, separations=np.geomspace(1e-3, 1e-1, 7),
                                 paths=300, seed=29)
         assert rep.slope >= 2.7
 
     def test_constant_function_degenerate(self):
         constant = TestFunction("constant", np.ones_like, np.zeros_like, np.zeros_like)
-        rep = holder_increments(BrownianKernel(), 6, constant, 4.0, 0.5,
+        rep = holder_increments(BrownianKernel(), 6, np.zeros((6, 6)), constant, 4.0, 0.5,
                                 [0.01, 0.1], paths=20, seed=31)
         assert rep.slope is None
 
@@ -175,25 +181,25 @@ class TestCollisions:
     def test_experiment_driver_counts_initial_degeneracy(self):
         # with a zero shift every path is degenerate at t = 0 and nowhere else
         rep = collision_experiment(BrownianKernel(), TimeGrid.uniform(1.0, 3),
-                                   12, 25, seed=53)
+                                   12, np.zeros((12, 12)), 25, seed=53)
         assert rep.degenerate_fraction == pytest.approx(0.25, abs=1e-12)
 
 
 class TestDyson:
     def test_time_zero_distance(self):
-        row = dyson_crosscheck(2, 1.0, 0.5, paths=2000, seed=43)
+        row = dyson_crosscheck(2, np.zeros((2, 2)), 1.0, 0.5, paths=2000, seed=43)
         assert row.w1_distance < 0.2  # crude step, still the same law family
 
     def test_small_scale_agreement(self):
-        row = dyson_crosscheck(2, 1.0, 0.01, paths=4000, seed=47)
+        row = dyson_crosscheck(2, np.zeros((2, 2)), 1.0, 0.01, paths=4000, seed=47)
         assert row.w1_distance <= 0.05
 
     def test_dt_must_divide_horizon(self):
         with pytest.raises(ValueError):
-            dyson_crosscheck(2, 1.0, 0.3, paths=10, seed=1)
+            dyson_crosscheck(2, np.zeros((2, 2)), 1.0, 0.3, paths=10, seed=1)
 
     def test_zero_horizon_distance_is_zero(self):
-        row = dyson_crosscheck(2, 0.0, 0.001, paths=10, seed=1)
+        row = dyson_crosscheck(2, np.zeros((2, 2)), 0.0, 0.001, paths=10, seed=1)
         assert row.w1_distance == 0.0
 
     @pytest.mark.parametrize("n", [3, 4])  # odd n puts every other step at an odd start
@@ -216,7 +222,7 @@ class TestDyson:
         # the dyson-sde benchmark shape: 250 steps of 3000 paths in one chunk
         tracemalloc.start()
         try:
-            dyson_crosscheck(2, 0.25, 1e-3, 3000, seed=1)
+            dyson_crosscheck(2, np.zeros((2, 2)), 0.25, 1e-3, 3000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -230,15 +236,16 @@ class TestEnsembleMap:
         f = gaussian_bump
 
         def run(mapper=map):
-            return (residual_experiment(kernel, grid, [3, 5], f, 9, seed=2, mapper=mapper,
-                                        method="circulant")[1].residuals,
-                    convergence_study(kernel, grid, [4], 5, seed=3, mapper=mapper,
-                                      shift_spec="diag:1,1,-1,-1"),
-                    holder_increments(kernel, 4, f, 2.0, 0.5, [0.01, 0.1], 9, seed=4,
-                                      mapper=mapper),
-                    collision_experiment(kernel, grid, 4, 9, seed=5, shift_spec="diag:1,1,0,0",
-                                         mapper=mapper),
-                    dyson_crosscheck(4, 0.5, 1e-2, 9, seed=6, mapper=mapper))
+            return (np.stack([residual_experiment(kernel, grid, n, np.zeros((n, n)), f, 9, seed=2,
+                                                  mapper=mapper, method="circulant").residuals
+                              for n in (3, 5)]),
+                    convergence_study(kernel, grid, 4, np.diag([1.0, 1.0, -1.0, -1.0]), 5,
+                                      seed=3, mapper=mapper),
+                    holder_increments(kernel, 4, np.zeros((4, 4)), f, 2.0, 0.5, [0.01, 0.1], 9,
+                                      seed=4, mapper=mapper),
+                    collision_experiment(kernel, grid, 4, np.diag([1.0, 1.0, 0.0, 0.0]), 9,
+                                         seed=5, mapper=mapper),
+                    dyson_crosscheck(4, np.zeros((4, 4)), 0.5, 1e-2, 9, seed=6, mapper=mapper))
 
         whole = run()
         monkeypatch.setattr(diagnostics, "CHUNK_BYTES", 1)  # one path per chunk

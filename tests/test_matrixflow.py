@@ -208,6 +208,11 @@ class TestShift:
         with pytest.raises(ValueError):
             make_shift("diag:1,2", 3)
 
+    @pytest.mark.parametrize("spec", ["diag:1,x", "diag:", "diag:nan,1", "diag:1,inf"])
+    def test_diag_entries_must_be_finite_numbers(self, spec):
+        with pytest.raises(ValueError, match="entries must be finite numbers"):
+            make_shift(spec, 2)
+
     def test_file_roundtrip(self, tmp_path):
         m = np.array([[1.0, 0.5], [0.5, 2.0]])
         p = tmp_path / "shift.csv"
