@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .grids import TimeGrid
 from .kernels import (BrownianKernel, CovarianceKernel, FractionalBrownianKernel,
                       TableKernel, check_h1, check_h2, make_kernel)
-from .limitlaw import (AtomicMeasure, BurgersEvolved, LimitLaw, Semicircle,
+from .limitlaw import (AtomicMeasure, BurgersEvolved, Semicircle,
                        burgers_solve, law_at_time, moment_from_stieltjes,
                        semicircle_stieltjes)
 from .matrixflow import eigenvalue_derivatives, make_shift, sample_flows
@@ -24,7 +24,7 @@ __all__ = [
     "TimeGrid",
     "CovarianceKernel", "BrownianKernel", "FractionalBrownianKernel", "TableKernel",
     "check_h1", "check_h2", "make_kernel",
-    "AtomicMeasure", "LimitLaw", "Semicircle", "BurgersEvolved",
+    "AtomicMeasure", "Semicircle", "BurgersEvolved",
     "semicircle_stieltjes", "burgers_solve", "law_at_time",
     "moment_from_stieltjes",
     "eigenvalue_derivatives", "make_shift", "sample_flows",

@@ -20,6 +20,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .config import ConfigError, parse_config
 from .limitlaw import BurgersError
 from .runner import SUBCOMMANDS, NumericalFailure, RunUsageError, run
@@ -80,7 +82,7 @@ def main(argv=None) -> int:
     except (ConfigError, RunUsageError, json.JSONDecodeError) as exc:
         print(f"eigenflow: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BurgersError, FactorizationError, NumericalFailure) as exc:
+    except (BurgersError, FactorizationError, NumericalFailure, np.linalg.LinAlgError) as exc:
         print(f"eigenflow: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -51,7 +51,7 @@ import numpy as np
 from . import rng
 from .grids import TimeGrid
 from .kernels import BrownianKernel, CovarianceKernel
-from .limitlaw import AtomicMeasure, LimitLaw, law_at_time, limit_stieltjes
+from .limitlaw import AtomicMeasure, law_at_time, limit_stieltjes
 from .matrixflow import DEGENERATE_GAP, sample_flows, spectra_of_stack
 from .measures import divided_difference_stack, kolmogorov_distance
 from .testfunctions import TestFunction
@@ -183,7 +183,7 @@ def convergence_study(kernel: CovarianceKernel, grid: TimeGrid, n: int,
     (t = None) reports the uniform-over-grid-times distance per path.
     """
     mu0 = initial_law(shift)
-    laws: List[LimitLaw] = [law_at_time(kernel, mu0, float(t)) for t in grid.times]
+    laws = [law_at_time(kernel, mu0, float(t)) for t in grid.times]
 
     def distances(lam):
         return np.stack([kolmogorov_distance(lam[:, k], law)

@@ -17,16 +17,16 @@ semicircle transform in closed form
 
 with the square root branch chosen as the product of principal roots of
 (z - 2 sqrt(tau)) and (z + 2 sqrt(tau)), which is continuous on the upper
-half-plane and behaves like z at infinity.  On the real axis the limit is
-mu_0 boxplus semicircle(tau); ``BurgersEvolved`` evaluates its density and
-CDF exactly through Biane's parametrisation of the subordination boundary.
+half-plane and behaves like z at infinity; ``limit_stieltjes`` evaluates
+F_tau(z).  On the real axis the limit is mu_0 at tau = 0 and mu_0 boxplus
+semicircle(tau) after; ``BurgersEvolved`` evaluates its density and CDF
+exactly through Biane's parametrisation of the subordination boundary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -190,12 +190,8 @@ def limit_stieltjes(mu0: AtomicMeasure, tau: float, z: complex) -> complex:
 # Limit laws with density / CDF evaluators
 # ---------------------------------------------------------------------------
 
-class LimitLaw:
-    """Common interface: stieltjes(z), pdf(x), cdf(x), support bounds."""
-
-
 @dataclass(frozen=True)
-class Semicircle(LimitLaw):
+class Semicircle:
     """Semicircle law with a given center and variance."""
 
     center: float = 0.0
@@ -233,12 +229,11 @@ class Semicircle(LimitLaw):
 
 
 @dataclass(frozen=True)
-class BurgersEvolved(LimitLaw):
+class BurgersEvolved:
     """The law whose Cauchy transform is F_tau started from an atomic mu_0.
 
-    tau = 0 degenerates to the atomic initial law itself (the ``cdf`` is a
-    step function and ``atom_positions`` exposes the jumps).  For tau > 0 it
-    is mu_0 boxplus semicircle(tau), exact up to rounding through Biane's
+    Requires tau > 0 (at tau = 0 the law is mu_0 itself).  It is mu_0
+    boxplus semicircle(tau), exact up to rounding through Biane's
     boundary parametrisation (Indiana Univ. Math. J. 46, 1997): a real x is
     omega - tau F_0(omega) for one omega = u + iv, where v >= 0 solves
     sum w_i / ((u - a_i)^2 + v^2) = 1/tau (v = 0 where the sum at v = 0 is
@@ -248,31 +243,24 @@ class BurgersEvolved(LimitLaw):
     with arg in [0, pi].
     """
 
-    initial: AtomicMeasure = None
-    tau: float = 0.0
+    initial: AtomicMeasure
+    tau: float
 
     def __post_init__(self):
-        if self.initial is None:
-            raise ValueError("an initial atomic measure is required")
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
-        if self.tau > 0:
-            # (u, v^2, x) nodes that bracket every root-find, built here
-            # because laws are shared across threads
-            keep = self.initial.weights > 0
-            a, w = self.initial.atoms[keep], self.initial.weights[keep]
-            object.__setattr__(self, "_atoms", (a, w))
-            u = np.linspace(a[0] - math.sqrt(self.tau), a[-1] + math.sqrt(self.tau),
-                            BOUNDARY_NODES)
-            nodes = (u,) + self._point(u, 0.0 * u)[:2]
-            if not np.isfinite(nodes).all():
-                raise BurgersError(f"the boundary table of mu_0 boxplus semicircle({self.tau}) "
-                                   f"overflows: mu_0 spans [{a[0]:g}, {a[-1]:g}]")
-            object.__setattr__(self, "_nodes", nodes)
-
-    @property
-    def atom_positions(self) -> Optional[np.ndarray]:
-        return self.initial.atoms if self.tau == 0 else None
+        if not self.tau > 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
+        # (u, v^2, x) nodes that bracket every root-find, built here
+        # because laws are shared across threads
+        keep = self.initial.weights > 0
+        a, w = self.initial.atoms[keep], self.initial.weights[keep]
+        object.__setattr__(self, "_atoms", (a, w))
+        u = np.linspace(a[0] - math.sqrt(self.tau), a[-1] + math.sqrt(self.tau),
+                        BOUNDARY_NODES)
+        nodes = (u,) + self._point(u, 0.0 * u)[:2]
+        if not np.isfinite(nodes).all():
+            raise BurgersError(f"the boundary table of mu_0 boxplus semicircle({self.tau}) "
+                               f"overflows: mu_0 spans [{a[0]:g}, {a[-1]:g}]")
+        object.__setattr__(self, "_nodes", nodes)
 
     @property
     def support(self):
@@ -284,12 +272,10 @@ class BurgersEvolved(LimitLaw):
         return limit_stieltjes(self.initial, self.tau, z)
 
     def pdf(self, x):
-        if self.tau == 0:
-            raise ValueError("the initial atomic law has no density")
         return self._pdf_cdf(x)[0]
 
     def cdf(self, x):
-        return self.initial.cdf(x) if self.tau == 0 else self._pdf_cdf(x)[1]
+        return self._pdf_cdf(x)[1]
 
     def _pdf_cdf(self, x):
         # Newton on the increasing x(u), bisecting whenever a step would leave
@@ -365,17 +351,18 @@ class BurgersEvolved(LimitLaw):
         return s, u + self.tau * (r * e).sum(axis=1), slope
 
 
-def law_at_time(kernel: CovarianceKernel, mu0: AtomicMeasure, t: float) -> LimitLaw:
-    """The limit law at matrix time t for the given kernel and start."""
+def law_at_time(kernel: CovarianceKernel, mu0: AtomicMeasure, t: float):
+    """The limit law at matrix time t: mu0 itself where tau = R(t,t) is 0,
+    a ``Semicircle`` from one atom and a ``BurgersEvolved`` otherwise."""
     tau = float(kernel.diag(t))
     if tau == 0:
-        return BurgersEvolved(initial=mu0, tau=0.0)
+        return mu0
     if mu0.atoms.size == 1:
         return Semicircle(center=float(mu0.atoms[0]), variance=tau)
     return BurgersEvolved(initial=mu0, tau=tau)
 
 
-def moment_from_stieltjes(law: LimitLaw, order: int, radius: float | None = None,
+def moment_from_stieltjes(law, order: int, radius: float | None = None,
                           nodes: int = 512) -> float:
     """k-th moment extracted from the Stieltjes transform.
 

@@ -47,8 +47,7 @@ def diagonal_scale(n: int) -> Tuple[float, float]:
     return 1.0 / np.sqrt(n), np.sqrt(2.0) / np.sqrt(n)
 
 
-def assemble_from_triangle(values: np.ndarray, shift: np.ndarray, n: int,
-                           grid: TimeGrid) -> np.ndarray:
+def assemble_from_triangle(values: np.ndarray, shift: np.ndarray, n: int) -> np.ndarray:
     """Vectorised assembly: ``values`` is (..., n(n+1)/2, K+1) in
     ``triu_indices`` order; returns matrices of shape (..., K+1, n, n)."""
     iu, ju = np.triu_indices(n)
@@ -72,7 +71,7 @@ def sample_flows(kernel: CovarianceKernel, grid: TimeGrid, n: int,
     by streaming them through ``diagnostics.ensemble_map``.
     """
     tri = sampling.upper_triangle_paths(kernel, grid, n, seed, paths, method=method)
-    return assemble_from_triangle(tri, shift, n, grid)
+    return assemble_from_triangle(tri, shift, n)
 
 
 def spectra_of_stack(matrices: np.ndarray) -> np.ndarray:

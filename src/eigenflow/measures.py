@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .limitlaw import AtomicMeasure
 from .testfunctions import TestFunction
 
 
@@ -38,20 +39,18 @@ def kolmogorov_distance(spectra: np.ndarray, law) -> np.ndarray:
 
     Exact against a continuous law (the sup is attained at an atom,
     approached from one side or the other), with one ``law.cdf`` call on
-    the whole block.  An atomic law (``atom_positions`` not None) is
+    the whole block.  An ``AtomicMeasure`` (the limit law at tau = 0) is
     compared at the atoms of both measures, where both right-continuous
     CDFs jump.
     """
     lam = np.sort(np.asarray(spectra, dtype=float), axis=-1)
     n = lam.shape[-1]
-    law_atoms = getattr(law, "atom_positions", None)
-    if law_atoms is None:
+    if not isinstance(law, AtomicMeasure):
         fl = np.asarray(law.cdf(lam), dtype=float)
         upper = np.arange(1, n + 1) / n
         lower = np.arange(0, n) / n
         return np.max(np.maximum(np.abs(fl - upper), np.abs(fl - lower)), axis=-1)[()]
-    law_atoms = np.asarray(law_atoms, dtype=float)
-    xs = np.concatenate([lam, np.broadcast_to(law_atoms, lam.shape[:-1] + law_atoms.shape)],
+    xs = np.concatenate([lam, np.broadcast_to(law.atoms, lam.shape[:-1] + law.atoms.shape)],
                         axis=-1)
     f_emp = np.count_nonzero(lam[..., None, :] <= xs[..., :, None], axis=-1) / n
     return np.max(np.abs(f_emp - law.cdf(xs)), axis=-1)[()]

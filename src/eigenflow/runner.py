@@ -11,10 +11,11 @@ subcommand, the master seed and the full resolved configuration, followed
 by a header row.  Floats are written with ``repr`` (shortest round-trip),
 chunk results are placed by index and reduced in a fixed order, so a run
 is a pure function of (canonical config, seed) regardless of the thread
-count.  Every table is checked before any file is written: a non-finite
-value where a healthy run has none is a ``NumericalFailure``.  The
-manifest records the canonical config and environment; a run can be
-reproduced from it.
+count.  Every table is checked before any file is written, and the output
+directory is made only then, so a run that fails its input checks leaves
+nothing behind; a non-finite value where a healthy run has none is a
+``NumericalFailure``.  The manifest records the canonical config and
+environment; a run can be reproduced from it.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from pathlib import Path
 from typing import Iterable, List
 
 import numpy as np
-import scipy
 
 from . import __version__, diagnostics
 from .config import ExperimentConfig, config_to_grid, config_to_kernel
 from .kernels import BrownianKernel, KernelDomainError
-from .limitlaw import law_at_time
+from .limitlaw import AtomicMeasure, law_at_time, limit_stieltjes
 from .matrixflow import make_shift
 from .testfunctions import by_name
 
@@ -102,7 +102,6 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
     if out_dir is not None:
         cfg = cfg.with_output_directory(out_dir)
     out = Path(cfg.output_directory)
-    out.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()
     mapper, pool = _mapper(threads)
@@ -122,7 +121,6 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "eigenflow": __version__,
         },
     }
@@ -236,17 +234,16 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
     elif subcommand == "limit":
         mu0 = diagnostics.initial_law(shifts[cfg.matrix_n[0]])
         xs = np.linspace(cfg.experiment_x_min, cfg.experiment_x_max, cfg.experiment_x_points)
-        laws = [law_at_time(kernel, mu0, float(t)) for t in grid.times]
-        for k, law in enumerate(laws):
-            cdf = np.atleast_1d(law.cdf(xs))
-            atomic = getattr(law, "atom_positions", None) is not None
-            pdf = np.zeros_like(xs) if atomic else np.atleast_1d(law.pdf(xs))
-            tables.append((f"limit_density_t{k}.csv", "x,pdf,cdf", list(zip(xs, pdf, cdf)),
-                           False))
         rows = []
-        for t, law in zip(grid.times, laws):
+        for k, t in enumerate(grid.times):
+            law = law_at_time(kernel, mu0, float(t))
+            atomic = isinstance(law, AtomicMeasure)  # mu_0 at tau = 0 has no density
+            pdf = np.zeros_like(xs) if atomic else np.atleast_1d(law.pdf(xs))
+            tables.append((f"limit_density_t{k}.csv", "x,pdf,cdf",
+                           list(zip(xs, pdf, np.atleast_1d(law.cdf(xs)))), False))
+            tau = float(kernel.diag(t))
             for z in cfg.observables_z_points:
-                fval = law.stieltjes(z)
+                fval = limit_stieltjes(mu0, tau, z)
                 rows.append((float(t), z.real, z.imag, fval.real, fval.imag))
         tables.append(("limit_stieltjes.csv", "t,re_z,im_z,re_F,im_F", rows, False))
 
@@ -256,6 +253,7 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
                 if isinstance(v, float) and not np.isfinite(v):
                     raise NumericalFailure(f"{name} data row {i} column {column} is {_fmt(v)}; "
                                            "no file was written")
+    out.mkdir(parents=True, exist_ok=True)
     for name, header, rows, _ in tables:
         _write_csv(out / name, cfg, subcommand, header, rows)
     return [out / name for name, *_ in tables]

@@ -269,6 +269,18 @@ class TestSubcommands:
         header, rows = read_rows(out / "limit_stieltjes.csv")
         assert header == ["t", "re_z", "im_z", "re_F", "im_F"]
 
+    def test_limit_time_zero_stieltjes_is_closed_form(self, tmp_path):
+        # every F_tau(z) comes from limit_stieltjes; at t = 0 of the zero
+        # shift that is the semicircle formula's -1/z, to the last digit
+        from eigenflow.limitlaw import semicircle_stieltjes
+        p = tmp_path / "exp.cfg"
+        p.write_text(LIMIT + "\n[observables]\nz_points = 0.5+0.1i\n")
+        out = tmp_path / "run"
+        assert main(["limit", "--config", str(p), "--out", str(out)]) == 0
+        _, rows = read_rows(out / "limit_stieltjes.csv")
+        f = semicircle_stieltjes(0.0, 0.5 + 0.1j)
+        assert rows[0] == ["0.0", "0.5", "0.1", repr(f.real), repr(f.imag)]
+
 
 class TestReads:
     def test_table_covers_the_optional_keys(self):
@@ -450,6 +462,29 @@ class TestExitCodes:
 
     def test_unknown_subcommand_rejected(self, cfg_file):
         assert main(["frobnicate", "--config", str(cfg_file)]) == 1
+
+    @pytest.mark.parametrize("subcommand, text", [
+        ("converge", MINIMAL.replace("n = 8", "n = 2, 4\nshift = diag:1,-1")),
+        ("dyson", DYSON.replace("kind = brownian", "kind = fbm\nhurst = 0.75"))],
+        ids=["converge-shift-count", "dyson-fbm"])
+    def test_failed_input_check_makes_no_output_directory(self, tmp_path, subcommand, text):
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        out = tmp_path / "o"
+        proc = run_cli([subcommand, "--config", str(p), "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("eigenflow: configuration error:")
+        assert not out.exists()
+
+    def test_lapack_failure_maps_to_exit_2(self, cfg_file, tmp_path, monkeypatch, capsys):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+        out = tmp_path / "run"
+        assert main(["converge", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
 
     def test_numerical_failure_maps_to_exit_2(self, cfg_file, monkeypatch):
         from eigenflow import cli

@@ -227,19 +227,25 @@ class TestBurgersEvolvedLaw:
         assert BurgersEvolved(initial=mu0, tau=1.0).pdf(0.0) <= 1e-4
 
     def test_tau_zero_cdf_is_step(self):
-        mu0 = AtomicMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
-        law = BurgersEvolved(initial=mu0, tau=0.0)
+        # the law at tau = 0 is mu_0 itself
+        law = AtomicMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
         assert law.cdf(-0.5) == 0.0
         assert law.cdf(0.5) == 0.5
         assert law.cdf(1.5) == 1.0
-        assert np.array_equal(law.atom_positions, mu0.atoms)
 
     def test_law_at_time_dispatch(self):
         k = BrownianKernel()
         assert isinstance(law_at_time(k, AtomicMeasure.point_mass(0.0), 1.0), Semicircle)
         two = AtomicMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
         assert isinstance(law_at_time(k, two, 1.0), BurgersEvolved)
-        assert law_at_time(k, two, 0.0).tau == 0.0
+        assert law_at_time(k, two, 0.0) is two
+
+    @pytest.mark.parametrize("tau", [0.0, -0.5, float("nan")])
+    def test_requires_positive_tau(self, tau):
+        # tau = 0 is mu_0 itself, which law_at_time returns as it is
+        mu0 = AtomicMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="tau must be positive"):
+            BurgersEvolved(initial=mu0, tau=tau)
 
 
 TWO_ATOMS = AtomicMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))

@@ -23,15 +23,13 @@ def _flow_with_vectors(n, seed, t_max=1.0, steps=2, kernel=None):
 
 class TestAssembly:
     def test_scalar_flow_diagonal_scaling(self):
-        grid = TimeGrid.from_times([0.0, 1.0])
         x = 0.8312
-        y = assemble_from_triangle(np.array([[0.0, x]]), np.zeros((1, 1)), 1, grid)
+        y = assemble_from_triangle(np.array([[0.0, x]]), np.zeros((1, 1)), 1)
         assert y[1, 0, 0] == pytest.approx(np.sqrt(2.0) * x, rel=1e-15)
 
     def test_two_by_two_unit_entries(self):
-        grid = TimeGrid.from_times([0.0, 1.0])
         # rows (0, 0), (0, 1), (1, 1) in triu_indices order
-        y = assemble_from_triangle(np.tile([0.0, 1.0], (3, 1)), np.zeros((2, 2)), 2, grid)
+        y = assemble_from_triangle(np.tile([0.0, 1.0], (3, 1)), np.zeros((2, 2)), 2)
         expected = np.array([[1.0, 1 / np.sqrt(2)], [1 / np.sqrt(2), 1.0]])
         assert np.allclose(y[1], expected, atol=1e-15)
 
@@ -52,7 +50,7 @@ class TestAssembly:
         gen = np.random.default_rng(0)
         tri = gen.normal(size=(n * (n + 1) // 2, len(grid)))
         shift = np.diag(np.arange(n, dtype=float))
-        fast = assemble_from_triangle(tri, shift, n, grid)
+        fast = assemble_from_triangle(tri, shift, n)
         iu, ju = np.triu_indices(n)
         entries = {(int(i), int(j)): tri[k] for k, (i, j) in enumerate(zip(iu, ju))}
         off, diag = diagonal_scale(n)

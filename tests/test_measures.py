@@ -97,11 +97,11 @@ class TestKolmogorov:
     def test_identical_atomic_measures(self):
         # exactly 0: the t = 0 law reads the same k/n as the empirical side
         for atoms in (np.array([-1.0, 0.0, 2.0]), np.arange(5.0), np.arange(20.0)):
-            law = BurgersEvolved(initial=AtomicMeasure.from_eigenvalues(atoms), tau=0.0)
+            law = AtomicMeasure.from_eigenvalues(atoms)
             assert kolmogorov_distance(atoms, law) == 0.0, atoms.size
 
     def test_atomic_mismatch(self):
-        law = BurgersEvolved(initial=AtomicMeasure.point_mass(0.0), tau=0.0)
+        law = AtomicMeasure.point_mass(0.0)
         d = kolmogorov_distance(np.array([1.0]), law)
         assert d == 1.0
 
@@ -110,7 +110,7 @@ class TestKolmogorov:
         spectra = gen.normal(size=(40, 25))
         two = AtomicMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
         for law in (Semicircle(0.3, 1.5), BurgersEvolved(initial=two, tau=0.25),
-                    BurgersEvolved(initial=AtomicMeasure.from_eigenvalues(spectra[0]), tau=0.0)):
+                    AtomicMeasure.from_eigenvalues(spectra[0])):
             block = kolmogorov_distance(spectra, law)
             assert block.shape == (40,)
             assert np.array_equal(block, [kolmogorov_distance(row, law) for row in spectra])
@@ -118,8 +118,7 @@ class TestKolmogorov:
     def test_atomic_atoms_of_both_measures(self):
         # F_law jumps 0.2 at -1 and 0.8 at 3.  Against {0, 5} the sup 0.5 sits
         # at 3, an atom only the law has; against {-1, 3} it is 0.3 on [-1, 3)
-        law = BurgersEvolved(initial=AtomicMeasure(np.array([-1.0, 3.0]),
-                                                   np.array([0.2, 0.8])), tau=0.0)
+        law = AtomicMeasure(np.array([-1.0, 3.0]), np.array([0.2, 0.8]))
         d = kolmogorov_distance(np.array([[5.0, 0.0], [3.0, -1.0]]), law)
         assert d == pytest.approx([0.5, 0.3], abs=1e-15)
 

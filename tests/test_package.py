@@ -39,15 +39,24 @@ def test_readme_library_quick_start_runs():
     assert np.all((namespace["d"] > 0.0) & (namespace["d"] < 1.0))
 
 
-def test_cli_import_does_not_load_scipy_integrate():
-    # the limit law needs no quadrature, and scipy.integrate dominates start-up
+def _cli_import_loads(module):
     src = str(Path(eigenflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, eigenflow.cli; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, eigenflow.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    # the limit law needs no quadrature, and scipy.integrate dominates start-up
+    assert not _cli_import_loads("scipy.integrate")
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency: no run uses it
+    assert not _cli_import_loads("scipy")
 
 
 def test_one_random_generator():
