@@ -80,11 +80,14 @@ def ensemble_map(kernel: CovarianceKernel, grid: TimeGrid, n: int, shift: np.nda
     The chunk results are concatenated along the first axis in path order.
     Flows are pure functions of (seed, path index) and ``reduce`` must act
     on each path on its own, so neither the chunk size nor ``mapper`` (a
-    thread pool's map, say) changes the result.
+    thread pool's map, say) changes the result.  A chunk's matrix stack is
+    freed before ``reduce`` runs; sampling, assembly and the divided
+    differences bound their own temporaries per tile, so a chunk holds
+    little beyond its stack.
     """
     def task(pid: range) -> np.ndarray:
-        y = sample_flows(kernel, grid, n, shift, seed, pid, method=method)
-        return reduce(spectra_of_stack(y))
+        lam = spectra_of_stack(sample_flows(kernel, grid, n, shift, seed, pid, method=method))
+        return reduce(lam)
 
     return np.concatenate(_map_chunks(task, paths, len(grid) * n * n * 8, mapper))
 

@@ -49,17 +49,22 @@ def diagonal_scale(n: int) -> Tuple[float, float]:
 
 def assemble_from_triangle(values: np.ndarray, shift: np.ndarray, n: int) -> np.ndarray:
     """Vectorised assembly: ``values`` is (..., n(n+1)/2, K+1) in
-    ``triu_indices`` order; returns matrices of shape (..., K+1, n, n)."""
+    ``triu_indices`` order; returns matrices of shape (..., K+1, n, n).
+
+    The entries are scattered into the output, which is then scaled and
+    shifted in place, so the only array beside the input is the output.
+    """
     iu, ju = np.triu_indices(n)
     off, diag = diagonal_scale(n)
-    scale = np.where(iu == ju, diag, off)
-    lead = values.shape[:-2]
-    k = values.shape[-1]
-    y = np.zeros(lead + (k, n, n))
-    scaled = values * scale[..., :, None]
-    y[..., iu, ju] = np.moveaxis(scaled, -1, -2)
-    y[..., ju, iu] = np.moveaxis(scaled, -1, -2)
-    return y + np.asarray(shift, dtype=float)
+    scale = np.full((n, n), off)
+    np.fill_diagonal(scale, diag)
+    y = np.empty(values.shape[:-2] + (values.shape[-1], n, n))
+    entries = np.moveaxis(values, -1, -2)
+    y[..., iu, ju] = entries
+    y[..., ju, iu] = entries
+    y *= scale
+    y += np.asarray(shift, dtype=float)
+    return y
 
 
 def sample_flows(kernel: CovarianceKernel, grid: TimeGrid, n: int,

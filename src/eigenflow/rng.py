@@ -6,7 +6,9 @@ to a 128-bit counter that encodes the stream id and the block index, keyed
 by the 64-bit master seed.  Streams for distinct ids are independent by
 construction and bit-identical regardless of evaluation order, chunking, or
 worker count.  Generation is vectorised across streams, which is what makes
-large Monte Carlo ensembles affordable in pure numpy.
+large Monte Carlo ensembles affordable in pure numpy, and runs over
+cache-sized tiles of whole stream rows, so its temporaries do not grow with
+the draw.
 
 Stream ids pack a small domain tag (which subsystem is drawing), two matrix
 indices and a path index into one 64-bit word.  :func:`stream_id` is the
@@ -82,6 +84,11 @@ def stream_id(domain, i, j, path):
     return (d << np.uint64(60)) | (i << np.uint64(48)) | (j << np.uint64(36)) | path
 
 
+# Philox counters per tile of ``normals``: the tile's uint64 words and
+# float temporaries then stay in cache whatever the size of the draw.
+_PHILOX_TILE = 1 << 13
+
+
 def normals(seed: int, ids: np.ndarray, count: int, start: int = 0) -> np.ndarray:
     """Standard normal variates for each stream id.
 
@@ -90,7 +97,10 @@ def normals(seed: int, ids: np.ndarray, count: int, start: int = 0) -> np.ndarra
     Philox block b carries positions 2b and 2b + 1, so the draw runs from
     block ``start // 2`` and drops the first normal when ``start`` is odd.
     Stream ``s`` yields the same values at the same positions no matter
-    how the draw is chunked.
+    how the draw is chunked.  Philox and Box-Muller run over tiles of whole
+    stream rows of about ``_PHILOX_TILE`` counters, written into one
+    preallocated output, so the temporaries stay cache-sized; every
+    operation is elementwise, so the tiling changes no bit.
     """
     ids = np.asarray(ids, dtype=np.uint64)
     shape = ids.shape
@@ -98,23 +108,28 @@ def normals(seed: int, ids: np.ndarray, count: int, start: int = 0) -> np.ndarra
     first, skip = divmod(start, 2)
     n_blocks = (skip + count + 1) // 2
     blocks = np.arange(first, first + n_blocks, dtype=np.uint64)
+    out = np.empty((flat.size, count), dtype=np.float64)
+    rows = max(1, _PHILOX_TILE // max(n_blocks, 1))
+    for lo in range(0, flat.size, rows):
+        tile = flat[lo:lo + rows, None]
+        c0 = np.broadcast_to(blocks, (tile.shape[0], n_blocks))
+        c1 = np.broadcast_to(tile & _MASK32, c0.shape)
+        c2 = np.broadcast_to(tile >> np.uint64(32), c0.shape)
+        c3 = np.zeros(c0.shape, dtype=np.uint64)
 
-    c0 = np.broadcast_to(blocks, (flat.size, n_blocks))
-    c1 = np.broadcast_to((flat & _MASK32)[:, None], c0.shape)
-    c2 = np.broadcast_to((flat >> np.uint64(32))[:, None], c0.shape)
-    c3 = np.zeros(c0.shape, dtype=np.uint64)
+        x0, x1, x2, x3 = philox4x32((c0, c1, c2, c3), seed & 0xFFFFFFFF,
+                                    (seed >> 32) & 0xFFFFFFFF)
 
-    x0, x1, x2, x3 = philox4x32((c0, c1, c2, c3), seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF)
+        ua = (x0 << np.uint64(32)) | x1
+        ub = (x2 << np.uint64(32)) | x3
+        # (0,1] for the log, [0,1) for the angle
+        u1 = ((ua >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
+        u2 = (ub >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
-    ua = (x0 << np.uint64(32)) | x1
-    ub = (x2 << np.uint64(32)) | x3
-    # (0,1] for the log, [0,1) for the angle
-    u1 = ((ua >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
-    u2 = (ub >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * np.pi) * u2
-    z = np.empty((flat.size, 2 * n_blocks), dtype=np.float64)
-    z[:, 0::2] = r * np.cos(theta)
-    z[:, 1::2] = r * np.sin(theta)
-    return z[:, skip:skip + count].reshape(shape + (count,))
+        r = np.sqrt(-2.0 * np.log(u1))
+        theta = (2.0 * np.pi) * u2
+        z = np.empty((tile.shape[0], 2 * n_blocks), dtype=np.float64)
+        z[:, 0::2] = r * np.cos(theta)
+        z[:, 1::2] = r * np.sin(theta)
+        out[lo:lo + rows] = z[:, skip:skip + count]
+    return out.reshape(shape + (count,))

@@ -230,6 +230,14 @@ class TestDyson:
 
 
 class TestEnsembleMap:
+    def test_peak_memory_of_a_residual_chunk(self, traced_peak):
+        # one residual-fbm chunk at n = 64: 6 paths fill the 5 MB budget
+        kernel, grid, n = FractionalBrownianKernel(0.75), TimeGrid.uniform(1.0, 24), 64
+        assert int(diagnostics.CHUNK_BYTES / (len(grid) * n * n * 8)) == 6
+        peak = traced_peak(diagnostics.ensemble_map, kernel, grid, n, np.zeros((n, n)), 3, 6,
+                           lambda lam: weak_equation_residual(lam, kernel, grid, gaussian_bump))
+        assert peak < 2 * diagnostics.CHUNK_BYTES
+
     def test_experiments_ignore_chunk_budget_and_workers(self, monkeypatch):
         kernel = FractionalBrownianKernel(0.7)
         grid = TimeGrid.uniform(1.0, 4)

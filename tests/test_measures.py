@@ -3,9 +3,32 @@
 import numpy as np
 import pytest
 
+from eigenflow import measures
 from eigenflow.limitlaw import AtomicMeasure, BurgersEvolved, Semicircle
 from eigenflow.measures import divided_difference_stack, kolmogorov_distance
-from eigenflow.testfunctions import TestFunction, gaussian_bump, smooth_bump
+from eigenflow.testfunctions import BUILTINS, TestFunction, gaussian_bump, smooth_bump
+
+
+def full_matrix_divided_difference(lambdas, f):
+    """Reference: the mean of the whole n x n pair matrix, f'' on every
+    midpoint, switching to it where |x - y| <= 1e-6 (1 + |x| + |y|)."""
+    x = np.asarray(lambdas, dtype=float)
+    d1 = f.d1(x)
+    diff = x[..., :, None] - x[..., None, :]
+    switch = 1e-6 * (1.0 + np.abs(x)[..., :, None] + np.abs(x)[..., None, :])
+    far = np.abs(diff) > switch
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quot = (d1[..., :, None] - d1[..., None, :]) / diff
+    mid = f.d2(0.5 * (x[..., :, None] + x[..., None, :]))
+    return np.where(far, quot, mid).mean(axis=(-2, -1))
+
+
+def _switch_pairs():
+    """Spectra holding a pair just inside and a pair just outside the switch."""
+    x, y = 0.3, -1.2
+    inside = 0.9e-6 * (1.0 + 2.0 * abs(x))
+    outside = 1.1e-6 * (1.0 + 2.0 * abs(y))
+    return np.array([[x, x + inside, y, y + outside, 2.0]])
 
 
 class TestDividedDifference:
@@ -69,6 +92,36 @@ class TestDividedDifference:
             for k in range(4):
                 assert stacked[i, k] == pytest.approx(
                     divided_difference_stack(np.sort(lam[i, k]), f), rel=1e-12)
+
+
+class TestTriangleOnlyForm:
+    """The i < j form against the full-matrix reference, and its tiling."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    @pytest.mark.parametrize("case", ["zero_spectrum", "switch_pairs", "random_block"])
+    def test_matches_full_matrix_reference(self, name, case):
+        f = BUILTINS[name]
+        lam = {"zero_spectrum": np.zeros((2, 3, 64)),  # t = 0: every pair coincides
+               "switch_pairs": _switch_pairs(),
+               "random_block": np.random.default_rng(8).normal(size=(6, 25, 64))}[case]
+        ref = full_matrix_divided_difference(lam, f)
+        got = divided_difference_stack(lam, f)
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_tiles_match_single_rows(self, monkeypatch):
+        monkeypatch.setattr(measures, "_PAIR_TILE", 50)  # 15 pairs a row: 3 rows a tile
+        lam = np.random.default_rng(9).normal(size=(4, 5, 6))
+        lam[1, 2] = 0.0
+        block = divided_difference_stack(lam, smooth_bump)
+        for i in range(4):
+            for k in range(5):
+                assert block[i, k] == divided_difference_stack(lam[i, k], smooth_bump)
+
+    def test_peak_memory_is_per_tile(self, traced_peak):
+        # the residual-fbm chunk at n = 64: 6 paths, 25 grid times
+        lam = np.random.default_rng(10).normal(size=(6, 25, 64))
+        assert traced_peak(divided_difference_stack, lam, gaussian_bump) < 4e6
 
 
 class TestKolmogorov:

@@ -72,6 +72,26 @@ def test_normals_chunked_start_offset():
                               full[:, start:start + count])
 
 
+@pytest.mark.parametrize("start,count", [(0, 9), (3, 13), (1, 1), (5, 40)])
+def test_normals_tiles_match_single_rows(start, count, monkeypatch):
+    # 16 counters per tile: several rows per tile with a partial last tile,
+    # and at count 40 a row of 21 counters, longer than a tile
+    monkeypatch.setattr(rng, "_PHILOX_TILE", 16)
+    ids = rng.stream_id(rng.DOMAIN_ENTRY, 1, 2, np.arange(40))
+    block = rng.normals(99, ids, count, start=start)
+    for k in range(ids.size):
+        assert np.array_equal(block[k], rng.normals(99, ids[k:k + 1], count, start=start)[0])
+    monkeypatch.undo()
+    assert np.array_equal(block, rng.normals(99, ids, count, start=start))
+
+
+def test_peak_memory_of_normals_stays_near_the_output(traced_peak):
+    # the residual-fbm chunk at n = 64: 6 paths of 2080 entries, 25 normals each
+    ids = rng.stream_id(rng.DOMAIN_ENTRY, *np.triu_indices(64), np.arange(6)[:, None])
+    assert ids.size == 12_480
+    assert traced_peak(rng.normals, 7, ids, 25) < 6e6  # the output is 2.5 MB
+
+
 def test_normals_marginal_statistics():
     ids = np.arange(20_000, dtype=np.uint64)
     z = rng.normals(31337, ids, 4).reshape(-1)

@@ -202,6 +202,24 @@ class TestCirculant:
         q = circulant_fbm_block(0.75, grid, 3, _one_id(rng.DOMAIN_CIRCULANT, 0, 0, 5))[0]
         assert np.array_equal(p, q)
 
+    def test_tiles_match_single_rows(self, monkeypatch):
+        from eigenflow import sampling
+        grid = TimeGrid.uniform(1.0, 6)
+        ids = rng.stream_id(rng.DOMAIN_CIRCULANT, 0, 1, np.arange(7))
+        monkeypatch.setattr(sampling, "_FFT_TILE", 30)  # 12 entries a row: 2 rows a tile
+        monkeypatch.setattr(rng, "_PHILOX_TILE", 8)
+        block = circulant_fbm_block(0.3, grid, 4, ids)
+        for k in range(ids.size):
+            assert np.array_equal(block[k], circulant_fbm_block(0.3, grid, 4, ids[k:k + 1])[0])
+        monkeypatch.undo()
+        assert np.array_equal(block, circulant_fbm_block(0.3, grid, 4, ids))
+
+    def test_peak_memory_stays_near_the_output(self, traced_peak):
+        # the collisions-circulant chunk: 3 paths of a 100 x 100 matrix, 16 steps
+        ids = rng.stream_id(rng.DOMAIN_CIRCULANT, *np.triu_indices(100), np.arange(3)[:, None])
+        peak = traced_peak(circulant_fbm_block, 0.3, TimeGrid.uniform(1.0, 16), 5, ids)
+        assert peak < 6e6  # the output is 2.1 MB
+
     def test_requires_uniform_grid(self):
         with pytest.raises(ValueError):
             circulant_fbm_block(0.5, TimeGrid.from_times([0, 0.1, 1.0]), 1,
