@@ -9,12 +9,12 @@ transform; the semicircle family when started from a point mass).
 
 __version__ = "0.1.0"
 
+from .eigensolvers import eigh
 from .grids import TimeGrid
 from .kernels import (BrownianKernel, CovarianceKernel, FractionalBrownianKernel,
                       TableKernel, check_h1, check_h2, make_kernel)
 from .limitlaw import (AtomicMeasure, BurgersEvolved, Semicircle,
-                       burgers_solve, law_at_time, moment_from_stieltjes,
-                       semicircle_stieltjes)
+                       burgers_solve, law_at_time, semicircle_stieltjes)
 from .matrixflow import eigenvalue_derivatives, make_shift, sample_flows
 from .measures import divided_difference_stack, kolmogorov_distance
 from .sampling import PathFactor, factor_grid, sample_entry_block
@@ -26,8 +26,7 @@ __all__ = [
     "check_h1", "check_h2", "make_kernel",
     "AtomicMeasure", "Semicircle", "BurgersEvolved",
     "semicircle_stieltjes", "burgers_solve", "law_at_time",
-    "moment_from_stieltjes",
-    "eigenvalue_derivatives", "make_shift", "sample_flows",
+    "eigh", "eigenvalue_derivatives", "make_shift", "sample_flows",
     "divided_difference_stack", "kolmogorov_distance",
     "PathFactor", "factor_grid", "sample_entry_block",
     "TestFunction", "by_name",

@@ -78,7 +78,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = cfg.with_seed(args.seed)
         out_dir = args.out or os.environ.get(OUTPUT_ENV_VAR)
-        written = run(cfg, args.subcommand, out_dir=out_dir, threads=max(1, args.threads))
+        written = run(cfg, args.subcommand, out_dir=out_dir, threads=args.threads)
     except (ConfigError, RunUsageError, json.JSONDecodeError) as exc:
         print(f"eigenflow: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -317,7 +317,7 @@ def parse_config(text: str) -> ExperimentConfig:
 def config_to_grid(cfg: ExperimentConfig):
     from .grids import TimeGrid
     if cfg.grid_times is not None:
-        return TimeGrid.from_times(cfg.grid_times)
+        return TimeGrid(cfg.grid_times)
     return TimeGrid.uniform(cfg.grid_t_max, cfg.grid_steps)
 
 

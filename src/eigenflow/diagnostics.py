@@ -18,7 +18,8 @@
   grid time, with the sup over grid times.
 * ``holder_increments``: moment scaling of measure increments in the time
   separation, fitted as a log-log slope.
-* ``collision_experiment``: minimum spectral gap statistics.
+* ``collision_experiment``: minimum spectral gap statistics of a streamed
+  ensemble; ``collision_proximity`` gives them for a spectra block in hand.
 * ``dyson_crosscheck``: Brownian-only Euler-Maruyama integration of the
   n-rescaled non-colliding eigenvalue SDE
 
@@ -51,7 +52,7 @@ import numpy as np
 from . import rng
 from .grids import TimeGrid
 from .kernels import BrownianKernel, CovarianceKernel
-from .limitlaw import AtomicMeasure, law_at_time, limit_stieltjes
+from .limitlaw import AtomicMeasure, law_at_time
 from .matrixflow import DEGENERATE_GAP, sample_flows, spectra_of_stack
 from .measures import divided_difference_stack, kolmogorov_distance
 from .testfunctions import TestFunction
@@ -245,7 +246,7 @@ def holder_increments(kernel: CovarianceKernel, n: int, shift: np.ndarray,
     ``holder_times(t_base, separations)``.
     """
     seps = np.asarray(sorted(separations), dtype=float)
-    grid = TimeGrid.from_times(holder_times(t_base, seps))
+    grid = TimeGrid(holder_times(t_base, seps))
     base_idx = grid.index_of(t_base)
     idx = [grid.index_of(t_base + d) for d in seps]
 
@@ -343,7 +344,7 @@ _SDE_MAX_DEPTH = 3
 _SDE_NODES = 2 ** (_SDE_MAX_DEPTH + 1) - 2
 
 
-def _tamed_displacement(drift: np.ndarray, dt: float, lam: np.ndarray, n: int) -> np.ndarray:
+def _tamed_displacement(drift: np.ndarray, dt: float, lam: np.ndarray) -> np.ndarray:
     """Drift displacement bounded by half the local gap.
 
     The taming factor 1 / (1 + 2 dt |drift| / gap) tends to one as dt
@@ -351,8 +352,6 @@ def _tamed_displacement(drift: np.ndarray, dt: float, lam: np.ndarray, n: int) -
     repulsion can never overshoot a neighbour within one step.
     """
     disp = drift * dt
-    if n == 1:
-        return disp
     d = np.diff(lam, axis=1)
     big = np.max(np.abs(lam), axis=1, keepdims=True) + 1.0
     gap_lo = np.concatenate([big, d], axis=1)
@@ -387,7 +386,7 @@ def _sde_step(lam: np.ndarray, dt: float, noise: np.ndarray, n: int, depth: int,
         stiff = np.zeros(lam.shape[0], dtype=bool)
 
     if depth >= _SDE_MAX_DEPTH:
-        prop = lam + _tamed_displacement(drift, dt, lam, n) + sigma * math.sqrt(dt) * noise
+        prop = lam + _tamed_displacement(drift, dt, lam) + sigma * math.sqrt(dt) * noise
     else:
         prop = lam + drift * dt + sigma * math.sqrt(dt) * noise
         if np.any(stiff):
@@ -467,20 +466,3 @@ def dyson_crosscheck(n: int, shift: np.ndarray, t_max: float, dt: float, paths: 
     return DysonRow(n=n, t=t_max, dt=dt, paths=paths, w1_distance=w1,
                     w1_mc_error=mc_err, forced_sorts=sum(c[1] for c in chunks))
 
-
-# ---------------------------------------------------------------------------
-# Burgers PDE finite-difference check
-# ---------------------------------------------------------------------------
-
-def burgers_pde_residual(mu0: AtomicMeasure, taus: np.ndarray, zs: np.ndarray,
-                         h: float = 1e-4) -> float:
-    """max |dF/dtau - F dF/dz| over a (tau, z) grid, by central differences."""
-    worst = 0.0
-    for tau in np.asarray(taus, dtype=float):
-        for z in np.atleast_1d(zs):
-            z = complex(z)
-            f0 = limit_stieltjes(mu0, tau, z)
-            dtau = (limit_stieltjes(mu0, tau + h, z) - limit_stieltjes(mu0, tau - h, z)) / (2 * h)
-            dz = (limit_stieltjes(mu0, tau, z + h) - limit_stieltjes(mu0, tau, z - h)) / (2 * h)
-            worst = max(worst, abs(dtau - f0 * dz))
-    return worst

@@ -32,10 +32,6 @@ class TimeGrid:
         return cls(np.linspace(0.0, float(t_max), steps + 1))
 
     @classmethod
-    def from_times(cls, times) -> "TimeGrid":
-        return cls(np.asarray(times, dtype=float))
-
-    @classmethod
     def power_graded(cls, t_max: float, steps: int, grade: float = 2.0) -> "TimeGrid":
         """Grid refined toward 0: t_k = t_max (k/K)^grade.
 

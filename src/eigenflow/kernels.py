@@ -53,13 +53,6 @@ class CovarianceKernel:
         """
         return self.diag(b) - self.diag(a)
 
-    def partial_s(self, s, t):
-        """dR/ds(s,t) away from its singular set; finite difference fallback."""
-        s = np.asarray(s, dtype=float)
-        h = np.maximum(1e-7, 1e-7 * s)
-        lo = np.maximum(s - h, 0.0)
-        return (self.eval(s + h, t) - self.eval(lo, t)) / (s + h - lo)
-
     def gram(self, times: np.ndarray) -> np.ndarray:
         """Matrix [R(t_i, t_j)] on the given times."""
         t = np.asarray(times, dtype=float)
@@ -155,22 +148,32 @@ class TableKernel(CovarianceKernel):
         frac = (x - self.times[idx]) / (self.times[idx + 1] - self.times[idx])
         return idx, frac
 
-    def eval(self, s, t):
+    def _cell(self, s, t):
+        """The table cell of (a, b) = (min, max)(s, t): its indices and
+        fractions along a and b, and its corner values vij = v[ia + i, ib + j]."""
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
         _check_nonnegative(s, t)
-        a = np.minimum(s, t)
-        b = np.maximum(s, t)
-        ia, fa = self._locate(a)
-        ib, fb = self._locate(b)
+        ia, fa = self._locate(np.minimum(s, t))
+        ib, fb = self._locate(np.maximum(s, t))
         v = self.values
-        v00 = v[ia, ib]
-        v01 = v[ia, ib + 1]
-        v10 = v[ia + 1, ib]
-        v11 = v[ia + 1, ib + 1]
+        return ia, fa, ib, fb, (v[ia, ib], v[ia, ib + 1], v[ia + 1, ib], v[ia + 1, ib + 1])
+
+    def eval(self, s, t):
+        _, fa, _, fb, (v00, v01, v10, v11) = self._cell(s, t)
         out = (v00 * (1 - fa) * (1 - fb) + v01 * (1 - fa) * fb
                + v10 * fa * (1 - fb) + v11 * fa * fb)
         return out[()]
+
+    def partial_s(self, s, t):
+        """Exact dR/ds(s,t) of the interpolant, inside the table: the slope
+        along a = s where s < t and along b = s otherwise, on the cell
+        ``_locate`` picks (the one below the last node)."""
+        ia, fa, ib, fb, (v00, v01, v10, v11) = self._cell(s, t)
+        h = np.diff(self.times)
+        along_a = ((v10 - v00) * (1 - fb) + (v11 - v01) * fb) / h[ia]
+        along_b = ((v01 - v00) * (1 - fa) + (v11 - v10) * fa) / h[ib]
+        return np.where(np.asarray(s) < np.asarray(t), along_a, along_b)[()]
 
 
 def _check_nonnegative(s, t):

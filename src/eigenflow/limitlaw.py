@@ -17,10 +17,11 @@ semicircle transform in closed form
 
 with the square root branch chosen as the product of principal roots of
 (z - 2 sqrt(tau)) and (z + 2 sqrt(tau)), which is continuous on the upper
-half-plane and behaves like z at infinity; ``limit_stieltjes`` evaluates
-F_tau(z).  On the real axis the limit is mu_0 at tau = 0 and mu_0 boxplus
-semicircle(tau) after; ``BurgersEvolved`` evaluates its density and CDF
-exactly through Biane's parametrisation of the subordination boundary.
+half-plane and behaves like z at infinity.  ``limit_stieltjes`` is the one
+evaluator of F_tau(z).  On the real axis the limit is mu_0 at tau = 0 and
+mu_0 boxplus semicircle(tau) after; the law objects carry densities and
+CDFs only, and ``BurgersEvolved`` evaluates them exactly through Biane's
+parametrisation of the subordination boundary.
 """
 
 from __future__ import annotations
@@ -209,9 +210,6 @@ class Semicircle:
     def support(self):
         return (self.center - self.radius, self.center + self.radius)
 
-    def stieltjes(self, z: complex) -> complex:
-        return semicircle_stieltjes(self.variance, complex(z) - self.center)
-
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         u = x - self.center
@@ -267,9 +265,6 @@ class BurgersEvolved:
         spread = 2.0 * math.sqrt(self.tau)
         return (float(self.initial.atoms.min()) - spread,
                 float(self.initial.atoms.max()) + spread)
-
-    def stieltjes(self, z: complex) -> complex:
-        return limit_stieltjes(self.initial, self.tau, z)
 
     def pdf(self, x):
         return self._pdf_cdf(x)[0]
@@ -361,26 +356,3 @@ def law_at_time(kernel: CovarianceKernel, mu0: AtomicMeasure, t: float):
         return Semicircle(center=float(mu0.atoms[0]), variance=tau)
     return BurgersEvolved(initial=mu0, tau=tau)
 
-
-def moment_from_stieltjes(law, order: int, radius: float | None = None,
-                          nodes: int = 512) -> float:
-    """k-th moment extracted from the Stieltjes transform.
-
-    Contour integral of -z^k F(z)/(2 pi i) over a circle enclosing the
-    support, evaluated by the trapezoid rule (spectrally accurate for the
-    analytic integrand); the lower half-circle uses F(conj z) = conj F(z).
-    """
-    lo, hi = law.support
-    if radius is None:
-        radius = max(abs(lo), abs(hi)) + 1.0
-    theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
-    zs = radius * np.exp(1j * theta)
-    total = 0.0 + 0.0j
-    for z in zs:
-        if z.imag > 0:
-            g = law.stieltjes(z)
-        else:
-            g = np.conj(law.stieltjes(np.conj(z)))
-        total += (z ** order) * g * (1j * z)
-    total *= (2.0 * np.pi / nodes)
-    return float((-total / (2j * np.pi)).real)

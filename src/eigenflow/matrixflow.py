@@ -177,12 +177,3 @@ def make_shift(spec: str, n: int) -> np.ndarray:
         return 0.5 * (a + a.T)
     raise ValueError(f"expected zero, diag:<csv> or file:<path>, got {spec!r}")
 
-
-def hoffman_wielandt_holds(y1: np.ndarray, y2: np.ndarray,
-                           lam1: np.ndarray, lam2: np.ndarray,
-                           slack: float = 1e-9) -> bool:
-    """Sum of squared sorted-eigenvalue differences is bounded by the
-    squared Frobenius distance of the matrices."""
-    lhs = float(np.sum((np.sort(lam1) - np.sort(lam2)) ** 2))
-    rhs = float(np.sum((y1 - y2) ** 2))
-    return lhs <= rhs * (1.0 + slack) + slack

@@ -9,17 +9,20 @@ before anything is sampled, and every experiment takes that matrix.
 Every output CSV starts with a ``#``-prefixed JSON comment embedding the
 subcommand, the master seed and the full resolved configuration, followed
 by a header row.  Floats are written with ``repr`` (shortest round-trip),
-chunk results are placed by index and reduced in a fixed order, so a run
-is a pure function of (canonical config, seed) regardless of the thread
-count.  Every table is checked before any file is written, and the output
-directory is made only then, so a run that fails its input checks leaves
-nothing behind; a non-finite value where a healthy run has none is a
-``NumericalFailure``.  The manifest records the canonical config and
-environment; a run can be reproduced from it.
+and a field holding a comma, such as a test function's name, is quoted the
+way ``csv`` quotes it.  Every run maps its chunks through one thread pool of
+``threads`` workers (at least one); chunk results are placed by index and
+reduced in a fixed order, so a run is a pure function of (canonical config,
+seed) regardless of the thread count.  Every table is checked before any
+file is written, and the output directory is made only then, so a run that
+fails its input checks leaves nothing behind; a non-finite value where a
+healthy run has none is a ``NumericalFailure``.  The manifest records the
+canonical config and environment; a run can be reproduced from it.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import platform
 import time
@@ -79,15 +82,7 @@ def _write_csv(path: Path, cfg: ExperimentConfig, subcommand: str,
     with open(path, "w", newline="\n") as fh:
         fh.write(_header_comment(cfg, subcommand) + "\n")
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _mapper(threads: int):
-    if threads <= 1:
-        return map, None
-    pool = ThreadPoolExecutor(max_workers=threads)
-    return pool.map, pool
+        csv.writer(fh, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
 
 
 def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
@@ -104,12 +99,9 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
     out = Path(cfg.output_directory)
 
     started = time.perf_counter()
-    mapper, pool = _mapper(threads)
-    try:
-        written = _dispatch(cfg, subcommand, out, mapper)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    threads = max(1, threads)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        written = _dispatch(cfg, subcommand, out, pool.map)
 
     manifest = {
         "subcommand": subcommand,

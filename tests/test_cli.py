@@ -1,5 +1,6 @@
 """CLI and runner: outputs, manifests, determinism, exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -67,6 +68,13 @@ def read_rows(path):
     return header, rows
 
 
+def dict_rows(path):
+    """Data rows as dicts, read the way ``csv`` reads them."""
+    with open(path, newline="") as fh:
+        next(fh)  # the JSON comment
+        return list(csv.DictReader(fh))
+
+
 class TestConverge:
     def test_outputs_and_columns(self, cfg_file, tmp_path):
         out = tmp_path / "run"
@@ -99,6 +107,10 @@ class TestConverge:
         serial = (out / "converge_n8.csv").read_bytes()
         main(["converge", "--config", str(cfg_file), "--out", str(out), "--threads", "4"])
         assert (out / "converge_n8.csv").read_bytes() == serial
+        # a count below one runs one worker
+        main(["converge", "--config", str(cfg_file), "--out", str(out), "--threads", "0"])
+        assert (out / "converge_n8.csv").read_bytes() == serial
+        assert json.loads((out / "run_manifest.json").read_text())["threads"] == 1
 
     def test_seed_override_changes_output(self, cfg_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -171,6 +183,19 @@ class TestSubcommands:
         assert header[:3] == ["n", "test_function", "M"]
         header, rows = read_rows(out / "residual_fit.csv")
         assert header == ["test_function", "n_values", "slope"]
+
+    def test_test_function_name_is_one_csv_field(self, tmp_path):
+        # the poly_quadratic name holds commas; unquoted, it split into columns
+        p = tmp_path / "exp.cfg"
+        p.write_text(MINIMAL.replace("n = 8", "n = 4, 8")
+                     + "\n[observables]\ntest_functions = poly_quadratic\n")
+        out = tmp_path / "run"
+        assert main(["residual", "--config", str(p), "--out", str(out)]) == 0
+        for name, number in (("residual_n4.csv", "mean_square"), ("residual_fit.csv", "slope")):
+            (row,) = dict_rows(out / name)
+            assert None not in row  # no field past the header's columns
+            assert row["test_function"] == "poly([0,0,1],w=10)"
+            float(row[number])
 
     def test_holder_files(self, cfg_file, tmp_path):
         out = tmp_path / "run"
@@ -452,6 +477,14 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         _, rows = read_rows(tmp_path / "o" / name)
         assert cell in [v for row in rows for v in row]
+
+    @pytest.mark.parametrize("content", ['{"seed": 1}', "[1, 2]"], ids=["object", "list"])
+    def test_json_that_is_no_manifest_is_config_error(self, tmp_path, content, capsys):
+        p = tmp_path / "other.json"
+        p.write_text(content)
+        assert main(["converge", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert "is not a run manifest" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["converge", "--config", str(tmp_path / "nope.cfg")]) == 3

@@ -166,6 +166,30 @@ seed = 1
         with pytest.raises(ConfigError, match=message):
             parse_config(MINIMAL + f"\n[experiment]\n{setting}\n")
 
+    @pytest.mark.parametrize("text, problem", [
+        ("[plot]\n" + MINIMAL, "line 1: unknown section [plot]"),
+        ("width = 3\n" + MINIMAL, "line 1: key outside any known section"),
+        (MINIMAL.replace("kind = brownian", "kind = brownian\nverbose"),
+         "line 4: expected 'key = value', got 'verbose'"),
+        (MINIMAL.replace("t_max = 1.0", "t_max = 0.0"), "grid.t_max must be positive, got 0.0"),
+        (MINIMAL.replace("steps = 8", "steps = 0"), "grid.steps must be at least 1, got 0"),
+        (MINIMAL.replace("t_max = 1.0\nsteps = 8", "times = 0.5, 1.0"),
+         "grid.times must be strictly increasing and start at 0"),
+        (MINIMAL.replace("t_max = 1.0\nsteps = 8", "times = 0.0, 1.0, 0.5"),
+         "grid.times must be strictly increasing and start at 0"),
+        (MINIMAL.replace("seed = 1", "seed = -1"),
+         "sampler.seed must be an unsigned 64-bit integer, got -1"),
+        (MINIMAL.replace("seed = 1", f"seed = {2 ** 64}"),
+         f"sampler.seed must be an unsigned 64-bit integer, got {2 ** 64}"),
+        (MINIMAL.replace("kind = brownian", "kind = table"),
+         "kernel.table_path is required when kernel.kind = table"),
+    ], ids=["unknown-section", "key-outside-section", "no-equals", "t_max-zero", "steps-zero",
+            "times-start", "times-order", "seed-negative", "seed-too-big", "table-no-path"])
+    def test_rejected_with_one_problem(self, text, problem):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.problems == [problem]
+
 
 class TestComplexLiterals:
     @pytest.mark.parametrize("text,expected", [

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from eigenflow import diagnostics
-from eigenflow.diagnostics import (burgers_pde_residual, collision_experiment,
-                                   collision_proximity, convergence_study,
-                                   dyson_crosscheck, fit_loglog_slope,
+from eigenflow.diagnostics import (collision_experiment, collision_proximity,
+                                   convergence_study, dyson_crosscheck, fit_loglog_slope,
                                    holder_increments, residual_experiment,
                                    weak_equation_residual)
 from eigenflow.grids import TimeGrid
@@ -17,6 +16,7 @@ from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel, TableKer
 from eigenflow.limitlaw import AtomicMeasure
 from eigenflow.matrixflow import sample_flows, spectra_of_stack
 from eigenflow.testfunctions import TestFunction, gaussian_bump
+from oracles import burgers_pde_residual
 
 
 class TestWeakEquationResidual:
@@ -24,7 +24,7 @@ class TestWeakEquationResidual:
         # a degenerate tabulated kernel freezes the flow: R identically 0
         ts = np.linspace(0.0, 1.0, 5)
         kernel = TableKernel(ts, np.zeros((5, 5)))
-        grid = TimeGrid.from_times(ts)
+        grid = TimeGrid(ts)
         lam = np.tile(np.array([1.0, 0.0, -2.0]), (4, len(grid), 1))
         g = weak_equation_residual(lam, kernel, grid, gaussian_bump)
         assert np.all(g == 0.0)

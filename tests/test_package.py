@@ -1,5 +1,7 @@
 """The package's public names and import graph."""
 
+import ast
+import collections
 import importlib.util
 import os
 import subprocess
@@ -73,6 +75,28 @@ def test_benchmark_traced_names_resolve():
     missing = [f"{owner}.{attr}" for owner, attr, _, _ in tracer.SPANS
                if not callable(getattr(tracer._resolve(owner), attr, None))]
     assert missing == []
+
+
+def _names(node):
+    """Every name and attribute a syntax tree reads or binds."""
+    return collections.Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_src_function_is_used():
+    # a public function or class that no other package code names, that
+    # eigenflow does not export and that the benchmark does not wrap serves
+    # only the tests, and belongs with them in tests/oracles.py
+    src = Path(eigenflow.__file__).resolve().parent
+    trees = [ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))]
+    everywhere = sum((_names(tree) for tree in trees), collections.Counter())
+    kept = set(eigenflow.__all__) | {attr for _, attr, _, _ in _load("tracer").SPANS}
+    unused = [node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in kept
+              and everywhere[node.name] == _names(node)[node.name]]
+    assert unused == []
 
 
 def test_benchmark_configs_set_only_keys_their_subcommand_reads():

@@ -21,17 +21,17 @@ class TestTimeGrid:
         assert g.is_uniform()
 
     def test_nonuniform(self):
-        g = TimeGrid.from_times([0.0, 0.1, 0.5, 2.0])
+        g = TimeGrid([0.0, 0.1, 0.5, 2.0])
         assert np.allclose(g.deltas, [0.1, 0.4, 1.5])
         assert not g.is_uniform()
 
     def test_must_start_at_zero(self):
         with pytest.raises(ValueError):
-            TimeGrid.from_times([0.5, 1.0])
+            TimeGrid([0.5, 1.0])
 
     def test_strictly_increasing(self):
         with pytest.raises(ValueError):
-            TimeGrid.from_times([0.0, 1.0, 1.0])
+            TimeGrid([0.0, 1.0, 1.0])
 
     def test_power_graded(self):
         g = TimeGrid.power_graded(2.0, 4, grade=2.0)
@@ -41,18 +41,18 @@ class TestTimeGrid:
 
 class TestFactorGrid:
     def test_brownian_two_points(self):
-        f = factor_grid(BrownianKernel(), TimeGrid.from_times([0.0, 1.0]))
+        f = factor_grid(BrownianKernel(), TimeGrid([0.0, 1.0]))
         assert np.allclose(f.lower, [[0, 0], [0, 1]])
         assert f.jitter_used == 0.0
 
     def test_brownian_three_points_reconstruction(self):
-        grid = TimeGrid.from_times([0.0, 1.0, 2.0])
+        grid = TimeGrid([0.0, 1.0, 2.0])
         f = factor_grid(BrownianKernel(), grid)
         gram = np.array([[0, 0, 0], [0, 1, 1], [0, 1, 2]], dtype=float)
         assert np.max(np.abs(f.lower @ f.lower.T - gram)) < 1e-12
 
     def test_fbm_gram_entry(self):
-        grid = TimeGrid.from_times([0.0, 0.5, 1.0])
+        grid = TimeGrid([0.0, 0.5, 1.0])
         f = factor_grid(FractionalBrownianKernel(0.75), grid)
         gram = f.lower @ f.lower.T
         # R(0.5, 1) = (0.5^1.5 + 1 - 0.5^1.5)/2 = 0.5
@@ -80,7 +80,7 @@ class TestFactorGrid:
         from eigenflow.kernels import TableKernel
         ts = np.linspace(0.0, 1.0, 9)
         kernel = TableKernel(ts, np.outer(ts, ts))
-        grid = TimeGrid.from_times(ts)
+        grid = TimeGrid(ts)
         f = factor_grid(kernel, grid)
         gram = kernel.gram(grid.times)
         assert np.max(np.abs(f.lower @ f.lower.T - gram)) <= 1e-8 * 2.0
@@ -94,7 +94,7 @@ class TestFactorGrid:
                          [0.0, 2.0, 1.0]])  # symmetric but indefinite
         kernel = TableKernel(ts, vals)
         with pytest.raises(FactorizationError, match="jitter ladder"):
-            factor_grid(kernel, TimeGrid.from_times(ts))
+            factor_grid(kernel, TimeGrid(ts))
 
 
 class TestEntrySampling:
@@ -117,14 +117,14 @@ class TestEntrySampling:
                 assert np.array_equal(block[p, k], single)
 
     def test_brownian_terminal_variance(self):
-        f = factor_grid(BrownianKernel(), TimeGrid.from_times([0.0, 1.0]))
+        f = factor_grid(BrownianKernel(), TimeGrid([0.0, 1.0]))
         ids = rng.stream_id(0, 0, 0, np.arange(100_000))
         vals = sample_entry_block(f, 77, ids)[:, 1]
         # Var X(1) = 1; sample variance within ~3 standard errors
         assert vals.var() == pytest.approx(1.0, abs=0.02)
 
     def test_fbm_cross_covariance(self):
-        grid = TimeGrid.from_times([0.0, 0.5, 1.0])
+        grid = TimeGrid([0.0, 0.5, 1.0])
         kern = FractionalBrownianKernel(0.3)
         f = factor_grid(kern, grid)
         ids = rng.stream_id(0, 0, 0, np.arange(100_000))
@@ -148,7 +148,7 @@ class TestEntrySampling:
             assert np.all(err <= 4.0 * se[1:, 1:]), f"{kern.kind} exceeded 4 SE"
 
     def test_distinct_entries_independent(self):
-        f = factor_grid(BrownianKernel(), TimeGrid.from_times([0.0, 1.0]))
+        f = factor_grid(BrownianKernel(), TimeGrid([0.0, 1.0]))
         ids_a = rng.stream_id(0, 0, 1, np.arange(100_000))
         ids_b = rng.stream_id(0, 1, 1, np.arange(100_000))
         a = sample_entry_block(f, 5, ids_a)[:, 1]
@@ -222,7 +222,7 @@ class TestCirculant:
 
     def test_requires_uniform_grid(self):
         with pytest.raises(ValueError):
-            circulant_fbm_block(0.5, TimeGrid.from_times([0, 0.1, 1.0]), 1,
+            circulant_fbm_block(0.5, TimeGrid([0, 0.1, 1.0]), 1,
                                 _one_id(rng.DOMAIN_CIRCULANT, 0, 0, 0))
 
     def test_indefinite_embedding_fails_hard(self, monkeypatch):
