@@ -1,13 +1,16 @@
 """Command line interface.
 
     eigenflow <subcommand> --config <path> [--out <dir>] [--seed <u64>] [--threads <k>]
+              [--log-level <level>]
 
 Subcommands: converge, residual, holder, collisions, dyson, limit.
 ``--config`` accepts either a config file or a previously written
 ``run_manifest.json`` (the embedded canonical config is replayed).
 ``--seed`` overrides the config seed; the EIGENFLOW_OUT environment
 variable overrides the configured output directory and is itself
-overridden by ``--out``.
+overridden by ``--out``.  ``--log-level`` (default WARNING) sets the level of
+the log records printed on standard error, such as the Cholesky jitter
+notice and the BLAS thread line at INFO; it changes no output file.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 I/O error.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 
@@ -33,6 +37,7 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 OUTPUT_ENV_VAR = "EIGENFLOW_OUT"
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,6 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--log-level", type=str.upper, choices=LOG_LEVELS, default="WARNING",
+                       help="level of the log records printed on standard error")
     return parser
 
 
@@ -71,6 +78,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    logging.basicConfig(level=args.log_level, stream=sys.stderr,
+                        format="%(name)s: %(levelname)s: %(message)s")
 
     try:
         text = _load_config_text(args.config)

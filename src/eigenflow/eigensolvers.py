@@ -6,11 +6,21 @@ eigenvalues and eigenvectors of one matrix or a (..., n, n) stack, and
 returns descending eigenvalues and orthonormal eigenvector columns whose
 first nonzero component is positive.  The tests check both against an
 independent cyclic Jacobi reference that shares no code with LAPACK.
+
+``one_blas_thread`` holds every OpenBLAS the process has loaded at one
+thread inside its block, so that a pool of k workers, each calling LAPACK,
+keeps k cores busy rather than k times OpenBLAS's own thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
+
+# thread-count setters in the order they are tried; each has a ``_get_`` twin
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
 def _check_symmetric(a: np.ndarray) -> np.ndarray:
@@ -59,3 +69,47 @@ def eigvalsh_stack(matrices: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of a stack of symmetric matrices (LAPACK)."""
     w = np.linalg.eigvalsh(matrices)
     return w[..., ::-1]
+
+
+def _openblas_controls():
+    """(path, setter, getter) of each OpenBLAS mapped into this process that
+    exports a thread-count setter; empty where none is found (no
+    ``/proc/self/maps``, or a BLAS other than OpenBLAS).  A process that
+    imported scipy maps two, and their names do not say which one numpy
+    calls, so every one is returned."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            getter = name.replace("_set_", "_get_")
+            if hasattr(lib, name) and hasattr(lib, getter):
+                controls.append((path, getattr(lib, name), getattr(lib, getter)))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold OpenBLAS at one thread inside the block and put the caller's
+    count back on the way out, also when the block raises.  Yields the
+    paths of the libraries held; the block runs unchanged where the list
+    is empty."""
+    controls = _openblas_controls()
+    saved = [(setter, getter()) for _, setter, getter in controls]
+    for setter, _ in saved:
+        setter(1)
+    try:
+        yield [path for path, *_ in controls]
+    finally:
+        for setter, count in saved:
+            setter(count)

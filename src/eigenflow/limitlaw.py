@@ -181,8 +181,9 @@ def burgers_solve(mu0: AtomicMeasure, tau: float, z: complex) -> complex:
 
 
 def limit_stieltjes(mu0: AtomicMeasure, tau: float, z: complex) -> complex:
-    """F_tau(z); closed form for a single atom, fixed point otherwise."""
-    if mu0.atoms.size == 1:
+    """F_tau(z): F_0 = ``mu0.stieltjes`` itself at tau = 0, the closed form
+    for a single atom at tau > 0, the fixed point otherwise."""
+    if mu0.atoms.size == 1 and tau > 0:
         return semicircle_stieltjes(tau, complex(z) - mu0.atoms[0])
     return burgers_solve(mu0, tau, z)
 

@@ -13,17 +13,23 @@ and a field holding a comma, such as a test function's name, is quoted the
 way ``csv`` quotes it.  Every run maps its chunks through one thread pool of
 ``threads`` workers (at least one); chunk results are placed by index and
 reduced in a fixed order, so a run is a pure function of (canonical config,
-seed) regardless of the thread count.  Every table is checked before any
-file is written, and the output directory is made only then, so a run that
-fails its input checks leaves nothing behind; a non-finite value where a
-healthy run has none is a ``NumericalFailure``.  The manifest records the
-canonical config and environment; a run can be reproduced from it.
+seed) regardless of the thread count.  That pool is the run's only level of
+parallelism: for the whole run, OpenBLAS is held at one thread
+(``eigensolvers.one_blas_thread``) and the caller's count is put back
+afterwards, so ``threads`` workers keep ``threads`` cores busy instead of
+each LAPACK call starting threads of its own.  Every table is checked
+before any file is written, and the output directory is made only then, so
+a run that fails its input checks leaves nothing behind; a non-finite value
+where a healthy run has none is a ``NumericalFailure``.  The manifest records the
+canonical config, the thread counts and the environment; a run can be
+reproduced from it.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import logging
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -34,6 +40,7 @@ import numpy as np
 
 from . import __version__, diagnostics
 from .config import ExperimentConfig, config_to_grid, config_to_kernel
+from .eigensolvers import one_blas_thread
 from .kernels import BrownianKernel, KernelDomainError
 from .limitlaw import AtomicMeasure, law_at_time, limit_stieltjes
 from .matrixflow import make_shift
@@ -51,6 +58,8 @@ READS = {
 }
 SUBCOMMANDS = tuple(READS)
 MANIFEST_NAME = "run_manifest.json"
+
+log = logging.getLogger(__name__)
 
 
 class RunUsageError(ValueError):
@@ -100,14 +109,21 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
 
     started = time.perf_counter()
     threads = max(1, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        written = _dispatch(cfg, subcommand, out, pool.map)
+    with one_blas_thread() as blas_libraries:
+        if blas_libraries:
+            log.info("BLAS held at 1 thread for the run: %s",
+                     ", ".join(Path(p).name for p in blas_libraries))
+        else:
+            log.info("no OpenBLAS thread control found; BLAS threads left as they are")
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            written = _dispatch(cfg, subcommand, out, pool.map)
 
     manifest = {
         "subcommand": subcommand,
         "seed": cfg.sampler_seed,
         "canonical_config": cfg.canonical_text(),
         "threads": threads,
+        "blas_threads": 1 if blas_libraries else None,
         "outputs": [str(p) for p in written],
         "wall_time_s": time.perf_counter() - started,
         "versions": {

@@ -1,5 +1,6 @@
 """CLI and runner: outputs, manifests, determinism, exit codes."""
 
+import contextlib
 import csv
 import json
 import os
@@ -296,14 +297,15 @@ class TestSubcommands:
 
     def test_limit_time_zero_stieltjes_is_closed_form(self, tmp_path):
         # every F_tau(z) comes from limit_stieltjes; at t = 0 of the zero
-        # shift that is the semicircle formula's -1/z, to the last digit
-        from eigenflow.limitlaw import semicircle_stieltjes
+        # shift that is the point mass's own transform 1/(0 - z), to the
+        # last digit
+        from eigenflow.limitlaw import AtomicMeasure
         p = tmp_path / "exp.cfg"
         p.write_text(LIMIT + "\n[observables]\nz_points = 0.5+0.1i\n")
         out = tmp_path / "run"
         assert main(["limit", "--config", str(p), "--out", str(out)]) == 0
         _, rows = read_rows(out / "limit_stieltjes.csv")
-        f = semicircle_stieltjes(0.0, 0.5 + 0.1j)
+        f = AtomicMeasure.point_mass(0.0).stieltjes(0.5 + 0.1j)
         assert rows[0] == ["0.0", "0.5", "0.1", repr(f.real), repr(f.imag)]
 
 
@@ -565,3 +567,83 @@ class TestEnvOverride:
         main(["collisions", "--config", str(cfg_file), "--out", str(explicit)])
         assert (explicit / "collisions_n8.csv").exists()
         assert not (tmp_path / "env_out").exists()
+
+
+@pytest.fixture
+def blas_control():
+    """(path, setter, getter) of the process's OpenBLAS; the caller's count
+    is put back after the test."""
+    from eigenflow.eigensolvers import _openblas_controls
+    controls = _openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this process")
+    _, setter, getter = controls[0]
+    before = getter()
+    yield controls[0]
+    setter(before)
+
+
+class TestBlasThreads:
+    def test_pool_tasks_run_with_one_blas_thread(self, tmp_path, monkeypatch, blas_control):
+        import threading
+        from eigenflow import diagnostics, eigensolvers
+        _, setter, getter = blas_control
+        setter(2)
+        seen = []
+        eigvalsh_stack = eigensolvers.eigvalsh_stack
+
+        def recording(matrices):
+            seen.append((threading.current_thread() is threading.main_thread(), getter()))
+            return eigvalsh_stack(matrices)
+
+        monkeypatch.setattr(eigensolvers, "eigvalsh_stack", recording)
+        monkeypatch.setattr(diagnostics, "CHUNK_BYTES", 1)  # one path per pool task
+        p = tmp_path / "exp.cfg"
+        p.write_text(MINIMAL)
+        assert main(["collisions", "--config", str(p), "--out", str(tmp_path / "o"),
+                     "--threads", "2"]) == 0
+        assert len(seen) == 6 and not any(main_thread for main_thread, _ in seen)
+        assert [count for _, count in seen] == [1] * 6
+        manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+        assert manifest["blas_threads"] == 1
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["passes", "raises"])
+    def test_run_puts_the_callers_count_back(self, tmp_path, monkeypatch, blas_control, fails):
+        from eigenflow import eigensolvers
+        from eigenflow.config import parse_config
+        from eigenflow.runner import run
+        _, setter, getter = blas_control
+        setter(2)
+        if getter() != 2:
+            pytest.skip("this OpenBLAS cannot run two threads")
+        if fails:
+            def failing(matrices):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            monkeypatch.setattr(eigensolvers, "eigvalsh_stack", failing)
+        with pytest.raises(np.linalg.LinAlgError) if fails else contextlib.nullcontext():
+            run(parse_config(MINIMAL), "collisions", out_dir=str(tmp_path / "o"), threads=2)
+        assert getter() == 2
+
+
+class TestLogLevel:
+    def test_info_prints_the_blas_line_and_keeps_every_csv_byte(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text(MINIMAL)
+        args = ["collisions", "--config", str(p), "--out", str(tmp_path / "o")]
+        csv_path = tmp_path / "o" / "collisions_n8.csv"
+        quiet = run_cli(args)
+        quiet_bytes = csv_path.read_bytes()
+        loud = run_cli(args + ["--log-level", "info"])
+        assert quiet.returncode == loud.returncode == 0
+        assert quiet.stderr == ""
+        (line,) = [ln for ln in loud.stderr.splitlines() if "BLAS" in ln]
+        assert line.startswith("eigenflow.runner: INFO: ")
+        assert csv_path.read_bytes() == quiet_bytes
+
+    def test_unknown_level_is_config_error(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text(MINIMAL)
+        proc = run_cli(["collisions", "--config", str(p), "--out", str(tmp_path / "o"),
+                        "--log-level", "bogus"])
+        assert proc.returncode == 1
+        assert not (tmp_path / "o").exists()

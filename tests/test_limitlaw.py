@@ -170,6 +170,15 @@ class TestLimitAtTime:
         z = 1j
         assert law_at_time(k, mu0, 0.0).stieltjes(z) == mu0.stieltjes(z)
 
+    def test_time_zero_one_atom_has_one_evaluator(self):
+        # the one-atom closed form divides in Python and mu0.stieltjes in
+        # numpy; at tau = 0 both routes must give mu0's own value, bit for bit
+        mu0 = AtomicMeasure.point_mass(0.0)
+        z = 0.5 + 0.1j
+        got = limit_stieltjes(mu0, 0.0, z)
+        assert got == law_at_time(BrownianKernel(), mu0, 0.0).stieltjes(z)
+        assert got.imag == 0.3846153846153846
+
 
 class TestSemicircleLaw:
     def test_density_and_cdf_center(self):
