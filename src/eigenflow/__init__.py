@@ -17,7 +17,7 @@ from .limitlaw import (AtomicMeasure, BurgersEvolved, Semicircle,
                        burgers_solve, law_at_time, semicircle_stieltjes)
 from .matrixflow import eigenvalue_derivatives, make_shift, sample_flows
 from .measures import divided_difference_stack, kolmogorov_distance
-from .sampling import PathFactor, factor_grid, sample_entry_block
+from .sampling import PathFactor, factor_grid, path_sampler, sample_entry_block
 from .testfunctions import TestFunction, by_name
 
 __all__ = [
@@ -28,6 +28,6 @@ __all__ = [
     "semicircle_stieltjes", "burgers_solve", "law_at_time",
     "eigh", "eigenvalue_derivatives", "make_shift", "sample_flows",
     "divided_difference_stack", "kolmogorov_distance",
-    "PathFactor", "factor_grid", "sample_entry_block",
+    "PathFactor", "factor_grid", "path_sampler", "sample_entry_block",
     "TestFunction", "by_name",
 ]

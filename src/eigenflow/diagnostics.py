@@ -30,15 +30,17 @@
 
 Every experiment takes one matrix size n and its (n, n) shift matrix A,
 which ``matrixflow.make_shift`` builds once per run; ``initial_law(A)`` is
-mu_0, the spectral law of A that every flow starts at.  Every Monte Carlo
-experiment streams its ensemble through
-:func:`ensemble_map`: paths are sampled, diagonalised and reduced chunk by
-chunk under one byte budget, and the per-path results are placed in path
-order, so neither the chunking nor the worker count changes an output.  The
-Dyson SDE side is chunked by the same rule, with noise keyed by (seed, path,
-step) and drawn one step at a time, so its paths are pure functions of
-(seed, path) as well and its chunk budget counts the drift and one step's
-noise.
+mu_0, the spectral law of A that every flow starts at.  The other
+experiments take the run's ``sampling.PathSampler`` (kernel, grid and one
+factor); ``holder_increments`` and ``dyson_crosscheck`` sample on grids of
+their own and build one per call.  Every Monte Carlo experiment streams its
+ensemble through :func:`ensemble_map`: paths are sampled, diagonalised and
+reduced chunk by chunk under one byte budget, and the per-path results are
+placed in path order, so neither the chunking nor the worker count changes
+an output.  The Dyson SDE side is chunked by the same rule, with noise
+keyed by (seed, path, step) and drawn one step at a time, so its paths are
+pure functions of (seed, path) as well and its chunk budget counts the
+drift and one step's noise.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .kernels import BrownianKernel, CovarianceKernel
 from .limitlaw import AtomicMeasure, law_at_time
 from .matrixflow import DEGENERATE_GAP, sample_flows, spectra_of_stack
 from .measures import divided_difference_stack, kolmogorov_distance
+from .sampling import PathSampler, path_sampler
 from .testfunctions import TestFunction
 
 # Bytes per chunk of paths: the one chunk rule of every Monte Carlo side,
@@ -73,24 +76,22 @@ def _map_chunks(task: Callable[[range], object], paths: int, path_bytes: int,
                               for lo in range(0, paths, chunk)]))
 
 
-def ensemble_map(kernel: CovarianceKernel, grid: TimeGrid, n: int, shift: np.ndarray,
-                 seed: int, paths: int, reduce: Callable[[np.ndarray], np.ndarray],
-                 method: str = "cholesky", mapper=map) -> np.ndarray:
+def ensemble_map(sampler: PathSampler, n: int, shift: np.ndarray, seed: int, paths: int,
+                 reduce: Callable[[np.ndarray], np.ndarray], mapper=map) -> np.ndarray:
     """``reduce`` of the spectra (P, K+1, n) of paths 0..paths-1, chunk by chunk.
 
     The chunk results are concatenated along the first axis in path order.
-    Flows are pure functions of (seed, path index) and ``reduce`` must act
-    on each path on its own, so neither the chunk size nor ``mapper`` (a
-    thread pool's map, say) changes the result.  A chunk's matrix stack is
-    freed before ``reduce`` runs; sampling, assembly and the divided
-    differences bound their own temporaries per tile, so a chunk holds
-    little beyond its stack.
+    Every chunk draws through the one factor of ``sampler``.  Flows are pure
+    functions of (seed, path index) and ``reduce`` must act on each path on
+    its own, so neither the chunk size nor ``mapper`` (a thread pool's map,
+    say) changes the result.  A chunk's matrix stack is freed before
+    ``reduce`` runs; sampling, assembly and the divided differences bound
+    their own temporaries per tile, so a chunk holds little beyond its stack.
     """
     def task(pid: range) -> np.ndarray:
-        lam = spectra_of_stack(sample_flows(kernel, grid, n, shift, seed, pid, method=method))
-        return reduce(lam)
+        return reduce(spectra_of_stack(sample_flows(sampler, n, shift, seed, pid)))
 
-    return np.concatenate(_map_chunks(task, paths, len(grid) * n * n * 8, mapper))
+    return np.concatenate(_map_chunks(task, paths, len(sampler.grid) * n * n * 8, mapper))
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +132,12 @@ class ResidualReport:
     residuals: np.ndarray = field(repr=False)
 
 
-def residual_experiment(kernel: CovarianceKernel, grid: TimeGrid, n: int,
-                        shift: np.ndarray, f: TestFunction, paths: int, seed: int,
-                        method: str = "cholesky", mapper=map) -> ResidualReport:
+def residual_experiment(sampler: PathSampler, n: int, shift: np.ndarray, f: TestFunction,
+                        paths: int, seed: int, mapper=map) -> ResidualReport:
     """Monte Carlo estimate of E[G^2] at one matrix dimension."""
-    resid = ensemble_map(kernel, grid, n, shift, seed, paths,
-                         lambda lam: weak_equation_residual(lam, kernel, grid, f),
-                         method, mapper)
+    resid = ensemble_map(sampler, n, shift, seed, paths,
+                         lambda lam: weak_equation_residual(lam, sampler.kernel, sampler.grid, f),
+                         mapper)
     sq = resid ** 2
     return ResidualReport(
         n=n, paths=paths, test_function=f.name,
@@ -177,9 +177,8 @@ def initial_law(shift: np.ndarray) -> AtomicMeasure:
     return AtomicMeasure.from_eigenvalues(np.linalg.eigvalsh(shift))
 
 
-def convergence_study(kernel: CovarianceKernel, grid: TimeGrid, n: int,
-                      shift: np.ndarray, paths: int, seed: int,
-                      method: str = "cholesky", mapper=map) -> List[ConvergenceRow]:
+def convergence_study(sampler: PathSampler, n: int, shift: np.ndarray, paths: int,
+                      seed: int, mapper=map) -> List[ConvergenceRow]:
     """Mean Kolmogorov distance to the limit law per grid time, at one n.
 
     The initial law is the spectral distribution of the shift matrix, so
@@ -187,17 +186,17 @@ def convergence_study(kernel: CovarianceKernel, grid: TimeGrid, n: int,
     (t = None) reports the uniform-over-grid-times distance per path.
     """
     mu0 = initial_law(shift)
-    laws = [law_at_time(kernel, mu0, float(t)) for t in grid.times]
+    laws = [law_at_time(sampler.kernel, mu0, float(t)) for t in sampler.grid.times]
 
     def distances(lam):
         return np.stack([kolmogorov_distance(lam[:, k], law)
                          for k, law in enumerate(laws)], axis=1)
 
-    dist = ensemble_map(kernel, grid, n, shift, seed, paths, distances, method, mapper)
+    dist = ensemble_map(sampler, n, shift, seed, paths, distances, mapper)
     rows = [ConvergenceRow(n=n, t=float(t), mean_distance=float(dist[:, k].mean()),
                            stderr=float(dist[:, k].std(ddof=1) / math.sqrt(paths)),
                            paths=paths)
-            for k, t in enumerate(grid.times)]
+            for k, t in enumerate(sampler.grid.times)]
     sup = dist.max(axis=1)
     rows.append(ConvergenceRow(
         n=n, t=None, mean_distance=float(sup.mean()),
@@ -243,7 +242,7 @@ def holder_increments(kernel: CovarianceKernel, n: int, shift: np.ndarray,
     The fitted log-log slope is meaningful when the separations span at
     least a decade; a constant f yields the degenerate report.  Paths are
     sampled through the Cholesky factor of the non-uniform grid
-    ``holder_times(t_base, separations)``.
+    ``holder_times(t_base, separations)``, built once per call.
     """
     seps = np.asarray(sorted(separations), dtype=float)
     grid = TimeGrid(holder_times(t_base, seps))
@@ -254,7 +253,7 @@ def holder_increments(kernel: CovarianceKernel, n: int, shift: np.ndarray,
         mu_f = np.mean(f.f(lam), axis=-1)            # (P, K+1)
         return np.abs(mu_f[:, idx] - mu_f[:, base_idx, None]) ** p
 
-    incr = ensemble_map(kernel, grid, n, shift, seed, paths, increments, mapper=mapper)
+    incr = ensemble_map(path_sampler(kernel, grid), n, shift, seed, paths, increments, mapper)
     moments = np.array([col.mean() for col in incr.T])
     errs = np.array([col.std(ddof=1) for col in incr.T]) / math.sqrt(paths)
 
@@ -308,11 +307,10 @@ def collision_proximity(lambdas: np.ndarray, n: int, paths: int) -> CollisionRep
     return _gap_report(_min_gaps(lambdas), n, paths)
 
 
-def collision_experiment(kernel: CovarianceKernel, grid: TimeGrid, n: int,
-                         shift: np.ndarray, paths: int, seed: int,
-                         method: str = "cholesky", mapper=map) -> CollisionReport:
+def collision_experiment(sampler: PathSampler, n: int, shift: np.ndarray, paths: int,
+                         seed: int, mapper=map) -> CollisionReport:
     """Gap statistics of the (P, K+1) minimum gaps, streamed in chunks."""
-    gaps = ensemble_map(kernel, grid, n, shift, seed, paths, _min_gaps, method, mapper)
+    gaps = ensemble_map(sampler, n, shift, seed, paths, _min_gaps, mapper)
     return _gap_report(gaps, n, paths)
 
 
@@ -444,13 +442,13 @@ def dyson_crosscheck(n: int, shift: np.ndarray, t_max: float, dt: float, paths: 
     are averaged over paths before the distance; ``w1_mc_error`` combines
     the standard errors of the two averages.
     """
-    kernel = BrownianKernel()
     if t_max == 0.0:
         # both ensembles sit at the spectrum of the shift
         return DysonRow(n=n, t=0.0, dt=dt, paths=paths, w1_distance=0.0,
                         w1_mc_error=0.0, forced_sorts=0)
-    lam_matrix = ensemble_map(kernel, TimeGrid.uniform(t_max, 1), n, shift, seed, paths,
-                              lambda lam: np.sort(lam[:, -1, :], axis=1), mapper=mapper)
+    sampler = path_sampler(BrownianKernel(), TimeGrid.uniform(t_max, 1))
+    lam_matrix = ensemble_map(sampler, n, shift, seed, paths,
+                              lambda lam: np.sort(lam[:, -1, :], axis=1), mapper)
     mean_matrix = lam_matrix.mean(axis=0)
     se_matrix = lam_matrix.std(axis=0, ddof=1) / math.sqrt(paths)
 

@@ -6,16 +6,16 @@ A matrix flow is Y(t) = scaled Gaussian part + deterministic shift A:
     Y_ii(t) = sqrt(2) X_ii(t) / sqrt(n) + A_ii
 
 built from one Gaussian path per upper-triangle entry.  Flows and spectra
-are plain arrays: ``sample_flows`` samples the upper-triangle paths of a
-batch of realisations and ``assemble_from_triangle`` turns them into
-(..., K+1, n, n) matrix stacks, whose descending eigenvalues
-``spectra_of_stack`` returns as (..., K+1, n).  ``eigenvalue_derivatives``
-produces the first and second derivatives of a single eigenvalue of one
-matrix, from the eigenvalues and eigenvectors ``eigensolvers.eigh``
-returns, with respect to the free coordinates ``y_{k,h}`` (k <= h) of the
-scaled Gaussian part, in which the diagonal coordinate enters the matrix
-with weight sqrt(2); these feed the gradient and curvature identities used
-throughout the diagnostics.
+are plain arrays: ``sample_flows`` draws the upper-triangle paths of a
+batch of realisations through the run's ``sampling.PathSampler`` and
+``assemble_from_triangle`` turns them into (..., K+1, n, n) matrix stacks,
+whose descending eigenvalues ``spectra_of_stack`` returns as (..., K+1, n).
+``eigenvalue_derivatives`` produces the first and second derivatives of a
+single eigenvalue of one matrix, from the eigenvalues and eigenvectors
+``eigensolvers.eigh`` returns, with respect to the free coordinates
+``y_{k,h}`` (k <= h) of the scaled Gaussian part, in which the diagonal
+coordinate enters the matrix with weight sqrt(2); these feed the gradient
+and curvature identities used throughout the diagnostics.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from . import eigensolvers, sampling
-from .grids import TimeGrid
-from .kernels import CovarianceKernel
+from . import eigensolvers, rng, sampling
 
 DEGENERATE_GAP = 1e-8
 
@@ -67,16 +65,16 @@ def assemble_from_triangle(values: np.ndarray, shift: np.ndarray, n: int) -> np.
     return y
 
 
-def sample_flows(kernel: CovarianceKernel, grid: TimeGrid, n: int,
-                 shift: np.ndarray, seed: int, paths: Sequence[int],
-                 method: str = "cholesky") -> np.ndarray:
+def sample_flows(sampler: sampling.PathSampler, n: int, shift: np.ndarray, seed: int,
+                 paths: Sequence[int]) -> np.ndarray:
     """Matrix stacks (P, K+1, n, n) for a batch of path indices.
 
-    A pure function of (seed, path index); ensembles are bounded in memory
-    by streaming them through ``diagnostics.ensemble_map``.
+    Entry (i, j) of path p is stream (sampler.domain, i, j, p), a pure
+    function of (seed, path index); ``diagnostics.ensemble_map`` streams them.
     """
-    tri = sampling.upper_triangle_paths(kernel, grid, n, seed, paths, method=method)
-    return assemble_from_triangle(tri, shift, n)
+    iu, ju = np.triu_indices(n)
+    ids = rng.stream_id(sampler.domain, iu, ju, np.asarray(list(paths), dtype=np.int64)[:, None])
+    return assemble_from_triangle(sampler.draw(seed, ids), shift, n)
 
 
 def spectra_of_stack(matrices: np.ndarray) -> np.ndarray:

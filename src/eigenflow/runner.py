@@ -4,7 +4,9 @@
 subcommand reads; a run rejects any other key of those sections that is
 set away from its default, so no setting is silently ignored.  The shift
 matrix of each ``matrix.n`` is built once, by ``matrixflow.make_shift``,
-before anything is sampled, and every experiment takes that matrix.
+before anything is sampled, and every experiment takes that matrix.  So is
+the ``sampling.path_sampler`` of a run that reads ``sampler.method``, whose
+one factor serves every n and chunk; a method that does not apply exits 1.
 
 Every output CSV starts with a ``#``-prefixed JSON comment embedding the
 subcommand, the master seed and the full resolved configuration, followed
@@ -38,7 +40,7 @@ from typing import Iterable, List
 
 import numpy as np
 
-from . import __version__, diagnostics
+from . import __version__, diagnostics, sampling
 from .config import ExperimentConfig, config_to_grid, config_to_kernel
 from .eigensolvers import one_blas_thread
 from .kernels import BrownianKernel, KernelDomainError
@@ -142,11 +144,6 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
 def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List[Path]:
     kernel = config_to_kernel(cfg)
     grid = config_to_grid(cfg)
-    if cfg.sampler_method == "circulant":
-        if kernel.kind != "fbm":
-            raise RunUsageError("sampler.method = circulant requires kernel.kind = fbm")
-        if not grid.is_uniform():
-            raise RunUsageError("sampler.method = circulant requires a uniform grid")
     if subcommand in ("holder", "dyson", "limit") and len(cfg.matrix_n) > 1:
         raise RunUsageError(f"{subcommand} runs one matrix dimension; "
                             f"matrix.n lists {len(cfg.matrix_n)}")
@@ -173,13 +170,17 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
         kernel.diag(times)
     except KernelDomainError as exc:
         raise RunUsageError(f"kernel.table_path = {cfg.kernel_table_path}: {exc}") from None
+    if "sampler.method" in READS[subcommand]:  # one sampler and factor for the whole run
+        try:
+            sampler = sampling.path_sampler(kernel, grid, cfg.sampler_method)
+        except ValueError as exc:
+            raise RunUsageError(str(exc)) from None
     tables = []  # (file name, header, rows, whether non-finite cells are expected)
 
     if subcommand == "converge":
         for n, shift in shifts.items():
             rows = diagnostics.convergence_study(
-                kernel, grid, n, shift, cfg.experiment_m, cfg.sampler_seed,
-                method=cfg.sampler_method, mapper=mapper)
+                sampler, n, shift, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
             tables.append((f"converge_n{n}.csv", "n,t,mean_distance,stderr,M",
                            [(r.n, r.t, r.mean_distance, r.stderr, r.paths) for r in rows],
                            False))
@@ -187,8 +188,8 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
     elif subcommand == "residual":
         f = by_name(cfg.observables_test_functions)
         reports = [diagnostics.residual_experiment(
-            kernel, grid, n, shift, f, cfg.experiment_m, cfg.sampler_seed,
-            method=cfg.sampler_method, mapper=mapper) for n, shift in shifts.items()]
+            sampler, n, shift, f, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
+            for n, shift in shifts.items()]
         for rep in reports:
             tables.append((f"residual_n{rep.n}.csv",
                            "n,test_function,M,mean_residual,mean_residual_se,"
@@ -219,8 +220,7 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
     elif subcommand == "collisions":
         for n, shift in shifts.items():
             rep = diagnostics.collision_experiment(
-                kernel, grid, n, shift, cfg.experiment_m, cfg.sampler_seed,
-                method=cfg.sampler_method, mapper=mapper)
+                sampler, n, shift, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
             rows = [(n, f"q{int(q * 100):02d}", v) for q, v in rep.quantiles.items()]
             rows.append((n, "degenerate_fraction", rep.degenerate_fraction))
             # one eigenvalue has no gap, and its gap quantiles are inf

@@ -1,31 +1,31 @@
 """Exact joint sampling of Gaussian entry paths on a time grid.
 
-Two exact-in-distribution block samplers are provided.  Each takes an
-array of stream ids and returns one path per id:
+``path_sampler(kernel, grid, method)`` picks one of two exact-in-distribution
+block samplers, checks that it applies and builds its factor once.  The
+frozen ``PathSampler`` it returns draws one path per stream id:
 
-* ``sample_entry_block`` draws z @ L.T where L is a (jittered) Cholesky
-  factor of the Gram matrix [R(t_i, t_j)] (``factor_grid``) and each row of
-  z comes from the counter-based stream keyed by (seed, stream id).  Works
-  for every kernel and grid.
-* ``circulant_fbm_block`` draws fractional Gaussian noise by circulant
-  embedding (FFT) and cumulates it into fractional Brownian paths; only for
-  uniform grids, same distribution as the Cholesky route.  It works in
-  cache-sized row tiles that write into the output.  An embedding
-  that is not nonnegative definite raises ``FactorizationError``.  No
-  embedding had a negative eigenvalue in a scan of 502 Hurst indices in
-  (0, 1) at every step count from 1 to 1024 and at 2047-2049 and 4095-4097.
+* ``cholesky``: ``sample_entry_block`` draws z @ L.T where L is a
+  (jittered) Cholesky factor of the Gram matrix [R(t_i, t_j)]
+  (``factor_grid``) and each row of z comes from the counter-based stream
+  keyed by (seed, stream id).  Works for every kernel and grid.
+* ``circulant``: ``circulant_fbm_block`` draws fractional Gaussian noise by
+  circulant embedding (FFT) and cumulates it into fractional Brownian
+  paths; only for fbm on uniform grids, same distribution as the Cholesky
+  route.  It works in cache-sized row tiles that write into the output.
+  An embedding that is not nonnegative definite raises
+  ``FactorizationError``.  No embedding had a negative eigenvalue in a scan
+  of 502 Hurst indices in (0, 1) at every step count from 1 to 1024 and at
+  2047-2049 and 4095-4097.
 
 Every row is a pure function of (seed, stream id), independent of the block
-it is drawn in, so one path is a block of one id.  ``upper_triangle_paths``
-draws all upper-triangle entries of a batch of matrix realisations.  There
-is no discretisation error anywhere: the law on the grid is exact.
+it is drawn in, so one path is a block of one id.  There is no
+discretisation error anywhere: the law on the grid is exact.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -114,8 +114,7 @@ def sample_entry_block(factor: PathFactor, seed: int, ids: np.ndarray) -> np.nda
     """
     ids = np.asarray(ids, dtype=np.uint64)
     z = rng.normals(seed, ids.reshape(-1), factor.lower.shape[0])
-    vals = _apply_factor(z, factor.lower)
-    return vals.reshape(ids.shape + (factor.lower.shape[0],))
+    return _apply_factor(z, factor.lower).reshape(ids.shape + (factor.lower.shape[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +150,10 @@ def circulant_sqrt_spectrum(hurst: float, n_steps: int) -> np.ndarray:
 _FFT_TILE = 1 << 14
 
 
-def circulant_fbm_block(hurst: float, grid: TimeGrid, seed: int,
+def circulant_fbm_block(sqrt_eigs: np.ndarray, hurst: float, dt: float, seed: int,
                         ids: np.ndarray) -> np.ndarray:
-    """Fractional Brownian paths on a uniform grid for a block of stream ids.
+    """Fractional Brownian paths on a uniform grid of step ``dt`` for a block
+    of stream ids, from the embedding's square-root spectrum ``sqrt_eigs``.
 
     Exact in distribution.  Stream ids should carry the circulant domain
     tag so the two samplers stay on independent streams.  Normals, FFT and
@@ -161,14 +161,9 @@ def circulant_fbm_block(hurst: float, grid: TimeGrid, seed: int,
     entries and write into the output, so no temporary grows with the
     block; each row is transformed on its own, so the tiling changes no bit.
     """
-    if not grid.is_uniform():
-        raise ValueError("the circulant sampler requires a uniform grid")
-    n_steps = len(grid) - 1
-    dt = float(grid.deltas[0])
-    sqrt_eigs = circulant_sqrt_spectrum(hurst, n_steps)
-    m = 2 * n_steps
+    m = sqrt_eigs.size
+    n_steps = m // 2
     ids = np.asarray(ids, dtype=np.uint64)
-    shape = ids.shape
     flat = ids.reshape(-1)
     paths = np.zeros((flat.size, n_steps + 1))
     rows = max(1, _FFT_TILE // m)
@@ -177,33 +172,41 @@ def circulant_fbm_block(hurst: float, grid: TimeGrid, seed: int,
         z = np.empty((g.shape[0], m), dtype=np.complex128)
         z[:, 0] = g[:, 0]
         z[:, n_steps] = g[:, 1]
-        re = g[:, 2::2]
-        im = g[:, 3::2]
-        z[:, 1:n_steps] = (re + 1j * im) / np.sqrt(2.0)
+        z[:, 1:n_steps] = (g[:, 2::2] + 1j * g[:, 3::2]) / np.sqrt(2.0)
         z[:, n_steps + 1:] = np.conj(z[:, 1:n_steps][:, ::-1])
 
         noise = np.fft.ifft(sqrt_eigs[None, :] * z, axis=1).real[:, :n_steps]
         noise *= np.sqrt(m) * dt ** hurst
         np.cumsum(noise, axis=1, out=paths[lo:lo + rows, 1:])
-    return paths.reshape(shape + (n_steps + 1,))
+    return paths.reshape(ids.shape + (n_steps + 1,))
 
 
-def upper_triangle_paths(kernel: CovarianceKernel, grid: TimeGrid, n: int,
-                         seed: int, paths: Iterable[int],
-                         method: str = "cholesky") -> np.ndarray:
-    """All upper-triangle entry paths for a batch of matrix realisations.
+@dataclass(frozen=True)
+class PathSampler:
+    """Exact entry paths of ``kernel`` on ``grid``, drawn from stream ``domain``
+    through one ``factor``: a ``PathFactor`` or the circulant spectrum."""
 
-    Returns shape ``(n_paths, n*(n+1)//2, K+1)`` ordered like
-    ``numpy.triu_indices(n)``.
-    """
-    iu, ju = np.triu_indices(n)
-    path_col = np.asarray(list(paths), dtype=np.int64)[:, None]
+    kernel: CovarianceKernel
+    grid: TimeGrid
+    domain: int
+    factor: object
+
+    def draw(self, seed: int, ids: np.ndarray) -> np.ndarray:
+        """One path per stream id: shape ``ids.shape + (K+1,)``."""
+        if isinstance(self.factor, PathFactor):
+            return sample_entry_block(self.factor, seed, ids)
+        return circulant_fbm_block(self.factor, self.kernel.hurst,
+                                   float(self.grid.deltas[0]), seed, ids)
+
+
+def path_sampler(kernel: CovarianceKernel, grid: TimeGrid,
+                 method: str = "cholesky") -> PathSampler:
+    """The ``method`` sampler of ``kernel`` on ``grid``; ``ValueError`` where it does not apply."""
     if method == "cholesky":
-        ids = rng.stream_id(rng.DOMAIN_ENTRY, iu, ju, path_col)
-        return sample_entry_block(factor_grid(kernel, grid), seed, ids)
-    if method == "circulant":
-        if not isinstance(kernel, FractionalBrownianKernel):
-            raise ValueError("the circulant sampler only applies to fbm kernels")
-        ids = rng.stream_id(rng.DOMAIN_CIRCULANT, iu, ju, path_col)
-        return circulant_fbm_block(kernel.hurst, grid, seed, ids)
-    raise ValueError(f"unknown sampling method {method!r}")
+        return PathSampler(kernel, grid, rng.DOMAIN_ENTRY, factor_grid(kernel, grid))
+    if method != "circulant":
+        raise ValueError(f"sampler.method = {method!r} is unknown; use cholesky or circulant")
+    if not (isinstance(kernel, FractionalBrownianKernel) and grid.is_uniform()):
+        raise ValueError("sampler.method = circulant requires kernel.kind = fbm on a uniform grid")
+    return PathSampler(kernel, grid, rng.DOMAIN_CIRCULANT,
+                       circulant_sqrt_spectrum(kernel.hurst, len(grid) - 1))

@@ -7,6 +7,7 @@ calibration run at the recorded seed and have not been tuned since.
 """
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,14 +16,14 @@ from scipy.stats import ks_2samp
 from eigenflow import rng
 from eigenflow.cli import main as cli_main
 from eigenflow.diagnostics import dyson_crosscheck, fit_loglog_slope, residual_experiment
-from eigenflow.eigensolvers import eigh
+from eigenflow.eigensolvers import eigh, one_blas_thread
 from eigenflow.grids import TimeGrid
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
 from eigenflow.limitlaw import (AtomicMeasure, Semicircle, burgers_solve,
                                 semicircle_stieltjes)
 from eigenflow.matrixflow import eigenvalue_derivatives, sample_flows, spectra_of_stack
 from eigenflow.measures import kolmogorov_distance
-from eigenflow.sampling import circulant_fbm_block, factor_grid, sample_entry_block
+from eigenflow.sampling import factor_grid, path_sampler, sample_entry_block
 from eigenflow.testfunctions import gaussian_bump
 from oracles import burgers_pde_residual, hoffman_wielandt_holds
 
@@ -37,7 +38,7 @@ def _ks_to_semicircle(kernel, n, t, paths, seed):
     # genuinely different across Hurst indices even though the time-t
     # marginal has the same variance
     grid = TimeGrid([0.0, 0.5 * t, t])
-    lam = spectra_of_stack(sample_flows(kernel, grid, n, np.zeros((n, n)),
+    lam = spectra_of_stack(sample_flows(path_sampler(kernel, grid), n, np.zeros((n, n)),
                                         seed, range(paths)))[:, -1, :]
     law = Semicircle(0.0, float(kernel.diag(t)))
     d = kolmogorov_distance(lam, law)
@@ -67,7 +68,7 @@ def test_criterion_2_cauchy_transform_match():
     kernel = FractionalBrownianKernel(0.75)
     grid = TimeGrid([0.0, 0.5, 1.0, 2.0])
     n, paths = 200, 50
-    lam = spectra_of_stack(sample_flows(kernel, grid, n, np.zeros((n, n)),
+    lam = spectra_of_stack(sample_flows(path_sampler(kernel, grid), n, np.zeros((n, n)),
                                         31415, range(paths)))
     worst = 0.0
     for k, t in ((1, 0.5), (2, 1.0), (3, 2.0)):
@@ -87,9 +88,13 @@ def test_criterion_3_weak_equation_residual_decay():
     details = []
     for hurst in (0.3, 0.75):
         grid = TimeGrid.power_graded(1.0, 24) if hurst < 0.5 else TimeGrid.uniform(1.0, 24)
-        kernel = FractionalBrownianKernel(hurst)
-        reports = [residual_experiment(kernel, grid, n, np.zeros((n, n)), f, 2000, seed=2024)
-                   for n in n_values]
+        sampler = path_sampler(FractionalBrownianKernel(hurst), grid)
+        # two workers, each with one BLAS thread, as a run with --threads 2
+        # has; the worker count moves no bit (criterion 8, TestThreadInvariance)
+        with one_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
+            reports = [residual_experiment(sampler, n, np.zeros((n, n)), f, 2000, seed=2024,
+                                           mapper=pool.map)
+                       for n in n_values]
         msq = np.array([r.mean_square for r in reports])
         ses = np.array([r.mean_square_se for r in reports])
         for a, b, sa, sb in zip(msq, msq[1:], ses, ses[1:]):
@@ -107,7 +112,8 @@ def test_criterion_4_perturbation_identities():
     kernel = BrownianKernel()
     grid = TimeGrid([0.0, 1.0])
     n = 8
-    y = sample_flows(kernel, grid, n, np.zeros((n, n)), 424242, range(1000))[:, 1]
+    y = sample_flows(path_sampler(kernel, grid), n, np.zeros((n, n)), 424242,
+                     range(1000))[:, 1]
     checked = 0
     worst_grad = worst_hess = worst_fd = 0.0
     for p in range(1000):
@@ -153,7 +159,7 @@ def test_criterion_5_hoffman_wielandt_and_holder_scaling():
     for trial in range(250):
         n = int(gen.integers(2, 51))
         hurst = float(gen.choice([0.3, 0.5, 0.75]))
-        y = sample_flows(FractionalBrownianKernel(hurst), grid, n,
+        y = sample_flows(path_sampler(FractionalBrownianKernel(hurst), grid), n,
                          np.zeros((n, n)), int(gen.integers(1 << 40)), [0])[0]
         lam = spectra_of_stack(y)
         for _ in range(4):
@@ -228,7 +234,7 @@ def test_criterion_7_sampler_exactness():
     assert worst_units <= 4.0, f"empirical Gram off by {worst_units:.2f} se units"
 
     ids_f = rng.stream_id(rng.DOMAIN_CIRCULANT, 0, 0, np.arange(n_paths))
-    circ = circulant_fbm_block(hurst, grid, 7777, ids_f)
+    circ = path_sampler(kernel, grid, "circulant").draw(7777, ids_f)
     alpha = 0.01 / (len(grid) - 1)  # Bonferroni across the marginals
     min_p = 1.0
     for k in range(1, len(grid)):

@@ -235,6 +235,17 @@ class TestSubcommands:
         p.write_text(MINIMAL.replace("seed = 11", "seed = 11\nmethod = circulant"))
         assert main(["converge", "--config", str(p), "--out", str(tmp_path / "y")]) == 1
 
+    def test_circulant_requires_a_uniform_grid(self, tmp_path, capsys):
+        p = tmp_path / "exp.cfg"
+        p.write_text(FBM.replace("seed = 11", "seed = 11\nmethod = circulant")
+                     .replace("t_max = 1.0\nsteps = 4", "times = 0, 0.3, 1"))
+        out = tmp_path / "run"
+        assert main(["converge", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("eigenflow: configuration error:")
+        assert "sampler.method" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", ["holder", "limit"])
     def test_rejects_circulant(self, tmp_path, capsys, subcommand):
         # holder samples on the non-uniform grid {0, t_base, t_base + separations};
@@ -554,6 +565,36 @@ class TestShiftBuiltOnce:
         assert seen == calls
 
 
+class TestSamplerBuiltOnce:
+    @pytest.mark.parametrize("method", ["cholesky", "circulant"])
+    @pytest.mark.parametrize("subcommand", ["converge", "residual", "collisions"])
+    def test_one_factor_per_run(self, tmp_path, monkeypatch, subcommand, method):
+        from eigenflow import diagnostics, sampling
+        calls = {"factor_grid": 0, "circulant_sqrt_spectrum": 0}
+
+        def counting(name):
+            original = getattr(sampling, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            return counted
+
+        # every module that bound a name, so a call from any layer counts
+        for name in calls:
+            wrapper = counting(name)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("eigenflow") and hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(diagnostics, "CHUNK_BYTES", 1)  # one path per chunk
+        p = tmp_path / "exp.cfg"
+        p.write_text(FBM.replace("n = 8", "n = 4, 8")
+                     .replace("seed = 11", f"seed = 11\nmethod = {method}"))
+        assert main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert calls == {"factor_grid": int(method == "cholesky"),
+                         "circulant_sqrt_spectrum": int(method == "circulant")}
+
+
 class TestEnvOverride:
     def test_env_var_sets_output_dir(self, cfg_file, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
@@ -639,6 +680,23 @@ class TestLogLevel:
         (line,) = [ln for ln in loud.stderr.splitlines() if "BLAS" in ln]
         assert line.startswith("eigenflow.runner: INFO: ")
         assert csv_path.read_bytes() == quiet_bytes
+
+    def test_jitter_notice_is_logged_once_per_run(self, tmp_path):
+        # a holder grid with separations of 1e-12 and 1e-10 factors only
+        # with jitter; three paths at one path per chunk make three chunks
+        p = tmp_path / "exp.cfg"
+        p.write_text(FBM.replace("n = 8", "n = 4").replace(
+            "m = 6", "m = 3\nseparations = 1e-12, 1e-10"))
+        code = ("import sys; from eigenflow import cli, diagnostics; "
+                "diagnostics.CHUNK_BYTES = 1; sys.exit(cli.main(sys.argv[1:]))")
+        src = str(Path(eigenflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code, "holder", "--config", str(p),
+                               "--out", str(tmp_path / "o"), "--log-level", "INFO"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("gram factorization used jitter") == 1
 
     def test_unknown_level_is_config_error(self, tmp_path):
         p = tmp_path / "exp.cfg"

@@ -15,6 +15,7 @@ from eigenflow.grids import TimeGrid
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel, TableKernel
 from eigenflow.limitlaw import AtomicMeasure
 from eigenflow.matrixflow import sample_flows, spectra_of_stack
+from eigenflow.sampling import path_sampler
 from eigenflow.testfunctions import TestFunction, gaussian_bump
 from oracles import burgers_pde_residual
 
@@ -39,7 +40,8 @@ class TestWeakEquationResidual:
         f = gaussian_bump
         paths = 10_000
 
-        report = residual_experiment(kernel, grid, 1, np.zeros((1, 1)), f, paths, seed=99)
+        report = residual_experiment(path_sampler(kernel, grid), 1, np.zeros((1, 1)), f, paths,
+                                     seed=99)
         module_msq = report.mean_square
         module_se = report.mean_square_se
 
@@ -63,7 +65,8 @@ class TestWeakEquationResidual:
             (FractionalBrownianKernel(0.75), TimeGrid.uniform(1.0, 16)),
             (FractionalBrownianKernel(0.3), TimeGrid.power_graded(1.0, 16)),
         ]:
-            reports = [residual_experiment(kernel, grid, n, np.zeros((n, n)), f, 600, seed=5)
+            sampler = path_sampler(kernel, grid)
+            reports = [residual_experiment(sampler, n, np.zeros((n, n)), f, 600, seed=5)
                        for n in (4, 16)]
             for rep in reports:
                 assert abs(rep.mean_residual) <= 4.0 * rep.mean_residual_se, \
@@ -73,7 +76,8 @@ class TestWeakEquationResidual:
         f = gaussian_bump
         grid = TimeGrid.uniform(1.0, 12)
         kernel = FractionalBrownianKernel(0.75)
-        reports = [residual_experiment(kernel, grid, n, np.zeros((n, n)), f, 400, seed=7)
+        sampler = path_sampler(kernel, grid)
+        reports = [residual_experiment(sampler, n, np.zeros((n, n)), f, 400, seed=7)
                    for n in (4, 8, 16, 32)]
         msq = [r.mean_square for r in reports]
         ses = [r.mean_square_se for r in reports]
@@ -83,10 +87,11 @@ class TestWeakEquationResidual:
     def test_mapper_equivalence(self):
         f = gaussian_bump
         grid = TimeGrid.uniform(1.0, 8)
-        serial = residual_experiment(BrownianKernel(), grid, 6, np.zeros((6, 6)), f, 50, seed=3)
+        sampler = path_sampler(BrownianKernel(), grid)
+        serial = residual_experiment(sampler, 6, np.zeros((6, 6)), f, 50, seed=3)
         with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = residual_experiment(BrownianKernel(), grid, 6, np.zeros((6, 6)), f, 50,
-                                           seed=3, mapper=pool.map)
+            parallel = residual_experiment(sampler, 6, np.zeros((6, 6)), f, 50, seed=3,
+                                           mapper=pool.map)
         assert np.array_equal(serial.residuals, parallel.residuals)
 
 
@@ -94,8 +99,8 @@ class TestConvergenceStudy:
     def test_distance_shrinks_with_n(self):
         grid = TimeGrid.uniform(1.0, 2)
         rows = [r for n in (10, 60)
-                for r in convergence_study(BrownianKernel(), grid, n, np.zeros((n, n)), 30,
-                                           seed=11)]
+                for r in convergence_study(path_sampler(BrownianKernel(), grid), n,
+                                           np.zeros((n, n)), 30, seed=11)]
         at_t1 = {r.n: r.mean_distance for r in rows if r.t == 1.0}
         assert at_t1[60] < at_t1[10]
 
@@ -104,21 +109,23 @@ class TestConvergenceStudy:
         for hurst in (0.3, 0.5, 0.75):
             kernel = FractionalBrownianKernel(hurst)
             rows = [r for n in (25, 50, 100, 200)
-                    for r in convergence_study(kernel, grid, n, np.zeros((n, n)), 10, seed=61)]
+                    for r in convergence_study(path_sampler(kernel, grid), n, np.zeros((n, n)), 10,
+                                         seed=61)]
             seq = [(r.mean_distance, r.stderr) for r in rows if r.t == 1.0]
             for (a, sa), (b, sb) in zip(seq, seq[1:]):
                 assert b <= a + 2.0 * np.hypot(sa, sb), f"H={hurst}"
 
     def test_time_zero_distance_is_zero(self):
         grid = TimeGrid.uniform(1.0, 2)
-        rows = convergence_study(BrownianKernel(), grid, 12, np.zeros((12, 12)), 10, seed=13)
+        rows = convergence_study(path_sampler(BrownianKernel(), grid), 12, np.zeros((12, 12)), 10,
+                                 seed=13)
         z = [r for r in rows if r.t == 0.0][0]
         assert z.mean_distance == 0.0
 
     def test_sup_row_bounds_pointwise_rows(self):
         grid = TimeGrid.uniform(1.0, 3)
-        rows = convergence_study(FractionalBrownianKernel(0.75), grid, 16, np.zeros((16, 16)),
-                                 15, seed=17)
+        rows = convergence_study(path_sampler(FractionalBrownianKernel(0.75), grid), 16,
+                                 np.zeros((16, 16)), 15, seed=17)
         sup = [r for r in rows if r.t is None][0]
         for r in rows:
             if r.t is not None:
@@ -126,8 +133,8 @@ class TestConvergenceStudy:
 
     def test_nonzero_shift_uses_evolved_law(self):
         grid = TimeGrid.uniform(1.0, 2)
-        rows = convergence_study(BrownianKernel(), grid, 40, np.diag([1.0] * 20 + [-1.0] * 20),
-                                 10, seed=19)
+        rows = convergence_study(path_sampler(BrownianKernel(), grid), 40,
+                                 np.diag([1.0] * 20 + [-1.0] * 20), 10, seed=19)
         at_t1 = [r for r in rows if r.t == 1.0][0]
         assert at_t1.mean_distance < 0.25
 
@@ -165,7 +172,7 @@ class TestCollisions:
         # snapshot at t=1 (the start is trivially degenerate when A = 0)
         grid = TimeGrid.uniform(1.0, 1)
         lam = spectra_of_stack(sample_flows(
-            BrownianKernel(), grid, 50, np.zeros((50, 50)), 37, range(100)))
+            path_sampler(BrownianKernel(), grid), 50, np.zeros((50, 50)), 37, range(100)))
         rep = collision_proximity(lam[:, 1:, :], 50, 100)
         assert rep.degenerate_fraction == 0.0
         assert rep.quantiles[0.0] > 1e-8
@@ -173,14 +180,14 @@ class TestCollisions:
     def test_repeated_shift_entry_gives_zero_gap_at_start(self):
         grid = TimeGrid.uniform(1.0, 1)
         lam = spectra_of_stack(sample_flows(
-            BrownianKernel(), grid, 3, np.diag([2.0, 2.0, 0.0]), 41, range(8)))
+            path_sampler(BrownianKernel(), grid), 3, np.diag([2.0, 2.0, 0.0]), 41, range(8)))
         rep = collision_proximity(lam[:, :1, :], 3, 8)
         assert rep.quantiles[0.0] == 0.0
         assert rep.degenerate_fraction > 0.0
 
     def test_experiment_driver_counts_initial_degeneracy(self):
         # with a zero shift every path is degenerate at t = 0 and nowhere else
-        rep = collision_experiment(BrownianKernel(), TimeGrid.uniform(1.0, 3),
+        rep = collision_experiment(path_sampler(BrownianKernel(), TimeGrid.uniform(1.0, 3)),
                                    12, np.zeros((12, 12)), 25, seed=53)
         assert rep.degenerate_fraction == pytest.approx(0.25, abs=1e-12)
 
@@ -234,7 +241,8 @@ class TestEnsembleMap:
         # one residual-fbm chunk at n = 64: 6 paths fill the 5 MB budget
         kernel, grid, n = FractionalBrownianKernel(0.75), TimeGrid.uniform(1.0, 24), 64
         assert int(diagnostics.CHUNK_BYTES / (len(grid) * n * n * 8)) == 6
-        peak = traced_peak(diagnostics.ensemble_map, kernel, grid, n, np.zeros((n, n)), 3, 6,
+        peak = traced_peak(diagnostics.ensemble_map, path_sampler(kernel, grid), n,
+                           np.zeros((n, n)), 3, 6,
                            lambda lam: weak_equation_residual(lam, kernel, grid, gaussian_bump))
         assert peak < 2 * diagnostics.CHUNK_BYTES
 
@@ -244,15 +252,16 @@ class TestEnsembleMap:
         f = gaussian_bump
 
         def run(mapper=map):
-            return (np.stack([residual_experiment(kernel, grid, n, np.zeros((n, n)), f, 9, seed=2,
-                                                  mapper=mapper, method="circulant").residuals
+            circulant = path_sampler(kernel, grid, "circulant")
+            return (np.stack([residual_experiment(circulant, n, np.zeros((n, n)), f, 9, seed=2,
+                                                  mapper=mapper).residuals
                               for n in (3, 5)]),
-                    convergence_study(kernel, grid, 4, np.diag([1.0, 1.0, -1.0, -1.0]), 5,
-                                      seed=3, mapper=mapper),
+                    convergence_study(path_sampler(kernel, grid), 4,
+                                      np.diag([1.0, 1.0, -1.0, -1.0]), 5, seed=3, mapper=mapper),
                     holder_increments(kernel, 4, np.zeros((4, 4)), f, 2.0, 0.5, [0.01, 0.1], 9,
                                       seed=4, mapper=mapper),
-                    collision_experiment(kernel, grid, 4, np.diag([1.0, 1.0, 0.0, 0.0]), 9,
-                                         seed=5, mapper=mapper),
+                    collision_experiment(path_sampler(kernel, grid), 4,
+                                         np.diag([1.0, 1.0, 0.0, 0.0]), 9, seed=5, mapper=mapper),
                     dyson_crosscheck(4, np.zeros((4, 4)), 0.5, 1e-2, 9, seed=6, mapper=mapper))
 
         whole = run()

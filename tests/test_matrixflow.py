@@ -10,6 +10,7 @@ from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
 from eigenflow.matrixflow import (DegenerateEigenvalueError, assemble_from_triangle,
                                   diagonal_scale, eigenvalue_derivatives, make_shift,
                                   sample_flows, spectra_of_stack)
+from eigenflow.sampling import path_sampler
 from oracles import eigh_jacobi, hoffman_wielandt_holds
 
 
@@ -17,7 +18,7 @@ def _flow_with_vectors(n, seed, t_max=1.0, steps=2, kernel=None):
     """Matrices (K+1, n, n) of one sampled flow, their eigenvalues and eigenvectors."""
     kernel = kernel or BrownianKernel()
     grid = TimeGrid.uniform(t_max, steps)
-    y = sample_flows(kernel, grid, n, np.zeros((n, n)), seed, [0])[0]
+    y = sample_flows(path_sampler(kernel, grid), n, np.zeros((n, n)), seed, [0])[0]
     return (y,) + eigh(y)
 
 
@@ -36,11 +37,11 @@ class TestAssembly:
     def test_flow_starts_at_shift(self):
         grid = TimeGrid.uniform(1.0, 3)
         shift = np.diag([5.0, -5.0])
-        y = sample_flows(BrownianKernel(), grid, 2, shift, 3, [0, 1])
+        y = sample_flows(path_sampler(BrownianKernel(), grid), 2, shift, 3, [0, 1])
         assert np.allclose(y[:, 0], shift, atol=0)
 
     def test_symmetry_exact(self):
-        y = sample_flows(FractionalBrownianKernel(0.3), TimeGrid.uniform(1.0, 4),
+        y = sample_flows(path_sampler(FractionalBrownianKernel(0.3), TimeGrid.uniform(1.0, 4)),
                          7, np.zeros((7, 7)), 11, range(3))
         assert np.array_equal(y, np.swapaxes(y, -1, -2))
 
@@ -69,10 +70,11 @@ class TestAssembly:
         grid = TimeGrid.uniform(1.0, 3)
         kernel = FractionalBrownianKernel(0.6)
         shift = np.zeros((5, 5))
-        whole = spectra_of_stack(sample_flows(kernel, grid, 5, shift, 23, range(7)))
+        sampler = path_sampler(kernel, grid)
+        whole = spectra_of_stack(sample_flows(sampler, 5, shift, 23, range(7)))
         for budget in (1, 1e12):  # one path per chunk, one chunk for all paths
             monkeypatch.setattr(diagnostics, "CHUNK_BYTES", budget)
-            chunked = diagnostics.ensemble_map(kernel, grid, 5, shift, 23, 7, lambda lam: lam)
+            chunked = diagnostics.ensemble_map(sampler, 5, shift, 23, 7, lambda lam: lam)
             assert np.array_equal(chunked, whole)
 
 
@@ -98,7 +100,7 @@ class TestSpectra:
 
     def test_stack_matches_flow_decomposition(self):
         grid = TimeGrid.uniform(1.0, 3)
-        y = sample_flows(BrownianKernel(), grid, 9, np.zeros((9, 9)), 17, range(4))
+        y = sample_flows(path_sampler(BrownianKernel(), grid), 9, np.zeros((9, 9)), 17, range(4))
         lam = spectra_of_stack(y)
         values, _ = eigh(y[2], want_vectors=False)
         # cyclic Jacobi per grid time is the independent reference
@@ -110,7 +112,7 @@ class TestSpectra:
     def test_stacked_decomposition(self, n):
         grid = TimeGrid.uniform(1.0, 5)
         shift = np.diag(np.linspace(-1.0, 1.0, n))
-        y = sample_flows(FractionalBrownianKernel(0.7), grid, n, shift, 41, [0])[0]
+        y = sample_flows(path_sampler(FractionalBrownianKernel(0.7), grid), n, shift, 41, [0])[0]
         values, vectors = eigh(y)
         assert values.shape == (len(grid), n)
         assert vectors.shape == (len(grid), n, n)
@@ -187,7 +189,7 @@ class TestHoffmanWielandt:
         grid = TimeGrid.uniform(1.0, 4)
         for trial in range(50):
             n = int(gen.integers(2, 50))
-            y = sample_flows(FractionalBrownianKernel(0.4), grid, n,
+            y = sample_flows(path_sampler(FractionalBrownianKernel(0.4), grid), n,
                              np.zeros((n, n)), int(gen.integers(1 << 30)), [0])[0]
             lam = spectra_of_stack(y)
             k1, k2 = gen.choice(len(grid), size=2, replace=False)

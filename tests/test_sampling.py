@@ -6,12 +6,17 @@ import pytest
 from eigenflow import rng
 from eigenflow.grids import TimeGrid
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
-from eigenflow.sampling import (circulant_fbm_block, factor_grid, fgn_autocovariance,
-                                sample_entry_block, upper_triangle_paths)
+from eigenflow.sampling import (factor_grid, fgn_autocovariance, path_sampler,
+                                sample_entry_block)
 
 
 def _one_id(domain, i, j, path):
     return rng.stream_id(domain, i, j, np.array([path]))
+
+
+def _circulant_paths(hurst, grid, seed, ids):
+    """Circulant fbm paths of ``ids``, drawn through the grid's sampler."""
+    return path_sampler(FractionalBrownianKernel(hurst), grid, "circulant").draw(seed, ids)
 
 
 class TestTimeGrid:
@@ -165,7 +170,7 @@ class TestCirculant:
     def test_h_half_increments_uncorrelated(self):
         grid = TimeGrid.uniform(1.0, 64)
         ids = rng.stream_id(1, 0, 0, np.arange(20_000))
-        paths = circulant_fbm_block(0.5, grid, 11, ids)
+        paths = _circulant_paths(0.5, grid, 11, ids)
         inc = np.diff(paths, axis=1)
         lag1 = np.mean(inc[:, :-1] * inc[:, 1:]) / np.mean(inc ** 2)
         assert abs(lag1) < 0.01
@@ -178,7 +183,7 @@ class TestCirculant:
         # unit spacing: 8 steps of dt=1 via t_max=8
         grid = TimeGrid.uniform(8.0, 8)
         ids = rng.stream_id(1, 0, 0, np.arange(200_000))
-        paths = circulant_fbm_block(hurst, grid, 13, ids)
+        paths = _circulant_paths(hurst, grid, 13, ids)
         inc = np.diff(paths, axis=1)
         lag1 = np.mean(inc[:, :-1] * inc[:, 1:])
         se = np.std(inc[:, :-1] * inc[:, 1:]) / np.sqrt(inc[:, :-1].size)
@@ -188,7 +193,7 @@ class TestCirculant:
         grid = TimeGrid.uniform(1.0, 7)
         kern = FractionalBrownianKernel(0.3)
         ids = rng.stream_id(1, 0, 0, np.arange(150_000))
-        v = circulant_fbm_block(0.3, grid, 999, ids)
+        v = _circulant_paths(0.3, grid, 999, ids)
         emp = v.T @ v / v.shape[0]
         gram = kern.gram(grid.times)
         se = np.sqrt((np.outer(np.diag(gram), np.diag(gram)) + gram ** 2) / v.shape[0])
@@ -196,10 +201,10 @@ class TestCirculant:
 
     def test_single_path_interface(self):
         grid = TimeGrid.uniform(1.0, 8)
-        p = circulant_fbm_block(0.75, grid, 3, _one_id(rng.DOMAIN_CIRCULANT, 0, 0, 5))[0]
+        p = _circulant_paths(0.75, grid, 3, _one_id(rng.DOMAIN_CIRCULANT, 0, 0, 5))[0]
         assert p.shape == (9,)
         assert p[0] == 0.0
-        q = circulant_fbm_block(0.75, grid, 3, _one_id(rng.DOMAIN_CIRCULANT, 0, 0, 5))[0]
+        q = _circulant_paths(0.75, grid, 3, _one_id(rng.DOMAIN_CIRCULANT, 0, 0, 5))[0]
         assert np.array_equal(p, q)
 
     def test_tiles_match_single_rows(self, monkeypatch):
@@ -208,22 +213,23 @@ class TestCirculant:
         ids = rng.stream_id(rng.DOMAIN_CIRCULANT, 0, 1, np.arange(7))
         monkeypatch.setattr(sampling, "_FFT_TILE", 30)  # 12 entries a row: 2 rows a tile
         monkeypatch.setattr(rng, "_PHILOX_TILE", 8)
-        block = circulant_fbm_block(0.3, grid, 4, ids)
+        block = _circulant_paths(0.3, grid, 4, ids)
         for k in range(ids.size):
-            assert np.array_equal(block[k], circulant_fbm_block(0.3, grid, 4, ids[k:k + 1])[0])
+            assert np.array_equal(block[k], _circulant_paths(0.3, grid, 4, ids[k:k + 1])[0])
         monkeypatch.undo()
-        assert np.array_equal(block, circulant_fbm_block(0.3, grid, 4, ids))
+        assert np.array_equal(block, _circulant_paths(0.3, grid, 4, ids))
 
     def test_peak_memory_stays_near_the_output(self, traced_peak):
         # the collisions-circulant chunk: 3 paths of a 100 x 100 matrix, 16 steps
         ids = rng.stream_id(rng.DOMAIN_CIRCULANT, *np.triu_indices(100), np.arange(3)[:, None])
-        peak = traced_peak(circulant_fbm_block, 0.3, TimeGrid.uniform(1.0, 16), 5, ids)
+        sampler = path_sampler(FractionalBrownianKernel(0.3), TimeGrid.uniform(1.0, 16),
+                               "circulant")
+        peak = traced_peak(sampler.draw, 5, ids)
         assert peak < 6e6  # the output is 2.1 MB
 
     def test_requires_uniform_grid(self):
-        with pytest.raises(ValueError):
-            circulant_fbm_block(0.5, TimeGrid([0, 0.1, 1.0]), 1,
-                                _one_id(rng.DOMAIN_CIRCULANT, 0, 0, 0))
+        with pytest.raises(ValueError, match="sampler.method = circulant"):
+            path_sampler(FractionalBrownianKernel(0.5), TimeGrid([0, 0.1, 1.0]), "circulant")
 
     def test_indefinite_embedding_fails_hard(self, monkeypatch):
         from eigenflow import sampling
@@ -234,19 +240,25 @@ class TestCirculant:
             return (lags == 0) + 2.0 * (lags == 1)
         monkeypatch.setattr(sampling, "fgn_autocovariance", indefinite)
         with pytest.raises(FactorizationError, match=r"hurst=0\.7 on 8 steps"):
-            circulant_fbm_block(0.7, TimeGrid.uniform(1.0, 8), 1,
-                                _one_id(rng.DOMAIN_CIRCULANT, 0, 0, 0))
+            path_sampler(FractionalBrownianKernel(0.7), TimeGrid.uniform(1.0, 8), "circulant")
 
 
-class TestUpperTrianglePaths:
+class TestPathSampler:
     def test_shapes_and_determinism(self):
         grid = TimeGrid.uniform(1.0, 3)
-        a = upper_triangle_paths(BrownianKernel(), grid, 4, 21, range(5))
-        b = upper_triangle_paths(BrownianKernel(), grid, 4, 21, range(5))
+        ids = rng.stream_id(rng.DOMAIN_ENTRY, *np.triu_indices(4), np.arange(5)[:, None])
+        a = path_sampler(BrownianKernel(), grid).draw(21, ids)
+        b = path_sampler(BrownianKernel(), grid).draw(21, ids)
         assert a.shape == (5, 10, 4)
         assert np.array_equal(a, b)
+        # the sampler draws through the grid's factor, bit for bit
+        assert np.array_equal(a, sample_entry_block(factor_grid(BrownianKernel(), grid), 21, ids))
 
     def test_circulant_method_requires_fbm(self):
         grid = TimeGrid.uniform(1.0, 4)
-        with pytest.raises(ValueError):
-            upper_triangle_paths(BrownianKernel(), grid, 2, 1, range(2), method="circulant")
+        with pytest.raises(ValueError, match="sampler.method = circulant requires kernel.kind"):
+            path_sampler(BrownianKernel(), grid, "circulant")
+
+    def test_unknown_method_is_named(self):
+        with pytest.raises(ValueError, match="sampler.method = 'quantum' is unknown"):
+            path_sampler(BrownianKernel(), TimeGrid.uniform(1.0, 4), "quantum")
