@@ -294,9 +294,20 @@ def parse_config(text: str) -> ExperimentConfig:
     if m is not None and m < 2:
         problems.append(f"experiment.m must be at least 2, got {m}: "
                         "a standard error needs two paths")
+    p = values.get(("experiment", "p"))
+    if p is not None and p <= 0:
+        problems.append(f"experiment.p must be positive, got {p}")
     t_base = values.get(("experiment", "t_base"))
     if t_base is not None and t_base < 0:
         problems.append(f"experiment.t_base must be nonnegative, got {t_base}")
+    seps = values.get(("experiment", "separations"))
+    if seps is not None:
+        if any(d <= 0 for d in seps):
+            problems.append(f"experiment.separations must be positive, "
+                            f"got {_format_value(seps)}")
+        if len(set(seps)) < len(seps):
+            problems.append(f"experiment.separations entries must be distinct, "
+                            f"got {_format_value(seps)}")
     x_points = values.get(("experiment", "x_points"))
     if x_points is not None and x_points < 1:
         problems.append(f"experiment.x_points must be at least 1, got {x_points}")

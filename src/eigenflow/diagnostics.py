@@ -30,35 +30,36 @@
 
 Every experiment takes one matrix size n and its (n, n) shift matrix A,
 which ``matrixflow.make_shift`` builds once per run; ``initial_law(A)`` is
-mu_0, the spectral law of A that every flow starts at.  The other
-experiments take the run's ``sampling.PathSampler`` (kernel, grid and one
-factor); ``holder_increments`` and ``dyson_crosscheck`` sample on grids of
-their own and build one per call.  Every Monte Carlo experiment streams its
-ensemble through :func:`ensemble_map`: paths are sampled, diagonalised and
-reduced chunk by chunk under one byte budget, and the per-path results are
-placed in path order, so neither the chunking nor the worker count changes
-an output.  The Dyson SDE side is chunked by the same rule, with noise
-keyed by (seed, path, step) and drawn one step at a time, so its paths are
-pure functions of (seed, path) as well and its chunk budget counts the
-drift and one step's noise.
+mu_0, the spectral law of A that every flow starts at.  Every Monte Carlo
+experiment takes the run's one ``sampling.PathSampler`` (kernel, grid and
+one factor), which the runner builds on the grid the experiment draws on,
+and streams its ensemble through :func:`ensemble_map`: paths are sampled,
+diagonalised and reduced chunk by chunk under one byte budget, and the
+per-path results are placed in path order, so neither the chunking nor the
+worker count changes an output.  The Dyson SDE side is chunked by the same
+rule, with noise keyed by (seed, path, step) and drawn one step at a time,
+so its paths are pure functions of (seed, path) as well and its chunk
+budget counts the drift and one step's noise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
 
 from . import rng
-from .grids import TimeGrid
-from .kernels import BrownianKernel, CovarianceKernel
+from .kernels import CovarianceKernel
 from .limitlaw import AtomicMeasure, law_at_time
 from .matrixflow import DEGENERATE_GAP, sample_flows, spectra_of_stack
 from .measures import divided_difference_stack, kolmogorov_distance
-from .sampling import PathSampler, path_sampler
+from .sampling import PathSampler
 from .testfunctions import TestFunction
+
+if TYPE_CHECKING:  # for annotations only: the runner builds every grid
+    from .grids import TimeGrid
 
 # Bytes per chunk of paths: the one chunk rule of every Monte Carlo side,
 # counting sampled matrices for the ensemble experiments, and for the SDE
@@ -227,13 +228,10 @@ class HolderReport:
 
 def holder_times(t_base: float, separations: Sequence[float]) -> np.ndarray:
     """The sorted time set {0, t_base, t_base + delta} that holder samples on."""
-    seps = np.asarray(separations, dtype=float)
-    if np.any(seps <= 0):
-        raise ValueError(f"separations must be positive, got {seps.tolist()}")
-    return np.unique(np.concatenate([[0.0, t_base], t_base + seps]))
+    return np.unique(np.concatenate([[0.0, t_base], t_base + np.asarray(separations)]))
 
 
-def holder_increments(kernel: CovarianceKernel, n: int, shift: np.ndarray,
+def holder_increments(sampler: PathSampler, n: int, shift: np.ndarray,
                       f: TestFunction, p: float, t_base: float,
                       separations: Sequence[float], paths: int, seed: int,
                       mapper=map) -> HolderReport:
@@ -241,19 +239,19 @@ def holder_increments(kernel: CovarianceKernel, n: int, shift: np.ndarray,
 
     The fitted log-log slope is meaningful when the separations span at
     least a decade; a constant f yields the degenerate report.  Paths are
-    sampled through the Cholesky factor of the non-uniform grid
-    ``holder_times(t_base, separations)``, built once per call.
+    drawn by ``sampler``, whose grid must hold t_base and every
+    t_base + delta: ``holder_times(t_base, separations)`` is the least such
+    grid.
     """
     seps = np.asarray(sorted(separations), dtype=float)
-    grid = TimeGrid(holder_times(t_base, seps))
-    base_idx = grid.index_of(t_base)
-    idx = [grid.index_of(t_base + d) for d in seps]
+    base_idx = sampler.grid.index_of(t_base)
+    idx = [sampler.grid.index_of(t_base + d) for d in seps]
 
     def increments(lam):
         mu_f = np.mean(f.f(lam), axis=-1)            # (P, K+1)
         return np.abs(mu_f[:, idx] - mu_f[:, base_idx, None]) ** p
 
-    incr = ensemble_map(path_sampler(kernel, grid), n, shift, seed, paths, increments, mapper)
+    incr = ensemble_map(sampler, n, shift, seed, paths, increments, mapper)
     moments = np.array([col.mean() for col in incr.T])
     errs = np.array([col.std(ddof=1) for col in incr.T]) / math.sqrt(paths)
 
@@ -432,28 +430,26 @@ def sde_steps(t_max: float, dt: float) -> int:
     return n_steps
 
 
-def dyson_crosscheck(n: int, shift: np.ndarray, t_max: float, dt: float, paths: int,
+def dyson_crosscheck(sampler: PathSampler, n: int, shift: np.ndarray, dt: float, paths: int,
                      seed: int, mapper=map) -> DysonRow:
-    """Wasserstein-1 distance between SDE and matrix spectra at time t_max.
+    """Wasserstein-1 distance between SDE and matrix spectra at the last time of
+    ``sampler.grid``.
 
-    Both ensembles start from the spectrum of the shift matrix; the matrix
-    side is sampled exactly, the SDE side by Euler-Maruyama with
+    ``sampler`` must draw Brownian entries; the SDE is the free Brownian
+    case only.  Both ensembles start from the spectrum of the shift matrix;
+    the matrix side is sampled exactly, the SDE side by Euler-Maruyama with
     non-collision step rejection, both chunked over paths.  Sorted spectra
     are averaged over paths before the distance; ``w1_mc_error`` combines
     the standard errors of the two averages.
     """
-    if t_max == 0.0:
-        # both ensembles sit at the spectrum of the shift
-        return DysonRow(n=n, t=0.0, dt=dt, paths=paths, w1_distance=0.0,
-                        w1_mc_error=0.0, forced_sorts=0)
-    sampler = path_sampler(BrownianKernel(), TimeGrid.uniform(t_max, 1))
+    t_max = sampler.grid.t_max
+    n_steps = sde_steps(t_max, dt)
     lam_matrix = ensemble_map(sampler, n, shift, seed, paths,
                               lambda lam: np.sort(lam[:, -1, :], axis=1), mapper)
     mean_matrix = lam_matrix.mean(axis=0)
     se_matrix = lam_matrix.std(axis=0, ddof=1) / math.sqrt(paths)
 
     lam0 = np.sort(np.linalg.eigvalsh(shift))
-    n_steps = sde_steps(t_max, dt)
     chunks = _map_chunks(lambda pid: _sde_paths(lam0, dt, n_steps, seed, pid),
                          paths, (n + _SDE_NODES) * n * 8, mapper)
     lam = np.concatenate([c[0] for c in chunks])
@@ -463,4 +459,3 @@ def dyson_crosscheck(n: int, shift: np.ndarray, t_max: float, dt: float, paths: 
     mc_err = float(np.mean(np.sqrt(se_sde ** 2 + se_matrix ** 2)))
     return DysonRow(n=n, t=t_max, dt=dt, paths=paths, w1_distance=w1,
                     w1_mc_error=mc_err, forced_sorts=sum(c[1] for c in chunks))
-

@@ -5,8 +5,10 @@ subcommand reads; a run rejects any other key of those sections that is
 set away from its default, so no setting is silently ignored.  The shift
 matrix of each ``matrix.n`` is built once, by ``matrixflow.make_shift``,
 before anything is sampled, and every experiment takes that matrix.  So is
-the ``sampling.path_sampler`` of a run that reads ``sampler.method``, whose
-one factor serves every n and chunk; a method that does not apply exits 1.
+the one ``sampling.path_sampler`` of every subcommand but ``limit``, on the
+grid it draws on: the config grid, ``holder``'s ``holder_times`` or
+``dyson``'s [0, t_max].  Its one factor serves every n, chunk and ``dt``; a
+method that does not apply exits 1.
 
 Every output CSV starts with a ``#``-prefixed JSON comment embedding the
 subcommand, the master seed and the full resolved configuration, followed
@@ -43,6 +45,7 @@ import numpy as np
 from . import __version__, diagnostics, sampling
 from .config import ExperimentConfig, config_to_grid, config_to_kernel
 from .eigensolvers import one_blas_thread
+from .grids import TimeGrid
 from .kernels import BrownianKernel, KernelDomainError
 from .limitlaw import AtomicMeasure, law_at_time, limit_stieltjes
 from .matrixflow import make_shift
@@ -156,21 +159,21 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
     if problems:  # a problem that does not depend on n is named once
         raise RunUsageError("matrix.shift: " + "; ".join(dict.fromkeys(problems)))
     if subcommand == "dyson":
+        if not isinstance(kernel, BrownianKernel):
+            raise RunUsageError("the dyson cross-check is defined for the Brownian kernel only")
         try:
             diagnostics.sde_steps(grid.t_max, cfg.experiment_dt)
         except ValueError as exc:
             raise RunUsageError(f"experiment.dt: {exc}") from None
-    times = grid.times
-    if subcommand == "holder":
-        try:
-            times = diagnostics.holder_times(cfg.experiment_t_base, cfg.experiment_separations)
-        except ValueError as exc:
-            raise RunUsageError(f"experiment.separations: {exc}") from None
+        grid = TimeGrid.uniform(grid.t_max, 1)  # the matrix side is sampled at t_max only
+    elif subcommand == "holder":
+        grid = TimeGrid(diagnostics.holder_times(cfg.experiment_t_base,
+                                                 cfg.experiment_separations))
     try:  # a table kernel covers a bounded range of times
-        kernel.diag(times)
+        kernel.diag(grid.times)
     except KernelDomainError as exc:
         raise RunUsageError(f"kernel.table_path = {cfg.kernel_table_path}: {exc}") from None
-    if "sampler.method" in READS[subcommand]:  # one sampler and factor for the whole run
+    if subcommand != "limit":  # one sampler and factor for the whole run
         try:
             sampler = sampling.path_sampler(kernel, grid, cfg.sampler_method)
         except ValueError as exc:
@@ -209,7 +212,7 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
         f = by_name(cfg.observables_test_functions)
         n = cfg.matrix_n[0]
         rep = diagnostics.holder_increments(
-            kernel, n, shifts[n], f, cfg.experiment_p, cfg.experiment_t_base,
+            sampler, n, shifts[n], f, cfg.experiment_p, cfg.experiment_t_base,
             cfg.experiment_separations, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
         tables.append((f"holder_n{n}.csv", "t1,t2,p,moment,stderr",
                        [(p.t1, p.t2, rep.p, p.moment, p.stderr) for p in rep.pairs], False))
@@ -227,13 +230,11 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
             tables.append((f"collisions_n{n}.csv", "n,stat,value", rows, n == 1))
 
     elif subcommand == "dyson":
-        if not isinstance(kernel, BrownianKernel):
-            raise RunUsageError("the dyson cross-check is defined for the Brownian kernel only")
         n = cfg.matrix_n[0]
         rows = []
         for dt in (cfg.experiment_dt, 0.5 * cfg.experiment_dt):
             r = diagnostics.dyson_crosscheck(
-                n, shifts[n], grid.t_max, dt, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
+                sampler, n, shifts[n], dt, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
             rows.append((r.n, r.t, r.dt, r.paths, r.w1_distance, r.w1_mc_error,
                          r.forced_sorts))
         tables.append((f"dyson_n{n}.csv", "n,t,dt,M,w1_distance,w1_mc_error,forced_sorts",

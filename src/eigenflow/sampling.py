@@ -201,12 +201,15 @@ class PathSampler:
 
 def path_sampler(kernel: CovarianceKernel, grid: TimeGrid,
                  method: str = "cholesky") -> PathSampler:
-    """The ``method`` sampler of ``kernel`` on ``grid``; ``ValueError`` where it does not apply."""
+    """The ``method`` sampler of ``kernel`` on ``grid``; ``ValueError`` where it does not apply.
+
+    ``parse_config`` rejects a name other than cholesky or circulant.
+    """
     if method == "cholesky":
         return PathSampler(kernel, grid, rng.DOMAIN_ENTRY, factor_grid(kernel, grid))
-    if method != "circulant":
-        raise ValueError(f"sampler.method = {method!r} is unknown; use cholesky or circulant")
-    if not (isinstance(kernel, FractionalBrownianKernel) and grid.is_uniform()):
-        raise ValueError("sampler.method = circulant requires kernel.kind = fbm on a uniform grid")
+    if method != "circulant" or not (isinstance(kernel, FractionalBrownianKernel)
+                                     and grid.is_uniform()):
+        raise ValueError(f"sampler.method = {method} does not apply: cholesky fits every "
+                         "kernel and grid, circulant only kernel.kind = fbm on a uniform grid")
     return PathSampler(kernel, grid, rng.DOMAIN_CIRCULANT,
                        circulant_sqrt_spectrum(kernel.hurst, len(grid) - 1))

@@ -168,12 +168,13 @@ def test_criterion_5_hoffman_wielandt_and_holder_scaling():
             held += hoffman_wielandt_holds(y[k1], y[k2], lam[k1], lam[k2])
     assert total == 1000 and held == total, f"HW held on {held}/{total} pairs"
 
-    from eigenflow.diagnostics import holder_increments
+    from eigenflow.diagnostics import holder_increments, holder_times
     seps = np.geomspace(1e-3, 1e-1, 7)
+    holder_grid = TimeGrid(holder_times(0.5, seps))
     slopes = {}
     for kernel, gamma in ((BrownianKernel(), 1.0), (FractionalBrownianKernel(0.75), 1.5)):
-        rep = holder_increments(kernel, 32, np.zeros((32, 32)), gaussian_bump, 4.0, 0.5, seps,
-                                paths=400, seed=5150)
+        rep = holder_increments(path_sampler(kernel, holder_grid), 32, np.zeros((32, 32)),
+                                gaussian_bump, 4.0, 0.5, seps, paths=400, seed=5150)
         bound = 0.9 * (4.0 * gamma / 2.0)
         slopes[kernel.kind + f"(g={gamma})"] = rep.slope
         assert rep.slope is not None and rep.slope >= bound, \
@@ -281,9 +282,10 @@ m = 12
 
 
 def test_criterion_9_dyson_crosscheck():
-    row = dyson_crosscheck(2, np.zeros((2, 2)), 1.0, 1e-3, 10_000, seed=90210)
+    sampler = path_sampler(BrownianKernel(), TimeGrid.uniform(1.0, 1))
+    row = dyson_crosscheck(sampler, 2, np.zeros((2, 2)), 1e-3, 10_000, seed=90210)
     assert row.w1_distance <= 0.05, f"W1 {row.w1_distance:.4f} > 0.05"
-    half = dyson_crosscheck(2, np.zeros((2, 2)), 1.0, 5e-4, 10_000, seed=90210)
+    half = dyson_crosscheck(sampler, 2, np.zeros((2, 2)), 5e-4, 10_000, seed=90210)
     budget = 2.0 * np.hypot(row.w1_mc_error, half.w1_mc_error)
     assert half.w1_distance <= row.w1_distance + budget, \
         f"refinement increased W1 beyond MC error: {row.w1_distance:.4f} -> " \

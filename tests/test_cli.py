@@ -594,6 +594,21 @@ class TestSamplerBuiltOnce:
         assert calls == {"factor_grid": int(method == "cholesky"),
                          "circulant_sqrt_spectrum": int(method == "circulant")}
 
+    @pytest.mark.parametrize("subcommand", ["holder", "dyson"])
+    def test_one_factor_for_an_experiment_grid(self, tmp_path, monkeypatch, subcommand):
+        # holder samples on {0, t_base, t_base + separations} and dyson at t_max
+        # alone, for both of its dt values; the runner factors that grid once
+        from eigenflow import diagnostics, sampling
+        calls = []
+        factor_grid = sampling.factor_grid
+        monkeypatch.setattr(sampling, "factor_grid",
+                            lambda *args: calls.append(args) or factor_grid(*args))
+        monkeypatch.setattr(diagnostics, "CHUNK_BYTES", 1)  # one path per chunk
+        p = tmp_path / "exp.cfg"
+        p.write_text(config_for(subcommand))
+        assert main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
 
 class TestEnvOverride:
     def test_env_var_sets_output_dir(self, cfg_file, tmp_path, monkeypatch):

@@ -161,7 +161,14 @@ seed = 1
         ("t_base = -0.5", "experiment.t_base must be nonnegative"),
         ("x_points = 0", "experiment.x_points must be at least 1"),
         ("x_points = -3", "experiment.x_points must be at least 1"),
-    ], ids=["negative-t-base", "zero-x-points", "negative-x-points"])
+        ("p = -1.0", r"experiment.p must be positive, got -1.0"),
+        ("p = 0.0", r"experiment.p must be positive, got 0.0"),
+        ("separations = 0.01, 0.01, 0.1",
+         r"experiment.separations entries must be distinct, got 0.01, 0.01, 0.1"),
+        ("separations = 0.1, -0.2", r"experiment.separations must be positive, got 0.1, -0.2"),
+        ("separations = 0.0, 0.1", r"experiment.separations must be positive, got 0.0, 0.1"),
+    ], ids=["negative-t-base", "zero-x-points", "negative-x-points", "negative-p", "zero-p",
+            "repeated-separation", "negative-separation", "zero-separation"])
     def test_experiment_domains(self, setting, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(MINIMAL + f"\n[experiment]\n{setting}\n")

@@ -9,7 +9,7 @@ import pytest
 from eigenflow import diagnostics
 from eigenflow.diagnostics import (collision_experiment, collision_proximity,
                                    convergence_study, dyson_crosscheck, fit_loglog_slope,
-                                   holder_increments, residual_experiment,
+                                   holder_increments, holder_times, residual_experiment,
                                    weak_equation_residual)
 from eigenflow.grids import TimeGrid
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel, TableKernel
@@ -18,6 +18,14 @@ from eigenflow.matrixflow import sample_flows, spectra_of_stack
 from eigenflow.sampling import path_sampler
 from eigenflow.testfunctions import TestFunction, gaussian_bump
 from oracles import burgers_pde_residual
+
+
+def holder_sampler(kernel, t_base, separations):
+    return path_sampler(kernel, TimeGrid(holder_times(t_base, separations)))
+
+
+def dyson_sampler(t_max):
+    return path_sampler(BrownianKernel(), TimeGrid.uniform(t_max, 1))
 
 
 class TestWeakEquationResidual:
@@ -141,25 +149,35 @@ class TestConvergenceStudy:
 
 class TestHolder:
     def test_brownian_p4_slope(self):
-        rep = holder_increments(BrownianKernel(), 24, np.zeros((24, 24)), gaussian_bump, 4.0,
-                                t_base=0.5, separations=np.geomspace(1e-3, 1e-1, 7),
-                                paths=300, seed=23)
+        seps = np.geomspace(1e-3, 1e-1, 7)
+        rep = holder_increments(holder_sampler(BrownianKernel(), 0.5, seps), 24,
+                                np.zeros((24, 24)), gaussian_bump, 4.0,
+                                t_base=0.5, separations=seps, paths=300, seed=23)
         assert rep.slope is not None
         # increment bound exponent p*gamma/2 = 2 with 10% slack
         assert rep.slope >= 1.8
 
     def test_smooth_fbm_p4_slope(self):
-        rep = holder_increments(FractionalBrownianKernel(0.75), 24, np.zeros((24, 24)),
-                                gaussian_bump, 4.0,
-                                t_base=0.5, separations=np.geomspace(1e-3, 1e-1, 7),
-                                paths=300, seed=29)
+        seps = np.geomspace(1e-3, 1e-1, 7)
+        rep = holder_increments(holder_sampler(FractionalBrownianKernel(0.75), 0.5, seps), 24,
+                                np.zeros((24, 24)), gaussian_bump, 4.0,
+                                t_base=0.5, separations=seps, paths=300, seed=29)
         assert rep.slope >= 2.7
 
     def test_constant_function_degenerate(self):
         constant = TestFunction("constant", np.ones_like, np.zeros_like, np.zeros_like)
-        rep = holder_increments(BrownianKernel(), 6, np.zeros((6, 6)), constant, 4.0, 0.5,
-                                [0.01, 0.1], paths=20, seed=31)
+        rep = holder_increments(holder_sampler(BrownianKernel(), 0.5, [0.01, 0.1]), 6,
+                                np.zeros((6, 6)), constant, 4.0, 0.5, [0.01, 0.1],
+                                paths=20, seed=31)
         assert rep.slope is None
+
+    @pytest.mark.parametrize("t_base, separations", [(0.25, [0.01, 0.1]), (0.5, [0.01, 0.2])],
+                             ids=["base", "separation"])
+    def test_grid_must_hold_every_time(self, t_base, separations):
+        sampler = holder_sampler(BrownianKernel(), 0.5, [0.01, 0.1])
+        with pytest.raises(ValueError, match="is not a grid time"):
+            holder_increments(sampler, 2, np.zeros((2, 2)), gaussian_bump, 4.0, t_base,
+                              separations, paths=4, seed=1)
 
 
 class TestCollisions:
@@ -194,20 +212,18 @@ class TestCollisions:
 
 class TestDyson:
     def test_time_zero_distance(self):
-        row = dyson_crosscheck(2, np.zeros((2, 2)), 1.0, 0.5, paths=2000, seed=43)
+        row = dyson_crosscheck(dyson_sampler(1.0), 2, np.zeros((2, 2)), 0.5, paths=2000,
+                               seed=43)
         assert row.w1_distance < 0.2  # crude step, still the same law family
 
     def test_small_scale_agreement(self):
-        row = dyson_crosscheck(2, np.zeros((2, 2)), 1.0, 0.01, paths=4000, seed=47)
+        row = dyson_crosscheck(dyson_sampler(1.0), 2, np.zeros((2, 2)), 0.01, paths=4000,
+                               seed=47)
         assert row.w1_distance <= 0.05
 
     def test_dt_must_divide_horizon(self):
         with pytest.raises(ValueError):
-            dyson_crosscheck(2, np.zeros((2, 2)), 1.0, 0.3, paths=10, seed=1)
-
-    def test_zero_horizon_distance_is_zero(self):
-        row = dyson_crosscheck(2, np.zeros((2, 2)), 0.0, 0.001, paths=10, seed=1)
-        assert row.w1_distance == 0.0
+            dyson_crosscheck(dyson_sampler(1.0), 2, np.zeros((2, 2)), 0.3, paths=10, seed=1)
 
     @pytest.mark.parametrize("n", [3, 4])  # odd n puts every other step at an odd start
     def test_extending_the_batch_leaves_shared_paths_unchanged(self, n, monkeypatch):
@@ -229,7 +245,7 @@ class TestDyson:
         # the dyson-sde benchmark shape: 250 steps of 3000 paths in one chunk
         tracemalloc.start()
         try:
-            dyson_crosscheck(2, np.zeros((2, 2)), 0.25, 1e-3, 3000, seed=1)
+            dyson_crosscheck(dyson_sampler(0.25), 2, np.zeros((2, 2)), 1e-3, 3000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -258,11 +274,13 @@ class TestEnsembleMap:
                               for n in (3, 5)]),
                     convergence_study(path_sampler(kernel, grid), 4,
                                       np.diag([1.0, 1.0, -1.0, -1.0]), 5, seed=3, mapper=mapper),
-                    holder_increments(kernel, 4, np.zeros((4, 4)), f, 2.0, 0.5, [0.01, 0.1], 9,
+                    holder_increments(holder_sampler(kernel, 0.5, [0.01, 0.1]), 4,
+                                      np.zeros((4, 4)), f, 2.0, 0.5, [0.01, 0.1], 9,
                                       seed=4, mapper=mapper),
                     collision_experiment(path_sampler(kernel, grid), 4,
                                          np.diag([1.0, 1.0, 0.0, 0.0]), 9, seed=5, mapper=mapper),
-                    dyson_crosscheck(4, np.zeros((4, 4)), 0.5, 1e-2, 9, seed=6, mapper=mapper))
+                    dyson_crosscheck(dyson_sampler(0.5), 4, np.zeros((4, 4)), 1e-2, 9, seed=6,
+                                     mapper=mapper))
 
         whole = run()
         monkeypatch.setattr(diagnostics, "CHUNK_BYTES", 1)  # one path per chunk
