@@ -37,9 +37,10 @@ and streams its ensemble through :func:`ensemble_map`: paths are sampled,
 diagonalised and reduced chunk by chunk under one byte budget, and the
 per-path results are placed in path order, so neither the chunking nor the
 worker count changes an output.  The Dyson SDE side is chunked by the same
-rule, with noise keyed by (seed, path, step) and drawn one step at a time,
-so its paths are pure functions of (seed, path) as well and its chunk
-budget counts the drift and one step's noise.
+rule, with noise keyed by (seed, path, step), so its paths are pure
+functions of (seed, path) as well; its chunk budget counts the drift and
+one step's refinement noise, and the base Euler noise is drawn for a block
+of steps at a time under a fixed share of the budget.
 """
 
 from __future__ import annotations
@@ -64,8 +65,10 @@ if TYPE_CHECKING:  # for annotations only: the runner builds every grid
 # Bytes per chunk of paths: the one chunk rule of every Monte Carlo side,
 # counting sampled matrices for the ensemble experiments, and for the SDE
 # the drift's pairwise differences plus one step's noise (the Euler step
-# and its refinement tree).  Each worker holds one chunk at a time, so peak
-# memory does not grow with the number of paths.
+# and its refinement tree).  The SDE's base Euler noise is drawn for a
+# block of steps per call, and a block holds at most CHUNK_BYTES / 8 on top
+# of that.  Each worker holds one chunk at a time, so peak memory does not
+# grow with the number of paths.
 CHUNK_BYTES = 5e6
 
 
@@ -227,8 +230,20 @@ class HolderReport:
 
 
 def holder_times(t_base: float, separations: Sequence[float]) -> np.ndarray:
-    """The sorted time set {0, t_base, t_base + delta} that holder samples on."""
-    return np.unique(np.concatenate([[0.0, t_base], t_base + np.asarray(separations)]))
+    """The sorted time set {0, t_base, t_base + delta} that holder samples on.
+
+    Raises ``ValueError`` naming each separation whose t_base + delta is
+    not a time of its own above t_base (it rounds to t_base, or to the time
+    of another separation), which would give a zero-length increment or a
+    repeated row.
+    """
+    later = [t_base + d for d in separations]
+    lost = [d for d, t in zip(separations, later) if t <= t_base or later.count(t) > 1]
+    if lost:
+        raise ValueError(f"t_base = {t_base!r} does not resolve separations "
+                         + ", ".join(repr(float(d)) for d in lost)
+                         + ": each t_base + delta must be a distinct time above t_base")
+    return np.unique(np.concatenate([[0.0, t_base], later]))
 
 
 def holder_increments(sampler: PathSampler, n: int, shift: np.ndarray,
@@ -328,10 +343,14 @@ class DysonRow:
 
 
 def _sde_drift(lam: np.ndarray, n: int) -> np.ndarray:
-    """(1/n) sum_{j != i} 1 / (lambda_i - lambda_j), coincident pairs skipped."""
+    """(1/n) sum_{j != i} 1 / (lambda_i - lambda_j), coincident pairs skipped.
+
+    Runs under the caller's ``np.errstate``: the 1/0 of the diagonal and of
+    coincident pairs is zeroed after the division.
+    """
     diff = lam[:, :, None] - lam[:, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(diff != 0.0, 1.0 / diff, 0.0)
+    inv = 1.0 / diff
+    inv[diff == 0.0] = 0.0
     return inv.sum(axis=2) / n
 
 
@@ -340,21 +359,21 @@ _SDE_MAX_DEPTH = 3
 _SDE_NODES = 2 ** (_SDE_MAX_DEPTH + 1) - 2
 
 
-def _tamed_displacement(drift: np.ndarray, dt: float, lam: np.ndarray) -> np.ndarray:
+def _tamed_displacement(drift: np.ndarray, dt: float, lam: np.ndarray,
+                        d: np.ndarray) -> np.ndarray:
     """Drift displacement bounded by half the local gap.
 
-    The taming factor 1 / (1 + 2 dt |drift| / gap) tends to one as dt
-    shrinks at a fixed gap, so the scheme stays consistent while the
-    repulsion can never overshoot a neighbour within one step.
+    ``d`` holds the neighbour differences of ``lam``.  The taming factor
+    1 / (1 + 2 dt |drift| / gap) tends to one as dt shrinks at a fixed gap,
+    so the scheme stays consistent while the repulsion can never overshoot a
+    neighbour within one step.
     """
     disp = drift * dt
-    d = np.diff(lam, axis=1)
-    big = np.max(np.abs(lam), axis=1, keepdims=True) + 1.0
+    big = np.abs(lam).max(axis=1, keepdims=True) + 1.0
     gap_lo = np.concatenate([big, d], axis=1)
     gap_hi = np.concatenate([d, big], axis=1)
     gap = np.minimum(np.maximum(gap_lo, 0.0), np.maximum(gap_hi, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tame = np.where(gap > 0.0, 1.0 / (1.0 + 2.0 * np.abs(disp) / np.maximum(gap, 1e-300)), 1.0)
+    tame = np.where(gap > 0.0, 1.0 / (1.0 + 2.0 * np.abs(disp) / np.maximum(gap, 1e-300)), 1.0)
     return disp * tame
 
 
@@ -371,21 +390,25 @@ def _sde_step(lam: np.ndarray, dt: float, noise: np.ndarray, n: int, depth: int,
     pure step-size adaptivity and does not condition the outcome.  At the
     recursion cap the drift is gap-tamed instead.  Crossed proposals are
     reflected by sorting (exact relabelling for coincident starts, counted
-    otherwise).
+    otherwise).  Runs under the caller's ``np.errstate``, as the drift does.
     """
     drift = _sde_drift(lam, n)
     sigma = math.sqrt(2.0 / n)
+    d = lam[:, 1:] - lam[:, :-1]  # for the gap, the taming and the degenerate test
     if n > 1:
-        gap = np.min(np.diff(lam, axis=1), axis=1)
-        stiff = (2.0 * dt * np.max(np.abs(drift), axis=1) > gap) & (gap > 0.0)
+        gap = d.min(axis=1)
+        # max |drift| per row from an (n, rows) copy: a max is exact in any
+        # order, and numpy reduces the short axis of (rows, n) row by row
+        speed = np.abs(np.ascontiguousarray(drift.T)).max(axis=0)
+        stiff = (2.0 * dt * speed > gap) & (gap > 0.0)
     else:
         stiff = np.zeros(lam.shape[0], dtype=bool)
 
     if depth >= _SDE_MAX_DEPTH:
-        prop = lam + _tamed_displacement(drift, dt, lam) + sigma * math.sqrt(dt) * noise
+        prop = lam + _tamed_displacement(drift, dt, lam, d) + sigma * math.sqrt(dt) * noise
     else:
         prop = lam + drift * dt + sigma * math.sqrt(dt) * noise
-        if np.any(stiff):
+        if stiff.any():
             sub = lam[stiff]
             below = tree(stiff)
             for child in (2 * node + 1, 2 * node + 2):
@@ -394,10 +417,11 @@ def _sde_step(lam: np.ndarray, dt: float, noise: np.ndarray, n: int, depth: int,
             prop[stiff] = sub
 
     if n > 1:
-        crossed = np.any(np.diff(prop, axis=1) < 0.0, axis=1)
-        if np.any(crossed):
-            degenerate = np.min(np.diff(lam, axis=1), axis=1) <= 0.0
-            stats["forced_sorts"] += int(np.sum(crossed & ~degenerate))
+        # for doubles, b < a exactly when b - a < 0
+        crossed = (prop[:, 1:] < prop[:, :-1]).any(axis=1)
+        if crossed.any():
+            degenerate = gap <= 0.0
+            stats["forced_sorts"] += int((crossed & ~degenerate).sum())
             prop[crossed] = np.sort(prop[crossed], axis=1)
     return prop
 
@@ -406,19 +430,24 @@ def _sde_paths(lam0: np.ndarray, dt: float, n_steps: int, seed: int, pid: range)
     """Sorted final states (len(pid), n) and forced-sort count of SDE paths ``pid``.
 
     Noise is keyed as laid out in :mod:`eigenflow.rng`, so each path is a
-    pure function of (seed, path).
+    pure function of (seed, path).  The base noise of a block of steps is
+    drawn in one call; a block's noise stays under ``CHUNK_BYTES / 8``.
     """
     n = lam0.size
     base_ids, tree_ids = rng.stream_id(rng.DOMAIN_SDE, np.array([[0], [1]]), 0, np.asarray(pid))
     lam = np.tile(lam0, (len(pid), 1))
     stats = {"forced_sorts": 0}
-    for step in range(n_steps):
-        def tree(stiff, step=step):
-            # one draw per step covers every refinement of its stiff rows
-            return rng.normals(seed, tree_ids[stiff], _SDE_NODES * n,
-                               start=step * _SDE_NODES * n).reshape(-1, _SDE_NODES, n)
-        noise = rng.normals(seed, base_ids, n, start=step * n)
-        lam = _sde_step(lam, dt, noise, n, 0, stats, tree)
+    block = max(1, int(CHUNK_BYTES / 8 / (8 * n * len(pid))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for first in range(0, n_steps, block):
+            steps = min(block, n_steps - first)
+            noise = rng.normals(seed, base_ids, steps * n, start=first * n).reshape(-1, steps, n)
+            for step in range(first, first + steps):
+                def tree(stiff, step=step):
+                    # one draw per step covers every refinement of its stiff rows
+                    return rng.normals(seed, tree_ids[stiff], _SDE_NODES * n,
+                                       start=step * _SDE_NODES * n).reshape(-1, _SDE_NODES, n)
+                lam = _sde_step(lam, dt, noise[:, step - first], n, 0, stats, tree)
     return np.sort(lam, axis=1), stats["forced_sorts"]
 
 

@@ -16,9 +16,10 @@ one packer; its arguments broadcast, so a caller builds a whole block of
 ids in one call.  :func:`normals` draws positions [start, start + count)
 of each stream for any start.  SDE path p draws its Euler noise of step k
 from ``stream_id(DOMAIN_SDE, 0, 0, p)`` at positions [k n, (k+1) n), one
-draw per step, and the noise of the refined half steps under
-step k from ``stream_id(DOMAIN_SDE, 1, 0, p)``: half-step node h = 1..14 (a
-heap under the step) at positions [(14 k + h - 1) n, (14 k + h) n).
+draw per block of steps (steps j..j+B-1 are positions [j n, (j+B) n)), and
+the noise of the refined half steps under step k from
+``stream_id(DOMAIN_SDE, 1, 0, p)``: half-step node h = 1..14 (a heap under
+the step) at positions [(14 k + h - 1) n, (14 k + h) n), one draw per step.
 """
 
 from __future__ import annotations

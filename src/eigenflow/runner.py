@@ -167,8 +167,11 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
             raise RunUsageError(f"experiment.dt: {exc}") from None
         grid = TimeGrid.uniform(grid.t_max, 1)  # the matrix side is sampled at t_max only
     elif subcommand == "holder":
-        grid = TimeGrid(diagnostics.holder_times(cfg.experiment_t_base,
-                                                 cfg.experiment_separations))
+        try:
+            grid = TimeGrid(diagnostics.holder_times(cfg.experiment_t_base,
+                                                     cfg.experiment_separations))
+        except ValueError as exc:
+            raise RunUsageError(f"experiment.separations: {exc}") from None
     try:  # a table kernel covers a bounded range of times
         kernel.diag(grid.times)
     except KernelDomainError as exc:

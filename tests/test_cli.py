@@ -435,6 +435,10 @@ class TestExitCodes:
         ("dyson", [("dt = 0.05", "dt = -0.05")], "experiment.dt"),
         ("holder", [("m = 6", "m = 6\nseparations = 0.1, -0.2")], "experiment.separations"),
         ("holder", [("m = 6", "m = 6\nt_base = -0.5")], "experiment.t_base"),
+        ("holder", [("m = 6", "m = 6\nt_base = 0.5\nseparations = 1e-17, 1e-16, 0.1")],
+         "experiment.separations: t_base = 0.5 does not resolve separations 1e-17:"),
+        ("holder", [("m = 6", "m = 6\nt_base = 0.5\nseparations = 0.1, 0.10000000000000002")],
+         "does not resolve separations 0.1, 0.10000000000000002:"),
         ("limit", [("seed = 11", "seed = 11\n\n[experiment]\nx_points = -3")],
          "experiment.x_points"),
         ("limit", [("seed = 11", "seed = 11\n\n[experiment]\nx_points = 0")],
@@ -444,6 +448,7 @@ class TestExitCodes:
         ("limit", [("kind = brownian", "kind = table\ntable_path = TABLE")],
          "time 0.75 outside tabulated domain [0.0, 0.5]"),
     ], ids=["dt-does-not-divide", "negative-dt", "negative-separation", "negative-t-base",
+            "separation-below-resolution", "coincident-separation-times",
             "negative-x-points", "zero-x-points", "short-table-converge", "short-table-limit"])
     def test_unusable_experiment_value_is_config_error(self, tmp_path, subcommand, edits,
                                                        expect):

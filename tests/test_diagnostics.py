@@ -241,6 +241,26 @@ class TestDyson:
         assert max(depths) == diagnostics._SDE_MAX_DEPTH  # refinement was exercised
         assert np.array_equal(small, large[:200])
 
+    def test_noise_blocks_move_no_bit(self, monkeypatch):
+        # odd n and an odd block put block starts at odd positions, and the
+        # last block is short; the zero start drives refinement and sorts
+        n, paths, n_steps = 3, 1100, 60
+        block = int(diagnostics.CHUNK_BYTES / 8 / (8 * n * paths))
+        assert block % 2 == 1 and n_steps % block and n_steps > block
+        args = (np.zeros(n), 1e-2, n_steps, 5, range(paths))
+        blocked, blocked_sorts = diagnostics._sde_paths(*args)
+        monkeypatch.setattr(diagnostics, "CHUNK_BYTES", 1)  # one step per block
+        single, single_sorts = diagnostics._sde_paths(*args)
+        assert np.array_equal(blocked, single)
+        assert blocked_sorts == single_sorts > 0
+
+    def test_drift_of_coincident_pairs_is_zero(self):
+        lam = np.array([[0.0, 0.0, 1.0], [2.0, 2.0, 2.0], [-1.0, 1.0, 1.0]])
+        with np.errstate(divide="ignore", invalid="ignore"):  # as _sde_paths runs it
+            drift = diagnostics._sde_drift(lam, 3)
+        assert np.array_equal(drift, np.array([[-1.0, -1.0, 2.0], [0.0, 0.0, 0.0],
+                                               [-1.0, 0.5, 0.5]]) / 3)
+
     def test_peak_memory_of_the_sde_side_stays_small(self):
         # the dyson-sde benchmark shape: 250 steps of 3000 paths in one chunk
         tracemalloc.start()
