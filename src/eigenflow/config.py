@@ -18,11 +18,14 @@ The format is flat INI-style sections of ``key = value`` lines::
     method = cholesky
     seed = 12345
 
-Unknown keys, missing required keys, type errors and duplicates are all
-collected and reported together, each with its line number.  Optional keys
-have documented defaults that are materialised into the resolved
-configuration (and echoed in every output), so two configs with the same
-canonical form produce identical runs.
+Each key's schema entry holds its type, its default and its value checks,
+and every value is checked on the line it is read from.  The few rules that
+tie keys together (required keys, ``hurst`` and ``table_path`` against
+``kernel.kind``, ``grid.times`` against ``t_max`` / ``steps``) run after the
+last line.  Every problem is collected and reported together, and each one
+a value causes names its line.  Optional keys have documented defaults that
+are materialised into the resolved configuration (and echoed in every
+output), so two configs with the same canonical form produce identical runs.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .testfunctions import BUILTINS
@@ -62,36 +65,58 @@ def parse_complex(text: str) -> complex:
     return complex(float(s), 0.0)
 
 
-# (section, key) -> (type tag, required, default, validator description)
+def _one_of(*choices):
+    return (lambda v: v in choices, f"must be one of {choices}, got {{!r}}")
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive, got {}")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1, got {}")
+_DISTINCT = (lambda v: len(set(v)) == len(v), "entries must be distinct, got {}")
+
+# (section, key) -> type tag, required, default (optional keys) and the value
+# checks: (test, message) pairs, where the message follows "section.key " and
+# its {} takes the value as canonical text.
 _SCHEMA: Dict[Tuple[str, str], dict] = {
     ("kernel", "kind"): dict(kind="str", required=True,
-                             choices=("brownian", "fbm", "table")),
-    ("kernel", "hurst"): dict(kind="float", required=False, default=None),
+                             checks=[_one_of("brownian", "fbm", "table")]),
+    ("kernel", "hurst"): dict(kind="float", required=False, default=None,
+                              checks=[(lambda h: 0.0 < h < 1.0, "must lie in (0,1), got {}")]),
     ("kernel", "table_path"): dict(kind="str", required=False, default=None),
-    ("grid", "t_max"): dict(kind="float", required=False, default=None),
-    ("grid", "steps"): dict(kind="int", required=False, default=None),
-    ("grid", "times"): dict(kind="float_list", required=False, default=None),
-    ("matrix", "n"): dict(kind="int_list", required=True),
+    ("grid", "t_max"): dict(kind="float", required=False, default=None, checks=[_POSITIVE]),
+    ("grid", "steps"): dict(kind="int", required=False, default=None, checks=[_AT_LEAST_1]),
+    ("grid", "times"): dict(kind="float_list", required=False, default=None, checks=[(
+        lambda ts: len(ts) >= 2 and ts[0] == 0.0 and all(a < b for a, b in zip(ts, ts[1:])),
+        "must be strictly increasing and start at 0")]),
+    ("matrix", "n"): dict(kind="int_list", required=True, checks=[
+        (lambda ns: all(1 <= n <= 4095 for n in ns), "entries must lie in [1, 4095], got {}"),
+        _DISTINCT]),
     ("matrix", "shift"): dict(kind="str", required=False, default="zero"),
     ("sampler", "method"): dict(kind="str", required=False, default="cholesky",
-                                choices=("cholesky", "circulant")),
-    ("sampler", "seed"): dict(kind="int", required=True),
+                                checks=[_one_of("cholesky", "circulant")]),
+    ("sampler", "seed"): dict(kind="int", required=True, checks=[
+        (lambda s: 0 <= s < 2 ** 64, "must be an unsigned 64-bit integer, got {}")]),
     ("observables", "test_functions"): dict(kind="str", required=False,
-                                            default="gaussian_bump", choices=tuple(BUILTINS)),
+                                            default="gaussian_bump", checks=[_one_of(*BUILTINS)]),
     ("observables", "z_points"): dict(kind="complex_list", required=False,
-                                      default=(complex(0.0, 1.0),)),
-    ("experiment", "m"): dict(kind="int", required=False, default=20),
-    ("experiment", "p"): dict(kind="float", required=False, default=4.0),
-    ("experiment", "t_base"): dict(kind="float", required=False, default=0.5),
+                                      default=(complex(0.0, 1.0),), checks=[
+        (lambda zs: all(cmath.isfinite(z) and z.imag > 0 for z in zs),
+         "must be finite with positive imaginary parts, got {}")]),
+    ("experiment", "m"): dict(kind="int", required=False, default=20, checks=[
+        (lambda m: m >= 2, "must be at least 2, got {}: a standard error needs two paths")]),
+    ("experiment", "p"): dict(kind="float", required=False, default=4.0, checks=[_POSITIVE]),
+    ("experiment", "t_base"): dict(kind="float", required=False, default=0.5,
+                                   checks=[(lambda t: t >= 0, "must be nonnegative, got {}")]),
     ("experiment", "separations"): dict(kind="float_list", required=False,
-                                        default=(0.001, 0.0031623, 0.01, 0.031623, 0.1)),
+                                        default=(0.001, 0.0031623, 0.01, 0.031623, 0.1), checks=[
+        (lambda ds: all(d > 0 for d in ds), "must be positive, got {}"), _DISTINCT]),
     ("experiment", "dt"): dict(kind="float", required=False, default=0.001),
     ("experiment", "x_min"): dict(kind="float", required=False, default=-3.0),
     ("experiment", "x_max"): dict(kind="float", required=False, default=3.0),
-    ("experiment", "x_points"): dict(kind="int", required=False, default=61),
+    ("experiment", "x_points"): dict(kind="int", required=False, default=61,
+                                     checks=[_AT_LEAST_1]),
     ("output", "directory"): dict(kind="str", required=False, default="runs"),
     ("output", "format"): dict(kind="str", required=False, default="csv",
-                               choices=("csv",)),
+                               checks=[_one_of("csv")]),
 }
 
 _SECTIONS = ("kernel", "grid", "matrix", "sampler", "observables", "experiment", "output")
@@ -144,11 +169,14 @@ class ExperimentConfig:
                 and getattr(self, f"{sec}_{key}") != spec["default"]}
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        from dataclasses import replace
-        return replace(self, sampler_seed=int(seed))
+        """This config with another seed, which passes the schema's seed
+        checks as a parsed one does."""
+        seed = int(seed)
+        if problems := _value_problems("sampler", "seed", seed):
+            raise ConfigError([f"seed override: {problem}" for problem in problems])
+        return replace(self, sampler_seed=seed)
 
     def with_output_directory(self, directory: str) -> "ExperimentConfig":
-        from dataclasses import replace
         return replace(self, output_directory=str(directory))
 
 
@@ -188,6 +216,13 @@ def _convert(raw: str, kind: str):
     if kind == "complex_list":
         return tuple(parse_complex(part) for part in raw.split(","))
     raise AssertionError(kind)
+
+
+def _value_problems(section: str, key: str, val) -> List[str]:
+    """The checks of ``section.key`` that ``val`` fails, each as a problem
+    that names the key."""
+    return [f"{section}.{key} {message.format(_format_value(val))}"
+            for test, message in _SCHEMA[(section, key)].get("checks", ()) if not test(val)]
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -231,92 +266,32 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as exc:
             problems.append(f"line {lineno}: {section}.{key}: {exc}")
             continue
-        choices = spec.get("choices")
-        if choices and val not in choices:
-            problems.append(
-                f"line {lineno}: {section}.{key} must be one of {choices}, got {val!r}")
-            continue
-        values[(section, key)] = val
+        if bad := _value_problems(section, key, val):
+            problems.extend(f"line {lineno}: {problem}" for problem in bad)
+        else:
+            values[(section, key)] = val
 
-    # requiredness and defaults
+    # the rules that tie keys together; a key counts as set once it is seen
     for (section, key), spec in _SCHEMA.items():
-        if (section, key) in values:
+        if (section, key) in seen:
             continue
-        if spec.get("required"):
+        if spec["required"]:
             problems.append(f"missing required key {section}.{key}")
         else:
-            values[(section, key)] = spec.get("default")
-
-    # domain validation on the assembled values
-    hurst = values.get(("kernel", "hurst"))
+            values[(section, key)] = spec["default"]
     kind = values.get(("kernel", "kind"))
-    if kind == "fbm":
-        if hurst is None:
-            problems.append("kernel.hurst is required when kernel.kind = fbm")
-        elif not (0.0 < hurst < 1.0):
-            problems.append(f"kernel.hurst must lie in (0,1), got {hurst}")
-    if kind == "table" and values.get(("kernel", "table_path")) is None:
-        problems.append("kernel.table_path is required when kernel.kind = table")
     for key, owner in (("hurst", "fbm"), ("table_path", "table")):
-        if kind is not None and kind != owner and ("kernel", key) in seen:
+        if kind == owner and ("kernel", key) not in seen:
+            problems.append(f"kernel.{key} is required when kernel.kind = {owner}")
+        elif kind not in (None, owner) and ("kernel", key) in seen:
             problems.append(f"line {seen[('kernel', key)]}: kernel.{key} applies to "
                             f"kernel.kind = {owner} only, not {kind}")
-
-    t_max = values.get(("grid", "t_max"))
-    steps = values.get(("grid", "steps"))
-    times = values.get(("grid", "times"))
-    if times is not None and (t_max is not None or steps is not None):
-        problems.append("grid.times excludes grid.t_max / grid.steps")
-    if times is None:
-        if t_max is None or steps is None:
-            problems.append("grid needs either grid.times or both grid.t_max and grid.steps")
-        else:
-            if t_max <= 0:
-                problems.append(f"grid.t_max must be positive, got {t_max}")
-            if steps < 1:
-                problems.append(f"grid.steps must be at least 1, got {steps}")
-    else:
-        if len(times) < 2 or times[0] != 0.0 or any(
-                b <= a for a, b in zip(times, times[1:])):
-            problems.append("grid.times must be strictly increasing and start at 0")
-
-    n_vals = values.get(("matrix", "n"))
-    if n_vals is not None:
-        for n in n_vals:
-            if not (1 <= n <= 4095):
-                problems.append(f"matrix.n entries must lie in [1, 4095], got {n}")
-        if len(set(n_vals)) < len(n_vals):
-            problems.append(f"matrix.n entries must be distinct, got {_format_value(n_vals)}")
-    seed = values.get(("sampler", "seed"))
-    if seed is not None and not (0 <= seed < 2 ** 64):
-        problems.append(f"sampler.seed must be an unsigned 64-bit integer, got {seed}")
-    m = values.get(("experiment", "m"))
-    if m is not None and m < 2:
-        problems.append(f"experiment.m must be at least 2, got {m}: "
-                        "a standard error needs two paths")
-    p = values.get(("experiment", "p"))
-    if p is not None and p <= 0:
-        problems.append(f"experiment.p must be positive, got {p}")
-    t_base = values.get(("experiment", "t_base"))
-    if t_base is not None and t_base < 0:
-        problems.append(f"experiment.t_base must be nonnegative, got {t_base}")
-    seps = values.get(("experiment", "separations"))
-    if seps is not None:
-        if any(d <= 0 for d in seps):
-            problems.append(f"experiment.separations must be positive, "
-                            f"got {_format_value(seps)}")
-        if len(set(seps)) < len(seps):
-            problems.append(f"experiment.separations entries must be distinct, "
-                            f"got {_format_value(seps)}")
-    x_points = values.get(("experiment", "x_points"))
-    if x_points is not None and x_points < 1:
-        problems.append(f"experiment.x_points must be at least 1, got {x_points}")
-    zp = values.get(("observables", "z_points"))
-    if zp:
-        for z in zp:
-            if not (cmath.isfinite(z) and z.imag > 0):
-                problems.append("observables.z_points must be finite with positive imaginary "
-                                f"parts, got {_format_value(z)}")
+    uniform = [key for key in ("t_max", "steps") if ("grid", key) in seen]
+    if ("grid", "times") in seen:
+        if uniform:
+            problems.append("grid.times excludes grid.t_max / grid.steps")
+    elif len(uniform) < 2:
+        problems.append("grid needs either grid.times or both grid.t_max and grid.steps")
 
     if problems:
         raise ConfigError(problems)

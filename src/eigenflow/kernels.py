@@ -313,17 +313,22 @@ def make_kernel(kind: str, hurst: Optional[float] = None,
 
 def load_table_kernel(path: str) -> TableKernel:
     """Load a tabulated kernel from a CSV with header ``s,t,value``."""
-    raw = np.genfromtxt(path, delimiter=",", names=True)
+    try:
+        raw = np.genfromtxt(path, delimiter=",", names=True)
+    except IndexError:  # how numpy reads a file with no line at all
+        raw = np.empty(0)
     if raw.dtype.names != ("s", "t", "value"):
-        raise ValueError(f"{path}: expected CSV header 's,t,value'")
+        raise ValueError("expected CSV header 's,t,value'")
+    if not all(np.all(np.isfinite(raw[name])) for name in raw.dtype.names):
+        raise ValueError("every table entry must be a finite number")
     s = np.unique(raw["s"])
     t = np.unique(raw["t"])
     if not np.array_equal(s, t):
-        raise ValueError(f"{path}: table must sample a square s x t grid")
+        raise ValueError("table must sample a square s x t grid")
     vals = np.full((s.size, s.size), np.nan)
     si = np.searchsorted(s, raw["s"])
     ti = np.searchsorted(t, raw["t"])
     vals[si, ti] = raw["value"]
     if np.any(np.isnan(vals)):
-        raise ValueError(f"{path}: table grid has missing (s,t) combinations")
+        raise ValueError("table grid has missing (s,t) combinations")
     return TableKernel(s, vals)

@@ -145,7 +145,10 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
 
 
 def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List[Path]:
-    kernel = config_to_kernel(cfg)
+    try:  # a table kernel reads and checks its file here
+        kernel = config_to_kernel(cfg)
+    except ValueError as exc:
+        raise RunUsageError(f"kernel.table_path = {cfg.kernel_table_path}: {exc}") from None
     grid = config_to_grid(cfg)
     if subcommand in ("holder", "dyson", "limit") and len(cfg.matrix_n) > 1:
         raise RunUsageError(f"{subcommand} runs one matrix dimension; "

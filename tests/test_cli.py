@@ -43,6 +43,7 @@ def config_for(subcommand):
 
 
 FBM = MINIMAL.replace("kind = brownian", "kind = fbm\nhurst = 0.75")
+BROWNIAN_TABLE = [(s, t, min(s, t)) for s in (0.0, 0.5, 1.0) for t in (0.0, 0.5, 1.0)]
 
 
 @pytest.fixture
@@ -418,6 +419,53 @@ class TestExitCodes:
         assert proc.stderr.startswith("eigenflow: configuration error: matrix.shift:")
         assert "Traceback" not in proc.stderr
         assert list(tmp_path.rglob("*.csv")) == [shift]
+
+    @staticmethod
+    def _run_on_table(tmp_path, rows, header="s,t,value"):
+        """``collisions`` on a table file of ``rows``, as a fresh process."""
+        table = tmp_path / "R.csv"
+        table.write_text(header + "\n" + "".join(f"{s},{t},{v}\n" for s, t, v in rows))
+        p = tmp_path / "table.cfg"
+        p.write_text(MINIMAL.replace("kind = brownian", f"kind = table\ntable_path = {table}"))
+        proc = run_cli(["collisions", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 1, proc.stderr
+        # numpy's warning about an empty file comes first
+        assert proc.stderr.splitlines()[-1].startswith(f"eigenflow: configuration error: "
+                                                       f"kernel.table_path = {table}: ")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+        return proc.stderr
+
+    @pytest.mark.parametrize("header, rows, expect", [
+        ("a,b,c", BROWNIAN_TABLE, "expected CSV header 's,t,value'"),
+        ("s,t,value", [r for r in BROWNIAN_TABLE if r[0] != 0.5],
+         "table must sample a square s x t grid"),
+        ("s,t,value", BROWNIAN_TABLE[:-1], "table grid has missing (s,t) combinations"),
+        ("s,t,value", [(s, t, s) for s, t, _ in BROWNIAN_TABLE], "table is not symmetric"),
+        ("", [], "expected CSV header 's,t,value'"),
+    ], ids=["header", "not-square", "missing-pair", "asymmetric", "empty"])
+    def test_bad_table_file_is_config_error(self, tmp_path, header, rows, expect):
+        # the loader's ValueError used to escape as a traceback
+        assert expect in self._run_on_table(tmp_path, rows, header)
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_table_value_is_config_error(self, tmp_path, value):
+        # inf passed the symmetry check and failed the Cholesky factor with
+        # exit 2; nan was reported as a missing (s,t) pair
+        rows = [(s, t, value if s == t == 1.0 else v) for s, t, v in BROWNIAN_TABLE]
+        assert "every table entry must be a finite number" in self._run_on_table(tmp_path, rows)
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_override_outside_the_seed_domain_is_config_error(self, cfg_file, tmp_path,
+                                                                   seed):
+        # 2**64 ran as seed 0, and -1 ran but its manifest did not replay
+        proc = run_cli(["converge", "--config", str(cfg_file), f"--seed={seed}",
+                        "--out", str(tmp_path / "o")])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("eigenflow: configuration error:")
+        assert f"sampler.seed must be an unsigned 64-bit integer, got {seed}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("subcommand", ["converge", "residual", "dyson"])
     def test_single_path_is_config_error(self, tmp_path, subcommand):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from eigenflow.config import (ConfigError, config_to_grid, config_to_kernel,
-                              parse_config, parse_complex)
+from eigenflow.config import (_SCHEMA, ConfigError, _value_problems, config_to_grid,
+                              config_to_kernel, parse_config, parse_complex)
 
 MINIMAL = """
 [kernel]
@@ -113,7 +113,7 @@ seed = 1
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         problems = err.value.problems
-        assert "matrix.n entries must be distinct, got 6, 4, 6" in problems
+        assert "line 10: matrix.n entries must be distinct, got 6, 4, 6" in problems
         assert any("unknown key matrix.kind" in p for p in problems)
 
     def test_shift_spec_is_left_to_make_shift(self):
@@ -178,16 +178,16 @@ seed = 1
         ("width = 3\n" + MINIMAL, "line 1: key outside any known section"),
         (MINIMAL.replace("kind = brownian", "kind = brownian\nverbose"),
          "line 4: expected 'key = value', got 'verbose'"),
-        (MINIMAL.replace("t_max = 1.0", "t_max = 0.0"), "grid.t_max must be positive, got 0.0"),
-        (MINIMAL.replace("steps = 8", "steps = 0"), "grid.steps must be at least 1, got 0"),
+        (MINIMAL.replace("t_max = 1.0", "t_max = 0.0"), "line 6: grid.t_max must be positive, got 0.0"),
+        (MINIMAL.replace("steps = 8", "steps = 0"), "line 7: grid.steps must be at least 1, got 0"),
         (MINIMAL.replace("t_max = 1.0\nsteps = 8", "times = 0.5, 1.0"),
-         "grid.times must be strictly increasing and start at 0"),
+         "line 6: grid.times must be strictly increasing and start at 0"),
         (MINIMAL.replace("t_max = 1.0\nsteps = 8", "times = 0.0, 1.0, 0.5"),
-         "grid.times must be strictly increasing and start at 0"),
+         "line 6: grid.times must be strictly increasing and start at 0"),
         (MINIMAL.replace("seed = 1", "seed = -1"),
-         "sampler.seed must be an unsigned 64-bit integer, got -1"),
+         "line 13: sampler.seed must be an unsigned 64-bit integer, got -1"),
         (MINIMAL.replace("seed = 1", f"seed = {2 ** 64}"),
-         f"sampler.seed must be an unsigned 64-bit integer, got {2 ** 64}"),
+         f"line 13: sampler.seed must be an unsigned 64-bit integer, got {2 ** 64}"),
         (MINIMAL.replace("kind = brownian", "kind = table"),
          "kernel.table_path is required when kernel.kind = table"),
     ], ids=["unknown-section", "key-outside-section", "no-equals", "t_max-zero", "steps-zero",
@@ -196,6 +196,41 @@ seed = 1
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert err.value.problems == [problem]
+
+    # one value per check of every checked key, each failing that check only
+    BAD_VALUES = [
+        ("kernel", "kind", "quantum"), ("kernel", "hurst", "1.5"), ("grid", "t_max", "0.0"),
+        ("grid", "steps", "0"), ("grid", "times", "0.5, 1.0"), ("matrix", "n", "0"),
+        ("matrix", "n", "4, 4"), ("sampler", "method", "quantum"), ("sampler", "seed", "-1"),
+        ("observables", "test_functions", "nope"), ("observables", "z_points", "1-1i"),
+        ("experiment", "m", "1"), ("experiment", "p", "0.0"), ("experiment", "t_base", "-0.5"),
+        ("experiment", "separations", "-0.1"), ("experiment", "separations", "0.1, 0.1"),
+        ("experiment", "x_points", "0"), ("output", "format", "json"),
+    ]
+
+    @pytest.mark.parametrize("section, key, value", BAD_VALUES,
+                             ids=[f"{s}.{k}={v}" for s, k, v in BAD_VALUES])
+    def test_value_problem_names_its_line(self, section, key, value):
+        fbm = MINIMAL.replace("kind = brownian", "kind = fbm\nhurst = 0.75")
+        text = "\n".join(line for line in fbm.splitlines() if not line.startswith(f"{key} ="))
+        text += f"\n[{section}]\n{key} = {value}\n"
+        lineno = len(text.splitlines())
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        prefix = f"line {lineno}: {section}.{key} "
+        assert len([p for p in err.value.problems if p.startswith(prefix)]) == 1
+
+    def test_every_check_has_a_bad_value(self):
+        checks = sum(len(spec.get("checks", ())) for spec in _SCHEMA.values())
+        assert checks == len(self.BAD_VALUES)
+        assert {(s, k) for s, k, _ in self.BAD_VALUES} == {
+            key for key, spec in _SCHEMA.items() if spec.get("checks")}
+
+    @pytest.mark.parametrize("section, key", [key for key, spec in _SCHEMA.items()
+                                              if spec.get("default") is not None])
+    def test_default_passes_its_own_checks(self, section, key):
+        # defaults are materialised without a check at parse time
+        assert _value_problems(section, key, _SCHEMA[(section, key)]["default"]) == []
 
 
 class TestComplexLiterals:
