@@ -34,13 +34,13 @@ mu_0, the spectral law of A that every flow starts at.  Every Monte Carlo
 experiment takes the run's one ``sampling.PathSampler`` (kernel, grid and
 one factor), which the runner builds on the grid the experiment draws on,
 and streams its ensemble through :func:`ensemble_map`: paths are sampled,
-diagonalised and reduced chunk by chunk under one byte budget, and the
-per-path results are placed in path order, so neither the chunking nor the
-worker count changes an output.  The Dyson SDE side is chunked by the same
-rule, with noise keyed by (seed, path, step), so its paths are pure
-functions of (seed, path) as well; its chunk budget counts the drift and
-one step's refinement noise, and the base Euler noise is drawn for a block
-of steps at a time under a fixed share of the budget.
+diagonalised and reduced chunk by chunk under ``budget.CHUNK_BYTES``, one
+chunk per worker at a time, and the per-path results are placed in path
+order, so neither the chunking nor the worker count changes an output.
+The Dyson SDE side is chunked by the same rule, with noise keyed by (seed,
+path, step), so its paths are pure functions of (seed, path) as well; its
+chunk counts the drift and one step's refinement noise, and its base Euler
+noise is drawn for a block of steps at a time under the same budget.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
 
-from . import rng
+from . import budget, rng
 from .kernels import CovarianceKernel
 from .limitlaw import AtomicMeasure, law_at_time
 from .matrixflow import DEGENERATE_GAP, sample_flows, spectra_of_stack
@@ -62,22 +62,12 @@ from .testfunctions import TestFunction
 if TYPE_CHECKING:  # for annotations only: the runner builds every grid
     from .grids import TimeGrid
 
-# Bytes per chunk of paths: the one chunk rule of every Monte Carlo side,
-# counting sampled matrices for the ensemble experiments, and for the SDE
-# the drift's pairwise differences plus one step's noise (the Euler step
-# and its refinement tree).  The SDE's base Euler noise is drawn for a
-# block of steps per call, and a block holds at most CHUNK_BYTES / 8 on top
-# of that.  Each worker holds one chunk at a time, so peak memory does not
-# grow with the number of paths.
-CHUNK_BYTES = 5e6
-
 
 def _map_chunks(task: Callable[[range], object], paths: int, path_bytes: int,
                 mapper=map) -> list:
-    """``task`` of each chunk of paths 0..paths-1 under ``CHUNK_BYTES``, in path order."""
-    chunk = max(1, int(CHUNK_BYTES / path_bytes))
-    return list(mapper(task, [range(lo, min(lo + chunk, paths))
-                              for lo in range(0, paths, chunk)]))
+    """``task`` of each chunk of paths 0..paths-1 under ``budget.CHUNK_BYTES``, in path order."""
+    return list(mapper(task, [range(paths)[rows] for rows in
+                              budget.row_slices(paths, path_bytes, budget.CHUNK_BYTES)]))
 
 
 def ensemble_map(sampler: PathSampler, n: int, shift: np.ndarray, seed: int, paths: int,
@@ -89,8 +79,9 @@ def ensemble_map(sampler: PathSampler, n: int, shift: np.ndarray, seed: int, pat
     functions of (seed, path index) and ``reduce`` must act on each path on
     its own, so neither the chunk size nor ``mapper`` (a thread pool's map,
     say) changes the result.  A chunk's matrix stack is freed before
-    ``reduce`` runs; sampling, assembly and the divided differences bound
-    their own temporaries per tile, so a chunk holds little beyond its stack.
+    ``reduce`` runs; sampling and the divided differences bound their own
+    temporaries per tile and assembly scales and shifts the stack in place,
+    so a chunk holds little beyond its stack.
     """
     def task(pid: range) -> np.ndarray:
         return reduce(spectra_of_stack(sample_flows(sampler, n, shift, seed, pid)))
@@ -431,16 +422,15 @@ def _sde_paths(lam0: np.ndarray, dt: float, n_steps: int, seed: int, pid: range)
 
     Noise is keyed as laid out in :mod:`eigenflow.rng`, so each path is a
     pure function of (seed, path).  The base noise of a block of steps is
-    drawn in one call; a block's noise stays under ``CHUNK_BYTES / 8``.
+    drawn in one call; a block's noise stays under ``budget.CHUNK_BYTES / 8``.
     """
     n = lam0.size
     base_ids, tree_ids = rng.stream_id(rng.DOMAIN_SDE, np.array([[0], [1]]), 0, np.asarray(pid))
     lam = np.tile(lam0, (len(pid), 1))
     stats = {"forced_sorts": 0}
-    block = max(1, int(CHUNK_BYTES / 8 / (8 * n * len(pid))))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for first in range(0, n_steps, block):
-            steps = min(block, n_steps - first)
+        for block in budget.row_slices(n_steps, 64 * n * len(pid), budget.CHUNK_BYTES):
+            first, steps = block.start, block.stop - block.start
             noise = rng.normals(seed, base_ids, steps * n, start=first * n).reshape(-1, steps, n)
             for step in range(first, first + steps):
                 def tree(stiff, step=step):

@@ -127,6 +127,8 @@ class TableKernel(CovarianceKernel):
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("table needs at least a 2x2 grid")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ValueError("table times and values must be finite numbers")
         if np.any(np.diff(times) <= 0):
             raise ValueError("table times must be strictly increasing")
         if values.shape != (times.size, times.size):

@@ -3,21 +3,17 @@
 An empirical spectral measure is the uniform measure on the eigenvalues of
 one matrix, held as a plain ``(..., n)`` array of spectra; every function
 here acts on the last axis and broadcasts over the others.  The pairwise
-divided-difference form is built from the i < j pairs alone, in row tiles,
-so its temporaries stay cache-sized whatever the number of spectra.
+divided-difference form is built from the i < j pairs alone, in row tiles of
+``budget.TILE_BYTES``, so its temporaries stay cache-sized.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import budget
 from .limitlaw import AtomicMeasure
 from .testfunctions import TestFunction
-
-
-# Atom pairs per row tile of ``divided_difference_stack``: its pair arrays
-# stay cache-sized whatever the number of spectra.
-_PAIR_TILE = 1 << 14
 
 
 def divided_difference_stack(lambdas: np.ndarray, f: TestFunction) -> np.ndarray:
@@ -29,18 +25,17 @@ def divided_difference_stack(lambdas: np.ndarray, f: TestFunction) -> np.ndarray
     f''((x+y)/2), which is also the exact diagonal convention.  The pair
     quotient is symmetric, so only the pairs i < j are formed: the mean is
     (sum_i f''(x_i) + 2 sum_{i<j} q_ij) / n^2, with f'' evaluated on the
-    near-coincident pairs alone.  Spectra are taken in row tiles of about
-    ``_PAIR_TILE`` pairs, and each row is reduced on its own, so a block
-    gives its rows' values bit for bit.
+    near-coincident pairs alone.  Spectra are taken in row tiles, 8 bytes a
+    pair under ``budget.TILE_BYTES``, and each row is reduced on its own, so
+    a block gives its rows' values bit for bit.
     """
     x = np.asarray(lambdas, dtype=float)
     lead, n = x.shape[:-1], x.shape[-1]
     x = x.reshape(-1, n)
     iu, ju = np.triu_indices(n, k=1)
     out = np.empty(x.shape[0])
-    rows = max(1, _PAIR_TILE // max(iu.size, 1))
-    for lo in range(0, x.shape[0], rows):
-        xt = x[lo:lo + rows]
+    for rows in budget.row_slices(x.shape[0], 8 * max(iu.size, 1), budget.TILE_BYTES):
+        xt = x[rows]
         d1 = f.d1(xt)
         xi, xj = np.take(xt, iu, axis=1), np.take(xt, ju, axis=1)
         diff = xi - xj
@@ -50,7 +45,7 @@ def divided_difference_stack(lambdas: np.ndarray, f: TestFunction) -> np.ndarray
         q -= np.take(d1, ju, axis=1)
         q /= diff
         q[near] = f.d2(0.5 * (xi[near] + xj[near]))
-        out[lo:lo + rows] = (np.sum(f.d2(xt), axis=-1) + 2.0 * np.sum(q, axis=-1)) / n ** 2
+        out[rows] = (np.sum(f.d2(xt), axis=-1) + 2.0 * np.sum(q, axis=-1)) / n ** 2
     return out.reshape(lead)[()]
 
 

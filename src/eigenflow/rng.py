@@ -7,8 +7,8 @@ by the 64-bit master seed.  Streams for distinct ids are independent by
 construction and bit-identical regardless of evaluation order, chunking, or
 worker count.  Generation is vectorised across streams, which is what makes
 large Monte Carlo ensembles affordable in pure numpy, and runs over
-cache-sized tiles of whole stream rows, so its temporaries do not grow with
-the draw.
+tiles of whole stream rows under ``budget.TILE_BYTES``, so its temporaries
+do not grow with the draw.
 
 Stream ids pack a small domain tag (which subsystem is drawing), two matrix
 indices and a path index into one 64-bit word.  :func:`stream_id` is the
@@ -25,6 +25,8 @@ the step) at positions [(14 k + h - 1) n, (14 k + h) n), one draw per step.
 from __future__ import annotations
 
 import numpy as np
+
+from . import budget
 
 _M0 = np.uint64(0xD2511F53)
 _M1 = np.uint64(0xCD9E8D57)
@@ -85,11 +87,6 @@ def stream_id(domain, i, j, path):
     return (d << np.uint64(60)) | (i << np.uint64(48)) | (j << np.uint64(36)) | path
 
 
-# Philox counters per tile of ``normals``: the tile's uint64 words and
-# float temporaries then stay in cache whatever the size of the draw.
-_PHILOX_TILE = 1 << 13
-
-
 def normals(seed: int, ids: np.ndarray, count: int, start: int = 0) -> np.ndarray:
     """Standard normal variates for each stream id.
 
@@ -99,9 +96,9 @@ def normals(seed: int, ids: np.ndarray, count: int, start: int = 0) -> np.ndarra
     block ``start // 2`` and drops the first normal when ``start`` is odd.
     Stream ``s`` yields the same values at the same positions no matter
     how the draw is chunked.  Philox and Box-Muller run over tiles of whole
-    stream rows of about ``_PHILOX_TILE`` counters, written into one
-    preallocated output, so the temporaries stay cache-sized; every
-    operation is elementwise, so the tiling changes no bit.
+    stream rows, 16 bytes a counter under ``budget.TILE_BYTES``, written
+    into one preallocated output, so the temporaries stay cache-sized;
+    every operation is elementwise, so the tiling changes no bit.
     """
     ids = np.asarray(ids, dtype=np.uint64)
     shape = ids.shape
@@ -110,9 +107,8 @@ def normals(seed: int, ids: np.ndarray, count: int, start: int = 0) -> np.ndarra
     n_blocks = (skip + count + 1) // 2
     blocks = np.arange(first, first + n_blocks, dtype=np.uint64)
     out = np.empty((flat.size, count), dtype=np.float64)
-    rows = max(1, _PHILOX_TILE // max(n_blocks, 1))
-    for lo in range(0, flat.size, rows):
-        tile = flat[lo:lo + rows, None]
+    for rows in budget.row_slices(flat.size, 16 * max(n_blocks, 1), budget.TILE_BYTES):
+        tile = flat[rows, None]
         c0 = np.broadcast_to(blocks, (tile.shape[0], n_blocks))
         c1 = np.broadcast_to(tile & _MASK32, c0.shape)
         c2 = np.broadcast_to(tile >> np.uint64(32), c0.shape)
@@ -132,5 +128,5 @@ def normals(seed: int, ids: np.ndarray, count: int, start: int = 0) -> np.ndarra
         z = np.empty((tile.shape[0], 2 * n_blocks), dtype=np.float64)
         z[:, 0::2] = r * np.cos(theta)
         z[:, 1::2] = r * np.sin(theta)
-        out[lo:lo + rows] = z[:, skip:skip + count]
+        out[rows] = z[:, skip:skip + count]
     return out.reshape(shape + (count,))

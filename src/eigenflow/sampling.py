@@ -11,7 +11,7 @@ frozen ``PathSampler`` it returns draws one path per stream id:
 * ``circulant``: ``circulant_fbm_block`` draws fractional Gaussian noise by
   circulant embedding (FFT) and cumulates it into fractional Brownian
   paths; only for fbm on uniform grids, same distribution as the Cholesky
-  route.  It works in cache-sized row tiles that write into the output.
+  route.  It works in ``budget.TILE_BYTES`` row tiles that write into the output.
   An embedding that is not nonnegative definite raises
   ``FactorizationError``.  No embedding had a negative eigenvalue in a scan
   of 502 Hurst indices in (0, 1) at every step count from 1 to 1024 and at
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import budget, rng
 from .grids import TimeGrid
 from .kernels import CovarianceKernel, FractionalBrownianKernel
 
@@ -145,11 +145,6 @@ def circulant_sqrt_spectrum(hurst: float, n_steps: int) -> np.ndarray:
     return np.sqrt(np.maximum(eigs, 0.0))
 
 
-# Embedding entries per row tile of ``circulant_fbm_block``: the tile's
-# normals, complex spectrum and FFT output stay cache-sized.
-_FFT_TILE = 1 << 14
-
-
 def circulant_fbm_block(sqrt_eigs: np.ndarray, hurst: float, dt: float, seed: int,
                         ids: np.ndarray) -> np.ndarray:
     """Fractional Brownian paths on a uniform grid of step ``dt`` for a block
@@ -157,18 +152,17 @@ def circulant_fbm_block(sqrt_eigs: np.ndarray, hurst: float, dt: float, seed: in
 
     Exact in distribution.  Stream ids should carry the circulant domain
     tag so the two samplers stay on independent streams.  Normals, FFT and
-    cumulative sum run over row tiles of about ``_FFT_TILE`` embedding
-    entries and write into the output, so no temporary grows with the
-    block; each row is transformed on its own, so the tiling changes no bit.
+    cumulative sum run over ``budget.TILE_BYTES`` row tiles (8 bytes an entry)
+    and write into the output, so no temporary grows with the block; each
+    row is transformed on its own, so the tiling changes no bit.
     """
     m = sqrt_eigs.size
     n_steps = m // 2
     ids = np.asarray(ids, dtype=np.uint64)
     flat = ids.reshape(-1)
     paths = np.zeros((flat.size, n_steps + 1))
-    rows = max(1, _FFT_TILE // m)
-    for lo in range(0, flat.size, rows):
-        g = rng.normals(seed, flat[lo:lo + rows], m)
+    for rows in budget.row_slices(flat.size, 8 * m, budget.TILE_BYTES):
+        g = rng.normals(seed, flat[rows], m)
         z = np.empty((g.shape[0], m), dtype=np.complex128)
         z[:, 0] = g[:, 0]
         z[:, n_steps] = g[:, 1]
@@ -177,7 +171,7 @@ def circulant_fbm_block(sqrt_eigs: np.ndarray, hurst: float, dt: float, seed: in
 
         noise = np.fft.ifft(sqrt_eigs[None, :] * z, axis=1).real[:, :n_steps]
         noise *= np.sqrt(m) * dt ** hurst
-        np.cumsum(noise, axis=1, out=paths[lo:lo + rows, 1:])
+        np.cumsum(noise, axis=1, out=paths[rows, 1:])
     return paths.reshape(ids.shape + (n_steps + 1,))
 
 

@@ -1,0 +1,32 @@
+"""The one working-set rule: whole rows per pass under a byte budget."""
+
+import pytest
+
+from eigenflow.budget import row_slices
+
+
+def test_zero_rows_give_no_slice():
+    assert row_slices(0, 8, 100) == []
+
+
+def test_a_row_larger_than_the_budget_is_a_slice_of_its_own():
+    assert row_slices(3, 1000, 100) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+
+def test_an_exact_multiple_fills_every_slice():
+    assert row_slices(6, 8, 16) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+
+
+def test_the_last_slice_is_short():
+    assert row_slices(7, 8, 24) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+
+
+@pytest.mark.parametrize("rows", [1, 5, 97, 1000])
+@pytest.mark.parametrize("row_bytes,budget", [(8, 5e6), (96, 240), (7, 50), (3, 1)])
+def test_slices_cover_every_row_once_in_order(rows, row_bytes, budget):
+    slices = row_slices(rows, row_bytes, budget)
+    covered = [i for s in slices for i in range(rows)[s]]
+    assert covered == list(range(rows))
+    assert all(s.stop - s.start >= 1 for s in slices)
+    assert all((s.stop - s.start) * row_bytes <= budget for s in slices
+               if row_bytes <= budget)

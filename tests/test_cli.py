@@ -135,9 +135,8 @@ class TestThreadInvariance:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("budget", [None, 1])
     def test_csvs_identical_at_one_and_two_threads(self, tmp_path, monkeypatch, case, budget):
-        from eigenflow import diagnostics
         if budget is not None:  # one path per chunk, so two threads share the work
-            monkeypatch.setattr(diagnostics, "CHUNK_BYTES", budget)
+            monkeypatch.setattr("eigenflow.budget.CHUNK_BYTES", budget)
         p = tmp_path / "exp.cfg"
         p.write_text(self.CASES[case])
         out = tmp_path / "run"
@@ -622,7 +621,7 @@ class TestSamplerBuiltOnce:
     @pytest.mark.parametrize("method", ["cholesky", "circulant"])
     @pytest.mark.parametrize("subcommand", ["converge", "residual", "collisions"])
     def test_one_factor_per_run(self, tmp_path, monkeypatch, subcommand, method):
-        from eigenflow import diagnostics, sampling
+        from eigenflow import budget, sampling
         calls = {"factor_grid": 0, "circulant_sqrt_spectrum": 0}
 
         def counting(name):
@@ -639,7 +638,7 @@ class TestSamplerBuiltOnce:
             for module_name, module in list(sys.modules.items()):
                 if module_name.startswith("eigenflow") and hasattr(module, name):
                     monkeypatch.setattr(module, name, wrapper)
-        monkeypatch.setattr(diagnostics, "CHUNK_BYTES", 1)  # one path per chunk
+        monkeypatch.setattr(budget, "CHUNK_BYTES", 1)  # one path per chunk
         p = tmp_path / "exp.cfg"
         p.write_text(FBM.replace("n = 8", "n = 4, 8")
                      .replace("seed = 11", f"seed = 11\nmethod = {method}"))
@@ -651,12 +650,12 @@ class TestSamplerBuiltOnce:
     def test_one_factor_for_an_experiment_grid(self, tmp_path, monkeypatch, subcommand):
         # holder samples on {0, t_base, t_base + separations} and dyson at t_max
         # alone, for both of its dt values; the runner factors that grid once
-        from eigenflow import diagnostics, sampling
+        from eigenflow import budget, sampling
         calls = []
         factor_grid = sampling.factor_grid
         monkeypatch.setattr(sampling, "factor_grid",
                             lambda *args: calls.append(args) or factor_grid(*args))
-        monkeypatch.setattr(diagnostics, "CHUNK_BYTES", 1)  # one path per chunk
+        monkeypatch.setattr(budget, "CHUNK_BYTES", 1)  # one path per chunk
         p = tmp_path / "exp.cfg"
         p.write_text(config_for(subcommand))
         assert main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")]) == 0
@@ -695,7 +694,7 @@ def blas_control():
 class TestBlasThreads:
     def test_pool_tasks_run_with_one_blas_thread(self, tmp_path, monkeypatch, blas_control):
         import threading
-        from eigenflow import diagnostics, eigensolvers
+        from eigenflow import budget, eigensolvers
         _, setter, getter = blas_control
         setter(2)
         seen = []
@@ -706,7 +705,7 @@ class TestBlasThreads:
             return eigvalsh_stack(matrices)
 
         monkeypatch.setattr(eigensolvers, "eigvalsh_stack", recording)
-        monkeypatch.setattr(diagnostics, "CHUNK_BYTES", 1)  # one path per pool task
+        monkeypatch.setattr(budget, "CHUNK_BYTES", 1)  # one path per pool task
         p = tmp_path / "exp.cfg"
         p.write_text(MINIMAL)
         assert main(["collisions", "--config", str(p), "--out", str(tmp_path / "o"),
@@ -755,8 +754,8 @@ class TestLogLevel:
         p = tmp_path / "exp.cfg"
         p.write_text(FBM.replace("n = 8", "n = 4").replace(
             "m = 6", "m = 3\nseparations = 1e-12, 1e-10"))
-        code = ("import sys; from eigenflow import cli, diagnostics; "
-                "diagnostics.CHUNK_BYTES = 1; sys.exit(cli.main(sys.argv[1:]))")
+        code = ("import sys; from eigenflow import budget, cli; "
+                "budget.CHUNK_BYTES = 1; sys.exit(cli.main(sys.argv[1:]))")
         src = str(Path(eigenflow.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))

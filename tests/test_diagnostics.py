@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from eigenflow import diagnostics
+from eigenflow import budget, diagnostics
 from eigenflow.diagnostics import (collision_experiment, collision_proximity,
                                    convergence_study, dyson_crosscheck, fit_loglog_slope,
                                    holder_increments, holder_times, residual_experiment,
@@ -245,11 +245,12 @@ class TestDyson:
         # odd n and an odd block put block starts at odd positions, and the
         # last block is short; the zero start drives refinement and sorts
         n, paths, n_steps = 3, 1100, 60
-        block = int(diagnostics.CHUNK_BYTES / 8 / (8 * n * paths))
+        first = budget.row_slices(n_steps, 64 * n * paths, budget.CHUNK_BYTES)[0]
+        block = first.stop - first.start
         assert block % 2 == 1 and n_steps % block and n_steps > block
         args = (np.zeros(n), 1e-2, n_steps, 5, range(paths))
         blocked, blocked_sorts = diagnostics._sde_paths(*args)
-        monkeypatch.setattr(diagnostics, "CHUNK_BYTES", 1)  # one step per block
+        monkeypatch.setattr(budget, "CHUNK_BYTES", 1)  # one step per block
         single, single_sorts = diagnostics._sde_paths(*args)
         assert np.array_equal(blocked, single)
         assert blocked_sorts == single_sorts > 0
@@ -276,11 +277,11 @@ class TestEnsembleMap:
     def test_peak_memory_of_a_residual_chunk(self, traced_peak):
         # one residual-fbm chunk at n = 64: 6 paths fill the 5 MB budget
         kernel, grid, n = FractionalBrownianKernel(0.75), TimeGrid.uniform(1.0, 24), 64
-        assert int(diagnostics.CHUNK_BYTES / (len(grid) * n * n * 8)) == 6
+        assert int(budget.CHUNK_BYTES / (len(grid) * n * n * 8)) == 6
         peak = traced_peak(diagnostics.ensemble_map, path_sampler(kernel, grid), n,
                            np.zeros((n, n)), 3, 6,
                            lambda lam: weak_equation_residual(lam, kernel, grid, gaussian_bump))
-        assert peak < 2 * diagnostics.CHUNK_BYTES
+        assert peak < 2 * budget.CHUNK_BYTES
 
     def test_experiments_ignore_chunk_budget_and_workers(self, monkeypatch):
         kernel = FractionalBrownianKernel(0.7)
@@ -303,7 +304,7 @@ class TestEnsembleMap:
                                      mapper=mapper))
 
         whole = run()
-        monkeypatch.setattr(diagnostics, "CHUNK_BYTES", 1)  # one path per chunk
+        monkeypatch.setattr(budget, "CHUNK_BYTES", 1)  # one path per chunk
         with ThreadPoolExecutor(max_workers=2) as pool:
             chunked = run(pool.map)
         assert np.array_equal(whole[0], chunked[0])

@@ -75,6 +75,20 @@ class TestTableKernel:
         with pytest.raises(ValueError):
             TableKernel(ts, vals)
 
+    @pytest.mark.parametrize("case", ["inf-value", "nan-pair", "nan-time"])
+    def test_nonfinite_table_rejected(self, case):
+        # the CSV loader checks its entries first; library callers get the same rule
+        ts = np.linspace(0, 1, 3)
+        vals = np.minimum.outer(ts, ts)
+        if case == "inf-value":
+            vals[2, 2] = np.inf
+        elif case == "nan-pair":
+            vals[0, 1] = vals[1, 0] = np.nan
+        else:
+            ts[1] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            TableKernel(ts, vals)
+
     def test_symmetry_bit_identical(self):
         k = self._rank_one_table()
         gen = np.random.default_rng(5)

@@ -73,7 +73,7 @@ class TestAssembly:
         sampler = path_sampler(kernel, grid)
         whole = spectra_of_stack(sample_flows(sampler, 5, shift, 23, range(7)))
         for budget in (1, 1e12):  # one path per chunk, one chunk for all paths
-            monkeypatch.setattr(diagnostics, "CHUNK_BYTES", budget)
+            monkeypatch.setattr("eigenflow.budget.CHUNK_BYTES", budget)
             chunked = diagnostics.ensemble_map(sampler, 5, shift, 23, 7, lambda lam: lam)
             assert np.array_equal(chunked, whole)
 

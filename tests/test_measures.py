@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eigenflow import measures
+from eigenflow import budget
 from eigenflow.limitlaw import AtomicMeasure, BurgersEvolved, Semicircle
 from eigenflow.measures import divided_difference_stack, kolmogorov_distance
 from eigenflow.testfunctions import BUILTINS, TestFunction, gaussian_bump, smooth_bump
@@ -110,7 +110,7 @@ class TestTriangleOnlyForm:
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
     def test_tiles_match_single_rows(self, monkeypatch):
-        monkeypatch.setattr(measures, "_PAIR_TILE", 50)  # 15 pairs a row: 3 rows a tile
+        monkeypatch.setattr(budget, "TILE_BYTES", 400)  # 15 pairs a row: 3 rows a tile
         lam = np.random.default_rng(9).normal(size=(4, 5, 6))
         lam[1, 2] = 0.0
         block = divided_difference_stack(lam, smooth_bump)

@@ -69,6 +69,19 @@ def test_one_random_generator():
     assert offenders == []
 
 
+def test_one_working_set_policy():
+    # every batch loop sizes its rows through eigenflow.budget.row_slices;
+    # _GEMM_TILE fixes the height of each BLAS call for bit identity and is
+    # not a budget
+    src = Path(eigenflow.__file__).resolve().parent
+    offenders = [f"{p.name}: {node.id}" for p in sorted(src.glob("*.py")) if p.name != "budget.py"
+                 for node in ast.walk(ast.parse(p.read_text()))
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                 and (node.id in ("CHUNK_BYTES", "TILE_BYTES") or node.id.endswith("_TILE"))
+                 and node.id != "_GEMM_TILE"]
+    assert offenders == []
+
+
 def test_benchmark_traced_names_resolve():
     # the benchmark's tracer wraps these names; moving one breaks its --trace runs
     tracer = _load("tracer")

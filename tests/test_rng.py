@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eigenflow import rng
+from eigenflow import budget, rng
 
 
 def _philox_ref(counter, key):
@@ -76,7 +76,7 @@ def test_normals_chunked_start_offset():
 def test_normals_tiles_match_single_rows(start, count, monkeypatch):
     # 16 counters per tile: several rows per tile with a partial last tile,
     # and at count 40 a row of 21 counters, longer than a tile
-    monkeypatch.setattr(rng, "_PHILOX_TILE", 16)
+    monkeypatch.setattr(budget, "TILE_BYTES", 16 * 16)
     ids = rng.stream_id(rng.DOMAIN_ENTRY, 1, 2, np.arange(40))
     block = rng.normals(99, ids, count, start=start)
     for k in range(ids.size):

@@ -208,11 +208,10 @@ class TestCirculant:
         assert np.array_equal(p, q)
 
     def test_tiles_match_single_rows(self, monkeypatch):
-        from eigenflow import sampling
+        from eigenflow import budget
         grid = TimeGrid.uniform(1.0, 6)
         ids = rng.stream_id(rng.DOMAIN_CIRCULANT, 0, 1, np.arange(7))
-        monkeypatch.setattr(sampling, "_FFT_TILE", 30)  # 12 entries a row: 2 rows a tile
-        monkeypatch.setattr(rng, "_PHILOX_TILE", 8)
+        monkeypatch.setattr(budget, "TILE_BYTES", 240)  # 12 entries a row: 2 rows a tile
         block = _circulant_paths(0.3, grid, 4, ids)
         for k in range(ids.size):
             assert np.array_equal(block[k], _circulant_paths(0.3, grid, 4, ids[k:k + 1])[0])
