@@ -442,7 +442,9 @@ class TestExitCodes:
         ("s,t,value", BROWNIAN_TABLE[:-1], "table grid has missing (s,t) combinations"),
         ("s,t,value", [(s, t, s) for s, t, _ in BROWNIAN_TABLE], "table is not symmetric"),
         ("", [], "expected CSV header 's,t,value'"),
-    ], ids=["header", "not-square", "missing-pair", "asymmetric", "empty"])
+        ("s,t,value", BROWNIAN_TABLE + [(1.0, 1.0, 5.0)],
+         "table repeats the pair (s,t) = (1.0, 1.0)"),
+    ], ids=["header", "not-square", "missing-pair", "asymmetric", "empty", "repeated-pair"])
     def test_bad_table_file_is_config_error(self, tmp_path, header, rows, expect):
         # the loader's ValueError used to escape as a traceback
         assert expect in self._run_on_table(tmp_path, rows, header)

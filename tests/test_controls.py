@@ -1,0 +1,31 @@
+"""Negative controls: each claim check, run against a deliberately wrong
+limit, must fail its own frozen threshold.
+
+A check that also passes for the wrong limit gives no evidence for the
+right one.
+"""
+
+import numpy as np
+import pytest
+
+from eigenflow.grids import TimeGrid
+from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
+from eigenflow.limitlaw import Semicircle
+from eigenflow.matrixflow import sample_flows, spectra_of_stack
+from eigenflow.measures import kolmogorov_distance
+from eigenflow.sampling import path_sampler
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.75])
+def test_criterion_1_rejects_the_brownian_variance(hurst):
+    # criterion 1's statistic and setup, moved to t = 0.25: at t = 1 every
+    # fBm has R(1,1) = 1, so there it cannot tell H from the Brownian 1/2
+    t, n, paths, bound = 0.25, 200, 20, 0.08
+    kernel = FractionalBrownianKernel(hurst)
+    grid = TimeGrid([0.0, 0.5 * t, t])
+    lam = spectra_of_stack(sample_flows(path_sampler(kernel, grid), n, np.zeros((n, n)),
+                                        20240101, range(paths)))[:, -1, :]
+    right, wrong = (kolmogorov_distance(lam, Semicircle(0.0, float(k.diag(t)))).mean()
+                    for k in (kernel, BrownianKernel()))
+    assert right <= bound, f"H={hurst}: right variance, mean distance {right:.4f} > {bound}"
+    assert wrong > bound, f"H={hurst}: Brownian variance, mean distance {wrong:.4f} <= {bound}"

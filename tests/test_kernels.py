@@ -1,11 +1,11 @@
-"""Covariance kernels: closed forms, regularity checkers, Gram validity."""
+"""Covariance kernels: closed forms, increment variance, tables, Gram validity."""
 
 import numpy as np
 import pytest
 
 from eigenflow.grids import TimeGrid
 from eigenflow.kernels import (BrownianKernel, FractionalBrownianKernel, KernelDomainError,
-                               TableKernel, check_h1, check_h2)
+                               TableKernel)
 
 BUILTIN_KERNELS = [
     BrownianKernel(),
@@ -39,6 +39,17 @@ class TestEval:
         s = gen.uniform(0, 5, size=200)
         t = gen.uniform(0, 5, size=200)
         assert np.array_equal(kernel.eval(s, t), kernel.eval(t, s))
+
+    @pytest.mark.parametrize("kernel", BUILTIN_KERNELS,
+                             ids=lambda k: k.kind + str(getattr(k, "hurst", "")))
+    def test_increment_variance_is_the_hoelder_power(self, kernel):
+        # V(s,t) = |t-s|^{2H} is the exponent gamma = 2H that criterion 5 rests on
+        gen = np.random.default_rng(13)
+        s = gen.uniform(0, 5, size=200)
+        t = gen.uniform(0, 5, size=200)
+        v = kernel.diag(s) - 2.0 * kernel.eval(s, t) + kernel.diag(t)
+        assert np.allclose(v, np.abs(t - s) ** (2.0 * getattr(kernel, "hurst", 0.5)),
+                           rtol=1e-12, atol=0.0)
 
     def test_negative_time_rejected(self):
         with pytest.raises(KernelDomainError):
@@ -117,6 +128,14 @@ class TestTableKernel:
         with pytest.raises(ValueError, match="header"):
             load_table_kernel(str(p))
 
+    def test_csv_loader_rejects_repeated_pair(self, tmp_path):
+        # two rows for one (s,t) would leave R(s,t) to the order of the rows
+        from eigenflow.kernels import load_table_kernel
+        p = tmp_path / "repeated.csv"
+        p.write_text("s,t,value\n0,0,0\n0,1,0\n1,0,0\n1,1,1\n1,1,5\n")
+        with pytest.raises(ValueError, match=r"repeats the pair \(s,t\) = \(1.0, 1.0\)"):
+            load_table_kernel(str(p))
+
     def test_csv_loader_rejects_incomplete_grid(self, tmp_path):
         from eigenflow.kernels import load_table_kernel
         p = tmp_path / "partial.csv"
@@ -144,69 +163,3 @@ class TestGram:
         assert w[0] >= -1e-10 * max(w[-1], 1.0)
         assert np.all(np.diag(gram) >= 0)
 
-
-class TestH2:
-    def test_fbm_recovers_double_hurst(self):
-        grid = TimeGrid.uniform(1.0, 31)
-        for hurst in (0.3, 0.5, 0.75):
-            rep = check_h2(FractionalBrownianKernel(hurst), grid)
-            assert rep.passed
-            assert rep.gamma_hat == pytest.approx(2 * hurst, abs=1e-2)
-            assert rep.kappa_hat == pytest.approx(1.0, abs=1e-2)
-
-    def test_brownian(self):
-        rep = check_h2(BrownianKernel(), TimeGrid.uniform(1.0, 16))
-        assert rep.passed
-        assert rep.gamma_hat == pytest.approx(1.0, abs=1e-6)
-        assert rep.kappa_hat == pytest.approx(1.0, abs=1e-6)
-
-    def test_rank_one_table_quadratic_increments(self):
-        ts = np.linspace(0.0, 1.0, 9)
-        k = TableKernel(ts, np.outer(ts, ts))
-        rep = check_h2(k, TimeGrid(ts))
-        assert rep.passed
-        assert rep.gamma_hat == pytest.approx(2.0, abs=1e-6)
-
-    def test_degenerate_kernel(self):
-        ts = np.linspace(0.0, 1.0, 5)
-        k = TableKernel(ts, np.ones((5, 5)))
-        rep = check_h2(k, TimeGrid(ts))
-        assert rep.passed
-        assert rep.gamma_hat == np.inf
-
-
-class TestH1:
-    def test_brownian_alpha2(self):
-        rep = check_h1(BrownianKernel(), TimeGrid.uniform(1.0, 8), 2.0)
-        assert rep.passed
-        assert rep.sup_integral == pytest.approx(1.0, rel=1e-10)
-
-    def test_fbm_smooth_regime(self):
-        rep = check_h1(FractionalBrownianKernel(0.75), TimeGrid.uniform(1.0, 8), 1.2)
-        assert rep.passed
-        assert rep.sup_integral < 2.0
-
-    def test_fbm_rough_regime_integrable_alpha(self):
-        # |dR/ds| ~ s^{2H-1}: alpha-integrable since 1.1 * 0.5 < 1
-        rep = check_h1(FractionalBrownianKernel(0.25), TimeGrid.uniform(1.0, 8), 1.1)
-        assert rep.passed
-        assert np.isfinite(rep.sup_integral)
-
-    def test_alpha_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            check_h1(BrownianKernel(), TimeGrid.uniform(1.0, 4), 1.0)
-
-    def test_table_kernel_stays_inside_its_table(self):
-        # the mesh reaches the table's last time, where a forward difference
-        # would step outside it; the Brownian value of the integral is 1
-        ts = np.linspace(0.0, 1.0, 13)
-        rep = check_h1(TableKernel(ts, BrownianKernel().gram(ts)), TimeGrid.uniform(1.0, 8), 1.2)
-        assert rep.sup_integral == pytest.approx(1.0, abs=1e-2)
-
-    def test_table_slope_is_the_interpolants(self):
-        ts = np.linspace(0.0, 1.0, 13)
-        kernel = TableKernel(ts, FractionalBrownianKernel(0.75).gram(ts))
-        s, t, h = np.array([0.04, 0.33, 0.71, 0.96]), 0.5, 1e-7
-        central = (kernel.eval(s + h, t) - kernel.eval(s - h, t)) / (2 * h)
-        assert np.allclose(kernel.partial_s(s, t), central, rtol=1e-6)
-        assert np.isfinite(kernel.partial_s(1.0, 0.5))

@@ -97,14 +97,19 @@ def _names(node):
         for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
 
 
+# exported for library callers though no package code calls them;
+# criterion 4 checks them
+LIBRARY_ONLY = ("eigh", "eigenvalue_derivatives")
+
+
 def test_every_public_src_function_is_used():
-    # a public function or class that no other package code names, that
-    # eigenflow does not export and that the benchmark does not wrap serves
-    # only the tests, and belongs with them in tests/oracles.py
+    # a public function or class that no other package code names and that
+    # the benchmark does not wrap serves only the tests, and belongs with
+    # them in tests/oracles.py; exporting it is not a use
     src = Path(eigenflow.__file__).resolve().parent
     trees = [ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))]
     everywhere = sum((_names(tree) for tree in trees), collections.Counter())
-    kept = set(eigenflow.__all__) | {attr for _, attr, _, _ in _load("tracer").SPANS}
+    kept = set(LIBRARY_ONLY) | {attr for _, attr, _, _ in _load("tracer").SPANS}
     unused = [node.name for tree in trees for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in kept
