@@ -59,16 +59,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_text(path: str) -> str:
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if path.endswith(".json") or stripped.startswith("{"):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"]) from None
+    if path.endswith(".json") or text.lstrip().startswith("{"):
         manifest = json.loads(text)
         try:
-            return manifest["canonical_config"]
+            text = manifest["canonical_config"]
         except (TypeError, KeyError):
             raise ConfigError([f"{path}: JSON file is not a run manifest "
                                "(missing 'canonical_config')"]) from None
+        if not isinstance(text, str):
+            raise ConfigError([f"{path}: the manifest's 'canonical_config' is not a string"])
     return text
 
 

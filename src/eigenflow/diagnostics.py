@@ -28,8 +28,8 @@
   compared against exactly sampled matrix spectra through the Wasserstein-1
   distance of path-averaged sorted spectra.
 
-Every experiment takes one matrix size n and its (n, n) shift matrix A,
-which ``matrixflow.make_shift`` builds once per run; ``initial_law(A)`` is
+Every experiment takes its (n, n) shift matrix A; n is its size.
+``matrixflow.make_shift`` builds A once per run, and ``initial_law(A)`` is
 mu_0, the spectral law of A that every flow starts at.  Every Monte Carlo
 experiment takes the run's one ``sampling.PathSampler`` (kernel, grid and
 one factor), which the runner builds on the grid the experiment draws on,
@@ -70,7 +70,7 @@ def _map_chunks(task: Callable[[range], object], paths: int, path_bytes: int,
                               budget.row_slices(paths, path_bytes, budget.CHUNK_BYTES)]))
 
 
-def ensemble_map(sampler: PathSampler, n: int, shift: np.ndarray, seed: int, paths: int,
+def ensemble_map(sampler: PathSampler, shift: np.ndarray, seed: int, paths: int,
                  reduce: Callable[[np.ndarray], np.ndarray], mapper=map) -> np.ndarray:
     """``reduce`` of the spectra (P, K+1, n) of paths 0..paths-1, chunk by chunk.
 
@@ -84,9 +84,9 @@ def ensemble_map(sampler: PathSampler, n: int, shift: np.ndarray, seed: int, pat
     so a chunk holds little beyond its stack.
     """
     def task(pid: range) -> np.ndarray:
-        return reduce(spectra_of_stack(sample_flows(sampler, n, shift, seed, pid)))
+        return reduce(spectra_of_stack(sample_flows(sampler, shift, seed, pid)))
 
-    return np.concatenate(_map_chunks(task, paths, len(sampler.grid) * n * n * 8, mapper))
+    return np.concatenate(_map_chunks(task, paths, len(sampler.grid) * shift.size * 8, mapper))
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +127,15 @@ class ResidualReport:
     residuals: np.ndarray = field(repr=False)
 
 
-def residual_experiment(sampler: PathSampler, n: int, shift: np.ndarray, f: TestFunction,
+def residual_experiment(sampler: PathSampler, shift: np.ndarray, f: TestFunction,
                         paths: int, seed: int, mapper=map) -> ResidualReport:
-    """Monte Carlo estimate of E[G^2] at one matrix dimension."""
-    resid = ensemble_map(sampler, n, shift, seed, paths,
+    """Monte Carlo estimate of E[G^2] at the matrix dimension of ``shift``."""
+    resid = ensemble_map(sampler, shift, seed, paths,
                          lambda lam: weak_equation_residual(lam, sampler.kernel, sampler.grid, f),
                          mapper)
     sq = resid ** 2
     return ResidualReport(
-        n=n, paths=paths, test_function=f.name,
+        n=len(shift), paths=paths, test_function=f.name,
         mean_residual=float(resid.mean()),
         mean_residual_se=float(resid.std(ddof=1) / math.sqrt(paths)),
         mean_square=float(sq.mean()),
@@ -172,9 +172,9 @@ def initial_law(shift: np.ndarray) -> AtomicMeasure:
     return AtomicMeasure.from_eigenvalues(np.linalg.eigvalsh(shift))
 
 
-def convergence_study(sampler: PathSampler, n: int, shift: np.ndarray, paths: int,
+def convergence_study(sampler: PathSampler, shift: np.ndarray, paths: int,
                       seed: int, mapper=map) -> List[ConvergenceRow]:
-    """Mean Kolmogorov distance to the limit law per grid time, at one n.
+    """Mean Kolmogorov distance to the limit law per grid time, at the n of ``shift``.
 
     The initial law is the spectral distribution of the shift matrix, so
     the limit at time t is the evolved law with tau = R(t,t); a sup row
@@ -187,14 +187,14 @@ def convergence_study(sampler: PathSampler, n: int, shift: np.ndarray, paths: in
         return np.stack([kolmogorov_distance(lam[:, k], law)
                          for k, law in enumerate(laws)], axis=1)
 
-    dist = ensemble_map(sampler, n, shift, seed, paths, distances, mapper)
-    rows = [ConvergenceRow(n=n, t=float(t), mean_distance=float(dist[:, k].mean()),
+    dist = ensemble_map(sampler, shift, seed, paths, distances, mapper)
+    rows = [ConvergenceRow(n=len(shift), t=float(t), mean_distance=float(dist[:, k].mean()),
                            stderr=float(dist[:, k].std(ddof=1) / math.sqrt(paths)),
                            paths=paths)
             for k, t in enumerate(sampler.grid.times)]
     sup = dist.max(axis=1)
     rows.append(ConvergenceRow(
-        n=n, t=None, mean_distance=float(sup.mean()),
+        n=len(shift), t=None, mean_distance=float(sup.mean()),
         stderr=float(sup.std(ddof=1) / math.sqrt(paths)), paths=paths))
     return rows
 
@@ -237,7 +237,7 @@ def holder_times(t_base: float, separations: Sequence[float]) -> np.ndarray:
     return np.unique(np.concatenate([[0.0, t_base], later]))
 
 
-def holder_increments(sampler: PathSampler, n: int, shift: np.ndarray,
+def holder_increments(sampler: PathSampler, shift: np.ndarray,
                       f: TestFunction, p: float, t_base: float,
                       separations: Sequence[float], paths: int, seed: int,
                       mapper=map) -> HolderReport:
@@ -257,7 +257,7 @@ def holder_increments(sampler: PathSampler, n: int, shift: np.ndarray,
         mu_f = np.mean(f.f(lam), axis=-1)            # (P, K+1)
         return np.abs(mu_f[:, idx] - mu_f[:, base_idx, None]) ** p
 
-    incr = ensemble_map(sampler, n, shift, seed, paths, increments, mapper)
+    incr = ensemble_map(sampler, shift, seed, paths, increments, mapper)
     moments = np.array([col.mean() for col in incr.T])
     errs = np.array([col.std(ddof=1) for col in incr.T]) / math.sqrt(paths)
 
@@ -295,27 +295,26 @@ def _min_gaps(lambdas: np.ndarray) -> np.ndarray:
     return np.min(np.abs(np.diff(lam, axis=-1)), axis=-1)
 
 
-def _gap_report(gaps: np.ndarray, n: int, paths: int) -> CollisionReport:
+def _gap_report(gaps: np.ndarray, n: int) -> CollisionReport:
     if n < 2:
-        return CollisionReport(n=n, paths=paths,
+        return CollisionReport(n=n, paths=gaps.shape[0],
                                quantiles={q: math.inf for q in GAP_QUANTILES},
                                degenerate_fraction=0.0)
     flat = gaps.reshape(-1)
     qs = {q: float(np.quantile(flat, q)) for q in GAP_QUANTILES}
-    return CollisionReport(n=n, paths=paths, quantiles=qs,
+    return CollisionReport(n=n, paths=gaps.shape[0], quantiles=qs,
                            degenerate_fraction=float(np.mean(flat < DEGENERATE_GAP)))
 
 
-def collision_proximity(lambdas: np.ndarray, n: int, paths: int) -> CollisionReport:
-    """Minimum spectral gap statistics over (path, time); n = 1 reports infinity."""
-    return _gap_report(_min_gaps(lambdas), n, paths)
+def collision_proximity(lambdas: np.ndarray) -> CollisionReport:
+    """Minimum spectral gap statistics of spectra (P, K+1, n); n = 1 reports infinity."""
+    return _gap_report(_min_gaps(lambdas), np.shape(lambdas)[-1])
 
 
-def collision_experiment(sampler: PathSampler, n: int, shift: np.ndarray, paths: int,
+def collision_experiment(sampler: PathSampler, shift: np.ndarray, paths: int,
                          seed: int, mapper=map) -> CollisionReport:
     """Gap statistics of the (P, K+1) minimum gaps, streamed in chunks."""
-    gaps = ensemble_map(sampler, n, shift, seed, paths, _min_gaps, mapper)
-    return _gap_report(gaps, n, paths)
+    return _gap_report(ensemble_map(sampler, shift, seed, paths, _min_gaps, mapper), len(shift))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +332,7 @@ class DysonRow:
     forced_sorts: int
 
 
-def _sde_drift(lam: np.ndarray, n: int) -> np.ndarray:
+def _sde_drift(lam: np.ndarray) -> np.ndarray:
     """(1/n) sum_{j != i} 1 / (lambda_i - lambda_j), coincident pairs skipped.
 
     Runs under the caller's ``np.errstate``: the 1/0 of the diagonal and of
@@ -342,7 +341,7 @@ def _sde_drift(lam: np.ndarray, n: int) -> np.ndarray:
     diff = lam[:, :, None] - lam[:, None, :]
     inv = 1.0 / diff
     inv[diff == 0.0] = 0.0
-    return inv.sum(axis=2) / n
+    return inv.sum(axis=2) / lam.shape[-1]
 
 
 _SDE_MAX_DEPTH = 3
@@ -368,7 +367,7 @@ def _tamed_displacement(drift: np.ndarray, dt: float, lam: np.ndarray,
     return disp * tame
 
 
-def _sde_step(lam: np.ndarray, dt: float, noise: np.ndarray, n: int, depth: int,
+def _sde_step(lam: np.ndarray, dt: float, noise: np.ndarray, depth: int,
               stats: dict, tree: Callable[[np.ndarray], np.ndarray],
               node: int = 0) -> np.ndarray:
     """One Euler-Maruyama step (heap node ``node``) with step-size rejection near collisions.
@@ -383,7 +382,8 @@ def _sde_step(lam: np.ndarray, dt: float, noise: np.ndarray, n: int, depth: int,
     reflected by sorting (exact relabelling for coincident starts, counted
     otherwise).  Runs under the caller's ``np.errstate``, as the drift does.
     """
-    drift = _sde_drift(lam, n)
+    n = lam.shape[-1]
+    drift = _sde_drift(lam)
     sigma = math.sqrt(2.0 / n)
     d = lam[:, 1:] - lam[:, :-1]  # for the gap, the taming and the degenerate test
     if n > 1:
@@ -403,7 +403,7 @@ def _sde_step(lam: np.ndarray, dt: float, noise: np.ndarray, n: int, depth: int,
             sub = lam[stiff]
             below = tree(stiff)
             for child in (2 * node + 1, 2 * node + 2):
-                sub = _sde_step(sub, 0.5 * dt, below[:, child - 1], n, depth + 1, stats,
+                sub = _sde_step(sub, 0.5 * dt, below[:, child - 1], depth + 1, stats,
                                 below.__getitem__, child)
             prop[stiff] = sub
 
@@ -437,7 +437,7 @@ def _sde_paths(lam0: np.ndarray, dt: float, n_steps: int, seed: int, pid: range)
                     # one draw per step covers every refinement of its stiff rows
                     return rng.normals(seed, tree_ids[stiff], _SDE_NODES * n,
                                        start=step * _SDE_NODES * n).reshape(-1, _SDE_NODES, n)
-                lam = _sde_step(lam, dt, noise[:, step - first], n, 0, stats, tree)
+                lam = _sde_step(lam, dt, noise[:, step - first], 0, stats, tree)
     return np.sort(lam, axis=1), stats["forced_sorts"]
 
 
@@ -449,7 +449,7 @@ def sde_steps(t_max: float, dt: float) -> int:
     return n_steps
 
 
-def dyson_crosscheck(sampler: PathSampler, n: int, shift: np.ndarray, dt: float, paths: int,
+def dyson_crosscheck(sampler: PathSampler, shift: np.ndarray, dt: float, paths: int,
                      seed: int, mapper=map) -> DysonRow:
     """Wasserstein-1 distance between SDE and matrix spectra at the last time of
     ``sampler.grid``.
@@ -463,18 +463,18 @@ def dyson_crosscheck(sampler: PathSampler, n: int, shift: np.ndarray, dt: float,
     """
     t_max = sampler.grid.t_max
     n_steps = sde_steps(t_max, dt)
-    lam_matrix = ensemble_map(sampler, n, shift, seed, paths,
+    lam_matrix = ensemble_map(sampler, shift, seed, paths,
                               lambda lam: np.sort(lam[:, -1, :], axis=1), mapper)
     mean_matrix = lam_matrix.mean(axis=0)
     se_matrix = lam_matrix.std(axis=0, ddof=1) / math.sqrt(paths)
 
     lam0 = np.sort(np.linalg.eigvalsh(shift))
     chunks = _map_chunks(lambda pid: _sde_paths(lam0, dt, n_steps, seed, pid),
-                         paths, (n + _SDE_NODES) * n * 8, mapper)
+                         paths, (lam0.size + _SDE_NODES) * lam0.size * 8, mapper)
     lam = np.concatenate([c[0] for c in chunks])
     mean_sde = lam.mean(axis=0)
     se_sde = lam.std(axis=0, ddof=1) / math.sqrt(paths)
     w1 = float(np.mean(np.abs(mean_sde - mean_matrix)))
     mc_err = float(np.mean(np.sqrt(se_sde ** 2 + se_matrix ** 2)))
-    return DysonRow(n=n, t=t_max, dt=dt, paths=paths, w1_distance=w1,
+    return DysonRow(n=lam0.size, t=t_max, dt=dt, paths=paths, w1_distance=w1,
                     w1_mc_error=mc_err, forced_sorts=sum(c[1] for c in chunks))

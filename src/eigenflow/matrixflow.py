@@ -5,11 +5,12 @@ A matrix flow is Y(t) = scaled Gaussian part + deterministic shift A:
     Y_ij(t) = X_ij(t) / sqrt(n) + A_ij          (i < j)
     Y_ii(t) = sqrt(2) X_ii(t) / sqrt(n) + A_ii
 
-built from one Gaussian path per upper-triangle entry.  Flows and spectra
-are plain arrays: ``sample_flows`` draws the upper-triangle paths of a
-batch of realisations through the run's ``sampling.PathSampler`` and
-``assemble_from_triangle`` turns them into (..., K+1, n, n) matrix stacks,
-whose descending eigenvalues ``spectra_of_stack`` returns as (..., K+1, n).
+built from one Gaussian path per upper-triangle entry.  Every flow takes
+its (n, n) shift matrix A; n is its size.  Flows and spectra are plain
+arrays: ``sample_flows`` draws the upper-triangle paths of a batch of
+realisations through the run's ``sampling.PathSampler``,
+``assemble_from_triangle`` turns them into (..., K+1, n, n) matrix stacks
+and ``spectra_of_stack`` returns their descending eigenvalues (..., K+1, n).
 ``eigenvalue_derivatives`` produces the first and second derivatives of a
 single eigenvalue of one matrix, from the eigenvalues and eigenvectors
 ``eigensolvers.eigh`` returns, with respect to the free coordinates
@@ -45,13 +46,17 @@ def diagonal_scale(n: int) -> Tuple[float, float]:
     return 1.0 / np.sqrt(n), np.sqrt(2.0) / np.sqrt(n)
 
 
-def assemble_from_triangle(values: np.ndarray, shift: np.ndarray, n: int) -> np.ndarray:
-    """Vectorised assembly: ``values`` is (..., n(n+1)/2, K+1) in
-    ``triu_indices`` order; returns matrices of shape (..., K+1, n, n).
+def assemble_from_triangle(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Vectorised assembly: ``values`` is (..., n(n+1)/2, K+1) in ``triu_indices``
+    order and ``shift`` is (n, n); returns matrices of shape (..., K+1, n, n).
 
     The entries are scattered into the output, which is then scaled and
     shifted in place, so the only array beside the input is the output.
     """
+    shift = np.asarray(shift, dtype=float)
+    if shift.ndim != 2 or shift.shape[0] != shift.shape[1]:
+        raise ValueError(f"shift must be a square matrix, got shape {shift.shape}")
+    n = shift.shape[0]
     iu, ju = np.triu_indices(n)
     off, diag = diagonal_scale(n)
     scale = np.full((n, n), off)
@@ -61,20 +66,20 @@ def assemble_from_triangle(values: np.ndarray, shift: np.ndarray, n: int) -> np.
     y[..., iu, ju] = entries
     y[..., ju, iu] = entries
     y *= scale
-    y += np.asarray(shift, dtype=float)
+    y += shift
     return y
 
 
-def sample_flows(sampler: sampling.PathSampler, n: int, shift: np.ndarray, seed: int,
+def sample_flows(sampler: sampling.PathSampler, shift: np.ndarray, seed: int,
                  paths: Sequence[int]) -> np.ndarray:
-    """Matrix stacks (P, K+1, n, n) for a batch of path indices.
+    """Matrix stacks (P, K+1, n, n) for a batch of path indices, n the size of ``shift``.
 
     Entry (i, j) of path p is stream (sampler.domain, i, j, p), a pure
     function of (seed, path index); ``diagnostics.ensemble_map`` streams them.
     """
-    iu, ju = np.triu_indices(n)
+    iu, ju = np.triu_indices(len(shift))
     ids = rng.stream_id(sampler.domain, iu, ju, np.asarray(list(paths), dtype=np.int64)[:, None])
-    return assemble_from_triangle(sampler.draw(seed, ids), shift, n)
+    return assemble_from_triangle(sampler.draw(seed, ids), shift)
 
 
 def spectra_of_stack(matrices: np.ndarray) -> np.ndarray:

@@ -176,9 +176,14 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
         except ValueError as exc:
             raise RunUsageError(f"experiment.separations: {exc}") from None
     try:  # a table kernel covers a bounded range of times
-        kernel.diag(grid.times)
+        variance = kernel.diag(grid.times)
     except KernelDomainError as exc:
         raise RunUsageError(f"kernel.table_path = {cfg.kernel_table_path}: {exc}") from None
+    if np.any(variance < 0.0):  # a symmetric table need not be a covariance
+        k = int(np.argmax(variance < 0.0))
+        raise RunUsageError(f"kernel.table_path = {cfg.kernel_table_path}: the variance R(t,t) "
+                            f"at t = {_fmt(float(grid.times[k]))} is {_fmt(float(variance[k]))}"
+                            "; a variance cannot be negative")
     if subcommand != "limit":  # one sampler and factor for the whole run
         try:
             sampler = sampling.path_sampler(kernel, grid, cfg.sampler_method)
@@ -189,7 +194,7 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
     if subcommand == "converge":
         for n, shift in shifts.items():
             rows = diagnostics.convergence_study(
-                sampler, n, shift, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
+                sampler, shift, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
             tables.append((f"converge_n{n}.csv", "n,t,mean_distance,stderr,M",
                            [(r.n, r.t, r.mean_distance, r.stderr, r.paths) for r in rows],
                            False))
@@ -197,8 +202,8 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
     elif subcommand == "residual":
         f = by_name(cfg.observables_test_functions)
         reports = [diagnostics.residual_experiment(
-            sampler, n, shift, f, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
-            for n, shift in shifts.items()]
+            sampler, shift, f, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
+            for shift in shifts.values()]
         for rep in reports:
             tables.append((f"residual_n{rep.n}.csv",
                            "n,test_function,M,mean_residual,mean_residual_se,"
@@ -218,7 +223,7 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
         f = by_name(cfg.observables_test_functions)
         n = cfg.matrix_n[0]
         rep = diagnostics.holder_increments(
-            sampler, n, shifts[n], f, cfg.experiment_p, cfg.experiment_t_base,
+            sampler, shifts[n], f, cfg.experiment_p, cfg.experiment_t_base,
             cfg.experiment_separations, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
         tables.append((f"holder_n{n}.csv", "t1,t2,p,moment,stderr",
                        [(p.t1, p.t2, rep.p, p.moment, p.stderr) for p in rep.pairs], False))
@@ -229,7 +234,7 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
     elif subcommand == "collisions":
         for n, shift in shifts.items():
             rep = diagnostics.collision_experiment(
-                sampler, n, shift, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
+                sampler, shift, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
             rows = [(n, f"q{int(q * 100):02d}", v) for q, v in rep.quantiles.items()]
             rows.append((n, "degenerate_fraction", rep.degenerate_fraction))
             # one eigenvalue has no gap, and its gap quantiles are inf
@@ -240,7 +245,7 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
         rows = []
         for dt in (cfg.experiment_dt, 0.5 * cfg.experiment_dt):
             r = diagnostics.dyson_crosscheck(
-                sampler, n, shifts[n], dt, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
+                sampler, shifts[n], dt, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
             rows.append((r.n, r.t, r.dt, r.paths, r.w1_distance, r.w1_mc_error,
                          r.forced_sorts))
         tables.append((f"dyson_n{n}.csv", "n,t,dt,M,w1_distance,w1_mc_error,forced_sorts",

@@ -38,7 +38,7 @@ def _ks_to_semicircle(kernel, n, t, paths, seed):
     # genuinely different across Hurst indices even though the time-t
     # marginal has the same variance
     grid = TimeGrid([0.0, 0.5 * t, t])
-    lam = spectra_of_stack(sample_flows(path_sampler(kernel, grid), n, np.zeros((n, n)),
+    lam = spectra_of_stack(sample_flows(path_sampler(kernel, grid), np.zeros((n, n)),
                                         seed, range(paths)))[:, -1, :]
     law = Semicircle(0.0, float(kernel.diag(t)))
     d = kolmogorov_distance(lam, law)
@@ -68,7 +68,7 @@ def test_criterion_2_cauchy_transform_match():
     kernel = FractionalBrownianKernel(0.75)
     grid = TimeGrid([0.0, 0.5, 1.0, 2.0])
     n, paths = 200, 50
-    lam = spectra_of_stack(sample_flows(path_sampler(kernel, grid), n, np.zeros((n, n)),
+    lam = spectra_of_stack(sample_flows(path_sampler(kernel, grid), np.zeros((n, n)),
                                         31415, range(paths)))
     worst = 0.0
     for k, t in ((1, 0.5), (2, 1.0), (3, 2.0)):
@@ -92,7 +92,7 @@ def test_criterion_3_weak_equation_residual_decay():
         # two workers, each with one BLAS thread, as a run with --threads 2
         # has; the worker count moves no bit (criterion 8, TestThreadInvariance)
         with one_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
-            reports = [residual_experiment(sampler, n, np.zeros((n, n)), f, 2000, seed=2024,
+            reports = [residual_experiment(sampler, np.zeros((n, n)), f, 2000, seed=2024,
                                            mapper=pool.map)
                        for n in n_values]
         msq = np.array([r.mean_square for r in reports])
@@ -112,7 +112,7 @@ def test_criterion_4_perturbation_identities():
     kernel = BrownianKernel()
     grid = TimeGrid([0.0, 1.0])
     n = 8
-    y = sample_flows(path_sampler(kernel, grid), n, np.zeros((n, n)), 424242,
+    y = sample_flows(path_sampler(kernel, grid), np.zeros((n, n)), 424242,
                      range(1000))[:, 1]
     checked = 0
     worst_grad = worst_hess = worst_fd = 0.0
@@ -159,7 +159,7 @@ def test_criterion_5_hoffman_wielandt_and_holder_scaling():
     for trial in range(250):
         n = int(gen.integers(2, 51))
         hurst = float(gen.choice([0.3, 0.5, 0.75]))
-        y = sample_flows(path_sampler(FractionalBrownianKernel(hurst), grid), n,
+        y = sample_flows(path_sampler(FractionalBrownianKernel(hurst), grid),
                          np.zeros((n, n)), int(gen.integers(1 << 40)), [0])[0]
         lam = spectra_of_stack(y)
         for _ in range(4):
@@ -173,7 +173,7 @@ def test_criterion_5_hoffman_wielandt_and_holder_scaling():
     holder_grid = TimeGrid(holder_times(0.5, seps))
     slopes = {}
     for kernel, gamma in ((BrownianKernel(), 1.0), (FractionalBrownianKernel(0.75), 1.5)):
-        rep = holder_increments(path_sampler(kernel, holder_grid), 32, np.zeros((32, 32)),
+        rep = holder_increments(path_sampler(kernel, holder_grid), np.zeros((32, 32)),
                                 gaussian_bump, 4.0, 0.5, seps, paths=400, seed=5150)
         bound = 0.9 * (4.0 * gamma / 2.0)
         slopes[kernel.kind + f"(g={gamma})"] = rep.slope
@@ -283,9 +283,9 @@ m = 12
 
 def test_criterion_9_dyson_crosscheck():
     sampler = path_sampler(BrownianKernel(), TimeGrid.uniform(1.0, 1))
-    row = dyson_crosscheck(sampler, 2, np.zeros((2, 2)), 1e-3, 10_000, seed=90210)
+    row = dyson_crosscheck(sampler, np.zeros((2, 2)), 1e-3, 10_000, seed=90210)
     assert row.w1_distance <= 0.05, f"W1 {row.w1_distance:.4f} > 0.05"
-    half = dyson_crosscheck(sampler, 2, np.zeros((2, 2)), 5e-4, 10_000, seed=90210)
+    half = dyson_crosscheck(sampler, np.zeros((2, 2)), 5e-4, 10_000, seed=90210)
     budget = 2.0 * np.hypot(row.w1_mc_error, half.w1_mc_error)
     assert half.w1_distance <= row.w1_distance + budget, \
         f"refinement increased W1 beyond MC error: {row.w1_distance:.4f} -> " \

@@ -420,13 +420,14 @@ class TestExitCodes:
         assert list(tmp_path.rglob("*.csv")) == [shift]
 
     @staticmethod
-    def _run_on_table(tmp_path, rows, header="s,t,value"):
-        """``collisions`` on a table file of ``rows``, as a fresh process."""
+    def _run_on_table(tmp_path, rows, header="s,t,value", subcommand="collisions",
+                      config=MINIMAL):
+        """``subcommand`` on a table file of ``rows``, as a fresh process."""
         table = tmp_path / "R.csv"
         table.write_text(header + "\n" + "".join(f"{s},{t},{v}\n" for s, t, v in rows))
         p = tmp_path / "table.cfg"
-        p.write_text(MINIMAL.replace("kind = brownian", f"kind = table\ntable_path = {table}"))
-        proc = run_cli(["collisions", "--config", str(p), "--out", str(tmp_path / "o")])
+        p.write_text(config.replace("kind = brownian", f"kind = table\ntable_path = {table}"))
+        proc = run_cli([subcommand, "--config", str(p), "--out", str(tmp_path / "o")])
         assert proc.returncode == 1, proc.stderr
         # numpy's warning about an empty file comes first
         assert proc.stderr.splitlines()[-1].startswith(f"eigenflow: configuration error: "
@@ -455,6 +456,16 @@ class TestExitCodes:
         # exit 2; nan was reported as a missing (s,t) pair
         rows = [(s, t, value if s == t == 1.0 else v) for s, t, v in BROWNIAN_TABLE]
         assert "every table entry must be a finite number" in self._run_on_table(tmp_path, rows)
+
+    @pytest.mark.parametrize("subcommand", ["limit", "converge"])
+    def test_negative_table_variance_is_config_error(self, tmp_path, subcommand):
+        # limit died with a traceback (tau must be positive) and converge
+        # exited 2, unable to factor the Gram matrix
+        rows = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, -0.5)]
+        config = config_for(subcommand).replace("steps = 4", "steps = 2").replace(
+            "n = 8", "n = 4\nshift = diag:1,1,-1,-1")
+        stderr = self._run_on_table(tmp_path, rows, subcommand=subcommand, config=config)
+        assert "the variance R(t,t) at t = 0.5 is -0.125" in stderr
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_seed_override_outside_the_seed_domain_is_config_error(self, cfg_file, tmp_path,
@@ -551,6 +562,20 @@ class TestExitCodes:
         p.write_text(content)
         assert main(["converge", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
         assert "is not a run manifest" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, content", [
+        ("latin.cfg", b"\xff\xfe\x00bad"), ("run_manifest.json", b'{"canonical_config": 5}')],
+        ids=["not-utf8", "config-not-a-string"])
+    def test_unreadable_config_text_is_config_error(self, tmp_path, name, content):
+        # a UnicodeDecodeError and an AttributeError used to escape as tracebacks
+        p = tmp_path / name
+        p.write_bytes(content)
+        proc = run_cli(["converge", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("eigenflow: configuration error:")
+        assert str(p) in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_file_is_io_error(self, tmp_path):

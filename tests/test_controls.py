@@ -23,7 +23,7 @@ def test_criterion_1_rejects_the_brownian_variance(hurst):
     t, n, paths, bound = 0.25, 200, 20, 0.08
     kernel = FractionalBrownianKernel(hurst)
     grid = TimeGrid([0.0, 0.5 * t, t])
-    lam = spectra_of_stack(sample_flows(path_sampler(kernel, grid), n, np.zeros((n, n)),
+    lam = spectra_of_stack(sample_flows(path_sampler(kernel, grid), np.zeros((n, n)),
                                         20240101, range(paths)))[:, -1, :]
     right, wrong = (kolmogorov_distance(lam, Semicircle(0.0, float(k.diag(t)))).mean()
                     for k in (kernel, BrownianKernel()))

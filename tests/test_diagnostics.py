@@ -48,7 +48,7 @@ class TestWeakEquationResidual:
         f = gaussian_bump
         paths = 10_000
 
-        report = residual_experiment(path_sampler(kernel, grid), 1, np.zeros((1, 1)), f, paths,
+        report = residual_experiment(path_sampler(kernel, grid), np.zeros((1, 1)), f, paths,
                                      seed=99)
         module_msq = report.mean_square
         module_se = report.mean_square_se
@@ -74,7 +74,7 @@ class TestWeakEquationResidual:
             (FractionalBrownianKernel(0.3), TimeGrid.power_graded(1.0, 16)),
         ]:
             sampler = path_sampler(kernel, grid)
-            reports = [residual_experiment(sampler, n, np.zeros((n, n)), f, 600, seed=5)
+            reports = [residual_experiment(sampler, np.zeros((n, n)), f, 600, seed=5)
                        for n in (4, 16)]
             for rep in reports:
                 assert abs(rep.mean_residual) <= 4.0 * rep.mean_residual_se, \
@@ -85,7 +85,7 @@ class TestWeakEquationResidual:
         grid = TimeGrid.uniform(1.0, 12)
         kernel = FractionalBrownianKernel(0.75)
         sampler = path_sampler(kernel, grid)
-        reports = [residual_experiment(sampler, n, np.zeros((n, n)), f, 400, seed=7)
+        reports = [residual_experiment(sampler, np.zeros((n, n)), f, 400, seed=7)
                    for n in (4, 8, 16, 32)]
         msq = [r.mean_square for r in reports]
         ses = [r.mean_square_se for r in reports]
@@ -96,9 +96,9 @@ class TestWeakEquationResidual:
         f = gaussian_bump
         grid = TimeGrid.uniform(1.0, 8)
         sampler = path_sampler(BrownianKernel(), grid)
-        serial = residual_experiment(sampler, 6, np.zeros((6, 6)), f, 50, seed=3)
+        serial = residual_experiment(sampler, np.zeros((6, 6)), f, 50, seed=3)
         with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = residual_experiment(sampler, 6, np.zeros((6, 6)), f, 50, seed=3,
+            parallel = residual_experiment(sampler, np.zeros((6, 6)), f, 50, seed=3,
                                            mapper=pool.map)
         assert np.array_equal(serial.residuals, parallel.residuals)
 
@@ -107,7 +107,7 @@ class TestConvergenceStudy:
     def test_distance_shrinks_with_n(self):
         grid = TimeGrid.uniform(1.0, 2)
         rows = [r for n in (10, 60)
-                for r in convergence_study(path_sampler(BrownianKernel(), grid), n,
+                for r in convergence_study(path_sampler(BrownianKernel(), grid),
                                            np.zeros((n, n)), 30, seed=11)]
         at_t1 = {r.n: r.mean_distance for r in rows if r.t == 1.0}
         assert at_t1[60] < at_t1[10]
@@ -117,7 +117,7 @@ class TestConvergenceStudy:
         for hurst in (0.3, 0.5, 0.75):
             kernel = FractionalBrownianKernel(hurst)
             rows = [r for n in (25, 50, 100, 200)
-                    for r in convergence_study(path_sampler(kernel, grid), n, np.zeros((n, n)), 10,
+                    for r in convergence_study(path_sampler(kernel, grid), np.zeros((n, n)), 10,
                                          seed=61)]
             seq = [(r.mean_distance, r.stderr) for r in rows if r.t == 1.0]
             for (a, sa), (b, sb) in zip(seq, seq[1:]):
@@ -125,14 +125,14 @@ class TestConvergenceStudy:
 
     def test_time_zero_distance_is_zero(self):
         grid = TimeGrid.uniform(1.0, 2)
-        rows = convergence_study(path_sampler(BrownianKernel(), grid), 12, np.zeros((12, 12)), 10,
+        rows = convergence_study(path_sampler(BrownianKernel(), grid), np.zeros((12, 12)), 10,
                                  seed=13)
         z = [r for r in rows if r.t == 0.0][0]
         assert z.mean_distance == 0.0
 
     def test_sup_row_bounds_pointwise_rows(self):
         grid = TimeGrid.uniform(1.0, 3)
-        rows = convergence_study(path_sampler(FractionalBrownianKernel(0.75), grid), 16,
+        rows = convergence_study(path_sampler(FractionalBrownianKernel(0.75), grid),
                                  np.zeros((16, 16)), 15, seed=17)
         sup = [r for r in rows if r.t is None][0]
         for r in rows:
@@ -141,7 +141,7 @@ class TestConvergenceStudy:
 
     def test_nonzero_shift_uses_evolved_law(self):
         grid = TimeGrid.uniform(1.0, 2)
-        rows = convergence_study(path_sampler(BrownianKernel(), grid), 40,
+        rows = convergence_study(path_sampler(BrownianKernel(), grid),
                                  np.diag([1.0] * 20 + [-1.0] * 20), 10, seed=19)
         at_t1 = [r for r in rows if r.t == 1.0][0]
         assert at_t1.mean_distance < 0.25
@@ -150,7 +150,7 @@ class TestConvergenceStudy:
 class TestHolder:
     def test_brownian_p4_slope(self):
         seps = np.geomspace(1e-3, 1e-1, 7)
-        rep = holder_increments(holder_sampler(BrownianKernel(), 0.5, seps), 24,
+        rep = holder_increments(holder_sampler(BrownianKernel(), 0.5, seps),
                                 np.zeros((24, 24)), gaussian_bump, 4.0,
                                 t_base=0.5, separations=seps, paths=300, seed=23)
         assert rep.slope is not None
@@ -159,14 +159,14 @@ class TestHolder:
 
     def test_smooth_fbm_p4_slope(self):
         seps = np.geomspace(1e-3, 1e-1, 7)
-        rep = holder_increments(holder_sampler(FractionalBrownianKernel(0.75), 0.5, seps), 24,
+        rep = holder_increments(holder_sampler(FractionalBrownianKernel(0.75), 0.5, seps),
                                 np.zeros((24, 24)), gaussian_bump, 4.0,
                                 t_base=0.5, separations=seps, paths=300, seed=29)
         assert rep.slope >= 2.7
 
     def test_constant_function_degenerate(self):
         constant = TestFunction("constant", np.ones_like, np.zeros_like, np.zeros_like)
-        rep = holder_increments(holder_sampler(BrownianKernel(), 0.5, [0.01, 0.1]), 6,
+        rep = holder_increments(holder_sampler(BrownianKernel(), 0.5, [0.01, 0.1]),
                                 np.zeros((6, 6)), constant, 4.0, 0.5, [0.01, 0.1],
                                 paths=20, seed=31)
         assert rep.slope is None
@@ -176,13 +176,13 @@ class TestHolder:
     def test_grid_must_hold_every_time(self, t_base, separations):
         sampler = holder_sampler(BrownianKernel(), 0.5, [0.01, 0.1])
         with pytest.raises(ValueError, match="is not a grid time"):
-            holder_increments(sampler, 2, np.zeros((2, 2)), gaussian_bump, 4.0, t_base,
+            holder_increments(sampler, np.zeros((2, 2)), gaussian_bump, 4.0, t_base,
                               separations, paths=4, seed=1)
 
 
 class TestCollisions:
     def test_n_one_reports_infinite_gap(self):
-        rep = collision_proximity(np.zeros((5, 3, 1)), 1, 5)
+        rep = collision_proximity(np.zeros((5, 3, 1)))
         assert rep.quantiles[0.5] == np.inf
         assert rep.degenerate_fraction == 0.0
 
@@ -190,49 +190,49 @@ class TestCollisions:
         # snapshot at t=1 (the start is trivially degenerate when A = 0)
         grid = TimeGrid.uniform(1.0, 1)
         lam = spectra_of_stack(sample_flows(
-            path_sampler(BrownianKernel(), grid), 50, np.zeros((50, 50)), 37, range(100)))
-        rep = collision_proximity(lam[:, 1:, :], 50, 100)
+            path_sampler(BrownianKernel(), grid), np.zeros((50, 50)), 37, range(100)))
+        rep = collision_proximity(lam[:, 1:, :])
         assert rep.degenerate_fraction == 0.0
         assert rep.quantiles[0.0] > 1e-8
 
     def test_repeated_shift_entry_gives_zero_gap_at_start(self):
         grid = TimeGrid.uniform(1.0, 1)
         lam = spectra_of_stack(sample_flows(
-            path_sampler(BrownianKernel(), grid), 3, np.diag([2.0, 2.0, 0.0]), 41, range(8)))
-        rep = collision_proximity(lam[:, :1, :], 3, 8)
+            path_sampler(BrownianKernel(), grid), np.diag([2.0, 2.0, 0.0]), 41, range(8)))
+        rep = collision_proximity(lam[:, :1, :])
         assert rep.quantiles[0.0] == 0.0
         assert rep.degenerate_fraction > 0.0
 
     def test_experiment_driver_counts_initial_degeneracy(self):
         # with a zero shift every path is degenerate at t = 0 and nowhere else
         rep = collision_experiment(path_sampler(BrownianKernel(), TimeGrid.uniform(1.0, 3)),
-                                   12, np.zeros((12, 12)), 25, seed=53)
+                                   np.zeros((12, 12)), 25, seed=53)
         assert rep.degenerate_fraction == pytest.approx(0.25, abs=1e-12)
 
 
 class TestDyson:
     def test_time_zero_distance(self):
-        row = dyson_crosscheck(dyson_sampler(1.0), 2, np.zeros((2, 2)), 0.5, paths=2000,
+        row = dyson_crosscheck(dyson_sampler(1.0), np.zeros((2, 2)), 0.5, paths=2000,
                                seed=43)
         assert row.w1_distance < 0.2  # crude step, still the same law family
 
     def test_small_scale_agreement(self):
-        row = dyson_crosscheck(dyson_sampler(1.0), 2, np.zeros((2, 2)), 0.01, paths=4000,
+        row = dyson_crosscheck(dyson_sampler(1.0), np.zeros((2, 2)), 0.01, paths=4000,
                                seed=47)
         assert row.w1_distance <= 0.05
 
     def test_dt_must_divide_horizon(self):
         with pytest.raises(ValueError):
-            dyson_crosscheck(dyson_sampler(1.0), 2, np.zeros((2, 2)), 0.3, paths=10, seed=1)
+            dyson_crosscheck(dyson_sampler(1.0), np.zeros((2, 2)), 0.3, paths=10, seed=1)
 
     @pytest.mark.parametrize("n", [3, 4])  # odd n puts every other step at an odd start
     def test_extending_the_batch_leaves_shared_paths_unchanged(self, n, monkeypatch):
         depths = []
         real_step = diagnostics._sde_step
 
-        def spy(lam, dt, noise, n, depth, *rest):
+        def spy(lam, dt, noise, depth, *rest):
             depths.append(depth)
-            return real_step(lam, dt, noise, n, depth, *rest)
+            return real_step(lam, dt, noise, depth, *rest)
 
         monkeypatch.setattr(diagnostics, "_sde_step", spy)
         lam0 = np.zeros(n)
@@ -258,7 +258,7 @@ class TestDyson:
     def test_drift_of_coincident_pairs_is_zero(self):
         lam = np.array([[0.0, 0.0, 1.0], [2.0, 2.0, 2.0], [-1.0, 1.0, 1.0]])
         with np.errstate(divide="ignore", invalid="ignore"):  # as _sde_paths runs it
-            drift = diagnostics._sde_drift(lam, 3)
+            drift = diagnostics._sde_drift(lam)
         assert np.array_equal(drift, np.array([[-1.0, -1.0, 2.0], [0.0, 0.0, 0.0],
                                                [-1.0, 0.5, 0.5]]) / 3)
 
@@ -266,7 +266,7 @@ class TestDyson:
         # the dyson-sde benchmark shape: 250 steps of 3000 paths in one chunk
         tracemalloc.start()
         try:
-            dyson_crosscheck(dyson_sampler(0.25), 2, np.zeros((2, 2)), 1e-3, 3000, seed=1)
+            dyson_crosscheck(dyson_sampler(0.25), np.zeros((2, 2)), 1e-3, 3000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -278,7 +278,7 @@ class TestEnsembleMap:
         # one residual-fbm chunk at n = 64: 6 paths fill the 5 MB budget
         kernel, grid, n = FractionalBrownianKernel(0.75), TimeGrid.uniform(1.0, 24), 64
         assert int(budget.CHUNK_BYTES / (len(grid) * n * n * 8)) == 6
-        peak = traced_peak(diagnostics.ensemble_map, path_sampler(kernel, grid), n,
+        peak = traced_peak(diagnostics.ensemble_map, path_sampler(kernel, grid),
                            np.zeros((n, n)), 3, 6,
                            lambda lam: weak_equation_residual(lam, kernel, grid, gaussian_bump))
         assert peak < 2 * budget.CHUNK_BYTES
@@ -290,17 +290,17 @@ class TestEnsembleMap:
 
         def run(mapper=map):
             circulant = path_sampler(kernel, grid, "circulant")
-            return (np.stack([residual_experiment(circulant, n, np.zeros((n, n)), f, 9, seed=2,
+            return (np.stack([residual_experiment(circulant, np.zeros((n, n)), f, 9, seed=2,
                                                   mapper=mapper).residuals
                               for n in (3, 5)]),
-                    convergence_study(path_sampler(kernel, grid), 4,
+                    convergence_study(path_sampler(kernel, grid),
                                       np.diag([1.0, 1.0, -1.0, -1.0]), 5, seed=3, mapper=mapper),
-                    holder_increments(holder_sampler(kernel, 0.5, [0.01, 0.1]), 4,
+                    holder_increments(holder_sampler(kernel, 0.5, [0.01, 0.1]),
                                       np.zeros((4, 4)), f, 2.0, 0.5, [0.01, 0.1], 9,
                                       seed=4, mapper=mapper),
-                    collision_experiment(path_sampler(kernel, grid), 4,
+                    collision_experiment(path_sampler(kernel, grid),
                                          np.diag([1.0, 1.0, 0.0, 0.0]), 9, seed=5, mapper=mapper),
-                    dyson_crosscheck(dyson_sampler(0.5), 4, np.zeros((4, 4)), 1e-2, 9, seed=6,
+                    dyson_crosscheck(dyson_sampler(0.5), np.zeros((4, 4)), 1e-2, 9, seed=6,
                                      mapper=mapper))
 
         whole = run()

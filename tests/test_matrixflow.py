@@ -1,5 +1,7 @@
 """Matrix flow assembly, spectra and eigenvalue perturbation identities."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,31 +20,43 @@ def _flow_with_vectors(n, seed, t_max=1.0, steps=2, kernel=None):
     """Matrices (K+1, n, n) of one sampled flow, their eigenvalues and eigenvectors."""
     kernel = kernel or BrownianKernel()
     grid = TimeGrid.uniform(t_max, steps)
-    y = sample_flows(path_sampler(kernel, grid), n, np.zeros((n, n)), seed, [0])[0]
+    y = sample_flows(path_sampler(kernel, grid), np.zeros((n, n)), seed, [0])[0]
     return (y,) + eigh(y)
 
 
 class TestAssembly:
     def test_scalar_flow_diagonal_scaling(self):
         x = 0.8312
-        y = assemble_from_triangle(np.array([[0.0, x]]), np.zeros((1, 1)), 1)
+        y = assemble_from_triangle(np.array([[0.0, x]]), np.zeros((1, 1)))
         assert y[1, 0, 0] == pytest.approx(np.sqrt(2.0) * x, rel=1e-15)
 
     def test_two_by_two_unit_entries(self):
         # rows (0, 0), (0, 1), (1, 1) in triu_indices order
-        y = assemble_from_triangle(np.tile([0.0, 1.0], (3, 1)), np.zeros((2, 2)), 2)
+        y = assemble_from_triangle(np.tile([0.0, 1.0], (3, 1)), np.zeros((2, 2)))
         expected = np.array([[1.0, 1 / np.sqrt(2)], [1 / np.sqrt(2), 1.0]])
         assert np.allclose(y[1], expected, atol=1e-15)
 
     def test_flow_starts_at_shift(self):
         grid = TimeGrid.uniform(1.0, 3)
         shift = np.diag([5.0, -5.0])
-        y = sample_flows(path_sampler(BrownianKernel(), grid), 2, shift, 3, [0, 1])
+        y = sample_flows(path_sampler(BrownianKernel(), grid), shift, 3, [0, 1])
         assert np.allclose(y[:, 0], shift, atol=0)
+
+    def test_size_comes_from_the_shift(self):
+        grid = TimeGrid.uniform(1.0, 3)
+        y = sample_flows(path_sampler(BrownianKernel(), grid), np.ones((1, 1)), 5, range(4))
+        assert y.shape == (4, len(grid), 1, 1)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3)], ids=["vector", "not-square"])
+    def test_shift_that_is_no_square_matrix_is_rejected(self, shape):
+        # a length-n vector used to broadcast along the rows without an error
+        sampler = path_sampler(BrownianKernel(), TimeGrid.uniform(1.0, 3))
+        with pytest.raises(ValueError, match=rf"got shape {re.escape(str(shape))}"):
+            sample_flows(sampler, np.ones(shape), 5, [0])
 
     def test_symmetry_exact(self):
         y = sample_flows(path_sampler(FractionalBrownianKernel(0.3), TimeGrid.uniform(1.0, 4)),
-                         7, np.zeros((7, 7)), 11, range(3))
+                         np.zeros((7, 7)), 11, range(3))
         assert np.array_equal(y, np.swapaxes(y, -1, -2))
 
     def test_triangle_assembly_matches_loop(self):
@@ -51,7 +65,7 @@ class TestAssembly:
         gen = np.random.default_rng(0)
         tri = gen.normal(size=(n * (n + 1) // 2, len(grid)))
         shift = np.diag(np.arange(n, dtype=float))
-        fast = assemble_from_triangle(tri, shift, n)
+        fast = assemble_from_triangle(tri, shift)
         iu, ju = np.triu_indices(n)
         entries = {(int(i), int(j)): tri[k] for k, (i, j) in enumerate(zip(iu, ju))}
         off, diag = diagonal_scale(n)
@@ -71,10 +85,10 @@ class TestAssembly:
         kernel = FractionalBrownianKernel(0.6)
         shift = np.zeros((5, 5))
         sampler = path_sampler(kernel, grid)
-        whole = spectra_of_stack(sample_flows(sampler, 5, shift, 23, range(7)))
+        whole = spectra_of_stack(sample_flows(sampler, shift, 23, range(7)))
         for budget in (1, 1e12):  # one path per chunk, one chunk for all paths
             monkeypatch.setattr("eigenflow.budget.CHUNK_BYTES", budget)
-            chunked = diagnostics.ensemble_map(sampler, 5, shift, 23, 7, lambda lam: lam)
+            chunked = diagnostics.ensemble_map(sampler, shift, 23, 7, lambda lam: lam)
             assert np.array_equal(chunked, whole)
 
 
@@ -100,7 +114,7 @@ class TestSpectra:
 
     def test_stack_matches_flow_decomposition(self):
         grid = TimeGrid.uniform(1.0, 3)
-        y = sample_flows(path_sampler(BrownianKernel(), grid), 9, np.zeros((9, 9)), 17, range(4))
+        y = sample_flows(path_sampler(BrownianKernel(), grid), np.zeros((9, 9)), 17, range(4))
         lam = spectra_of_stack(y)
         values, _ = eigh(y[2], want_vectors=False)
         # cyclic Jacobi per grid time is the independent reference
@@ -112,7 +126,7 @@ class TestSpectra:
     def test_stacked_decomposition(self, n):
         grid = TimeGrid.uniform(1.0, 5)
         shift = np.diag(np.linspace(-1.0, 1.0, n))
-        y = sample_flows(path_sampler(FractionalBrownianKernel(0.7), grid), n, shift, 41, [0])[0]
+        y = sample_flows(path_sampler(FractionalBrownianKernel(0.7), grid), shift, 41, [0])[0]
         values, vectors = eigh(y)
         assert values.shape == (len(grid), n)
         assert vectors.shape == (len(grid), n, n)
@@ -189,7 +203,7 @@ class TestHoffmanWielandt:
         grid = TimeGrid.uniform(1.0, 4)
         for trial in range(50):
             n = int(gen.integers(2, 50))
-            y = sample_flows(path_sampler(FractionalBrownianKernel(0.4), grid), n,
+            y = sample_flows(path_sampler(FractionalBrownianKernel(0.4), grid),
                              np.zeros((n, n)), int(gen.integers(1 << 30)), [0])[0]
             lam = spectra_of_stack(y)
             k1, k2 = gen.choice(len(grid), size=2, replace=False)

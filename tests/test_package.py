@@ -82,6 +82,23 @@ def test_one_working_set_policy():
     assert offenders == []
 
 
+def test_sizes_come_from_the_arrays():
+    # a size an array argument carries is read from it: a function that also
+    # takes the size can be handed two that disagree.  make_shift(spec, n)
+    # and diagonal_scale(n) hold no array to read n from
+    derivable = {"n": {"shift", "lam", "lambdas"}, "paths": {"lambdas", "gaps"}}
+    src = Path(eigenflow.__file__).resolve().parent
+    offenders = []
+    for p in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                names = {a.arg for a in node.args.args + node.args.kwonlyargs}
+                offenders += [f"{p.name}: {node.name}({size})"
+                              for size, arrays in derivable.items()
+                              if size in names and names & arrays]
+    assert offenders == []
+
+
 def test_benchmark_traced_names_resolve():
     # the benchmark's tracer wraps these names; moving one breaks its --trace runs
     tracer = _load("tracer")
