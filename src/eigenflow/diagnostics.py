@@ -26,7 +26,9 @@
       d lambda_i = sqrt(2/n) dW_i + (1/n) sum_{j != i} dt / (lambda_i - lambda_j)
 
   compared against exactly sampled matrix spectra through the Wasserstein-1
-  distance of path-averaged sorted spectra.
+  distance of path-averaged sorted spectra, at every step size asked for.
+  The matrix side is one ensemble for every step size, and the SDE runs at
+  all step sizes advance in one pass over the step index.
 
 Every experiment takes its (n, n) shift matrix A; n is its size.
 ``matrixflow.make_shift`` builds A once per run, and ``initial_law(A)`` is
@@ -39,8 +41,9 @@ chunk per worker at a time, and the per-path results are placed in path
 order, so neither the chunking nor the worker count changes an output.
 The Dyson SDE side is chunked by the same rule, with noise keyed by (seed,
 path, step), so its paths are pure functions of (seed, path) as well; its
-chunk counts the drift and one step's refinement noise, and its base Euler
-noise is drawn for a block of steps at a time under the same budget.
+chunk counts the drift and one step's refinement noise of each step size,
+and its base Euler noise is drawn for a block of steps at a time under the
+same budget, once for every step size.
 """
 
 from __future__ import annotations
@@ -332,6 +335,16 @@ class DysonRow:
     forced_sorts: int
 
 
+@dataclass(frozen=True)
+class DysonReport:
+    rows: List[DysonRow]        # one per step size, in the order asked for
+
+    @property
+    def forced_sorts(self) -> int:
+        """Forced sorts of the whole run, over every step size."""
+        return sum(r.forced_sorts for r in self.rows)
+
+
 def _sde_drift(lam: np.ndarray) -> np.ndarray:
     """(1/n) sum_{j != i} 1 / (lambda_i - lambda_j), coincident pairs skipped.
 
@@ -349,7 +362,7 @@ _SDE_MAX_DEPTH = 3
 _SDE_NODES = 2 ** (_SDE_MAX_DEPTH + 1) - 2
 
 
-def _tamed_displacement(drift: np.ndarray, dt: float, lam: np.ndarray,
+def _tamed_displacement(drift: np.ndarray, dt: np.ndarray, lam: np.ndarray,
                         d: np.ndarray) -> np.ndarray:
     """Drift displacement bounded by half the local gap.
 
@@ -367,18 +380,22 @@ def _tamed_displacement(drift: np.ndarray, dt: float, lam: np.ndarray,
     return disp * tame
 
 
-def _sde_step(lam: np.ndarray, dt: float, noise: np.ndarray, depth: int,
-              stats: dict, tree: Callable[[np.ndarray], np.ndarray],
+def _sde_step(lam: np.ndarray, dt: np.ndarray, noise: np.ndarray, depth: int,
+              sorts: np.ndarray, tree: Callable[[np.ndarray], np.ndarray],
               node: int = 0) -> np.ndarray:
     """One Euler-Maruyama step (heap node ``node``) with step-size rejection near collisions.
 
-    A step is rejected and redone as two halves, with keyed noise, when the
-    starting state cannot resolve the repulsion at this step size (minimum
-    gap below the step-dependent threshold 2 dt max|drift|).  ``tree(stiff)``
-    gives the stiff rows' (rows, _SDE_NODES, n) noise, column h - 1 for node
-    h.  The criterion depends only on the starting state, so refinement is
-    pure step-size adaptivity and does not condition the outcome.  At the
-    recursion cap the drift is gap-tamed instead.  Crossed proposals are
+    Row r steps by ``dt[r]``, its step size in each of its n columns so
+    that no product broadcasts over the short axis, and its forced sorts are
+    added to ``sorts[r]``; so rows of runs at different step sizes advance
+    together.  A step is rejected and redone as two halves, with keyed
+    noise, when the starting state cannot resolve the repulsion at this step
+    size (minimum gap below the step-dependent threshold 2 dt max|drift|).
+    ``tree(stiff)`` gives the stiff rows' (rows, _SDE_NODES, n) noise,
+    column h - 1 for node h.  The criterion depends only on the starting
+    state, so refinement is pure step-size adaptivity and does not
+    condition the outcome.  At the recursion cap the drift is gap-tamed
+    instead, and the stiffness test is skipped.  Crossed proposals are
     reflected by sorting (exact relabelling for coincident starts, counted
     otherwise).  Runs under the caller's ``np.errstate``, as the drift does.
     """
@@ -386,59 +403,78 @@ def _sde_step(lam: np.ndarray, dt: float, noise: np.ndarray, depth: int,
     drift = _sde_drift(lam)
     sigma = math.sqrt(2.0 / n)
     d = lam[:, 1:] - lam[:, :-1]  # for the gap, the taming and the degenerate test
-    if n > 1:
-        gap = d.min(axis=1)
-        # max |drift| per row from an (n, rows) copy: a max is exact in any
-        # order, and numpy reduces the short axis of (rows, n) row by row
-        speed = np.abs(np.ascontiguousarray(drift.T)).max(axis=0)
-        stiff = (2.0 * dt * speed > gap) & (gap > 0.0)
-    else:
-        stiff = np.zeros(lam.shape[0], dtype=bool)
+    gap = d.min(axis=1) if n > 1 else None
 
     if depth >= _SDE_MAX_DEPTH:
-        prop = lam + _tamed_displacement(drift, dt, lam, d) + sigma * math.sqrt(dt) * noise
+        prop = lam + _tamed_displacement(drift, dt, lam, d) + sigma * np.sqrt(dt) * noise
     else:
-        prop = lam + drift * dt + sigma * math.sqrt(dt) * noise
-        if stiff.any():
-            sub = lam[stiff]
-            below = tree(stiff)
-            for child in (2 * node + 1, 2 * node + 2):
-                sub = _sde_step(sub, 0.5 * dt, below[:, child - 1], depth + 1, stats,
-                                below.__getitem__, child)
-            prop[stiff] = sub
+        prop = lam + drift * dt + sigma * np.sqrt(dt) * noise
+        if n > 1:
+            # max |drift| per row from an (n, rows) copy: a max is exact in any
+            # order, and numpy reduces the short axis of (rows, n) row by row
+            speed = np.abs(np.ascontiguousarray(drift.T)).max(axis=0)
+            stiff = (2.0 * dt[:, 0] * speed > gap) & (gap > 0.0)
+            if stiff.any():
+                sub, sub_dt, sub_sorts = lam[stiff], 0.5 * dt[stiff], sorts[stiff]
+                below = tree(stiff)
+                for child in (2 * node + 1, 2 * node + 2):
+                    sub = _sde_step(sub, sub_dt, below[:, child - 1], depth + 1, sub_sorts,
+                                    below.__getitem__, child)
+                prop[stiff] = sub
+                sorts[stiff] = sub_sorts
 
     if n > 1:
         # for doubles, b < a exactly when b - a < 0
         crossed = (prop[:, 1:] < prop[:, :-1]).any(axis=1)
         if crossed.any():
             degenerate = gap <= 0.0
-            stats["forced_sorts"] += int((crossed & ~degenerate).sum())
+            sorts += crossed & ~degenerate
             prop[crossed] = np.sort(prop[crossed], axis=1)
     return prop
 
 
-def _sde_paths(lam0: np.ndarray, dt: float, n_steps: int, seed: int, pid: range):
-    """Sorted final states (len(pid), n) and forced-sort count of SDE paths ``pid``.
+def _sde_paths(lam0: np.ndarray, dts: Sequence[float], n_steps: Sequence[int], seed: int,
+               pid: range):
+    """Sorted final states (len(dts), len(pid), n) and forced-sort counts (len(dts),)
+    of SDE paths ``pid``, run d taking ``n_steps[d]`` steps of ``dts[d]``.
 
-    Noise is keyed as laid out in :mod:`eigenflow.rng`, so each path is a
-    pure function of (seed, path).  The base noise of a block of steps is
-    drawn in one call; a block's noise stays under ``budget.CHUNK_BYTES / 8``.
+    Every (run, path) row advances in one loop over the step index k, and a
+    row retires when its run has taken its steps.  Noise is keyed as laid
+    out in :mod:`eigenflow.rng`, so each path is a pure function of (seed,
+    path) and step k of every run draws the same noise: the base noise of a
+    block of steps is drawn once for all runs, its block under
+    ``budget.CHUNK_BYTES / 8``, and one refinement-tree draw per step serves
+    the stiff rows of every run.
     """
-    n = lam0.size
+    n, p = lam0.size, len(pid)
     base_ids, tree_ids = rng.stream_id(rng.DOMAIN_SDE, np.array([[0], [1]]), 0, np.asarray(pid))
-    lam = np.tile(lam0, (len(pid), 1))
-    stats = {"forced_sorts": 0}
+    # runs by step count, longest first, so the live rows are always a prefix
+    order = sorted(range(len(dts)), key=lambda r: -n_steps[r])
+    lam = np.tile(lam0, (len(dts) * p, 1))
+    dt = np.repeat([dts[r] for r in order], p * n).reshape(-1, n)
+    sorts = np.zeros(len(dts) * p, dtype=np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for block in budget.row_slices(n_steps, 64 * n * len(pid), budget.CHUNK_BYTES):
+        for block in budget.row_slices(n_steps[order[0]], 64 * n * p, budget.CHUNK_BYTES):
             first, steps = block.start, block.stop - block.start
             noise = rng.normals(seed, base_ids, steps * n, start=first * n).reshape(-1, steps, n)
             for step in range(first, first + steps):
+                live = p * sum(n_steps[r] > step for r in order)
+
                 def tree(stiff, step=step):
-                    # one draw per step covers every refinement of its stiff rows
-                    return rng.normals(seed, tree_ids[stiff], _SDE_NODES * n,
-                                       start=step * _SDE_NODES * n).reshape(-1, _SDE_NODES, n)
-                lam = _sde_step(lam, dt, noise[:, step - first], 0, stats, tree)
-    return np.sort(lam, axis=1), stats["forced_sorts"]
+                    # one draw per step covers every refinement of the stiff
+                    # rows of every run; the rows of one path share its noise
+                    hit = stiff.reshape(-1, p).any(axis=0)
+                    below = rng.normals(seed, tree_ids[hit], _SDE_NODES * n,
+                                        start=step * _SDE_NODES * n).reshape(-1, _SDE_NODES, n)
+                    return below[(np.cumsum(hit) - 1)[np.flatnonzero(stiff) % p]]
+
+                lam[:live] = _sde_step(lam[:live], dt[:live],
+                                       np.tile(noise[:, step - first], (live // p, 1)),
+                                       0, sorts[:live], tree)
+    runs = np.sort(lam, axis=1).reshape(len(dts), p, n)
+    counts = sorts.reshape(len(dts), p).sum(axis=1)
+    back = np.argsort(order)
+    return runs[back], counts[back]
 
 
 def sde_steps(t_max: float, dt: float) -> int:
@@ -449,32 +485,38 @@ def sde_steps(t_max: float, dt: float) -> int:
     return n_steps
 
 
-def dyson_crosscheck(sampler: PathSampler, shift: np.ndarray, dt: float, paths: int,
-                     seed: int, mapper=map) -> DysonRow:
+def dyson_crosscheck(sampler: PathSampler, shift: np.ndarray, dts: Sequence[float],
+                     paths: int, seed: int, mapper=map) -> DysonReport:
     """Wasserstein-1 distance between SDE and matrix spectra at the last time of
-    ``sampler.grid``.
+    ``sampler.grid``, one row per step size in ``dts``, in their order.
 
     ``sampler`` must draw Brownian entries; the SDE is the free Brownian
-    case only.  Both ensembles start from the spectrum of the shift matrix;
-    the matrix side is sampled exactly, the SDE side by Euler-Maruyama with
-    non-collision step rejection, both chunked over paths.  Sorted spectra
-    are averaged over paths before the distance; ``w1_mc_error`` combines
-    the standard errors of the two averages.
+    case only.  Both ensembles start from the spectrum of the shift matrix.
+    The matrix side is sampled exactly, once for every row.  The SDE side is
+    one Euler-Maruyama pass with non-collision step rejection that advances
+    every step size together, so each path draws its noise once.  Both sides
+    are chunked over paths.  Sorted spectra are averaged over paths before
+    the distance; ``w1_mc_error`` combines the standard errors of the two
+    averages.
     """
     t_max = sampler.grid.t_max
-    n_steps = sde_steps(t_max, dt)
+    n_steps = [sde_steps(t_max, dt) for dt in dts]
     lam_matrix = ensemble_map(sampler, shift, seed, paths,
                               lambda lam: np.sort(lam[:, -1, :], axis=1), mapper)
     mean_matrix = lam_matrix.mean(axis=0)
     se_matrix = lam_matrix.std(axis=0, ddof=1) / math.sqrt(paths)
 
     lam0 = np.sort(np.linalg.eigvalsh(shift))
-    chunks = _map_chunks(lambda pid: _sde_paths(lam0, dt, n_steps, seed, pid),
-                         paths, (lam0.size + _SDE_NODES) * lam0.size * 8, mapper)
-    lam = np.concatenate([c[0] for c in chunks])
-    mean_sde = lam.mean(axis=0)
-    se_sde = lam.std(axis=0, ddof=1) / math.sqrt(paths)
-    w1 = float(np.mean(np.abs(mean_sde - mean_matrix)))
-    mc_err = float(np.mean(np.sqrt(se_sde ** 2 + se_matrix ** 2)))
-    return DysonRow(n=lam0.size, t=t_max, dt=dt, paths=paths, w1_distance=w1,
-                    w1_mc_error=mc_err, forced_sorts=sum(c[1] for c in chunks))
+    chunks = _map_chunks(lambda pid: _sde_paths(lam0, dts, n_steps, seed, pid), paths,
+                         len(dts) * (lam0.size + _SDE_NODES) * lam0.size * 8, mapper)
+    runs = np.concatenate([c[0] for c in chunks], axis=1)  # (len(dts), paths, n)
+    sorts = np.sum([c[1] for c in chunks], axis=0)
+    rows = []
+    for dt, lam, forced in zip(dts, runs, sorts):
+        mean_sde = lam.mean(axis=0)
+        se_sde = lam.std(axis=0, ddof=1) / math.sqrt(paths)
+        rows.append(DysonRow(n=lam0.size, t=t_max, dt=dt, paths=paths,
+                             w1_distance=float(np.mean(np.abs(mean_sde - mean_matrix))),
+                             w1_mc_error=float(np.mean(np.sqrt(se_sde ** 2 + se_matrix ** 2))),
+                             forced_sorts=int(forced)))
+    return DysonReport(rows)

@@ -20,6 +20,10 @@ draw per block of steps (steps j..j+B-1 are positions [j n, (j+B) n)), and
 the noise of the refined half steps under step k from
 ``stream_id(DOMAIN_SDE, 1, 0, p)``: half-step node h = 1..14 (a heap under
 the step) at positions [(14 k + h - 1) n, (14 k + h) n), one draw per step.
+Runs at several step sizes read the same positions at the same step k, so
+one pass draws each block of Euler noise once and one tree draw per step
+serves the stiff paths of every step size; the layout does not depend on
+which step sizes run.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ matrix of each ``matrix.n`` is built once, by ``matrixflow.make_shift``,
 before anything is sampled, and every experiment takes that matrix.  So is
 the one ``sampling.path_sampler`` of every subcommand but ``limit``, on the
 grid it draws on: the config grid, ``holder``'s ``holder_times`` or
-``dyson``'s [0, t_max].  Its one factor serves every n, chunk and ``dt``; a
+``dyson``'s [0, t_max].  Its one factor serves every n and chunk, and
+``dyson`` samples one matrix ensemble for both ``dt`` and ``dt/2``; a
 method that does not apply exits 1.
 
 Every output CSV starts with a ``#``-prefixed JSON comment embedding the
@@ -242,14 +243,12 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
 
     elif subcommand == "dyson":
         n = cfg.matrix_n[0]
-        rows = []
-        for dt in (cfg.experiment_dt, 0.5 * cfg.experiment_dt):
-            r = diagnostics.dyson_crosscheck(
-                sampler, shifts[n], dt, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
-            rows.append((r.n, r.t, r.dt, r.paths, r.w1_distance, r.w1_mc_error,
-                         r.forced_sorts))
+        rep = diagnostics.dyson_crosscheck(
+            sampler, shifts[n], (cfg.experiment_dt, 0.5 * cfg.experiment_dt),
+            cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
         tables.append((f"dyson_n{n}.csv", "n,t,dt,M,w1_distance,w1_mc_error,forced_sorts",
-                       rows, False))
+                       [(r.n, r.t, r.dt, r.paths, r.w1_distance, r.w1_mc_error, r.forced_sorts)
+                        for r in rep.rows], False))
 
     elif subcommand == "limit":
         mu0 = diagnostics.initial_law(shifts[cfg.matrix_n[0]])

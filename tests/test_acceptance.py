@@ -283,9 +283,9 @@ m = 12
 
 def test_criterion_9_dyson_crosscheck():
     sampler = path_sampler(BrownianKernel(), TimeGrid.uniform(1.0, 1))
-    row = dyson_crosscheck(sampler, np.zeros((2, 2)), 1e-3, 10_000, seed=90210)
+    row, half = dyson_crosscheck(sampler, np.zeros((2, 2)), (1e-3, 5e-4), 10_000,
+                                 seed=90210).rows
     assert row.w1_distance <= 0.05, f"W1 {row.w1_distance:.4f} > 0.05"
-    half = dyson_crosscheck(sampler, np.zeros((2, 2)), 5e-4, 10_000, seed=90210)
     budget = 2.0 * np.hypot(row.w1_mc_error, half.w1_mc_error)
     assert half.w1_distance <= row.w1_distance + budget, \
         f"refinement increased W1 beyond MC error: {row.w1_distance:.4f} -> " \

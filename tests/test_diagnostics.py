@@ -212,18 +212,19 @@ class TestCollisions:
 
 class TestDyson:
     def test_time_zero_distance(self):
-        row = dyson_crosscheck(dyson_sampler(1.0), np.zeros((2, 2)), 0.5, paths=2000,
-                               seed=43)
+        (row,) = dyson_crosscheck(dyson_sampler(1.0), np.zeros((2, 2)), (0.5,), paths=2000,
+                                  seed=43).rows
         assert row.w1_distance < 0.2  # crude step, still the same law family
 
     def test_small_scale_agreement(self):
-        row = dyson_crosscheck(dyson_sampler(1.0), np.zeros((2, 2)), 0.01, paths=4000,
-                               seed=47)
+        (row,) = dyson_crosscheck(dyson_sampler(1.0), np.zeros((2, 2)), (0.01,), paths=4000,
+                                  seed=47).rows
         assert row.w1_distance <= 0.05
 
     def test_dt_must_divide_horizon(self):
         with pytest.raises(ValueError):
-            dyson_crosscheck(dyson_sampler(1.0), np.zeros((2, 2)), 0.3, paths=10, seed=1)
+            dyson_crosscheck(dyson_sampler(1.0), np.zeros((2, 2)), (0.25, 0.3), paths=10,
+                             seed=1)
 
     @pytest.mark.parametrize("n", [3, 4])  # odd n puts every other step at an odd start
     def test_extending_the_batch_leaves_shared_paths_unchanged(self, n, monkeypatch):
@@ -235,25 +236,41 @@ class TestDyson:
             return real_step(lam, dt, noise, depth, *rest)
 
         monkeypatch.setattr(diagnostics, "_sde_step", spy)
-        lam0 = np.zeros(n)
-        small, _ = diagnostics._sde_paths(lam0, 1e-2, 100, 8, range(200))
-        large, _ = diagnostics._sde_paths(lam0, 1e-2, 100, 8, range(400))
+        # two runs with different step counts, so one retires midway
+        args = (np.zeros(n), (1e-2, 5e-3), (50, 100), 8)
+        small, small_sorts = diagnostics._sde_paths(*args, range(200))
+        large, _ = diagnostics._sde_paths(*args, range(400))
         assert max(depths) == diagnostics._SDE_MAX_DEPTH  # refinement was exercised
-        assert np.array_equal(small, large[:200])
+        assert np.array_equal(small, large[:, :200])
+        assert np.all(small_sorts > 0)
 
     def test_noise_blocks_move_no_bit(self, monkeypatch):
         # odd n and an odd block put block starts at odd positions, and the
-        # last block is short; the zero start drives refinement and sorts
-        n, paths, n_steps = 3, 1100, 60
-        first = budget.row_slices(n_steps, 64 * n * paths, budget.CHUNK_BYTES)[0]
-        block = first.stop - first.start
-        assert block % 2 == 1 and n_steps % block and n_steps > block
-        args = (np.zeros(n), 1e-2, n_steps, 5, range(paths))
+        # last block is short; the shorter run retires inside the second
+        # block, which starts at an odd position; the zero start drives
+        # refinement and sorts
+        n, paths, n_steps = 3, 1100, (30, 60)
+        blocks = budget.row_slices(60, 64 * n * paths, budget.CHUNK_BYTES)
+        block = blocks[0].stop
+        assert block % 2 == 1 and 60 % block and 60 > block
+        assert blocks[1].start < 30 < blocks[1].stop and blocks[1].start * n % 2 == 1
+        args = (np.zeros(n), (1e-2, 5e-3), n_steps, 5, range(paths))
         blocked, blocked_sorts = diagnostics._sde_paths(*args)
         monkeypatch.setattr(budget, "CHUNK_BYTES", 1)  # one step per block
         single, single_sorts = diagnostics._sde_paths(*args)
         assert np.array_equal(blocked, single)
-        assert blocked_sorts == single_sorts > 0
+        assert np.array_equal(blocked_sorts, single_sorts) and np.all(blocked_sorts > 0)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_dts_together_or_apart_move_no_bit(self, n):
+        # the zero start drives refinement and forced sorts at both step sizes
+        sampler, shift = dyson_sampler(0.5), np.zeros((n, n))
+        together = dyson_crosscheck(sampler, shift, (1e-2, 5e-3), 200, seed=11)
+        apart = [row for dt in (1e-2, 5e-3)
+                 for row in dyson_crosscheck(sampler, shift, (dt,), 200, seed=11).rows]
+        assert together.rows == apart
+        assert together.forced_sorts == sum(row.forced_sorts for row in apart)
+        assert all(row.forced_sorts > 0 for row in apart)
 
     def test_drift_of_coincident_pairs_is_zero(self):
         lam = np.array([[0.0, 0.0, 1.0], [2.0, 2.0, 2.0], [-1.0, 1.0, 1.0]])
@@ -263,10 +280,10 @@ class TestDyson:
                                                [-1.0, 0.5, 0.5]]) / 3)
 
     def test_peak_memory_of_the_sde_side_stays_small(self):
-        # the dyson-sde benchmark shape: 250 steps of 3000 paths in one chunk
+        # the dyson-sde benchmark call: 250 and 500 steps of 3000 paths in one chunk
         tracemalloc.start()
         try:
-            dyson_crosscheck(dyson_sampler(0.25), np.zeros((2, 2)), 1e-3, 3000, seed=1)
+            dyson_crosscheck(dyson_sampler(0.25), np.zeros((2, 2)), (1e-3, 5e-4), 3000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -300,8 +317,8 @@ class TestEnsembleMap:
                                       seed=4, mapper=mapper),
                     collision_experiment(path_sampler(kernel, grid),
                                          np.diag([1.0, 1.0, 0.0, 0.0]), 9, seed=5, mapper=mapper),
-                    dyson_crosscheck(dyson_sampler(0.5), np.zeros((4, 4)), 1e-2, 9, seed=6,
-                                     mapper=mapper))
+                    dyson_crosscheck(dyson_sampler(0.5), np.zeros((4, 4)), (1e-2, 5e-3), 9,
+                                     seed=6, mapper=mapper))
 
         whole = run()
         monkeypatch.setattr(budget, "CHUNK_BYTES", 1)  # one path per chunk
@@ -309,7 +326,7 @@ class TestEnsembleMap:
             chunked = run(pool.map)
         assert np.array_equal(whole[0], chunked[0])
         assert whole[1:] == chunked[1:]  # DysonRow includes forced_sorts
-        assert whole[-1].forced_sorts > 0
+        assert all(row.forced_sorts > 0 for row in whole[-1].rows)
 
 
 class TestBurgersPde:

@@ -12,7 +12,11 @@ import numpy as np
 
 import eigenflow
 from eigenflow.config import parse_config
+from eigenflow.diagnostics import dyson_crosscheck
+from eigenflow.grids import TimeGrid
+from eigenflow.kernels import BrownianKernel
 from eigenflow.runner import READS
+from eigenflow.sampling import path_sampler
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -105,6 +109,15 @@ def test_benchmark_traced_names_resolve():
     missing = [f"{owner}.{attr}" for owner, attr, _, _ in tracer.SPANS
                if not callable(getattr(tracer._resolve(owner), attr, None))]
     assert missing == []
+
+
+def test_benchmark_counts_forced_sorts_of_a_dyson_run():
+    # the traced dyson-sde run counts forced sorts on dyson_crosscheck's
+    # result, one call for both step sizes
+    sampler = path_sampler(BrownianKernel(), TimeGrid.uniform(0.25, 1))
+    result = dyson_crosscheck(sampler, np.zeros((2, 2)), (1e-2, 5e-3), 50, seed=3)
+    total = _load("tracer")._forced_sorts(result)
+    assert total == sum(row.forced_sorts for row in result.rows) > 0
 
 
 def _names(node):
