@@ -30,20 +30,28 @@
   The matrix side is one ensemble for every step size, and the SDE runs at
   all step sizes advance in one pass over the step index.
 
-Every experiment takes its (n, n) shift matrix A; n is its size.
-``matrixflow.make_shift`` builds A once per run, and ``initial_law(A)`` is
-mu_0, the spectral law of A that every flow starts at.  Every Monte Carlo
-experiment takes the run's one ``sampling.PathSampler`` (kernel, grid and
-one factor), which the runner builds on the grid the experiment draws on,
-and streams its ensemble through :func:`ensemble_map`: paths are sampled,
-diagonalised and reduced chunk by chunk under ``budget.CHUNK_BYTES``, one
-chunk per worker at a time, and the per-path results are placed in path
-order, so neither the chunking nor the worker count changes an output.
-The Dyson SDE side is chunked by the same rule, with noise keyed by (seed,
-path, step), so its paths are pure functions of (seed, path) as well; its
-chunk counts the drift and one step's refinement noise of each step size,
-and its base Euler noise is drawn for a block of steps at a time under the
-same budget, once for every step size.
+Every experiment takes (n, n) shift matrices A; n is the size of each.
+``matrixflow.make_shift`` builds A once per run and n, and
+``initial_law(A)`` is mu_0, the spectral law of A that every flow starts
+at.  ``convergence_study``, ``residual_experiment`` and
+``collision_experiment`` take a sequence of shifts and return one result
+per shift; ``holder_increments`` and ``dyson_crosscheck`` take one.  Every
+Monte Carlo experiment takes the run's one ``sampling.PathSampler``
+(kernel, grid and one factor), which the runner builds on the grid the
+experiment draws on, and streams its ensemble through
+:func:`ensemble_map`: paths are sampled, diagonalised and reduced chunk by
+chunk under ``budget.CHUNK_BYTES``, one chunk per worker at a time, and the
+per-path results are placed in path order, so neither the chunking nor the
+worker count changes an output.  One draw per chunk serves every n: the
+chunk samples the upper triangle of the largest n once, and each n
+diagonalises its leading sub-triangle, which is its own draw bit for bit.
+So the results of several n in one call are those of one call per n, and
+they share their paths, which correlates them.  The Dyson SDE side is
+chunked by the same rule, with noise keyed by (seed, path, step), so its
+paths are pure functions of (seed, path) as well; its chunk counts the
+state of each step size and a step's pairwise drift, and its base Euler
+noise is drawn for a block of steps at a time under the same budget, once
+for every step size.
 """
 
 from __future__ import annotations
@@ -54,10 +62,11 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
 
-from . import budget, rng
+from . import budget, matrixflow, rng
 from .kernels import CovarianceKernel
 from .limitlaw import AtomicMeasure, law_at_time
-from .matrixflow import DEGENERATE_GAP, sample_flows, spectra_of_stack
+# unused here, but bound for the benchmark's tracer, which wraps sample_flows at this name
+from .matrixflow import DEGENERATE_GAP, sample_flows, sample_triangle, spectra_of_stack
 from .measures import divided_difference_stack, kolmogorov_distance
 from .sampling import PathSampler
 from .testfunctions import TestFunction
@@ -73,23 +82,38 @@ def _map_chunks(task: Callable[[range], object], paths: int, path_bytes: int,
                               budget.row_slices(paths, path_bytes, budget.CHUNK_BYTES)]))
 
 
-def ensemble_map(sampler: PathSampler, shift: np.ndarray, seed: int, paths: int,
-                 reduce: Callable[[np.ndarray], np.ndarray], mapper=map) -> np.ndarray:
-    """``reduce`` of the spectra (P, K+1, n) of paths 0..paths-1, chunk by chunk.
+def ensemble_map(sampler: PathSampler, shifts: Sequence[np.ndarray], seed: int, paths: int,
+                 reduce: Callable[[int, np.ndarray], np.ndarray], mapper=map) -> List[np.ndarray]:
+    """``reduce(k, spectra)`` of the spectra (P, K+1, n) of paths 0..paths-1 at
+    each ``shifts[k]``, chunk by chunk; one array per shift.
 
-    The chunk results are concatenated along the first axis in path order.
-    Every chunk draws through the one factor of ``sampler``.  Flows are pure
-    functions of (seed, path index) and ``reduce`` must act on each path on
-    its own, so neither the chunk size nor ``mapper`` (a thread pool's map,
-    say) changes the result.  A chunk's matrix stack is freed before
-    ``reduce`` runs; sampling and the divided differences bound their own
-    temporaries per tile and assembly scales and shifts the stack in place,
-    so a chunk holds little beyond its stack.
+    Each chunk draws the upper triangle of the largest n once, through the
+    one factor of ``sampler``, and every shift assembles, diagonalises and
+    reduces its leading sub-triangle: stream ids carry no n, so that is
+    exactly the draw of its own n.  Each shift's chunk results are
+    concatenated along the first axis in path order, in one map over the
+    chunks.  Flows are pure functions of (seed, path index) and ``reduce``
+    must act on each path on its own, so neither the chunk size, ``mapper``
+    (a thread pool's map, say) nor the other shifts change a result.  A
+    chunk's row counts the matrices of every shift, though it holds one
+    matrix stack at a time, freed before ``reduce`` runs; sampling and the
+    divided differences bound their own temporaries per tile and assembly
+    scales and shifts the stack in place.
     """
-    def task(pid: range) -> np.ndarray:
-        return reduce(spectra_of_stack(sample_flows(sampler, shift, seed, pid)))
+    sizes = [len(shift) for shift in shifts]
+    top = max(sizes)
+    ju = np.triu_indices(top)[1]
+    # triu_indices(top) kept where j < n is triu_indices(n), in its order
+    leading = [slice(None) if n == top else np.flatnonzero(ju < n) for n in sizes]
 
-    return np.concatenate(_map_chunks(task, paths, len(sampler.grid) * shift.size * 8, mapper))
+    def task(pid: range) -> list:
+        entries = sample_triangle(sampler, top, seed, pid)
+        return [reduce(k, spectra_of_stack(
+                    matrixflow.assemble_from_triangle(entries[:, keep], shift)))
+                for k, (keep, shift) in enumerate(zip(leading, shifts))]
+
+    chunks = _map_chunks(task, paths, len(sampler.grid) * sum(s.size for s in shifts) * 8, mapper)
+    return [np.concatenate(results) for results in zip(*chunks)]
 
 
 # ---------------------------------------------------------------------------
@@ -130,20 +154,24 @@ class ResidualReport:
     residuals: np.ndarray = field(repr=False)
 
 
-def residual_experiment(sampler: PathSampler, shift: np.ndarray, f: TestFunction,
-                        paths: int, seed: int, mapper=map) -> ResidualReport:
-    """Monte Carlo estimate of E[G^2] at the matrix dimension of ``shift``."""
-    resid = ensemble_map(sampler, shift, seed, paths,
-                         lambda lam: weak_equation_residual(lam, sampler.kernel, sampler.grid, f),
-                         mapper)
-    sq = resid ** 2
-    return ResidualReport(
-        n=len(shift), paths=paths, test_function=f.name,
-        mean_residual=float(resid.mean()),
-        mean_residual_se=float(resid.std(ddof=1) / math.sqrt(paths)),
-        mean_square=float(sq.mean()),
-        mean_square_se=float(sq.std(ddof=1) / math.sqrt(paths)),
-        residuals=resid)
+def residual_experiment(sampler: PathSampler, shifts: Sequence[np.ndarray], f: TestFunction,
+                        paths: int, seed: int, mapper=map) -> List[ResidualReport]:
+    """Monte Carlo estimate of E[G^2] at the matrix dimension of each shift,
+    one report per shift, from one ensemble."""
+    residuals = ensemble_map(
+        sampler, shifts, seed, paths,
+        lambda k, lam: weak_equation_residual(lam, sampler.kernel, sampler.grid, f), mapper)
+    reports = []
+    for shift, resid in zip(shifts, residuals):
+        sq = resid ** 2
+        reports.append(ResidualReport(
+            n=len(shift), paths=paths, test_function=f.name,
+            mean_residual=float(resid.mean()),
+            mean_residual_se=float(resid.std(ddof=1) / math.sqrt(paths)),
+            mean_square=float(sq.mean()),
+            mean_square_se=float(sq.std(ddof=1) / math.sqrt(paths)),
+            residuals=resid))
+    return reports
 
 
 def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -175,31 +203,34 @@ def initial_law(shift: np.ndarray) -> AtomicMeasure:
     return AtomicMeasure.from_eigenvalues(np.linalg.eigvalsh(shift))
 
 
-def convergence_study(sampler: PathSampler, shift: np.ndarray, paths: int,
-                      seed: int, mapper=map) -> List[ConvergenceRow]:
-    """Mean Kolmogorov distance to the limit law per grid time, at the n of ``shift``.
+def convergence_study(sampler: PathSampler, shifts: Sequence[np.ndarray], paths: int,
+                      seed: int, mapper=map) -> List[List[ConvergenceRow]]:
+    """Mean Kolmogorov distance to the limit law per grid time, at the n of
+    each shift: one list of rows per shift, from one ensemble.
 
     The initial law is the spectral distribution of the shift matrix, so
     the limit at time t is the evolved law with tau = R(t,t); a sup row
     (t = None) reports the uniform-over-grid-times distance per path.
     """
-    mu0 = initial_law(shift)
-    laws = [law_at_time(sampler.kernel, mu0, float(t)) for t in sampler.grid.times]
+    laws = [[law_at_time(sampler.kernel, initial_law(shift), float(t))
+             for t in sampler.grid.times] for shift in shifts]
 
-    def distances(lam):
-        return np.stack([kolmogorov_distance(lam[:, k], law)
-                         for k, law in enumerate(laws)], axis=1)
+    def distances(k, lam):
+        return np.stack([kolmogorov_distance(lam[:, j], law)
+                         for j, law in enumerate(laws[k])], axis=1)
 
-    dist = ensemble_map(sampler, shift, seed, paths, distances, mapper)
-    rows = [ConvergenceRow(n=len(shift), t=float(t), mean_distance=float(dist[:, k].mean()),
-                           stderr=float(dist[:, k].std(ddof=1) / math.sqrt(paths)),
-                           paths=paths)
-            for k, t in enumerate(sampler.grid.times)]
-    sup = dist.max(axis=1)
-    rows.append(ConvergenceRow(
-        n=len(shift), t=None, mean_distance=float(sup.mean()),
-        stderr=float(sup.std(ddof=1) / math.sqrt(paths)), paths=paths))
-    return rows
+    studies = []
+    for shift, dist in zip(shifts, ensemble_map(sampler, shifts, seed, paths, distances, mapper)):
+        rows = [ConvergenceRow(n=len(shift), t=float(t), mean_distance=float(dist[:, k].mean()),
+                               stderr=float(dist[:, k].std(ddof=1) / math.sqrt(paths)),
+                               paths=paths)
+                for k, t in enumerate(sampler.grid.times)]
+        sup = dist.max(axis=1)
+        rows.append(ConvergenceRow(
+            n=len(shift), t=None, mean_distance=float(sup.mean()),
+            stderr=float(sup.std(ddof=1) / math.sqrt(paths)), paths=paths))
+        studies.append(rows)
+    return studies
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +291,7 @@ def holder_increments(sampler: PathSampler, shift: np.ndarray,
         mu_f = np.mean(f.f(lam), axis=-1)            # (P, K+1)
         return np.abs(mu_f[:, idx] - mu_f[:, base_idx, None]) ** p
 
-    incr = ensemble_map(sampler, shift, seed, paths, increments, mapper)
+    (incr,) = ensemble_map(sampler, [shift], seed, paths, lambda k, lam: increments(lam), mapper)
     moments = np.array([col.mean() for col in incr.T])
     errs = np.array([col.std(ddof=1) for col in incr.T]) / math.sqrt(paths)
 
@@ -314,10 +345,12 @@ def collision_proximity(lambdas: np.ndarray) -> CollisionReport:
     return _gap_report(_min_gaps(lambdas), np.shape(lambdas)[-1])
 
 
-def collision_experiment(sampler: PathSampler, shift: np.ndarray, paths: int,
-                         seed: int, mapper=map) -> CollisionReport:
-    """Gap statistics of the (P, K+1) minimum gaps, streamed in chunks."""
-    return _gap_report(ensemble_map(sampler, shift, seed, paths, _min_gaps, mapper), len(shift))
+def collision_experiment(sampler: PathSampler, shifts: Sequence[np.ndarray], paths: int,
+                         seed: int, mapper=map) -> List[CollisionReport]:
+    """Gap statistics of the (P, K+1) minimum gaps at each shift, one report
+    per shift, from one ensemble streamed in chunks."""
+    gaps = ensemble_map(sampler, shifts, seed, paths, lambda k, lam: _min_gaps(lam), mapper)
+    return [_gap_report(g, len(shift)) for shift, g in zip(shifts, gaps)]
 
 
 # ---------------------------------------------------------------------------
@@ -501,21 +534,26 @@ def dyson_crosscheck(sampler: PathSampler, shift: np.ndarray, dts: Sequence[floa
     """
     t_max = sampler.grid.t_max
     n_steps = [sde_steps(t_max, dt) for dt in dts]
-    lam_matrix = ensemble_map(sampler, shift, seed, paths,
-                              lambda lam: np.sort(lam[:, -1, :], axis=1), mapper)
+    (lam_matrix,) = ensemble_map(sampler, [shift], seed, paths,
+                                 lambda k, lam: np.sort(lam[:, -1, :], axis=1), mapper)
     mean_matrix = lam_matrix.mean(axis=0)
     se_matrix = lam_matrix.std(axis=0, ddof=1) / math.sqrt(paths)
 
     lam0 = np.sort(np.linalg.eigvalsh(shift))
+    n = lam0.size
+    # per path and step size: the state, its step sizes and sort count, held
+    # for the whole pass, and a step's (n, n) pairwise drift; the base noise
+    # block is bounded on its own, and a step draws refinement noise only for
+    # its stiff rows, a few of them
     chunks = _map_chunks(lambda pid: _sde_paths(lam0, dts, n_steps, seed, pid), paths,
-                         len(dts) * (lam0.size + _SDE_NODES) * lam0.size * 8, mapper)
+                         len(dts) * (n * n + 2 * n + 1) * 8, mapper)
     runs = np.concatenate([c[0] for c in chunks], axis=1)  # (len(dts), paths, n)
     sorts = np.sum([c[1] for c in chunks], axis=0)
     rows = []
     for dt, lam, forced in zip(dts, runs, sorts):
         mean_sde = lam.mean(axis=0)
         se_sde = lam.std(axis=0, ddof=1) / math.sqrt(paths)
-        rows.append(DysonRow(n=lam0.size, t=t_max, dt=dt, paths=paths,
+        rows.append(DysonRow(n=n, t=t_max, dt=dt, paths=paths,
                              w1_distance=float(np.mean(np.abs(mean_sde - mean_matrix))),
                              w1_mc_error=float(np.mean(np.sqrt(se_sde ** 2 + se_matrix ** 2))),
                              forced_sorts=int(forced)))

@@ -7,10 +7,12 @@ A matrix flow is Y(t) = scaled Gaussian part + deterministic shift A:
 
 built from one Gaussian path per upper-triangle entry.  Every flow takes
 its (n, n) shift matrix A; n is its size.  Flows and spectra are plain
-arrays: ``sample_flows`` draws the upper-triangle paths of a batch of
+arrays: ``sample_triangle`` draws the upper-triangle paths of a batch of
 realisations through the run's ``sampling.PathSampler``,
 ``assemble_from_triangle`` turns them into (..., K+1, n, n) matrix stacks
-and ``spectra_of_stack`` returns their descending eigenvalues (..., K+1, n).
+(``sample_flows`` does both) and ``spectra_of_stack`` returns their
+descending eigenvalues (..., K+1, n).  Stream ids carry no n, so the draw
+of size n is the leading sub-triangle of the draw of any larger size.
 ``eigenvalue_derivatives`` produces the first and second derivatives of a
 single eigenvalue of one matrix, from the eigenvalues and eigenvectors
 ``eigensolvers.eigh`` returns, with respect to the free coordinates
@@ -70,16 +72,28 @@ def assemble_from_triangle(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return y
 
 
+def sample_triangle(sampler: sampling.PathSampler, n: int, seed: int,
+                    paths: Sequence[int]) -> np.ndarray:
+    """Upper-triangle entry paths (P, n(n+1)/2, K+1) of size n, in ``triu_indices`` order.
+
+    Entry (i, j) of path p is stream (sampler.domain, i, j, p), a pure
+    function of (seed, path index) that does not depend on n.  So the draw
+    of a smaller size m is the leading sub-triangle of this one: the
+    entries with j < m, which keep ``triu_indices(m)`` order.
+    """
+    iu, ju = np.triu_indices(n)
+    ids = rng.stream_id(sampler.domain, iu, ju, np.asarray(list(paths), dtype=np.int64)[:, None])
+    return sampler.draw(seed, ids)
+
+
 def sample_flows(sampler: sampling.PathSampler, shift: np.ndarray, seed: int,
                  paths: Sequence[int]) -> np.ndarray:
     """Matrix stacks (P, K+1, n, n) for a batch of path indices, n the size of ``shift``.
 
-    Entry (i, j) of path p is stream (sampler.domain, i, j, p), a pure
-    function of (seed, path index); ``diagnostics.ensemble_map`` streams them.
+    ``diagnostics.ensemble_map`` streams whole ensembles, drawing one
+    triangle per chunk for every size it is asked for.
     """
-    iu, ju = np.triu_indices(len(shift))
-    ids = rng.stream_id(sampler.domain, iu, ju, np.asarray(list(paths), dtype=np.int64)[:, None])
-    return assemble_from_triangle(sampler.draw(seed, ids), shift)
+    return assemble_from_triangle(sample_triangle(sampler, len(shift), seed, paths), shift)
 
 
 def spectra_of_stack(matrices: np.ndarray) -> np.ndarray:

@@ -14,8 +14,13 @@ Stream ids pack a small domain tag (which subsystem is drawing), two matrix
 indices and a path index into one 64-bit word.  :func:`stream_id` is the
 one packer; its arguments broadcast, so a caller builds a whole block of
 ids in one call.  :func:`normals` draws positions [start, start + count)
-of each stream for any start.  SDE path p draws its Euler noise of step k
-from ``stream_id(DOMAIN_SDE, 0, 0, p)`` at positions [k n, (k+1) n), one
+of each stream for any start.  Matrix entry (i, j) of path p is stream
+``stream_id(domain, i, j, p)``, which carries no n: an n x n draw is the
+leading sub-triangle (the entries with j < n) of the draw of any larger
+n, so one draw of the largest n serves every smaller one.
+
+SDE path p draws its Euler noise of step k from
+``stream_id(DOMAIN_SDE, 0, 0, p)`` at positions [k n, (k+1) n), one
 draw per block of steps (steps j..j+B-1 are positions [j n, (j+B) n)), and
 the noise of the refined half steps under step k from
 ``stream_id(DOMAIN_SDE, 1, 0, p)``: half-step node h = 1..14 (a heap under

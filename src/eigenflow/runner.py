@@ -9,7 +9,9 @@ the one ``sampling.path_sampler`` of every subcommand but ``limit``, on the
 grid it draws on: the config grid, ``holder``'s ``holder_times`` or
 ``dyson``'s [0, t_max].  Its one factor serves every n and chunk, and
 ``dyson`` samples one matrix ensemble for both ``dt`` and ``dt/2``; a
-method that does not apply exits 1.
+method that does not apply exits 1.  There is no loop over n: ``converge``,
+``residual`` and ``collisions`` make one experiment call with the shifts of
+every n, which draws each chunk's paths once for all of them.
 
 Every output CSV starts with a ``#``-prefixed JSON comment embedding the
 subcommand, the master seed and the full resolved configuration, followed
@@ -193,18 +195,17 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
     tables = []  # (file name, header, rows, whether non-finite cells are expected)
 
     if subcommand == "converge":
-        for n, shift in shifts.items():
-            rows = diagnostics.convergence_study(
-                sampler, shift, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
+        studies = diagnostics.convergence_study(
+            sampler, list(shifts.values()), cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
+        for n, rows in zip(shifts, studies):
             tables.append((f"converge_n{n}.csv", "n,t,mean_distance,stderr,M",
                            [(r.n, r.t, r.mean_distance, r.stderr, r.paths) for r in rows],
                            False))
 
     elif subcommand == "residual":
         f = by_name(cfg.observables_test_functions)
-        reports = [diagnostics.residual_experiment(
-            sampler, shift, f, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
-            for shift in shifts.values()]
+        reports = diagnostics.residual_experiment(
+            sampler, list(shifts.values()), f, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
         for rep in reports:
             tables.append((f"residual_n{rep.n}.csv",
                            "n,test_function,M,mean_residual,mean_residual_se,"
@@ -233,9 +234,9 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
                        [(rep.p, qhat, rep.paths, rep.test_function)], False))
 
     elif subcommand == "collisions":
-        for n, shift in shifts.items():
-            rep = diagnostics.collision_experiment(
-                sampler, shift, cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
+        reports = diagnostics.collision_experiment(
+            sampler, list(shifts.values()), cfg.experiment_m, cfg.sampler_seed, mapper=mapper)
+        for n, rep in zip(shifts, reports):
             rows = [(n, f"q{int(q * 100):02d}", v) for q, v in rep.quantiles.items()]
             rows.append((n, "degenerate_fraction", rep.degenerate_fraction))
             # one eigenvalue has no gap, and its gap quantiles are inf

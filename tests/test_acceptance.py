@@ -92,9 +92,8 @@ def test_criterion_3_weak_equation_residual_decay():
         # two workers, each with one BLAS thread, as a run with --threads 2
         # has; the worker count moves no bit (criterion 8, TestThreadInvariance)
         with one_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
-            reports = [residual_experiment(sampler, np.zeros((n, n)), f, 2000, seed=2024,
-                                           mapper=pool.map)
-                       for n in n_values]
+            reports = residual_experiment(sampler, [np.zeros((n, n)) for n in n_values], f,
+                                          2000, seed=2024, mapper=pool.map)
         msq = np.array([r.mean_square for r in reports])
         ses = np.array([r.mean_square_se for r in reports])
         for a, b, sa, sb in zip(msq, msq[1:], ses, ses[1:]):

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from eigenflow import budget, diagnostics
+from eigenflow import budget, diagnostics, rng
 from eigenflow.diagnostics import (collision_experiment, collision_proximity,
                                    convergence_study, dyson_crosscheck, fit_loglog_slope,
                                    holder_increments, holder_times, residual_experiment,
@@ -48,8 +48,8 @@ class TestWeakEquationResidual:
         f = gaussian_bump
         paths = 10_000
 
-        report = residual_experiment(path_sampler(kernel, grid), np.zeros((1, 1)), f, paths,
-                                     seed=99)
+        (report,) = residual_experiment(path_sampler(kernel, grid), [np.zeros((1, 1))], f, paths,
+                                        seed=99)
         module_msq = report.mean_square
         module_se = report.mean_square_se
 
@@ -74,8 +74,8 @@ class TestWeakEquationResidual:
             (FractionalBrownianKernel(0.3), TimeGrid.power_graded(1.0, 16)),
         ]:
             sampler = path_sampler(kernel, grid)
-            reports = [residual_experiment(sampler, np.zeros((n, n)), f, 600, seed=5)
-                       for n in (4, 16)]
+            reports = residual_experiment(sampler, [np.zeros((n, n)) for n in (4, 16)], f, 600,
+                                          seed=5)
             for rep in reports:
                 assert abs(rep.mean_residual) <= 4.0 * rep.mean_residual_se, \
                     f"{kernel.kind} n={rep.n}"
@@ -85,8 +85,8 @@ class TestWeakEquationResidual:
         grid = TimeGrid.uniform(1.0, 12)
         kernel = FractionalBrownianKernel(0.75)
         sampler = path_sampler(kernel, grid)
-        reports = [residual_experiment(sampler, np.zeros((n, n)), f, 400, seed=7)
-                   for n in (4, 8, 16, 32)]
+        reports = residual_experiment(sampler, [np.zeros((n, n)) for n in (4, 8, 16, 32)], f,
+                                      400, seed=7)
         msq = [r.mean_square for r in reports]
         ses = [r.mean_square_se for r in reports]
         for a, b, sa, sb in zip(msq, msq[1:], ses, ses[1:]):
@@ -96,19 +96,20 @@ class TestWeakEquationResidual:
         f = gaussian_bump
         grid = TimeGrid.uniform(1.0, 8)
         sampler = path_sampler(BrownianKernel(), grid)
-        serial = residual_experiment(sampler, np.zeros((6, 6)), f, 50, seed=3)
+        (serial,) = residual_experiment(sampler, [np.zeros((6, 6))], f, 50, seed=3)
         with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = residual_experiment(sampler, np.zeros((6, 6)), f, 50, seed=3,
-                                           mapper=pool.map)
+            (parallel,) = residual_experiment(sampler, [np.zeros((6, 6))], f, 50, seed=3,
+                                              mapper=pool.map)
         assert np.array_equal(serial.residuals, parallel.residuals)
 
 
 class TestConvergenceStudy:
     def test_distance_shrinks_with_n(self):
         grid = TimeGrid.uniform(1.0, 2)
-        rows = [r for n in (10, 60)
-                for r in convergence_study(path_sampler(BrownianKernel(), grid),
-                                           np.zeros((n, n)), 30, seed=11)]
+        rows = [r for rows in convergence_study(path_sampler(BrownianKernel(), grid),
+                                                [np.zeros((n, n)) for n in (10, 60)], 30,
+                                                seed=11)
+                for r in rows]
         at_t1 = {r.n: r.mean_distance for r in rows if r.t == 1.0}
         assert at_t1[60] < at_t1[10]
 
@@ -116,24 +117,25 @@ class TestConvergenceStudy:
         grid = TimeGrid.uniform(1.0, 2)
         for hurst in (0.3, 0.5, 0.75):
             kernel = FractionalBrownianKernel(hurst)
-            rows = [r for n in (25, 50, 100, 200)
-                    for r in convergence_study(path_sampler(kernel, grid), np.zeros((n, n)), 10,
-                                         seed=61)]
+            rows = [r for rows in convergence_study(
+                        path_sampler(kernel, grid), [np.zeros((n, n)) for n in (25, 50, 100, 200)],
+                        10, seed=61)
+                    for r in rows]
             seq = [(r.mean_distance, r.stderr) for r in rows if r.t == 1.0]
             for (a, sa), (b, sb) in zip(seq, seq[1:]):
                 assert b <= a + 2.0 * np.hypot(sa, sb), f"H={hurst}"
 
     def test_time_zero_distance_is_zero(self):
         grid = TimeGrid.uniform(1.0, 2)
-        rows = convergence_study(path_sampler(BrownianKernel(), grid), np.zeros((12, 12)), 10,
-                                 seed=13)
+        (rows,) = convergence_study(path_sampler(BrownianKernel(), grid), [np.zeros((12, 12))],
+                                    10, seed=13)
         z = [r for r in rows if r.t == 0.0][0]
         assert z.mean_distance == 0.0
 
     def test_sup_row_bounds_pointwise_rows(self):
         grid = TimeGrid.uniform(1.0, 3)
-        rows = convergence_study(path_sampler(FractionalBrownianKernel(0.75), grid),
-                                 np.zeros((16, 16)), 15, seed=17)
+        (rows,) = convergence_study(path_sampler(FractionalBrownianKernel(0.75), grid),
+                                    [np.zeros((16, 16))], 15, seed=17)
         sup = [r for r in rows if r.t is None][0]
         for r in rows:
             if r.t is not None:
@@ -141,8 +143,8 @@ class TestConvergenceStudy:
 
     def test_nonzero_shift_uses_evolved_law(self):
         grid = TimeGrid.uniform(1.0, 2)
-        rows = convergence_study(path_sampler(BrownianKernel(), grid),
-                                 np.diag([1.0] * 20 + [-1.0] * 20), 10, seed=19)
+        (rows,) = convergence_study(path_sampler(BrownianKernel(), grid),
+                                    [np.diag([1.0] * 20 + [-1.0] * 20)], 10, seed=19)
         at_t1 = [r for r in rows if r.t == 1.0][0]
         assert at_t1.mean_distance < 0.25
 
@@ -205,8 +207,8 @@ class TestCollisions:
 
     def test_experiment_driver_counts_initial_degeneracy(self):
         # with a zero shift every path is degenerate at t = 0 and nowhere else
-        rep = collision_experiment(path_sampler(BrownianKernel(), TimeGrid.uniform(1.0, 3)),
-                                   np.zeros((12, 12)), 25, seed=53)
+        (rep,) = collision_experiment(path_sampler(BrownianKernel(), TimeGrid.uniform(1.0, 3)),
+                                      [np.zeros((12, 12))], 25, seed=53)
         assert rep.degenerate_fraction == pytest.approx(0.25, abs=1e-12)
 
 
@@ -289,16 +291,76 @@ class TestDyson:
             tracemalloc.stop()
         assert peak < 10e6
 
+    def test_criterion_9_sde_side_is_one_chunk(self):
+        # a chunk counts what the pass holds per path, not a refinement tree
+        # per row and step, so criterion 9's 10000 paths run as one chunk
+        chunks = []
+
+        def mapper(task, pids):
+            chunks.append(len(pids))
+            return map(task, pids)
+
+        dyson_crosscheck(dyson_sampler(0.01), np.zeros((2, 2)), (1e-3, 5e-4), 10_000, seed=1,
+                         mapper=mapper)
+        assert chunks[-1] == 1  # the SDE side maps after the matrix side
+
 
 class TestEnsembleMap:
     def test_peak_memory_of_a_residual_chunk(self, traced_peak):
-        # one residual-fbm chunk at n = 64: 6 paths fill the 5 MB budget
-        kernel, grid, n = FractionalBrownianKernel(0.75), TimeGrid.uniform(1.0, 24), 64
-        assert int(budget.CHUNK_BYTES / (len(grid) * n * n * 8)) == 6
-        peak = traced_peak(diagnostics.ensemble_map, path_sampler(kernel, grid),
-                           np.zeros((n, n)), 3, 6,
-                           lambda lam: weak_equation_residual(lam, kernel, grid, gaussian_bump))
+        # one residual-fbm chunk, n = 8, 16, 32 and 64 from one draw: a row
+        # counts the matrices of every n, so 4 paths fill the 5 MB budget
+        kernel, grid = FractionalBrownianKernel(0.75), TimeGrid.uniform(1.0, 24)
+        shifts = [np.zeros((n, n)) for n in (8, 16, 32, 64)]
+        assert int(budget.CHUNK_BYTES / (len(grid) * sum(s.size for s in shifts) * 8)) == 4
+        peak = traced_peak(diagnostics.ensemble_map, path_sampler(kernel, grid), shifts, 3, 4,
+                           lambda k, lam: weak_equation_residual(lam, kernel, grid, gaussian_bump))
         assert peak < 2 * budget.CHUNK_BYTES
+
+    @pytest.mark.parametrize("method", ["cholesky", "circulant"])
+    def test_one_call_for_every_n_equals_one_call_per_n(self, method, monkeypatch):
+        # each chunk draws the n = 8 triangle once; n = 3 and 5 take its
+        # leading sub-triangles, which are their own draws bit for bit
+        sampler = path_sampler(FractionalBrownianKernel(0.7), TimeGrid.uniform(1.0, 4), method)
+        shifts = [np.diag(np.resize([1.0, -1.0], n)) for n in (3, 5, 8)]
+
+        def run(shifts, mapper=map):
+            residual = residual_experiment(sampler, shifts, gaussian_bump, 9, seed=2,
+                                           mapper=mapper)
+            return ([(r.n, r.mean_residual, r.mean_residual_se, r.mean_square,
+                      r.mean_square_se, r.residuals.tobytes()) for r in residual],
+                    convergence_study(sampler, shifts, 9, seed=3, mapper=mapper),
+                    collision_experiment(sampler, shifts, 9, seed=5, mapper=mapper))
+
+        apart = [run([shift]) for shift in shifts]
+        expected = tuple([one[i][0] for one in apart] for i in range(3))
+        assert run(shifts) == expected
+        monkeypatch.setattr(budget, "CHUNK_BYTES", 1)  # one path per chunk
+        assert run(shifts) == expected
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert run(shifts, pool.map) == expected
+
+    def test_a_residual_run_over_two_n_draws_the_largest_triangle_once(self, monkeypatch):
+        grid = TimeGrid.uniform(1.0, 4)
+        sampler = path_sampler(FractionalBrownianKernel(0.75), grid)
+        drawn, maps = [], []
+        real_normals = rng.normals
+
+        def counted_normals(*args, **kwargs):
+            out = real_normals(*args, **kwargs)
+            drawn.append(out.size)
+            return out
+
+        def mapper(task, chunks):
+            maps.append(len(chunks))
+            return map(task, chunks)
+
+        monkeypatch.setattr(rng, "normals", counted_normals)
+        monkeypatch.setattr(budget, "CHUNK_BYTES", 1)  # ten chunks, still one map
+        paths = 10
+        residual_experiment(sampler, [np.zeros((4, 4)), np.zeros((8, 8))], gaussian_bump,
+                            paths, seed=1, mapper=mapper)
+        assert sum(drawn) == 36 * paths * len(grid)  # the n = 8 triangle holds 36 entries
+        assert maps == [paths]
 
     def test_experiments_ignore_chunk_budget_and_workers(self, monkeypatch):
         kernel = FractionalBrownianKernel(0.7)
@@ -307,16 +369,17 @@ class TestEnsembleMap:
 
         def run(mapper=map):
             circulant = path_sampler(kernel, grid, "circulant")
-            return (np.stack([residual_experiment(circulant, np.zeros((n, n)), f, 9, seed=2,
-                                                  mapper=mapper).residuals
-                              for n in (3, 5)]),
+            return (np.stack([r.residuals for r in residual_experiment(
+                                  circulant, [np.zeros((n, n)) for n in (3, 5)], f, 9, seed=2,
+                                  mapper=mapper)]),
                     convergence_study(path_sampler(kernel, grid),
-                                      np.diag([1.0, 1.0, -1.0, -1.0]), 5, seed=3, mapper=mapper),
+                                      [np.diag([1.0, 1.0, -1.0, -1.0])], 5, seed=3, mapper=mapper),
                     holder_increments(holder_sampler(kernel, 0.5, [0.01, 0.1]),
                                       np.zeros((4, 4)), f, 2.0, 0.5, [0.01, 0.1], 9,
                                       seed=4, mapper=mapper),
                     collision_experiment(path_sampler(kernel, grid),
-                                         np.diag([1.0, 1.0, 0.0, 0.0]), 9, seed=5, mapper=mapper),
+                                         [np.diag([1.0, 1.0, 0.0, 0.0])], 9, seed=5,
+                                         mapper=mapper),
                     dyson_crosscheck(dyson_sampler(0.5), np.zeros((4, 4)), (1e-2, 5e-3), 9,
                                      seed=6, mapper=mapper))
 

@@ -88,7 +88,7 @@ class TestAssembly:
         whole = spectra_of_stack(sample_flows(sampler, shift, 23, range(7)))
         for budget in (1, 1e12):  # one path per chunk, one chunk for all paths
             monkeypatch.setattr("eigenflow.budget.CHUNK_BYTES", budget)
-            chunked = diagnostics.ensemble_map(sampler, shift, 23, 7, lambda lam: lam)
+            (chunked,) = diagnostics.ensemble_map(sampler, [shift], 23, 7, lambda k, lam: lam)
             assert np.array_equal(chunked, whole)
 
 
