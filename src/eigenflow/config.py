@@ -18,14 +18,16 @@ The format is flat INI-style sections of ``key = value`` lines::
     method = cholesky
     seed = 12345
 
-Each key's schema entry holds its type, its default and its value checks,
-and every value is checked on the line it is read from.  The few rules that
-tie keys together (required keys, ``hurst`` and ``table_path`` against
-``kernel.kind``, ``grid.times`` against ``t_max`` / ``steps``) run after the
-last line.  Every problem is collected and reported together, and each one
-a value causes names its line.  Optional keys have documented defaults that
-are materialised into the resolved configuration (and echoed in every
-output), so two configs with the same canonical form produce identical runs.
+The fields of ``ExperimentConfig`` are the schema: field ``section_key``
+declares key ``key`` of ``[section]``, and its metadata holds the key's type,
+its default (or that it is required) and its value checks.  Every value is
+checked on the line it is read from.  The few rules that tie keys together
+(required keys, ``hurst`` and ``table_path`` against ``kernel.kind``,
+``grid.times`` against ``t_max`` / ``steps``) run after the last line.
+Every problem is collected and reported together, and each one a value
+causes names its line.  Optional keys have documented defaults that are
+materialised into the resolved configuration (and echoed in every output),
+so two configs with the same canonical form produce identical runs.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from .grids import TimeGrid
+from .kernels import make_kernel
 from .testfunctions import BUILTINS
 
 
@@ -48,21 +52,16 @@ class ConfigError(ValueError):
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``re+im i`` style complex literals like ``1+2i``, ``2i`` or
-    ``0+1e-05i``."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty complex literal")
-    if s.endswith("i"):
-        body = s[:-1]
-        if body in ("", "+", "-"):
-            return complex(0.0, float(body + "1"))
-        number = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-        m = re.fullmatch(rf"([+-]?{number})([+-]{number})", body)
-        if m:
-            return complex(float(m.group(1)), float(m.group(2)))
-        return complex(0.0, float(body))
-    return complex(float(s), 0.0)
+    """Parse a complex literal with ``i`` for the imaginary unit, such as
+    ``1+2i``, ``2i``, ``1-i`` or ``0+1e-05i``: Python's own complex literal,
+    spaces aside, with ``i`` in place of ``j``."""
+    s = text.replace(" ", "")
+    if not set(s) & set("jJ()"):
+        try:
+            return complex(s[:-1] + "j" if s.endswith("i") else s)
+        except ValueError:
+            pass
+    raise ValueError(f"expected a complex literal such as 1+2i, got {text.strip()!r}")
 
 
 def _one_of(*choices):
@@ -73,81 +72,56 @@ _POSITIVE = (lambda v: v > 0, "must be positive, got {}")
 _AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1, got {}")
 _DISTINCT = (lambda v: len(set(v)) == len(v), "entries must be distinct, got {}")
 
-# (section, key) -> type tag, required, default (optional keys) and the value
-# checks: (test, message) pairs, where the message follows "section.key " and
-# its {} takes the value as canonical text.
-_SCHEMA: Dict[Tuple[str, str], dict] = {
-    ("kernel", "kind"): dict(kind="str", required=True,
-                             checks=[_one_of("brownian", "fbm", "table")]),
-    ("kernel", "hurst"): dict(kind="float", required=False, default=None,
-                              checks=[(lambda h: 0.0 < h < 1.0, "must lie in (0,1), got {}")]),
-    ("kernel", "table_path"): dict(kind="str", required=False, default=None),
-    ("grid", "t_max"): dict(kind="float", required=False, default=None, checks=[_POSITIVE]),
-    ("grid", "steps"): dict(kind="int", required=False, default=None, checks=[_AT_LEAST_1]),
-    ("grid", "times"): dict(kind="float_list", required=False, default=None, checks=[(
-        lambda ts: len(ts) >= 2 and ts[0] == 0.0 and all(a < b for a, b in zip(ts, ts[1:])),
-        "must be strictly increasing and start at 0")]),
-    ("matrix", "n"): dict(kind="int_list", required=True, checks=[
-        (lambda ns: all(1 <= n <= 4095 for n in ns), "entries must lie in [1, 4095], got {}"),
-        _DISTINCT]),
-    ("matrix", "shift"): dict(kind="str", required=False, default="zero"),
-    ("sampler", "method"): dict(kind="str", required=False, default="cholesky",
-                                checks=[_one_of("cholesky", "circulant")]),
-    ("sampler", "seed"): dict(kind="int", required=True, checks=[
-        (lambda s: 0 <= s < 2 ** 64, "must be an unsigned 64-bit integer, got {}")]),
-    ("observables", "test_functions"): dict(kind="str", required=False,
-                                            default="gaussian_bump", checks=[_one_of(*BUILTINS)]),
-    ("observables", "z_points"): dict(kind="complex_list", required=False,
-                                      default=(complex(0.0, 1.0),), checks=[
-        (lambda zs: all(cmath.isfinite(z) and z.imag > 0 for z in zs),
-         "must be finite with positive imaginary parts, got {}")]),
-    ("experiment", "m"): dict(kind="int", required=False, default=20, checks=[
-        (lambda m: m >= 2, "must be at least 2, got {}: a standard error needs two paths")]),
-    ("experiment", "p"): dict(kind="float", required=False, default=4.0, checks=[_POSITIVE]),
-    ("experiment", "t_base"): dict(kind="float", required=False, default=0.5,
-                                   checks=[(lambda t: t >= 0, "must be nonnegative, got {}")]),
-    ("experiment", "separations"): dict(kind="float_list", required=False,
-                                        default=(0.001, 0.0031623, 0.01, 0.031623, 0.1), checks=[
-        (lambda ds: all(d > 0 for d in ds), "must be positive, got {}"), _DISTINCT]),
-    ("experiment", "dt"): dict(kind="float", required=False, default=0.001),
-    ("experiment", "x_min"): dict(kind="float", required=False, default=-3.0),
-    ("experiment", "x_max"): dict(kind="float", required=False, default=3.0),
-    ("experiment", "x_points"): dict(kind="int", required=False, default=61,
-                                     checks=[_AT_LEAST_1]),
-    ("output", "directory"): dict(kind="str", required=False, default="runs"),
-    ("output", "format"): dict(kind="str", required=False, default="csv",
-                               checks=[_one_of("csv")]),
-}
 
-_SECTIONS = ("kernel", "grid", "matrix", "sampler", "observables", "experiment", "output")
+def _key(kind: str, default=None, checks=()):
+    """The field of one key, its schema entry as metadata: type tag, default
+    (``...`` for a required key) and value checks, (test, message) pairs
+    whose message follows "section.key " and whose {} takes the value as
+    canonical text."""
+    required = default is ...
+    return field(metadata=dict(kind=kind, required=required,
+                               default=None if required else default, checks=list(checks)))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved configuration; every field is normalised."""
+    """Fully resolved configuration; every field is normalised.  The fields
+    are the schema, in canonical order."""
 
-    kernel_kind: str
-    kernel_hurst: Optional[float]
-    kernel_table_path: Optional[str]
-    grid_t_max: Optional[float]
-    grid_steps: Optional[int]
-    grid_times: Optional[Tuple[float, ...]]
-    matrix_n: Tuple[int, ...]
-    matrix_shift: str
-    sampler_method: str
-    sampler_seed: int
-    observables_test_functions: str
-    observables_z_points: Tuple[complex, ...]
-    experiment_m: int
-    experiment_p: float
-    experiment_t_base: float
-    experiment_separations: Tuple[float, ...]
-    experiment_dt: float
-    experiment_x_min: float
-    experiment_x_max: float
-    experiment_x_points: int
-    output_directory: str
-    output_format: str
+    kernel_kind: str = _key("str", ..., [_one_of("brownian", "fbm", "table")])
+    kernel_hurst: Optional[float] = _key(
+        "float", checks=[(lambda h: 0.0 < h < 1.0, "must lie in (0,1), got {}")])
+    kernel_table_path: Optional[str] = _key("str")
+    grid_t_max: Optional[float] = _key("float", checks=[_POSITIVE])
+    grid_steps: Optional[int] = _key("int", checks=[_AT_LEAST_1])
+    grid_times: Optional[Tuple[float, ...]] = _key("float_list", checks=[(
+        lambda ts: len(ts) >= 2 and ts[0] == 0.0 and all(a < b for a, b in zip(ts, ts[1:])),
+        "must be strictly increasing and start at 0")])
+    matrix_n: Tuple[int, ...] = _key("int_list", ..., [
+        (lambda ns: all(1 <= n <= 4095 for n in ns), "entries must lie in [1, 4095], got {}"),
+        _DISTINCT])
+    matrix_shift: str = _key("str", "zero")
+    sampler_method: str = _key("str", "cholesky", [_one_of("cholesky", "circulant")])
+    sampler_seed: int = _key("int", ..., [
+        (lambda s: 0 <= s < 2 ** 64, "must be an unsigned 64-bit integer, got {}")])
+    observables_test_functions: str = _key("str", "gaussian_bump", [_one_of(*BUILTINS)])
+    observables_z_points: Tuple[complex, ...] = _key("complex_list", (complex(0.0, 1.0),), [
+        (lambda zs: all(cmath.isfinite(z) and z.imag > 0 for z in zs),
+         "must be finite with positive imaginary parts, got {}")])
+    experiment_m: int = _key("int", 20, [
+        (lambda m: m >= 2, "must be at least 2, got {}: a standard error needs two paths")])
+    experiment_p: float = _key("float", 4.0, [_POSITIVE])
+    experiment_t_base: float = _key(
+        "float", 0.5, [(lambda t: t >= 0, "must be nonnegative, got {}")])
+    experiment_separations: Tuple[float, ...] = _key(
+        "float_list", (0.001, 0.0031623, 0.01, 0.031623, 0.1),
+        [(lambda ds: all(d > 0 for d in ds), "must be positive, got {}"), _DISTINCT])
+    experiment_dt: float = _key("float", 0.001, [_POSITIVE])
+    experiment_x_min: float = _key("float", -3.0)
+    experiment_x_max: float = _key("float", 3.0)
+    experiment_x_points: int = _key("int", 61, [_AT_LEAST_1])
+    output_directory: str = _key("str", "runs")
+    output_format: str = _key("str", "csv", [_one_of("csv")])
 
     def canonical_text(self) -> str:
         """A normal form: same resolved values -> byte-identical text."""
@@ -176,8 +150,11 @@ class ExperimentConfig:
             raise ConfigError([f"seed override: {problem}" for problem in problems])
         return replace(self, sampler_seed=seed)
 
-    def with_output_directory(self, directory: str) -> "ExperimentConfig":
-        return replace(self, output_directory=str(directory))
+
+# (section, key) -> schema entry, and the sections, in canonical order
+_SCHEMA: Dict[Tuple[str, str], Mapping] = {
+    tuple(f.name.split("_", 1)): f.metadata for f in fields(ExperimentConfig)}
+_SECTIONS = tuple(dict.fromkeys(section for section, _ in _SCHEMA))
 
 
 def _format_value(val) -> str:
@@ -300,14 +277,12 @@ def parse_config(text: str) -> ExperimentConfig:
                                for (section, key), val in values.items()})
 
 
-def config_to_grid(cfg: ExperimentConfig):
-    from .grids import TimeGrid
+def config_to_grid(cfg: ExperimentConfig) -> TimeGrid:
     if cfg.grid_times is not None:
         return TimeGrid(cfg.grid_times)
     return TimeGrid.uniform(cfg.grid_t_max, cfg.grid_steps)
 
 
 def config_to_kernel(cfg: ExperimentConfig):
-    from .kernels import make_kernel
     return make_kernel(cfg.kernel_kind, hurst=cfg.kernel_hurst,
                        table_path=cfg.kernel_table_path)

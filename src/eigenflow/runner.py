@@ -29,7 +29,8 @@ before any file is written, and the output directory is made only then, so
 a run that fails its input checks leaves nothing behind; a non-finite value
 where a healthy run has none is a ``NumericalFailure``.  The manifest records the
 canonical config, the thread counts and the environment; a run can be
-reproduced from it.
+reproduced from it in the same working directory, against which a relative
+``table_path`` or ``file:`` shift path resolves.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import logging
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, List
 
@@ -112,7 +114,7 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
             raise RunUsageError(f"{subcommand} does not read {name}; "
                                 f"leave it at its default {default}")
     if out_dir is not None:
-        cfg = cfg.with_output_directory(out_dir)
+        cfg = replace(cfg, output_directory=str(out_dir))
     out = Path(cfg.output_directory)
 
     started = time.perf_counter()

@@ -7,8 +7,11 @@ this directory as the working directory, so its ``table_path`` and
 ``file:`` shift are relative to it.  ``digests.json`` maps each config to
 the SHA-256 of every CSV it writes, taken over the column header and the
 data rows; the first line, a ``#`` comment that embeds the output
-directory, is left out.  Regenerate only when a change moves rows on
-purpose, and name each moved digest and its reason in the change's notes.
+directory, is left out.  ``canonical.json`` maps each config to the SHA-256
+of its ``parse_config(...).canonical_text()``, the text that first line and
+``run_manifest.json`` embed.  Regenerate only when a change moves rows or
+canonical text on purpose, and name each moved digest and its reason in the
+change's notes.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 DIGESTS = HERE / "digests.json"
+CANONICAL = HERE / "canonical.json"
 
 
 def configs() -> list:
@@ -33,6 +37,13 @@ def csv_digests(out: Path) -> dict:
     """SHA-256 of each CSV's header and data rows, by file name."""
     return {p.name: hashlib.sha256(p.read_bytes().split(b"\n", 1)[1]).hexdigest()
             for p in sorted(out.glob("*.csv"))}
+
+
+def canonical_digest(name: str) -> str:
+    """SHA-256 of config ``name``'s canonical text."""
+    from eigenflow.config import parse_config
+    text = parse_config((HERE / name).read_text()).canonical_text()
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run_config(name: str, out: Path) -> int:
@@ -56,6 +67,8 @@ def main() -> int:
                 return 1
             digests[name] = csv_digests(out)
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    canonical = {name: canonical_digest(name) for name in configs()}
+    CANONICAL.write_text(json.dumps(canonical, indent=2, sort_keys=True) + "\n")
     return 0
 
 

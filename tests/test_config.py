@@ -1,5 +1,7 @@
 """Config parsing: strictness, typed errors, canonicalisation."""
 
+import re
+
 import pytest
 
 from eigenflow.config import (_SCHEMA, ConfigError, _value_problems, config_to_grid,
@@ -190,8 +192,14 @@ seed = 1
          f"line 13: sampler.seed must be an unsigned 64-bit integer, got {2 ** 64}"),
         (MINIMAL.replace("kind = brownian", "kind = table"),
          "kernel.table_path is required when kernel.kind = table"),
+        (MINIMAL + "\n[experiment]\ndt = 0\n", "line 16: experiment.dt must be positive, got 0.0"),
+        (MINIMAL + "\n[experiment]\ndt = -0.05\n",
+         "line 16: experiment.dt must be positive, got -0.05"),
+        (MINIMAL + "\n[observables]\nz_points = 1i, 1+2ji\n",
+         "line 16: observables.z_points: expected a complex literal such as 1+2i, got '1+2ji'"),
     ], ids=["unknown-section", "key-outside-section", "no-equals", "t_max-zero", "steps-zero",
-            "times-start", "times-order", "seed-negative", "seed-too-big", "table-no-path"])
+            "times-start", "times-order", "seed-negative", "seed-too-big", "table-no-path",
+            "dt-zero", "dt-negative", "malformed-z-point"])
     def test_rejected_with_one_problem(self, text, problem):
         with pytest.raises(ConfigError) as err:
             parse_config(text)
@@ -205,7 +213,7 @@ seed = 1
         ("observables", "test_functions", "nope"), ("observables", "z_points", "1-1i"),
         ("experiment", "m", "1"), ("experiment", "p", "0.0"), ("experiment", "t_base", "-0.5"),
         ("experiment", "separations", "-0.1"), ("experiment", "separations", "0.1, 0.1"),
-        ("experiment", "x_points", "0"), ("output", "format", "json"),
+        ("experiment", "dt", "0.0"), ("experiment", "x_points", "0"), ("output", "format", "json"),
     ]
 
     @pytest.mark.parametrize("section, key, value", BAD_VALUES,
@@ -244,6 +252,8 @@ class TestComplexLiterals:
         ("0+1e-05i", 1e-05j),
         ("-2500+3e-07i", -2500 + 3e-07j),
         ("1e-5i", 1e-05j),
+        ("1+i", 1 + 1j),
+        ("1-i", 1 - 1j),
     ])
     def test_parse(self, text, expected):
         assert parse_complex(text) == expected
@@ -251,6 +261,11 @@ class TestComplexLiterals:
     def test_invalid(self):
         with pytest.raises(ValueError):
             parse_complex("")
+
+    @pytest.mark.parametrize("text", ["1+", "1j", "(1+2i)", "1e+i", "1i+2i"])
+    def test_malformed_literal_is_named(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"got {text!r}")):
+            parse_complex(text)
 
 
 class TestCanonical:

@@ -1,8 +1,10 @@
 """Golden data rows: every config in tests/golden writes the recorded CSVs.
 
 The digests cover each CSV's header and data rows, so a change that moves
-one bit of one value fails here.  They are regenerated only by
-``tests/golden/regen.py``, when a change moves rows on purpose.
+one bit of one value fails here; the canonical digests cover each config's
+canonical text, which every CSV's first line and the manifest embed.  They
+are regenerated only by ``tests/golden/regen.py``, when a change moves rows
+or canonical text on purpose.
 """
 
 import importlib.util
@@ -18,6 +20,7 @@ _spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.p
 regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
 DIGESTS = json.loads(regen.DIGESTS.read_text())
+CANONICAL = json.loads(regen.CANONICAL.read_text())
 
 
 def test_configs_cover_every_subcommand_and_sampler():
@@ -31,3 +34,7 @@ def test_configs_cover_every_subcommand_and_sampler():
 def test_rows_match_the_recorded_digests(tmp_path, name):
     assert regen.run_config(name, tmp_path) == 0
     assert regen.csv_digests(tmp_path) == DIGESTS[name]
+
+
+def test_canonical_text_matches_the_recorded_digests():
+    assert {name: regen.canonical_digest(name) for name in regen.configs()} == CANONICAL
