@@ -379,15 +379,21 @@ class DysonReport:
 
 
 def _sde_drift(lam: np.ndarray) -> np.ndarray:
-    """(1/n) sum_{j != i} 1 / (lambda_i - lambda_j), coincident pairs skipped.
+    """(1/n) sum_{j != i} 1 / (lambda_i - lambda_j) of an (n, rows) state,
+    coincident pairs skipped.
 
-    Runs under the caller's ``np.errstate``: the 1/0 of the diagonal and of
-    coincident pairs is zeroed after the division.
+    The sum over j keeps numpy's order along a contiguous length-n axis:
+    left to right below n = 8, pairwise from there on, through an
+    (n, rows, n) copy.  Runs under the caller's ``np.errstate``: the 1/0 of
+    the diagonal and of coincident pairs is zeroed after the division.
     """
-    diff = lam[:, :, None] - lam[:, None, :]
+    n = len(lam)
+    diff = lam[:, None] - lam[None, :]
     inv = 1.0 / diff
     inv[diff == 0.0] = 0.0
-    return inv.sum(axis=2) / lam.shape[-1]
+    if n < 8:
+        return inv.sum(axis=1) / n
+    return np.ascontiguousarray(inv.transpose(0, 2, 1)).sum(axis=2) / n
 
 
 _SDE_MAX_DEPTH = 3
@@ -399,15 +405,16 @@ def _tamed_displacement(drift: np.ndarray, dt: np.ndarray, lam: np.ndarray,
                         d: np.ndarray) -> np.ndarray:
     """Drift displacement bounded by half the local gap.
 
-    ``d`` holds the neighbour differences of ``lam``.  The taming factor
+    ``d`` holds the neighbour differences ``lam[1:] - lam[:-1]`` of the
+    (n, rows) state; ``dt`` is (rows,).  The taming factor
     1 / (1 + 2 dt |drift| / gap) tends to one as dt shrinks at a fixed gap,
     so the scheme stays consistent while the repulsion can never overshoot a
     neighbour within one step.
     """
     disp = drift * dt
-    big = np.abs(lam).max(axis=1, keepdims=True) + 1.0
-    gap_lo = np.concatenate([big, d], axis=1)
-    gap_hi = np.concatenate([d, big], axis=1)
+    big = np.abs(lam).max(axis=0, keepdims=True) + 1.0
+    gap_lo = np.concatenate([big, d])
+    gap_hi = np.concatenate([d, big])
     gap = np.minimum(np.maximum(gap_lo, 0.0), np.maximum(gap_hi, 0.0))
     tame = np.where(gap > 0.0, 1.0 / (1.0 + 2.0 * np.abs(disp) / np.maximum(gap, 1e-300)), 1.0)
     return disp * tame
@@ -418,51 +425,49 @@ def _sde_step(lam: np.ndarray, dt: np.ndarray, noise: np.ndarray, depth: int,
               node: int = 0) -> np.ndarray:
     """One Euler-Maruyama step (heap node ``node``) with step-size rejection near collisions.
 
-    Row r steps by ``dt[r]``, its step size in each of its n columns so
-    that no product broadcasts over the short axis, and its forced sorts are
-    added to ``sorts[r]``; so rows of runs at different step sizes advance
-    together.  A step is rejected and redone as two halves, with keyed
-    noise, when the starting state cannot resolve the repulsion at this step
-    size (minimum gap below the step-dependent threshold 2 dt max|drift|).
-    ``tree(stiff)`` gives the stiff rows' (rows, _SDE_NODES, n) noise,
-    column h - 1 for node h.  The criterion depends only on the starting
-    state, so refinement is pure step-size adaptivity and does not
-    condition the outcome.  At the recursion cap the drift is gap-tamed
-    instead, and the stiffness test is skipped.  Crossed proposals are
-    reflected by sorting (exact relabelling for coincident starts, counted
-    otherwise).  Runs under the caller's ``np.errstate``, as the drift does.
+    The state ``lam`` and ``noise`` are (n, rows): one column per row, so
+    the drift, the gaps and the tests all run along the rows.  Column r
+    steps by ``dt[r]`` and its forced sorts are added to ``sorts[r]``; so
+    rows of runs at different step sizes advance together.  A step is
+    rejected and redone as two halves, with keyed noise, when the starting
+    state cannot resolve the repulsion at this step size (minimum gap below
+    the step-dependent threshold 2 dt max|drift|).  ``tree(stiff)`` gives
+    the stiff columns' (_SDE_NODES, n, rows) noise, entry h - 1 for node h.
+    The criterion depends only on the starting state, so refinement is pure
+    step-size adaptivity and does not condition the outcome.  At the
+    recursion cap the drift is gap-tamed instead, and the stiffness test is
+    skipped.  Crossed proposals are reflected by sorting (exact relabelling
+    for coincident starts, counted otherwise).  Runs under the caller's
+    ``np.errstate``, as the drift does.
     """
-    n = lam.shape[-1]
+    n = len(lam)
     drift = _sde_drift(lam)
     sigma = math.sqrt(2.0 / n)
-    d = lam[:, 1:] - lam[:, :-1]  # for the gap, the taming and the degenerate test
-    gap = d.min(axis=1) if n > 1 else None
+    d = lam[1:] - lam[:-1]  # for the gap, the taming and the degenerate test
+    gap = d.min(axis=0) if n > 1 else None
 
     if depth >= _SDE_MAX_DEPTH:
         prop = lam + _tamed_displacement(drift, dt, lam, d) + sigma * np.sqrt(dt) * noise
     else:
         prop = lam + drift * dt + sigma * np.sqrt(dt) * noise
         if n > 1:
-            # max |drift| per row from an (n, rows) copy: a max is exact in any
-            # order, and numpy reduces the short axis of (rows, n) row by row
-            speed = np.abs(np.ascontiguousarray(drift.T)).max(axis=0)
-            stiff = (2.0 * dt[:, 0] * speed > gap) & (gap > 0.0)
+            stiff = (2.0 * dt * np.abs(drift).max(axis=0) > gap) & (gap > 0.0)
             if stiff.any():
-                sub, sub_dt, sub_sorts = lam[stiff], 0.5 * dt[stiff], sorts[stiff]
+                sub, sub_dt, sub_sorts = lam[:, stiff], 0.5 * dt[stiff], sorts[stiff]
                 below = tree(stiff)
                 for child in (2 * node + 1, 2 * node + 2):
-                    sub = _sde_step(sub, sub_dt, below[:, child - 1], depth + 1, sub_sorts,
-                                    below.__getitem__, child)
-                prop[stiff] = sub
+                    sub = _sde_step(sub, sub_dt, below[child - 1], depth + 1, sub_sorts,
+                                    lambda s: below.compress(s, axis=2), child)
+                prop[:, stiff] = sub
                 sorts[stiff] = sub_sorts
 
     if n > 1:
         # for doubles, b < a exactly when b - a < 0
-        crossed = (prop[:, 1:] < prop[:, :-1]).any(axis=1)
+        crossed = (prop[1:] < prop[:-1]).any(axis=0)
         if crossed.any():
             degenerate = gap <= 0.0
             sorts += crossed & ~degenerate
-            prop[crossed] = np.sort(prop[crossed], axis=1)
+            prop[:, crossed] = np.sort(prop[:, crossed], axis=0)
     return prop
 
 
@@ -471,25 +476,26 @@ def _sde_paths(lam0: np.ndarray, dts: Sequence[float], n_steps: Sequence[int], s
     """Sorted final states (len(dts), len(pid), n) and forced-sort counts (len(dts),)
     of SDE paths ``pid``, run d taking ``n_steps[d]`` steps of ``dts[d]``.
 
-    Every (run, path) row advances in one loop over the step index k, and a
-    row retires when its run has taken its steps.  Noise is keyed as laid
-    out in :mod:`eigenflow.rng`, so each path is a pure function of (seed,
-    path) and step k of every run draws the same noise: the base noise of a
-    block of steps is drawn once for all runs, its block under
-    ``budget.CHUNK_BYTES / 8``, and one refinement-tree draw per step serves
-    the stiff rows of every run.
+    Every (run, path) row, a column of the (n, rows) state, advances in one
+    loop over the step index k, and retires when its run has taken its
+    steps.  Noise is keyed as laid out in :mod:`eigenflow.rng`, so each path
+    is a pure function of (seed, path) and step k of every run draws the
+    same noise: the base noise of a block of steps, under
+    ``budget.CHUNK_BYTES / 8``, is drawn once for all runs as (steps, n,
+    paths), and one refinement-tree draw per step serves every run.
     """
     n, p = lam0.size, len(pid)
     base_ids, tree_ids = rng.stream_id(rng.DOMAIN_SDE, np.array([[0], [1]]), 0, np.asarray(pid))
     # runs by step count, longest first, so the live rows are always a prefix
     order = sorted(range(len(dts)), key=lambda r: -n_steps[r])
-    lam = np.tile(lam0, (len(dts) * p, 1))
-    dt = np.repeat([dts[r] for r in order], p * n).reshape(-1, n)
+    lam = np.repeat(lam0[:, None], len(dts) * p, axis=1)
+    dt = np.repeat([dts[r] for r in order], p)
     sorts = np.zeros(len(dts) * p, dtype=np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
         for block in budget.row_slices(n_steps[order[0]], 64 * n * p, budget.CHUNK_BYTES):
             first, steps = block.start, block.stop - block.start
-            noise = rng.normals(seed, base_ids, steps * n, start=first * n).reshape(-1, steps, n)
+            noise = np.ascontiguousarray(rng.normals(seed, base_ids, steps * n, start=first * n)
+                                         .reshape(p, steps, n).transpose(1, 2, 0))
             for step in range(first, first + steps):
                 live = p * sum(n_steps[r] > step for r in order)
 
@@ -499,12 +505,14 @@ def _sde_paths(lam0: np.ndarray, dts: Sequence[float], n_steps: Sequence[int], s
                     hit = stiff.reshape(-1, p).any(axis=0)
                     below = rng.normals(seed, tree_ids[hit], _SDE_NODES * n,
                                         start=step * _SDE_NODES * n).reshape(-1, _SDE_NODES, n)
-                    return below[(np.cumsum(hit) - 1)[np.flatnonzero(stiff) % p]]
+                    rows = (np.cumsum(hit) - 1)[np.flatnonzero(stiff) % p]
+                    return below.transpose(1, 2, 0).take(rows, axis=2)
 
-                lam[:live] = _sde_step(lam[:live], dt[:live],
-                                       np.tile(noise[:, step - first], (live // p, 1)),
-                                       0, sorts[:live], tree)
-    runs = lam.reshape(len(dts), p, n)  # every step leaves its rows sorted
+                lam[:, :live] = _sde_step(lam[:, :live], dt[:live],
+                                          np.tile(noise[step - first], live // p),
+                                          0, sorts[:live], tree)
+    # sorted by every step; a copy, since a mean over a strided view sums in another order
+    runs = np.ascontiguousarray(lam.T).reshape(len(dts), p, n)
     counts = sorts.reshape(len(dts), p).sum(axis=1)
     back = np.argsort(order)
     return runs[back], counts[back]
@@ -541,12 +549,12 @@ def dyson_crosscheck(sampler: PathSampler, shift: np.ndarray, dts: Sequence[floa
 
     lam0 = np.linalg.eigvalsh(shift)  # ascending
     n = lam0.size
-    # per path and step size: the state, its step sizes and sort count, held
-    # for the whole pass, and a step's (n, n) pairwise drift; the base noise
-    # block is bounded on its own, and a step draws refinement noise only for
-    # its stiff rows, a few of them
+    # per path and step size: an n-column of the state, its step size and sort
+    # count, held for the whole pass, and a step's (n, n) pairwise drift; the
+    # base noise block is bounded on its own, and a step draws refinement
+    # noise only for its stiff rows, a few of them
     chunks = _map_chunks(lambda pid: _sde_paths(lam0, dts, n_steps, seed, pid), paths,
-                         len(dts) * (n * n + 2 * n + 1) * 8, mapper)
+                         len(dts) * (n * n + n + 2) * 8, mapper)
     runs = np.concatenate([c[0] for c in chunks], axis=1)  # (len(dts), paths, n)
     sorts = np.sum([c[1] for c in chunks], axis=0)
     rows = []

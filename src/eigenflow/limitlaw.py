@@ -145,15 +145,20 @@ def _newton_fixed_point(mu0: AtomicMeasure, tau: float, z: complex,
 
 def _subordination_start(mu0: AtomicMeasure, tau: float, z: complex) -> complex:
     """F_0(omega) at the unique root in the upper half-plane of omega -
-    tau F_0(omega) = z (Biane, Indiana Univ. Math. J. 46, 1997): the top
-    eigenvalue by imaginary part of [[z, i s^T], [i s, diag(a)]], s_i =
-    sqrt(tau w_i), of characteristic polynomial
-    prod (a_i - omega) (z - omega + tau F_0(omega))."""
+    tau F_0(omega) = z (Biane, Indiana Univ. Math. J. 46, 1997): of the
+    eigenvalues in the upper half-plane of [[z, i s^T], [i s, diag(a)]],
+    s_i = sqrt(tau w_i), whose characteristic polynomial is
+    prod (a_i - omega) (z - omega + tau F_0(omega)), the one of smallest
+    residual |z - omega + tau F_0(omega)|: rounding can lift a root next to
+    a large atom higher, at a residual of about |omega - z|."""
     border = 1j * np.sqrt(tau * mu0.weights)
     bordered = np.diag(np.concatenate([[z], mu0.atoms]))
     bordered[0, 1:] = bordered[1:, 0] = border
     roots = np.linalg.eigvals(bordered)
-    return mu0.stieltjes(roots[np.argmax(roots.imag)])
+    with np.errstate(all="ignore"):  # a root on an atom divides by zero
+        f0 = (mu0.weights / (mu0.atoms - roots[:, None])).sum(axis=1)
+        residual = np.abs(z - roots + tau * f0)
+    return mu0.stieltjes(roots[np.nanargmin(np.where(roots.imag > 0, residual, np.inf))])
 
 
 def burgers_solve(mu0: AtomicMeasure, tau: float, z: complex) -> complex:

@@ -13,6 +13,8 @@ produces by another route:
   into the Burgers equation dF/dtau = F dF/dz.
 * ``moment_from_stieltjes``: moments of the limit law by contour
   integration of ``limit_stieltjes``.
+* ``sde_drift_rows``: the Dyson SDE drift of a (rows, n) state, summed
+  along its contiguous length-n axis in numpy's own order.
 """
 
 from __future__ import annotations
@@ -159,3 +161,12 @@ def moment_from_stieltjes(mu0: AtomicMeasure, tau: float, order: int,
         total += (z ** order) * g * (1j * z)
     total *= (2.0 * np.pi / nodes)
     return float((-total / (2j * np.pi)).real)
+
+
+def sde_drift_rows(lam: np.ndarray) -> np.ndarray:
+    """(1/n) sum_{j != i} 1 / (lambda_i - lambda_j) for each row of a (rows, n)
+    state, coincident pairs skipped (call under ``np.errstate``)."""
+    diff = lam[:, :, None] - lam[:, None, :]
+    inv = 1.0 / diff
+    inv[diff == 0.0] = 0.0
+    return inv.sum(axis=2) / lam.shape[-1]

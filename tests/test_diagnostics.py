@@ -1,5 +1,6 @@
 """Diagnostics: residual bookkeeping, convergence, scaling, SDE cross-check."""
 
+import hashlib
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,7 +18,7 @@ from eigenflow.limitlaw import AtomicMeasure
 from eigenflow.matrixflow import sample_flows, spectra_of_stack
 from eigenflow.sampling import path_sampler
 from eigenflow.testfunctions import TestFunction, gaussian_bump
-from oracles import burgers_pde_residual
+from oracles import burgers_pde_residual, sde_drift_rows
 
 
 def holder_sampler(kernel, t_base, separations):
@@ -26,6 +27,20 @@ def holder_sampler(kernel, t_base, separations):
 
 def dyson_sampler(t_max):
     return path_sampler(BrownianKernel(), TimeGrid.uniform(t_max, 1))
+
+
+@pytest.fixture
+def sde_depths(monkeypatch):
+    """The depth of every ``_sde_step`` call the test makes."""
+    depths = []
+    real_step = diagnostics._sde_step
+
+    def spy(lam, dt, noise, depth, *rest):
+        depths.append(depth)
+        return real_step(lam, dt, noise, depth, *rest)
+
+    monkeypatch.setattr(diagnostics, "_sde_step", spy)
+    return depths
 
 
 class TestWeakEquationResidual:
@@ -229,20 +244,12 @@ class TestDyson:
                              seed=1)
 
     @pytest.mark.parametrize("n", [3, 4])  # odd n puts every other step at an odd start
-    def test_extending_the_batch_leaves_shared_paths_unchanged(self, n, monkeypatch):
-        depths = []
-        real_step = diagnostics._sde_step
-
-        def spy(lam, dt, noise, depth, *rest):
-            depths.append(depth)
-            return real_step(lam, dt, noise, depth, *rest)
-
-        monkeypatch.setattr(diagnostics, "_sde_step", spy)
+    def test_extending_the_batch_leaves_shared_paths_unchanged(self, n, sde_depths):
         # two runs with different step counts, so one retires midway
         args = (np.zeros(n), (1e-2, 5e-3), (50, 100), 8)
         small, small_sorts = diagnostics._sde_paths(*args, range(200))
         large, _ = diagnostics._sde_paths(*args, range(400))
-        assert max(depths) == diagnostics._SDE_MAX_DEPTH  # refinement was exercised
+        assert max(sde_depths) == diagnostics._SDE_MAX_DEPTH  # refinement was exercised
         assert np.array_equal(small, large[:, :200])
         assert np.all(small_sorts > 0)
 
@@ -277,9 +284,31 @@ class TestDyson:
     def test_drift_of_coincident_pairs_is_zero(self):
         lam = np.array([[0.0, 0.0, 1.0], [2.0, 2.0, 2.0], [-1.0, 1.0, 1.0]])
         with np.errstate(divide="ignore", invalid="ignore"):  # as _sde_paths runs it
-            drift = diagnostics._sde_drift(lam)
+            drift = diagnostics._sde_drift(lam.T)  # one state per column
         assert np.array_equal(drift, np.array([[-1.0, -1.0, 2.0], [0.0, 0.0, 0.0],
-                                               [-1.0, 0.5, 0.5]]) / 3)
+                                               [-1.0, 0.5, 0.5]]).T / 3)
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 130])
+    def test_drift_sums_in_the_order_of_a_row_state(self, n):
+        # numpy sums a contiguous axis left to right below 8 and pairwise
+        # from 8 on; the column drift must keep that order bit for bit
+        gen = np.random.default_rng(n)
+        lam = gen.standard_normal((40, n))
+        lam[::3, n // 2:] = lam[::3, n // 2:n // 2 + 1]  # coincident pairs
+        lam = np.sort(lam, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.array_equal(diagnostics._sde_drift(np.ascontiguousarray(lam.T)),
+                                  sde_drift_rows(lam).T)
+
+    @pytest.mark.parametrize("n, expected", [
+        (3, "0bcbd43a0c1ae64a3c32030ba95b08e5a28dcf61cd08404506259b1ae2d4ff06"),
+        (9, "8e9d9aed74566bfbdbb885314376d6a3ea73fd9f6922eb73d57814693020e459"),
+    ])
+    def test_sde_paths_bits_at_odd_n_and_pairwise_sums(self, n, expected, sde_depths):
+        # the golden files pin n = 2 only; n = 9 sums its drift pairwise
+        runs, sorts = diagnostics._sde_paths(np.zeros(n), (1e-2, 5e-3), (20, 40), 7, range(100))
+        assert max(sde_depths) == diagnostics._SDE_MAX_DEPTH and np.all(sorts > 0)
+        assert hashlib.sha256(runs.tobytes() + sorts.tobytes()).hexdigest() == expected
 
     def test_peak_memory_of_the_sde_side_stays_small(self):
         # the dyson-sde benchmark call: 250 and 500 steps of 3000 paths in one chunk

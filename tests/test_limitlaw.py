@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from eigenflow.limitlaw import (AtomicMeasure, BurgersError, BurgersEvolved,
-                                Semicircle, _newton_fixed_point, burgers_solve,
-                                law_at_time, limit_stieltjes, semicircle_stieltjes)
+                                Semicircle, _newton_fixed_point, _subordination_start,
+                                burgers_solve, law_at_time, limit_stieltjes,
+                                semicircle_stieltjes)
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
 from oracles import moment_from_stieltjes
 
@@ -111,6 +112,12 @@ class TestBurgersSolver:
                     f = burgers_solve(mu0, tau, z)
                     assert abs(f - exact) <= 1e-13 * (1.0 + abs(f)), (tau, z)
         assert checked > 0
+
+    def test_subordination_start_skips_a_root_lifted_by_rounding(self):
+        # LAPACK puts the root next to the atom at -1e308 at imaginary part
+        # 8.3e291, far above omega* ~ 1i; its residual is about 1e308
+        mu0 = AtomicMeasure(np.array([-1e308, 1e308]), np.array([0.5, 0.5]))
+        assert _subordination_start(mu0, 0.5, 1j) == mu0.stieltjes(1j)
 
     def test_near_axis_multi_atom_starts(self):
         gen = np.random.default_rng(2024)
