@@ -5,7 +5,9 @@
 
 Subcommands: converge, residual, holder, collisions, dyson, limit.
 ``--config`` accepts either a config file or a previously written
-``run_manifest.json`` (the embedded canonical config is replayed).
+``run_manifest.json``: the embedded canonical config is replayed, and a
+relative ``kernel.table_path`` or ``file:`` shift path resolves against the
+manifest's recorded working directory, so a replay runs from any directory.
 ``--seed`` overrides the config seed; the EIGENFLOW_OUT environment
 variable overrides the configured output directory and is itself
 overridden by ``--out``.  ``--log-level`` (default WARNING) sets the level of
@@ -58,7 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_text(path: str) -> str:
+def _load_config_text(path: str) -> tuple:
+    """The config text at ``path`` and the directory its relative input paths
+    resolve against: a manifest's recorded one, else the working directory ("")."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -71,9 +75,12 @@ def _load_config_text(path: str) -> str:
         except (TypeError, KeyError):
             raise ConfigError([f"{path}: JSON file is not a run manifest "
                                "(missing 'canonical_config')"]) from None
-        if not isinstance(text, str):
-            raise ConfigError([f"{path}: the manifest's 'canonical_config' is not a string"])
-    return text
+        root = manifest.get("working_directory", "")
+        for key, value in (("canonical_config", text), ("working_directory", root)):
+            if not isinstance(value, str):
+                raise ConfigError([f"{path}: the manifest's {key!r} is not a string"])
+        return text, root
+    return text, ""
 
 
 def main(argv=None) -> int:
@@ -86,12 +93,12 @@ def main(argv=None) -> int:
                         format="%(name)s: %(levelname)s: %(message)s")
 
     try:
-        text = _load_config_text(args.config)
+        text, root = _load_config_text(args.config)
         cfg = parse_config(text)
         if args.seed is not None:
             cfg = cfg.with_seed(args.seed)
         out_dir = args.out or os.environ.get(OUTPUT_ENV_VAR)
-        written = run(cfg, args.subcommand, out_dir=out_dir, threads=args.threads)
+        written = run(cfg, args.subcommand, out_dir=out_dir, threads=args.threads, root=root)
     except (ConfigError, RunUsageError, json.JSONDecodeError) as exc:
         print(f"eigenflow: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -283,6 +284,8 @@ def config_to_grid(cfg: ExperimentConfig) -> TimeGrid:
     return TimeGrid.uniform(cfg.grid_t_max, cfg.grid_steps)
 
 
-def config_to_kernel(cfg: ExperimentConfig):
+def config_to_kernel(cfg: ExperimentConfig, root: str = ""):
+    """The kernel of ``cfg``; a relative ``table_path`` resolves against ``root``."""
+    table = cfg.kernel_table_path
     return make_kernel(cfg.kernel_kind, hurst=cfg.kernel_hurst,
-                       table_path=cfg.kernel_table_path)
+                       table_path=None if table is None else os.path.join(root, table))

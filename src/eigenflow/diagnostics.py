@@ -39,12 +39,15 @@ per shift; ``holder_increments`` and ``dyson_crosscheck`` take one.  Every
 Monte Carlo experiment takes the run's one ``sampling.PathSampler``
 (kernel, grid and one factor), which the runner builds on the grid the
 experiment draws on, and streams its ensemble through
-:func:`ensemble_map`: paths are sampled, diagonalised and reduced chunk by
-chunk under ``budget.CHUNK_BYTES``, one chunk per worker at a time, and the
-per-path results are placed in path order, so neither the chunking nor the
-worker count changes an output.  One draw per chunk serves every n: the
-chunk samples the upper triangle of the largest n once, and each n
-diagonalises its leading sub-triangle, which is its own draw bit for bit.
+:func:`ensemble_map`: paths are reduced chunk by chunk under
+``budget.CHUNK_BYTES``, one chunk per worker at a time, and the per-path
+results are placed in path order, so neither the chunking nor the worker
+count changes an output.  A chunk is sized by the matrices of every n, but
+it samples and diagonalises them one tile of whole paths at a time under
+``budget.TILE_BYTES`` (one path on the large runs) and keeps only the
+spectra.  One draw per tile serves every n: the tile samples the upper
+triangle of the largest n once, and each n diagonalises its leading
+sub-triangle, which is its own draw bit for bit.
 So the results of several n in one call are those of one call per n, and
 they share their paths, which correlates them.  The Dyson SDE side is
 chunked by the same rule, with noise keyed by (seed, path, step), so its
@@ -87,30 +90,37 @@ def ensemble_map(sampler: PathSampler, shifts: Sequence[np.ndarray], seed: int, 
     """``reduce(k, spectra)`` of the spectra (P, K+1, n) of paths 0..paths-1 at
     each ``shifts[k]``, chunk by chunk; one array per shift.
 
-    Each chunk draws the upper triangle of the largest n once, through the
-    one factor of ``sampler``, and every shift assembles, diagonalises and
-    reduces its leading sub-triangle: stream ids carry no n, so that is
-    exactly the draw of its own n.  Each shift's chunk results are
-    concatenated along the first axis in path order, in one map over the
-    chunks.  Flows are pure functions of (seed, path index) and ``reduce``
-    must act on each path on its own, so neither the chunk size, ``mapper``
-    (a thread pool's map, say) nor the other shifts change a result.  A
-    chunk's row counts the matrices of every shift, though it holds one
-    matrix stack at a time, freed before ``reduce`` runs; sampling and the
-    divided differences bound their own temporaries per tile and assembly
-    scales and shifts the stack in place.
+    A chunk works through tiles of whole paths under ``budget.TILE_BYTES``,
+    a path's row being its triangle of the largest n and its largest matrix
+    stack.  Each tile draws the upper triangle of the largest n once,
+    through the one factor of ``sampler``, and every shift assembles and
+    diagonalises its leading sub-triangle, one matrix stack at a time:
+    stream ids carry no n, so that is exactly the draw of its own n.  Only
+    the spectra outlive the tile; each shift's tile spectra are joined in
+    path order and reduced once per chunk, and each shift's chunk results
+    are concatenated along the first axis in path order, in one map over
+    the chunks.  Flows are pure functions of (seed, path index) and
+    ``reduce`` must act on each path on its own, so neither the chunk or
+    tile size, ``mapper`` (a thread pool's map, say) nor the other shifts
+    change a result.  A chunk is sized by the matrices of every shift,
+    though it holds one tile's stack of one shift at a time.
     """
     sizes = [len(shift) for shift in shifts]
     top = max(sizes)
     ju = np.triu_indices(top)[1]
     # triu_indices(top) kept where j < n is triu_indices(n), in its order
     leading = [slice(None) if n == top else np.flatnonzero(ju < n) for n in sizes]
+    row_bytes = len(sampler.grid) * (len(ju) + top * top) * 8
+
+    def spectra(pid: range) -> list:
+        entries = sample_triangle(sampler, top, seed, pid)
+        return [spectra_of_stack(matrixflow.assemble_from_triangle(entries[:, keep], shift))
+                for keep, shift in zip(leading, shifts)]
 
     def task(pid: range) -> list:
-        entries = sample_triangle(sampler, top, seed, pid)
-        return [reduce(k, spectra_of_stack(
-                    matrixflow.assemble_from_triangle(entries[:, keep], shift)))
-                for k, (keep, shift) in enumerate(zip(leading, shifts))]
+        tiles = [spectra(pid[rows])
+                 for rows in budget.row_slices(len(pid), row_bytes, budget.TILE_BYTES)]
+        return [reduce(k, np.concatenate(lam)) for k, lam in enumerate(zip(*tiles))]
 
     chunks = _map_chunks(task, paths, len(sampler.grid) * sum(s.size for s in shifts) * 8, mapper)
     return [np.concatenate(results) for results in zip(*chunks)]

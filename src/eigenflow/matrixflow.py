@@ -23,6 +23,7 @@ and curvature identities used throughout the diagnostics.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -163,12 +164,13 @@ def eigenvalue_derivatives(lam: np.ndarray, vectors: np.ndarray, i: int) -> Eige
 # Shift matrices
 # ---------------------------------------------------------------------------
 
-def make_shift(spec: str, n: int) -> np.ndarray:
+def make_shift(spec: str, n: int, root: str = "") -> np.ndarray:
     """Build the n x n deterministic shift from its configuration string.
 
     ``zero``, ``diag:<comma separated finite diagonal>`` or ``file:<csv
-    path>`` of a finite symmetric matrix.  This is the one parser of the
-    spec; a spec that gives no such matrix raises ``ValueError``.
+    path>`` of a finite symmetric matrix, a relative path resolving against
+    ``root``.  This is the one parser of the spec; a spec that gives no such
+    matrix raises ``ValueError``.
     """
     if spec == "zero":
         return np.zeros((n, n))
@@ -183,7 +185,7 @@ def make_shift(spec: str, n: int) -> np.ndarray:
             raise ValueError(f"diagonal shift has {vals.size} entries, expected {n}")
         return np.diag(vals)
     if spec.startswith("file:"):
-        a = np.loadtxt(spec[len("file:"):], delimiter=",")
+        a = np.loadtxt(os.path.join(root, spec[len("file:"):]), delimiter=",")
         a = np.atleast_2d(a)
         if a.shape != (n, n):
             raise ValueError(f"shift file has shape {a.shape}, expected ({n},{n})")

@@ -28,9 +28,10 @@ each LAPACK call starting threads of its own.  Every table is checked
 before any file is written, and the output directory is made only then, so
 a run that fails its input checks leaves nothing behind; a non-finite value
 where a healthy run has none is a ``NumericalFailure``.  The manifest records the
-canonical config, the thread counts and the environment; a run can be
-reproduced from it in the same working directory, against which a relative
-``table_path`` or ``file:`` shift path resolves.
+canonical config, the thread counts, the environment and the working
+directory, against which a relative ``table_path`` or ``file:`` shift path
+resolves; the canonical text keeps such a path as written, and a replay
+(``root``) resolves it against the recorded directory, from any directory.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -105,8 +107,9 @@ def _write_csv(path: Path, cfg: ExperimentConfig, subcommand: str,
 
 
 def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
-        threads: int = 1) -> List[str]:
-    """Execute a subcommand; returns the list of files written."""
+        threads: int = 1, root: str = "") -> List[str]:
+    """Execute a subcommand; returns the list of files written.  A relative
+    input path resolves against ``root``, the working directory by default."""
     if subcommand not in SUBCOMMANDS:
         raise RunUsageError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
     for name, default in cfg.away_from_default(("sampler", "observables", "experiment")).items():
@@ -126,7 +129,7 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
         else:
             log.info("no OpenBLAS thread control found; BLAS threads left as they are")
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            written = _dispatch(cfg, subcommand, out, pool.map)
+            written = _dispatch(cfg, subcommand, out, pool.map, root)
 
     manifest = {
         "subcommand": subcommand,
@@ -135,6 +138,7 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
         "threads": threads,
         "blas_threads": 1 if blas_libraries else None,
         "outputs": [str(p) for p in written],
+        "working_directory": os.path.abspath(root),
         "wall_time_s": time.perf_counter() - started,
         "versions": {
             "python": platform.python_version(),
@@ -149,9 +153,10 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
     return [str(p) for p in written] + [str(manifest_path)]
 
 
-def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List[Path]:
+def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper,
+              root: str) -> List[Path]:
     try:  # a table kernel reads and checks its file here
-        kernel = config_to_kernel(cfg)
+        kernel = config_to_kernel(cfg, root)
     except ValueError as exc:
         raise RunUsageError(f"kernel.table_path = {cfg.kernel_table_path}: {exc}") from None
     grid = config_to_grid(cfg)
@@ -161,7 +166,7 @@ def _dispatch(cfg: ExperimentConfig, subcommand: str, out: Path, mapper) -> List
     shifts, problems = {}, []
     for n in cfg.matrix_n:
         try:
-            shifts[n] = make_shift(cfg.matrix_shift, n)
+            shifts[n] = make_shift(cfg.matrix_shift, n, root)
         except ValueError as exc:
             problems.append(str(exc))
     if problems:  # a problem that does not depend on n is named once

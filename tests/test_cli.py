@@ -53,13 +53,13 @@ def cfg_file(tmp_path):
     return p
 
 
-def run_cli(args):
-    """The CLI in a fresh interpreter, as a user runs it."""
+def run_cli(args, cwd=None):
+    """The CLI in a fresh interpreter, as a user runs it, in directory ``cwd``."""
     src = str(Path(eigenflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", "eigenflow.cli", *args], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, cwd=cwd)
 
 
 def read_rows(path):
@@ -172,6 +172,23 @@ class TestManifest:
         strip = lambda b: b"\n".join(
             ln for ln in b.split(b"\n") if not ln.startswith(b"# {"))
         assert strip(bytes1) == strip(bytes2)
+
+    def test_manifest_replays_from_any_directory(self, tmp_path):
+        # the run's relative table_path and file: shift resolve against the
+        # working directory its manifest records, not the replay's
+        golden = Path(__file__).resolve().parent / "golden"
+        one, two = tmp_path / "one", tmp_path / "two"
+        proc = run_cli(["collisions", "--config", "collisions-table-file.cfg", "--out", str(one)],
+                       cwd=golden)
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli(["collisions", "--config", str(one / "run_manifest.json"),
+                        "--out", str(two)], cwd="/")
+        assert proc.returncode == 0, proc.stderr
+        rows = [(out / "collisions_n3.csv").read_bytes().split(b"\n", 1)[1] for out in (one, two)]
+        assert rows[0] == rows[1]
+        manifests = [json.loads((out / "run_manifest.json").read_text()) for out in (one, two)]
+        assert [m["working_directory"] for m in manifests] == [str(golden)] * 2
+        assert "table_path = table.csv" in manifests[1]["canonical_config"]
 
 
 class TestSubcommands:
@@ -565,8 +582,9 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name, content", [
-        ("latin.cfg", b"\xff\xfe\x00bad"), ("run_manifest.json", b'{"canonical_config": 5}')],
-        ids=["not-utf8", "config-not-a-string"])
+        ("latin.cfg", b"\xff\xfe\x00bad"), ("run_manifest.json", b'{"canonical_config": 5}'),
+        ("run_manifest.json", b'{"canonical_config": "", "working_directory": 5}')],
+        ids=["not-utf8", "config-not-a-string", "directory-not-a-string"])
     def test_unreadable_config_text_is_config_error(self, tmp_path, name, content):
         # a UnicodeDecodeError and an AttributeError used to escape as tracebacks
         p = tmp_path / name
@@ -630,9 +648,9 @@ class TestShiftBuiltOnce:
         from eigenflow.matrixflow import make_shift
         seen = []
 
-        def counting(spec, n):
+        def counting(spec, n, *root):
             seen.append(n)
-            return make_shift(spec, n)
+            return make_shift(spec, n, *root)
 
         # every module that bound the name, so a call from any layer counts
         for name, module in list(sys.modules.items()):

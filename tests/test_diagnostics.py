@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from eigenflow import budget, diagnostics, rng
+from eigenflow import budget, diagnostics, matrixflow, rng
 from eigenflow.diagnostics import (collision_experiment, collision_proximity,
                                    convergence_study, dyson_crosscheck, fit_loglog_slope,
                                    holder_increments, holder_times, residual_experiment,
@@ -334,6 +334,40 @@ class TestDyson:
         assert chunks[-1] == 1  # the SDE side maps after the matrix side
 
 
+def residual_chunk():
+    """Sampler, shifts, paths and reduction of one residual-fbm chunk: n = 8,
+    16, 32 and 64 from one draw, 4 paths."""
+    kernel, grid = FractionalBrownianKernel(0.75), TimeGrid.uniform(1.0, 24)
+    shifts = [np.zeros((n, n)) for n in (8, 16, 32, 64)]
+    assert int(budget.CHUNK_BYTES / (len(grid) * sum(s.size for s in shifts) * 8)) == 4
+    return (path_sampler(kernel, grid), shifts, 4,
+            lambda k, lam: weak_equation_residual(lam, kernel, grid, gaussian_bump))
+
+
+def collisions_chunk():
+    """Sampler, shifts, paths and reduction of one collisions-circulant chunk:
+    fbm H = 0.3 through the circulant sampler, 16 steps, n = 100, 3 paths."""
+    sampler = path_sampler(FractionalBrownianKernel(0.3), TimeGrid.uniform(1.0, 16), "circulant")
+    shift = np.zeros((100, 100))
+    assert int(budget.CHUNK_BYTES / (len(sampler.grid) * shift.size * 8)) == 3
+    return sampler, [shift], 3, lambda k, lam: diagnostics._min_gaps(lam)
+
+
+def ensemble_bytes(sampler, shifts, paths):
+    """Every float that the residual, convergence and collision experiments
+    return at ``shifts``, as bytes."""
+    residual = residual_experiment(sampler, shifts, gaussian_bump, paths, seed=2)
+    studies = convergence_study(sampler, shifts, paths, seed=3)
+    collisions = collision_experiment(sampler, shifts, paths, seed=5)
+    return (np.array([[r.mean_residual, r.mean_residual_se, r.mean_square, r.mean_square_se]
+                      for r in residual]).tobytes(),
+            np.concatenate([r.residuals for r in residual]).tobytes(),
+            np.array([[row.mean_distance, row.stderr] for rows in studies for row in rows]
+                     ).tobytes(),
+            np.array([[*rep.quantiles.values(), rep.degenerate_fraction]
+                      for rep in collisions]).tobytes())
+
+
 class TestEnsembleMap:
     def test_peak_memory_of_a_residual_chunk(self, traced_peak):
         # one residual-fbm chunk, n = 8, 16, 32 and 64 from one draw: a row
@@ -344,6 +378,49 @@ class TestEnsembleMap:
         peak = traced_peak(diagnostics.ensemble_map, path_sampler(kernel, grid), shifts, 3, 4,
                            lambda k, lam: weak_equation_residual(lam, kernel, grid, gaussian_bump))
         assert peak < 2 * budget.CHUNK_BYTES
+
+    @pytest.mark.parametrize("chunk, bound", [(residual_chunk, 3.0e6), (collisions_chunk, 3.5e6)],
+                             ids=["residual", "collisions"])
+    def test_a_chunk_holds_one_path_tile_at_a_time(self, traced_peak, chunk, bound):
+        # a chunk works through one path at a time: it holds one path's
+        # triangle and matrix stack, not those of every path of the chunk
+        sampler, shifts, paths, reduce = chunk()
+        assert traced_peak(diagnostics.ensemble_map, sampler, shifts, 3, paths, reduce) < bound
+
+    def test_a_collisions_chunk_assembles_one_path_at_a_time(self, monkeypatch):
+        # one path's triangle and 17 matrices of n = 100 outgrow a tile
+        sampler, shifts, paths, reduce = collisions_chunk()
+        sizes = []
+        real_assemble = matrixflow.assemble_from_triangle
+
+        def counted(values, shift):
+            sizes.append(len(values))
+            return real_assemble(values, shift)
+
+        monkeypatch.setattr(matrixflow, "assemble_from_triangle", counted)
+        diagnostics.ensemble_map(sampler, shifts, 1, paths, reduce)
+        assert sizes == [1] * paths
+
+    @pytest.mark.parametrize("method", ["cholesky", "circulant"])
+    def test_the_tile_budget_moves_no_bit(self, method, monkeypatch):
+        # 40 paths in one chunk, drawn per tile by each of the 3 experiments
+        sampler = path_sampler(FractionalBrownianKernel(0.7), TimeGrid.uniform(1.0, 4), method)
+        shifts = [np.diag(np.resize([1.0, -1.0], n)) for n in (3, 5, 8)]
+        tiles = []
+        real_sample = diagnostics.sample_triangle
+
+        def counted(sampler, n, seed, paths):
+            tiles.append(len(paths))
+            return real_sample(sampler, n, seed, paths)
+
+        monkeypatch.setattr(diagnostics, "sample_triangle", counted)
+        expected = ensemble_bytes(sampler, shifts, 40)
+        assert tiles == [32, 8] * 3  # the default budget
+        for tile, sizes in ((1, [1] * 40), (1 << 40, [40])):
+            tiles.clear()
+            monkeypatch.setattr(budget, "TILE_BYTES", tile)
+            assert ensemble_bytes(sampler, shifts, 40) == expected
+            assert tiles == sizes * 3
 
     @pytest.mark.parametrize("method", ["cholesky", "circulant"])
     def test_one_call_for_every_n_equals_one_call_per_n(self, method, monkeypatch):

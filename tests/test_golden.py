@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from eigenflow import budget
 from eigenflow.runner import SUBCOMMANDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -32,6 +33,16 @@ def test_configs_cover_every_subcommand_and_sampler():
 
 @pytest.mark.parametrize("name", regen.configs())
 def test_rows_match_the_recorded_digests(tmp_path, name):
+    assert regen.run_config(name, tmp_path) == 0
+    assert regen.csv_digests(tmp_path) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", regen.configs())
+def test_budgets_move_no_bit(tmp_path, monkeypatch, name):
+    # a budget only bounds memory: one path per chunk and 4 KiB tiles write
+    # the recorded rows
+    monkeypatch.setattr(budget, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(budget, "TILE_BYTES", 1 << 12)
     assert regen.run_config(name, tmp_path) == 0
     assert regen.csv_digests(tmp_path) == DIGESTS[name]
 
