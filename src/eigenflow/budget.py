@@ -4,10 +4,12 @@ Every Monte Carlo draw is keyed by (seed, stream id, position), and every
 batch loop treats its rows independently, so a batch size changes no bit;
 it only bounds memory.  ``row_slices`` is the one rule every batch loop
 uses, against one of two byte budgets read at call time (a test patches
-one attribute): ``CHUNK_BYTES`` per chunk of paths, which each worker takes
-one at a time, and ``TILE_BYTES`` per tile inside a chunk.  A chunk is sized
-by the work it does, such as the matrices of every n it diagonalises, but
-holds one tile of them at a time: the tile is what is live at once.
+one attribute).  ``TILE_BYTES`` bounds a tile of rows: the path tiles
+that are the pool's tasks in ``diagnostics.ensemble_map``, each sampled,
+diagonalised and reduced on its own, and the row tiles inside Philox, the
+circulant sampler and the divided differences.  ``CHUNK_BYTES`` belongs
+to the Dyson SDE side alone: it bounds a chunk of SDE paths, which one
+pool task advances through every step, and a block of their base noise.
 ``sampling._GEMM_TILE`` is not a budget: it fixes the height of every BLAS
 call so that bulk and single-path sampling stay bit-identical.
 """

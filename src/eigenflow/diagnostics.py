@@ -39,22 +39,21 @@ per shift; ``holder_increments`` and ``dyson_crosscheck`` take one.  Every
 Monte Carlo experiment takes the run's one ``sampling.PathSampler``
 (kernel, grid and one factor), which the runner builds on the grid the
 experiment draws on, and streams its ensemble through
-:func:`ensemble_map`: paths are reduced chunk by chunk under
-``budget.CHUNK_BYTES``, one chunk per worker at a time, and the per-path
-results are placed in path order, so neither the chunking nor the worker
-count changes an output.  A chunk is sized by the matrices of every n, but
-it samples and diagonalises them one tile of whole paths at a time under
-``budget.TILE_BYTES`` (one path on the large runs) and keeps only the
-spectra.  One draw per tile serves every n: the tile samples the upper
-triangle of the largest n once, and each n diagonalises its leading
-sub-triangle, which is its own draw bit for bit.
-So the results of several n in one call are those of one call per n, and
-they share their paths, which correlates them.  The Dyson SDE side is
-chunked by the same rule, with noise keyed by (seed, path, step), so its
-paths are pure functions of (seed, path) as well; its chunk counts the
-state of each step size and a step's pairwise drift, and its base Euler
-noise is drawn for a block of steps at a time under the same budget, once
-for every step size.
+:func:`ensemble_map`: each task of the pool is one tile of whole paths
+under ``budget.TILE_BYTES`` (one path on the large runs), which it
+samples, diagonalises and reduces, keeping only the reductions, and the
+per-path results are placed in path order, so neither the tile size nor
+the worker count changes an output.  One draw per tile serves every n:
+the tile samples the upper triangle of the largest n once, and each n
+diagonalises its leading sub-triangle, which is its own draw bit for
+bit.  So the results of several n in one call are those of one call per
+n, and they share their paths, which correlates them.  The Dyson SDE
+side maps its paths by the same rule in chunks under
+``budget.CHUNK_BYTES``, the one reader of that budget, with noise keyed
+by (seed, path, step), so its paths are pure functions of (seed, path)
+as well; its chunk counts the state of each step size and a step's
+pairwise drift, and its base Euler noise is drawn for a block of steps
+at a time under the same budget, once for every step size.
 """
 
 from __future__ import annotations
@@ -78,52 +77,45 @@ if TYPE_CHECKING:  # for annotations only: the runner builds every grid
     from .grids import TimeGrid
 
 
-def _map_chunks(task: Callable[[range], object], paths: int, path_bytes: int,
-                mapper=map) -> list:
-    """``task`` of each chunk of paths 0..paths-1 under ``budget.CHUNK_BYTES``, in path order."""
-    return list(mapper(task, [range(paths)[rows] for rows in
-                              budget.row_slices(paths, path_bytes, budget.CHUNK_BYTES)]))
+def _map_paths(task: Callable[[range], object], paths: int, row_bytes: float, limit: float,
+               mapper=map) -> list:
+    """``task`` of each range of paths 0..paths-1 under ``limit`` bytes, in path order."""
+    return list(mapper(task, [range(paths)[rows]
+                              for rows in budget.row_slices(paths, row_bytes, limit)]))
 
 
 def ensemble_map(sampler: PathSampler, shifts: Sequence[np.ndarray], seed: int, paths: int,
                  reduce: Callable[[int, np.ndarray], np.ndarray], mapper=map) -> List[np.ndarray]:
     """``reduce(k, spectra)`` of the spectra (P, K+1, n) of paths 0..paths-1 at
-    each ``shifts[k]``, chunk by chunk; one array per shift.
+    each ``shifts[k]``, tile by tile; one array per shift.
 
-    A chunk works through tiles of whole paths under ``budget.TILE_BYTES``,
-    a path's row being its triangle of the largest n and its largest matrix
-    stack.  Each tile draws the upper triangle of the largest n once,
-    through the one factor of ``sampler``, and every shift assembles and
-    diagonalises its leading sub-triangle, one matrix stack at a time:
-    stream ids carry no n, so that is exactly the draw of its own n.  Only
-    the spectra outlive the tile; each shift's tile spectra are joined in
-    path order and reduced once per chunk, and each shift's chunk results
-    are concatenated along the first axis in path order, in one map over
-    the chunks.  Flows are pure functions of (seed, path index) and
-    ``reduce`` must act on each path on its own, so neither the chunk or
-    tile size, ``mapper`` (a thread pool's map, say) nor the other shifts
-    change a result.  A chunk is sized by the matrices of every shift,
-    though it holds one tile's stack of one shift at a time.
+    ``mapper`` (a thread pool's map, say) maps one task over each tile of
+    whole paths under ``budget.TILE_BYTES``, a path's row being its triangle
+    of the largest n and its largest matrix stack.  A task draws the upper
+    triangle of the largest n once, through the one factor of ``sampler``,
+    and every shift assembles and diagonalises its leading sub-triangle and
+    reduces the spectra at once: stream ids carry no n, so that is exactly
+    the draw of its own n.  Only the reductions outlive the task; each
+    shift's are concatenated along the first axis in path order.  Flows are
+    pure functions of (seed, path index) and ``reduce`` must act on each
+    path on its own, so neither the tile size, ``mapper`` nor the other
+    shifts change a result.
     """
     sizes = [len(shift) for shift in shifts]
     top = max(sizes)
     ju = np.triu_indices(top)[1]
     # triu_indices(top) kept where j < n is triu_indices(n), in its order
     leading = [slice(None) if n == top else np.flatnonzero(ju < n) for n in sizes]
-    row_bytes = len(sampler.grid) * (len(ju) + top * top) * 8
-
-    def spectra(pid: range) -> list:
-        entries = sample_triangle(sampler, top, seed, pid)
-        return [spectra_of_stack(matrixflow.assemble_from_triangle(entries[:, keep], shift))
-                for keep, shift in zip(leading, shifts)]
 
     def task(pid: range) -> list:
-        tiles = [spectra(pid[rows])
-                 for rows in budget.row_slices(len(pid), row_bytes, budget.TILE_BYTES)]
-        return [reduce(k, np.concatenate(lam)) for k, lam in enumerate(zip(*tiles))]
+        entries = sample_triangle(sampler, top, seed, pid)
+        return [reduce(k, spectra_of_stack(
+                    matrixflow.assemble_from_triangle(entries[:, keep], shifts[k])))
+                for k, keep in enumerate(leading)]
 
-    chunks = _map_chunks(task, paths, len(sampler.grid) * sum(s.size for s in shifts) * 8, mapper)
-    return [np.concatenate(results) for results in zip(*chunks)]
+    tiles = _map_paths(task, paths, len(sampler.grid) * (len(ju) + top * top) * 8,
+                       budget.TILE_BYTES, mapper)
+    return [np.concatenate(results) for results in zip(*tiles)]
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +537,10 @@ def dyson_crosscheck(sampler: PathSampler, shift: np.ndarray, dts: Sequence[floa
     case only.  Both ensembles start from the spectrum of the shift matrix.
     The matrix side is sampled exactly, once for every row.  The SDE side is
     one Euler-Maruyama pass with non-collision step rejection that advances
-    every step size together, so each path draws its noise once.  Both sides
-    are chunked over paths.  Sorted spectra are averaged over paths before
-    the distance; ``w1_mc_error`` combines the standard errors of the two
-    averages.
+    every step size together, so each path draws its noise once.  The matrix
+    side is mapped in path tiles and the SDE side in path chunks.  Sorted
+    spectra are averaged over paths before the distance; ``w1_mc_error``
+    combines the standard errors of the two averages.
     """
     t_max = sampler.grid.t_max
     n_steps = [sde_steps(t_max, dt) for dt in dts]
@@ -563,8 +555,8 @@ def dyson_crosscheck(sampler: PathSampler, shift: np.ndarray, dts: Sequence[floa
     # count, held for the whole pass, and a step's (n, n) pairwise drift; the
     # base noise block is bounded on its own, and a step draws refinement
     # noise only for its stiff rows, a few of them
-    chunks = _map_chunks(lambda pid: _sde_paths(lam0, dts, n_steps, seed, pid), paths,
-                         len(dts) * (n * n + n + 2) * 8, mapper)
+    chunks = _map_paths(lambda pid: _sde_paths(lam0, dts, n_steps, seed, pid), paths,
+                        len(dts) * (n * n + n + 2) * 8, budget.CHUNK_BYTES, mapper)
     runs = np.concatenate([c[0] for c in chunks], axis=1)  # (len(dts), paths, n)
     sorts = np.sum([c[1] for c in chunks], axis=0)
     rows = []

@@ -92,7 +92,7 @@ def sample_flows(sampler: sampling.PathSampler, shift: np.ndarray, seed: int,
     """Matrix stacks (P, K+1, n, n) for a batch of path indices, n the size of ``shift``.
 
     ``diagnostics.ensemble_map`` streams whole ensembles, drawing one
-    triangle per chunk for every size it is asked for.
+    triangle per path tile for every size it is asked for.
     """
     return assemble_from_triangle(sample_triangle(sampler, len(shift), seed, paths), shift)
 

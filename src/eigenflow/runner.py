@@ -7,31 +7,32 @@ matrix of each ``matrix.n`` is built once, by ``matrixflow.make_shift``,
 before anything is sampled, and every experiment takes that matrix.  So is
 the one ``sampling.path_sampler`` of every subcommand but ``limit``, on the
 grid it draws on: the config grid, ``holder``'s ``holder_times`` or
-``dyson``'s [0, t_max].  Its one factor serves every n and chunk, and
+``dyson``'s [0, t_max].  Its one factor serves every n and path tile, and
 ``dyson`` samples one matrix ensemble for both ``dt`` and ``dt/2``; a
 method that does not apply exits 1.  There is no loop over n: ``converge``,
 ``residual`` and ``collisions`` make one experiment call with the shifts of
-every n, which draws each chunk's paths once for all of them.
+every n, which draws each tile's paths once for all of them.
 
 Every output CSV starts with a ``#``-prefixed JSON comment embedding the
 subcommand, the master seed and the full resolved configuration, followed
 by a header row.  Floats are written with ``repr`` (shortest round-trip),
 and a field holding a comma, such as a test function's name, is quoted the
-way ``csv`` quotes it.  Every run maps its chunks through one thread pool of
-``threads`` workers (at least one); chunk results are placed by index and
-reduced in a fixed order, so a run is a pure function of (canonical config,
-seed) regardless of the thread count.  That pool is the run's only level of
-parallelism: for the whole run, OpenBLAS is held at one thread
-(``eigensolvers.one_blas_thread``) and the caller's count is put back
-afterwards, so ``threads`` workers keep ``threads`` cores busy instead of
-each LAPACK call starting threads of its own.  Every table is checked
-before any file is written, and the output directory is made only then, so
-a run that fails its input checks leaves nothing behind; a non-finite value
-where a healthy run has none is a ``NumericalFailure``.  The manifest records the
-canonical config, the thread counts, the environment and the working
-directory, against which a relative ``table_path`` or ``file:`` shift path
-resolves; the canonical text keeps such a path as written, and a replay
-(``root``) resolves it against the recorded directory, from any directory.
+way ``csv`` quotes it.  Every run maps its path tiles, and ``dyson`` its
+SDE path chunks, through one thread pool of ``threads`` workers (at least
+one); task results are placed by index and reduced in a fixed order, so a
+run is a pure function of (canonical config, seed) regardless of the thread
+count.  That pool is the run's only level of parallelism: for the whole
+run, OpenBLAS is held at one thread (``eigensolvers.one_blas_thread``) and
+the caller's count is put back afterwards, so ``threads`` workers keep
+``threads`` cores busy instead of each LAPACK call starting threads of its
+own.  Every table is checked before any file is written, and the output
+directory is made only then, so a run that fails its input checks leaves
+nothing behind; a non-finite value where a healthy run has none is a
+``NumericalFailure``.  The manifest records the canonical config, the thread
+counts, the environment and the working directory, against which a relative
+``table_path`` or ``file:`` shift path resolves; the canonical text keeps
+such a path as written, and a replay (``root``) resolves it against the
+recorded directory, from any directory.
 """
 
 from __future__ import annotations

@@ -77,6 +77,20 @@ def dict_rows(path):
         return list(csv.DictReader(fh))
 
 
+def record_tasks(monkeypatch, module, name, paths_arg):
+    """The path count of each call of ``module.name``, whose positional
+    argument ``paths_arg`` holds the paths of its task."""
+    sizes = []
+    real = getattr(module, name)
+
+    def recorded(*args):
+        sizes.append(len(args[paths_arg]))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return sizes
+
+
 class TestConverge:
     def test_outputs_and_columns(self, cfg_file, tmp_path):
         out = tmp_path / "run"
@@ -135,16 +149,26 @@ class TestThreadInvariance:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("budget", [None, 1])
     def test_csvs_identical_at_one_and_two_threads(self, tmp_path, monkeypatch, case, budget):
-        if budget is not None:  # one path per chunk, so two threads share the work
-            monkeypatch.setattr("eigenflow.budget.CHUNK_BYTES", budget)
+        from eigenflow import diagnostics
+        if budget is not None:  # one path per task, so two threads share the work
+            monkeypatch.setattr("eigenflow.budget.TILE_BYTES", budget)
+            monkeypatch.setattr("eigenflow.budget.CHUNK_BYTES", budget)  # dyson's SDE side
+        tasks = record_tasks(monkeypatch, diagnostics, "sample_triangle", 3)
+        sde_tasks = record_tasks(monkeypatch, diagnostics, "_sde_paths", 4)
         p = tmp_path / "exp.cfg"
         p.write_text(self.CASES[case])
         out = tmp_path / "run"
         csvs = []
         for threads in ("1", "2"):
+            tasks.clear()
+            sde_tasks.clear()
             assert main([case.split("-")[0], "--config", str(p), "--out", str(out),
                          "--threads", threads]) == 0
             csvs.append({f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))})
+            # 6 paths: one tile or chunk of 6, or 6 of one path
+            split = [6] if budget is None else [1] * 6
+            assert sorted(tasks) == split
+            assert sorted(sde_tasks) == (split if case == "dyson" else [])
         assert csvs[0] and csvs[0] == csvs[1]
 
 
@@ -666,7 +690,7 @@ class TestSamplerBuiltOnce:
     @pytest.mark.parametrize("method", ["cholesky", "circulant"])
     @pytest.mark.parametrize("subcommand", ["converge", "residual", "collisions"])
     def test_one_factor_per_run(self, tmp_path, monkeypatch, subcommand, method):
-        from eigenflow import budget, sampling
+        from eigenflow import budget, diagnostics, sampling
         calls = {"factor_grid": 0, "circulant_sqrt_spectrum": 0}
 
         def counting(name):
@@ -683,11 +707,13 @@ class TestSamplerBuiltOnce:
             for module_name, module in list(sys.modules.items()):
                 if module_name.startswith("eigenflow") and hasattr(module, name):
                     monkeypatch.setattr(module, name, wrapper)
-        monkeypatch.setattr(budget, "CHUNK_BYTES", 1)  # one path per chunk
+        monkeypatch.setattr(budget, "TILE_BYTES", 1)  # one path per task
+        tasks = record_tasks(monkeypatch, diagnostics, "sample_triangle", 3)
         p = tmp_path / "exp.cfg"
         p.write_text(FBM.replace("n = 8", "n = 4, 8")
                      .replace("seed = 11", f"seed = 11\nmethod = {method}"))
         assert main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert tasks == [1] * 6
         assert calls == {"factor_grid": int(method == "cholesky"),
                          "circulant_sqrt_spectrum": int(method == "circulant")}
 
@@ -695,16 +721,21 @@ class TestSamplerBuiltOnce:
     def test_one_factor_for_an_experiment_grid(self, tmp_path, monkeypatch, subcommand):
         # holder samples on {0, t_base, t_base + separations} and dyson at t_max
         # alone, for both of its dt values; the runner factors that grid once
-        from eigenflow import budget, sampling
+        from eigenflow import budget, diagnostics, sampling
         calls = []
         factor_grid = sampling.factor_grid
         monkeypatch.setattr(sampling, "factor_grid",
                             lambda *args: calls.append(args) or factor_grid(*args))
-        monkeypatch.setattr(budget, "CHUNK_BYTES", 1)  # one path per chunk
+        monkeypatch.setattr(budget, "TILE_BYTES", 1)  # one path per task
+        monkeypatch.setattr(budget, "CHUNK_BYTES", 1)  # one path per dyson SDE chunk
+        tasks = record_tasks(monkeypatch, diagnostics, "sample_triangle", 3)
+        sde_tasks = record_tasks(monkeypatch, diagnostics, "_sde_paths", 4)
         p = tmp_path / "exp.cfg"
         p.write_text(config_for(subcommand))
         assert main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 1
+        assert tasks == [1] * 6
+        assert sde_tasks == ([1] * 6 if subcommand == "dyson" else [])
 
 
 class TestEnvOverride:
@@ -750,11 +781,12 @@ class TestBlasThreads:
             return eigvalsh_stack(matrices)
 
         monkeypatch.setattr(eigensolvers, "eigvalsh_stack", recording)
-        monkeypatch.setattr(budget, "CHUNK_BYTES", 1)  # one path per pool task
+        monkeypatch.setattr(budget, "TILE_BYTES", 1)  # one path per pool task
         p = tmp_path / "exp.cfg"
         p.write_text(MINIMAL)
         assert main(["collisions", "--config", str(p), "--out", str(tmp_path / "o"),
                      "--threads", "2"]) == 0
+        # six pool tasks of one path each, one eigvalsh call apiece
         assert len(seen) == 6 and not any(main_thread for main_thread, _ in seen)
         assert [count for _, count in seen] == [1] * 6
         manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
@@ -795,12 +827,18 @@ class TestLogLevel:
 
     def test_jitter_notice_is_logged_once_per_run(self, tmp_path):
         # a holder grid with separations of 1e-12 and 1e-10 factors only
-        # with jitter; three paths at one path per chunk make three chunks
+        # with jitter; three paths at one path per tile make three pool tasks
         p = tmp_path / "exp.cfg"
         p.write_text(FBM.replace("n = 8", "n = 4").replace(
             "m = 6", "m = 3\nseparations = 1e-12, 1e-10"))
-        code = ("import sys; from eigenflow import budget, cli; "
-                "budget.CHUNK_BYTES = 1; sys.exit(cli.main(sys.argv[1:]))")
+        code = ("import sys; from eigenflow import budget, cli, diagnostics\n"
+                "budget.TILE_BYTES = 1\n"
+                "draw = diagnostics.sample_triangle\n"
+                "def task(*args):\n"
+                "    print('task of', len(args[3]), 'paths', file=sys.stderr)\n"
+                "    return draw(*args)\n"
+                "diagnostics.sample_triangle = task\n"
+                "sys.exit(cli.main(sys.argv[1:]))")
         src = str(Path(eigenflow.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -808,6 +846,7 @@ class TestLogLevel:
                                "--out", str(tmp_path / "o"), "--log-level", "INFO"],
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("task of 1 paths") == 3
         assert proc.stderr.count("gram factorization used jitter") == 1
 
     def test_unknown_level_is_config_error(self, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from eigenflow.grids import TimeGrid
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
-from eigenflow.limitlaw import Semicircle
+from eigenflow.limitlaw import Semicircle, semicircle_stieltjes
 from eigenflow.matrixflow import sample_flows, spectra_of_stack
 from eigenflow.measures import kolmogorov_distance
 from eigenflow.sampling import path_sampler
@@ -29,3 +29,20 @@ def test_criterion_1_rejects_the_brownian_variance(hurst):
                     for k in (kernel, BrownianKernel()))
     assert right <= bound, f"H={hurst}: right variance, mean distance {right:.4f} > {bound}"
     assert wrong > bound, f"H={hurst}: Brownian variance, mean distance {wrong:.4f} <= {bound}"
+
+
+def test_criterion_2_rejects_the_brownian_variance():
+    # criterion 2's statistic and setup; t = 1 is left out, since R(1,1) = 1
+    # for every fBm, so the Brownian tau = t is wrong only at t = 0.5 and 2
+    kernel, n, paths, bound = FractionalBrownianKernel(0.75), 200, 50, 0.05
+    lam = spectra_of_stack(sample_flows(path_sampler(kernel, TimeGrid([0.0, 0.5, 1.0, 2.0])),
+                                        np.zeros((n, n)), 31415, range(paths)))
+
+    def worst(tau_kernel):
+        return max(abs(np.mean(1.0 / (lam[:, k] - z), axis=1).mean()
+                       - semicircle_stieltjes(float(tau_kernel.diag(t)), z))
+                   for k, t in ((1, 0.5), (3, 2.0)) for z in (1j, 1 + 1j, 2j))
+
+    right, wrong = worst(kernel), worst(BrownianKernel())
+    assert right <= bound, f"right variance: max |G_emp - F| = {right:.4f} > {bound}"
+    assert wrong > bound, f"Brownian variance: max |G_emp - F| = {wrong:.4f} <= {bound}"

@@ -334,23 +334,21 @@ class TestDyson:
         assert chunks[-1] == 1  # the SDE side maps after the matrix side
 
 
-def residual_chunk():
-    """Sampler, shifts, paths and reduction of one residual-fbm chunk: n = 8,
-    16, 32 and 64 from one draw, 4 paths."""
+def residual_fbm_ensemble():
+    """Sampler, shifts, paths and reduction of 4 paths of the residual-fbm
+    benchmark: n = 8, 16, 32 and 64 from one draw."""
     kernel, grid = FractionalBrownianKernel(0.75), TimeGrid.uniform(1.0, 24)
     shifts = [np.zeros((n, n)) for n in (8, 16, 32, 64)]
-    assert int(budget.CHUNK_BYTES / (len(grid) * sum(s.size for s in shifts) * 8)) == 4
     return (path_sampler(kernel, grid), shifts, 4,
             lambda k, lam: weak_equation_residual(lam, kernel, grid, gaussian_bump))
 
 
-def collisions_chunk():
-    """Sampler, shifts, paths and reduction of one collisions-circulant chunk:
-    fbm H = 0.3 through the circulant sampler, 16 steps, n = 100, 3 paths."""
+def collisions_circulant_ensemble():
+    """Sampler, shifts, paths and reduction of 3 paths of the
+    collisions-circulant benchmark: fbm H = 0.3 through the circulant
+    sampler, 16 steps, n = 100."""
     sampler = path_sampler(FractionalBrownianKernel(0.3), TimeGrid.uniform(1.0, 16), "circulant")
-    shift = np.zeros((100, 100))
-    assert int(budget.CHUNK_BYTES / (len(sampler.grid) * shift.size * 8)) == 3
-    return sampler, [shift], 3, lambda k, lam: diagnostics._min_gaps(lam)
+    return sampler, [np.zeros((100, 100))], 3, lambda k, lam: diagnostics._min_gaps(lam)
 
 
 def ensemble_bytes(sampler, shifts, paths):
@@ -369,27 +367,18 @@ def ensemble_bytes(sampler, shifts, paths):
 
 
 class TestEnsembleMap:
-    def test_peak_memory_of_a_residual_chunk(self, traced_peak):
-        # one residual-fbm chunk, n = 8, 16, 32 and 64 from one draw: a row
-        # counts the matrices of every n, so 4 paths fill the 5 MB budget
-        kernel, grid = FractionalBrownianKernel(0.75), TimeGrid.uniform(1.0, 24)
-        shifts = [np.zeros((n, n)) for n in (8, 16, 32, 64)]
-        assert int(budget.CHUNK_BYTES / (len(grid) * sum(s.size for s in shifts) * 8)) == 4
-        peak = traced_peak(diagnostics.ensemble_map, path_sampler(kernel, grid), shifts, 3, 4,
-                           lambda k, lam: weak_equation_residual(lam, kernel, grid, gaussian_bump))
-        assert peak < 2 * budget.CHUNK_BYTES
-
-    @pytest.mark.parametrize("chunk, bound", [(residual_chunk, 3.0e6), (collisions_chunk, 3.5e6)],
+    @pytest.mark.parametrize("ensemble, bound", [(residual_fbm_ensemble, 3.0e6),
+                                                 (collisions_circulant_ensemble, 3.5e6)],
                              ids=["residual", "collisions"])
-    def test_a_chunk_holds_one_path_tile_at_a_time(self, traced_peak, chunk, bound):
-        # a chunk works through one path at a time: it holds one path's
-        # triangle and matrix stack, not those of every path of the chunk
-        sampler, shifts, paths, reduce = chunk()
+    def test_a_chunk_holds_one_path_tile_at_a_time(self, traced_peak, ensemble, bound):
+        # each pool task is one path here: the run holds one path's triangle
+        # and matrix stack at a time, not those of every path
+        sampler, shifts, paths, reduce = ensemble()
         assert traced_peak(diagnostics.ensemble_map, sampler, shifts, 3, paths, reduce) < bound
 
     def test_a_collisions_chunk_assembles_one_path_at_a_time(self, monkeypatch):
         # one path's triangle and 17 matrices of n = 100 outgrow a tile
-        sampler, shifts, paths, reduce = collisions_chunk()
+        sampler, shifts, paths, reduce = collisions_circulant_ensemble()
         sizes = []
         real_assemble = matrixflow.assemble_from_triangle
 
@@ -424,10 +413,18 @@ class TestEnsembleMap:
 
     @pytest.mark.parametrize("method", ["cholesky", "circulant"])
     def test_one_call_for_every_n_equals_one_call_per_n(self, method, monkeypatch):
-        # each chunk draws the n = 8 triangle once; n = 3 and 5 take its
+        # each tile draws the n = 8 triangle once; n = 3 and 5 take its
         # leading sub-triangles, which are their own draws bit for bit
         sampler = path_sampler(FractionalBrownianKernel(0.7), TimeGrid.uniform(1.0, 4), method)
         shifts = [np.diag(np.resize([1.0, -1.0], n)) for n in (3, 5, 8)]
+        tiles = []
+        real_sample = diagnostics.sample_triangle
+
+        def counted(sampler, n, seed, paths):
+            tiles.append((n, len(paths)))
+            return real_sample(sampler, n, seed, paths)
+
+        monkeypatch.setattr(diagnostics, "sample_triangle", counted)
 
         def run(shifts, mapper=map):
             residual = residual_experiment(sampler, shifts, gaussian_bump, 9, seed=2,
@@ -439,9 +436,13 @@ class TestEnsembleMap:
 
         apart = [run([shift]) for shift in shifts]
         expected = tuple([one[i][0] for one in apart] for i in range(3))
+        tiles.clear()
         assert run(shifts) == expected
-        monkeypatch.setattr(budget, "CHUNK_BYTES", 1)  # one path per chunk
+        assert tiles == [(8, 9)] * 3  # one tile of the largest n per experiment
+        monkeypatch.setattr(budget, "TILE_BYTES", 1)  # one path per tile
+        tiles.clear()
         assert run(shifts) == expected
+        assert tiles == [(8, 1)] * 27
         with ThreadPoolExecutor(max_workers=2) as pool:
             assert run(shifts, pool.map) == expected
 
@@ -461,7 +462,7 @@ class TestEnsembleMap:
             return map(task, chunks)
 
         monkeypatch.setattr(rng, "normals", counted_normals)
-        monkeypatch.setattr(budget, "CHUNK_BYTES", 1)  # ten chunks, still one map
+        monkeypatch.setattr(budget, "TILE_BYTES", 1)  # ten tasks, still one map
         paths = 10
         residual_experiment(sampler, [np.zeros((4, 4)), np.zeros((8, 8))], gaussian_bump,
                             paths, seed=1, mapper=mapper)
@@ -490,9 +491,17 @@ class TestEnsembleMap:
                                      seed=6, mapper=mapper))
 
         whole = run()
-        monkeypatch.setattr(budget, "CHUNK_BYTES", 1)  # one path per chunk
+        monkeypatch.setattr(budget, "TILE_BYTES", 1)  # one path per task
+        monkeypatch.setattr(budget, "CHUNK_BYTES", 1)  # one path per dyson SDE chunk
+        tasks = []
         with ThreadPoolExecutor(max_workers=2) as pool:
-            chunked = run(pool.map)
+            def mapper(task, pids):
+                tasks.append([len(pid) for pid in pids])
+                return pool.map(task, pids)
+
+            chunked = run(mapper)
+        # residual, convergence, holder, collisions, dyson matrix and SDE sides
+        assert tasks == [[1] * paths for paths in (9, 5, 9, 9, 9, 9)]
         assert np.array_equal(whole[0], chunked[0])
         assert whole[1:] == chunked[1:]  # DysonRow includes forced_sorts
         assert all(row.forced_sorts > 0 for row in whole[-1].rows)

@@ -37,12 +37,15 @@ def test_rows_match_the_recorded_digests(tmp_path, name):
     assert regen.csv_digests(tmp_path) == DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", regen.configs())
-def test_budgets_move_no_bit(tmp_path, monkeypatch, name):
-    # a budget only bounds memory: one path per chunk and 4 KiB tiles write
-    # the recorded rows
+@pytest.mark.parametrize("name, tile", [
+    *(pytest.param(name, 1 << 12, id=name) for name in regen.configs()),
+    *(pytest.param(name, 1, id=f"{name}-one-path") for name in regen.configs())])
+def test_budgets_move_no_bit(tmp_path, monkeypatch, name, tile):
+    # a budget only bounds memory: 4 KiB tiles, or one path per pool task
+    # and one row per inner loop, and one SDE path per chunk write the
+    # recorded rows
     monkeypatch.setattr(budget, "CHUNK_BYTES", 1)
-    monkeypatch.setattr(budget, "TILE_BYTES", 1 << 12)
+    monkeypatch.setattr(budget, "TILE_BYTES", tile)
     assert regen.run_config(name, tmp_path) == 0
     assert regen.csv_digests(tmp_path) == DIGESTS[name]
 

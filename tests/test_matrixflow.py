@@ -80,16 +80,23 @@ class TestAssembly:
         assert diag == pytest.approx(np.sqrt(2.0) / 2.0)
 
     def test_chunking_does_not_change_samples(self, monkeypatch):
-        # ensembles are chunked by diagnostics.ensemble_map, not by sample_flows
+        # ensembles are tiled by diagnostics.ensemble_map, not by sample_flows
         grid = TimeGrid.uniform(1.0, 3)
         kernel = FractionalBrownianKernel(0.6)
         shift = np.zeros((5, 5))
         sampler = path_sampler(kernel, grid)
         whole = spectra_of_stack(sample_flows(sampler, shift, 23, range(7)))
-        for budget in (1, 1e12):  # one path per chunk, one chunk for all paths
-            monkeypatch.setattr("eigenflow.budget.CHUNK_BYTES", budget)
-            (chunked,) = diagnostics.ensemble_map(sampler, [shift], 23, 7, lambda k, lam: lam)
-            assert np.array_equal(chunked, whole)
+        tiles = []
+        real_sample = diagnostics.sample_triangle
+        monkeypatch.setattr(diagnostics, "sample_triangle",
+                            lambda *args: tiles.append(len(args[3])) or real_sample(*args))
+        # one path per tile, one tile for all paths
+        for budget, sizes in ((1, [1] * 7), (1e12, [7])):
+            tiles.clear()
+            monkeypatch.setattr("eigenflow.budget.TILE_BYTES", budget)
+            (tiled,) = diagnostics.ensemble_map(sampler, [shift], 23, 7, lambda k, lam: lam)
+            assert np.array_equal(tiled, whole)
+            assert tiles == sizes
 
 
 class TestSpectra:

@@ -84,6 +84,17 @@ def test_one_working_set_policy():
                  and (node.id in ("CHUNK_BYTES", "TILE_BYTES") or node.id.endswith("_TILE"))
                  and node.id != "_GEMM_TILE"]
     assert offenders == []
+    # one batching level for ensembles: path tiles are the pool's tasks, and
+    # only the Dyson SDE side reads the chunk budget
+    readers = {(p.name, getattr(scope, "name", "<module>"))
+               for p in sorted(src.glob("*.py")) if p.name != "budget.py"
+               for scope in ast.parse(p.read_text()).body
+               for node in ast.walk(scope)
+               if getattr(node, "attr", getattr(node, "id", None)) == "CHUNK_BYTES"}
+    assert readers == {("diagnostics.py", "_sde_paths"), ("diagnostics.py", "dyson_crosscheck")}
+    budgets = [node.targets[0].id for node in ast.parse((src / "budget.py").read_text()).body
+               if isinstance(node, ast.Assign)]
+    assert budgets == ["CHUNK_BYTES", "TILE_BYTES"]
 
 
 def test_sizes_come_from_the_arrays():
