@@ -7,7 +7,8 @@ Subcommands: converge, residual, holder, collisions, dyson, limit.
 ``--config`` accepts either a config file or a previously written
 ``run_manifest.json``: the embedded canonical config is replayed, and a
 relative ``kernel.table_path`` or ``file:`` shift path resolves against the
-manifest's recorded working directory, so a replay runs from any directory.
+manifest's recorded working directory, so a replay runs from any directory,
+and a file the manifest records a sha256 for must still have it (exit 1).
 ``--seed`` overrides the config seed; the EIGENFLOW_OUT environment
 variable overrides the configured output directory and is itself
 overridden by ``--out``.  ``--log-level`` (default WARNING) sets the level of
@@ -61,8 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_text(path: str) -> tuple:
-    """The config text at ``path`` and the directory its relative input paths
-    resolve against: a manifest's recorded one, else the working directory ("")."""
+    """The config text at ``path``, the directory its relative input paths
+    resolve against and the digests its inputs must have: a manifest's
+    recorded ones, else the working directory ("") and None."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -79,8 +81,14 @@ def _load_config_text(path: str) -> tuple:
         for key, value in (("canonical_config", text), ("working_directory", root)):
             if not isinstance(value, str):
                 raise ConfigError([f"{path}: the manifest's {key!r} is not a string"])
-        return text, root
-    return text, ""
+        inputs = manifest.get("inputs", {})
+        if not (isinstance(inputs, dict) and all(
+                isinstance(record, dict) and isinstance(record.get("path"), str)
+                and isinstance(record.get("sha256"), str) for record in inputs.values())):
+            raise ConfigError([f"{path}: the manifest's 'inputs' does not map keys to a "
+                               "path and a sha256"])
+        return text, root, inputs
+    return text, "", None
 
 
 def main(argv=None) -> int:
@@ -93,12 +101,13 @@ def main(argv=None) -> int:
                         format="%(name)s: %(levelname)s: %(message)s")
 
     try:
-        text, root = _load_config_text(args.config)
+        text, root, inputs = _load_config_text(args.config)
         cfg = parse_config(text)
         if args.seed is not None:
             cfg = cfg.with_seed(args.seed)
         out_dir = args.out or os.environ.get(OUTPUT_ENV_VAR)
-        written = run(cfg, args.subcommand, out_dir=out_dir, threads=args.threads, root=root)
+        written = run(cfg, args.subcommand, out_dir=out_dir, threads=args.threads, root=root,
+                      inputs=inputs)
     except (ConfigError, RunUsageError, json.JSONDecodeError) as exc:
         print(f"eigenflow: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

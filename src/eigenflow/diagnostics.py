@@ -103,7 +103,7 @@ def ensemble_map(sampler: PathSampler, shifts: Sequence[np.ndarray], seed: int, 
     """
     sizes = [len(shift) for shift in shifts]
     top = max(sizes)
-    ju = np.triu_indices(top)[1]
+    ju = matrixflow.triangle(top)[1]
     # triu_indices(top) kept where j < n is triu_indices(n), in its order
     leading = [slice(None) if n == top else np.flatnonzero(ju < n) for n in sizes]
 
@@ -350,7 +350,7 @@ def collision_proximity(lambdas: np.ndarray) -> CollisionReport:
 def collision_experiment(sampler: PathSampler, shifts: Sequence[np.ndarray], paths: int,
                          seed: int, mapper=map) -> List[CollisionReport]:
     """Gap statistics of the (P, K+1) minimum gaps at each shift, one report
-    per shift, from one ensemble streamed in chunks."""
+    per shift, from one ensemble streamed in path tiles."""
     gaps = ensemble_map(sampler, shifts, seed, paths, lambda k, lam: _min_gaps(lam), mapper)
     return [_gap_report(g, len(shift)) for shift, g in zip(shifts, gaps)]
 

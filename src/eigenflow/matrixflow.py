@@ -13,6 +13,9 @@ realisations through the run's ``sampling.PathSampler``,
 (``sample_flows`` does both) and ``spectra_of_stack`` returns their
 descending eigenvalues (..., K+1, n).  Stream ids carry no n, so the draw
 of size n is the leading sub-triangle of the draw of any larger size.
+``triangle(n, k)`` is the one ``triu_indices`` layout of size n, built once
+and shared read-only by the draw, the assembly and the pair sums of
+``measures``.
 ``eigenvalue_derivatives`` produces the first and second derivatives of a
 single eigenvalue of one matrix, from the eigenvalues and eigenvectors
 ``eigensolvers.eigh`` returns, with respect to the free coordinates
@@ -23,6 +26,7 @@ and curvature identities used throughout the diagnostics.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -49,6 +53,28 @@ def diagonal_scale(n: int) -> Tuple[float, float]:
     return 1.0 / np.sqrt(n), np.sqrt(2.0) / np.sqrt(n)
 
 
+# a run asks for a few sizes; the bound keeps a long process from holding
+# the layouts of every size it has ever seen
+@functools.lru_cache(maxsize=64)
+def triangle(n: int, k: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k)``, built once per (n, k) and read-only: the one
+    layout of every upper-triangle draw, assembly and pair sum."""
+    layout = np.triu_indices(n, k)
+    for index in layout:
+        index.flags.writeable = False
+    return layout
+
+
+@functools.lru_cache(maxsize=64)
+def _entry_scale(n: int) -> np.ndarray:
+    """The (n, n) multipliers of the Gaussian part, built once per n and read-only."""
+    off, diag = diagonal_scale(n)
+    scale = np.full((n, n), off)
+    np.fill_diagonal(scale, diag)
+    scale.flags.writeable = False
+    return scale
+
+
 def assemble_from_triangle(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Vectorised assembly: ``values`` is (..., n(n+1)/2, K+1) in ``triu_indices``
     order and ``shift`` is (n, n); returns matrices of shape (..., K+1, n, n).
@@ -60,15 +86,12 @@ def assemble_from_triangle(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
     if shift.ndim != 2 or shift.shape[0] != shift.shape[1]:
         raise ValueError(f"shift must be a square matrix, got shape {shift.shape}")
     n = shift.shape[0]
-    iu, ju = np.triu_indices(n)
-    off, diag = diagonal_scale(n)
-    scale = np.full((n, n), off)
-    np.fill_diagonal(scale, diag)
+    iu, ju = triangle(n)
     y = np.empty(values.shape[:-2] + (values.shape[-1], n, n))
     entries = np.moveaxis(values, -1, -2)
     y[..., iu, ju] = entries
     y[..., ju, iu] = entries
-    y *= scale
+    y *= _entry_scale(n)
     y += shift
     return y
 
@@ -82,7 +105,7 @@ def sample_triangle(sampler: sampling.PathSampler, n: int, seed: int,
     of a smaller size m is the leading sub-triangle of this one: the
     entries with j < m, which keep ``triu_indices(m)`` order.
     """
-    iu, ju = np.triu_indices(n)
+    iu, ju = triangle(n)
     ids = rng.stream_id(sampler.domain, iu, ju, np.asarray(list(paths), dtype=np.int64)[:, None])
     return sampler.draw(seed, ids)
 
@@ -116,12 +139,10 @@ class EigenvalueDerivatives:
     hess_diag: np.ndarray   # (n, n), valid on k <= h
 
     def grad_square_sum(self) -> float:
-        iu = np.triu_indices(self.grad.shape[0])
-        return float(np.sum(self.grad[iu] ** 2))
+        return float(np.sum(self.grad[triangle(len(self.grad))] ** 2))
 
     def hess_sum(self) -> float:
-        iu = np.triu_indices(self.hess_diag.shape[0])
-        return float(np.sum(self.hess_diag[iu]))
+        return float(np.sum(self.hess_diag[triangle(len(self.hess_diag))]))
 
 
 def eigenvalue_derivatives(lam: np.ndarray, vectors: np.ndarray, i: int) -> EigenvalueDerivatives:

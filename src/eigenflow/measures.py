@@ -13,6 +13,7 @@ import numpy as np
 
 from . import budget
 from .limitlaw import AtomicMeasure
+from .matrixflow import triangle
 from .testfunctions import TestFunction
 
 
@@ -32,7 +33,7 @@ def divided_difference_stack(lambdas: np.ndarray, f: TestFunction) -> np.ndarray
     x = np.asarray(lambdas, dtype=float)
     lead, n = x.shape[:-1], x.shape[-1]
     x = x.reshape(-1, n)
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = triangle(n, 1)
     out = np.empty(x.shape[0])
     for rows in budget.row_slices(x.shape[0], 8 * max(iu.size, 1), budget.TILE_BYTES):
         xt = x[rows]

@@ -8,7 +8,12 @@ construction and bit-identical regardless of evaluation order, chunking, or
 worker count.  Generation is vectorised across streams, which is what makes
 large Monte Carlo ensembles affordable in pure numpy, and runs over
 tiles of whole stream rows under ``budget.TILE_BYTES``, so its temporaries
-do not grow with the draw.
+do not grow with the draw.  A tile's counter goes in unbroadcast: the block
+indices as a row, the two halves of the ids as columns and the zero word
+as a scalar, so the first rounds run on rows and columns.  From round 3 on,
+Philox runs in place in the tile's word buffers, Box-Muller turns those
+buffers into floats in place, and the normals are written straight into
+the output, so a tile holds six word-sized buffers however it is drawn.
 
 Stream ids pack a small domain tag (which subsystem is drawing), two matrix
 indices and a path index into one 64-bit word.  :func:`stream_id` is the
@@ -37,11 +42,10 @@ import numpy as np
 
 from . import budget
 
-_M0 = np.uint64(0xD2511F53)
-_M1 = np.uint64(0xCD9E8D57)
-_W0 = np.uint64(0x9E3779B9)
-_W1 = np.uint64(0xBB67AE85)
+_M0, _M1 = np.uint64(0xD2511F53), np.uint64(0xCD9E8D57)
+_W0, _W1 = 0x9E3779B9, 0xBB67AE85
 _MASK32 = np.uint64(0xFFFFFFFF)
+_S32, _S11 = np.uint64(32), np.uint64(11)
 _ROUNDS = 10
 
 # domain tags keep unrelated subsystems on disjoint streams
@@ -53,29 +57,55 @@ _MAX_INDEX = 1 << 12    # matrix indices i, j must stay below this
 _MAX_PATH = 1 << 36
 
 
+def _round(x0, x1, x2, x3, k0, k1, out=(None, None, None, None)):
+    """One Philox round on words of any shapes that broadcast, into ``out``."""
+    p0, p1 = _M0 * x0, _M1 * x2
+    # xor is associative: the key joins the narrower operand first
+    return (np.bitwise_xor(p1 >> _S32, x1 ^ k0, out=out[0]),
+            np.bitwise_and(p1, _MASK32, out=out[1]),
+            np.bitwise_xor(p0 >> _S32, x3 ^ k1, out=out[2]),
+            np.bitwise_and(p0, _MASK32, out=out[3]))
+
+
 def philox4x32(counter, key0: int, key1: int):
     """Apply the Philox-4x32-10 bijection to a batch of 128-bit counters.
 
-    ``counter`` is a tuple of four equally-shaped uint64 arrays holding
-    32-bit words; returns the four output words with the same shape.
+    ``counter`` is a tuple of four uint64 arrays holding 32-bit words that
+    broadcast against each other; returns the four output words with their
+    common shape.  The counter's own arrays are never written.
+
+    Rounds 1 and 2 compute on the words' own shapes: with the counter given
+    as a row, two columns and a scalar, round 1 and the products of round 2
+    run on a row or a column, and round 2 writes the full words.  Rounds 3
+    to 10 run in place on the pairs (x0, x2) and (x1, x3), each the
+    contiguous half of one buffer, so each operation is one call over a
+    pair, through one product buffer.  Every word sees the arithmetic of
+    the reference round, so every bit is the same.
     """
     x0, x1, x2, x3 = (np.asarray(c, dtype=np.uint64) for c in counter)
-    k0 = np.uint64(key0) & _MASK32
-    k1 = np.uint64(key1) & _MASK32
+    shape = np.broadcast_shapes(x0.shape, x1.shape, x2.shape, x3.shape)
+    keys, k0, k1 = [], key0 & 0xFFFFFFFF, key1 & 0xFFFFFFFF
     for _ in range(_ROUNDS):
-        p0 = _M0 * x0
-        p1 = _M1 * x2
-        hi0 = p0 >> np.uint64(32)
-        lo0 = p0 & _MASK32
-        hi1 = p1 >> np.uint64(32)
-        lo1 = p1 & _MASK32
-        x0 = hi1 ^ x1 ^ k0
-        x1 = lo1
-        x2 = hi0 ^ x3 ^ k1
-        x3 = lo0
-        k0 = (k0 + _W0) & _MASK32
-        k1 = (k1 + _W1) & _MASK32
-    return x0, x1, x2, x3
+        keys.append((k0, k1))
+        k0, k1 = (k0 + _W0) & 0xFFFFFFFF, (k1 + _W1) & 0xFFFFFFFF
+    keys = np.array(keys, dtype=np.uint64)
+    words = np.empty((4,) + shape, dtype=np.uint64)
+    x = _round(*_round(x0, x1, x2, x3, *keys[0]), *keys[1],
+               out=(words[0], words[2], words[1], words[3]))
+    # per round: (p1, p0) = (M1, M0) (x2, x0); (x0, x2) = hi(p1, p0) ^ (x1, x3)
+    # ^ (k0, k1); (x1, x3) = lo(p1, p0); each key and multiplier pair a column
+    even, odd = words[:2], words[2:]
+    column = (2,) + (1,) * len(shape)
+    keys = keys.reshape((_ROUNDS,) + column)
+    multipliers = np.array([_M1, _M0]).reshape(column)
+    product = np.empty_like(even)
+    for key in keys[2:]:
+        np.multiply(even[::-1], multipliers, out=product)
+        np.right_shift(product, _S32, out=even)
+        np.bitwise_xor(even, odd, out=even)
+        np.bitwise_xor(even, key, out=even)
+        np.bitwise_and(product, _MASK32, out=odd)
+    return x
 
 
 def stream_id(domain, i, j, path):
@@ -107,35 +137,45 @@ def normals(seed: int, ids: np.ndarray, count: int, start: int = 0) -> np.ndarra
     how the draw is chunked.  Philox and Box-Muller run over tiles of whole
     stream rows, 16 bytes a counter under ``budget.TILE_BYTES``, written
     into one preallocated output, so the temporaries stay cache-sized;
-    every operation is elementwise, so the tiling changes no bit.
+    every operation is elementwise, so the tiling changes no bit.  Within
+    a tile the counter words go in unbroadcast, and the later Philox rounds
+    run in place (:func:`philox4x32`).  Box-Muller converts the words to
+    floats in the buffers of words already consumed, takes the log, cosine
+    and sine over whole contiguous tiles, and writes r cos(theta) and
+    r sin(theta) straight into the strided columns of the output that they
+    fill, so an odd ``start`` or ``count`` copies nothing.
     """
     ids = np.asarray(ids, dtype=np.uint64)
     shape = ids.shape
     flat = ids.reshape(-1)
     first, skip = divmod(start, 2)
     n_blocks = (skip + count + 1) // 2
-    blocks = np.arange(first, first + n_blocks, dtype=np.uint64)
+    blocks = np.arange(first, first + n_blocks, dtype=np.uint64)[None, :]
+    # out column c is position start + c: block b's cosine lands in column
+    # 2b - skip and its sine in column 2b + 1 - skip, where those exist
+    n_cos, n_sin = len(range(skip, count, 2)), len(range(1 - skip, count, 2))
     out = np.empty((flat.size, count), dtype=np.float64)
     for rows in budget.row_slices(flat.size, 16 * max(n_blocks, 1), budget.TILE_BYTES):
         tile = flat[rows, None]
-        c0 = np.broadcast_to(blocks, (tile.shape[0], n_blocks))
-        c1 = np.broadcast_to(tile & _MASK32, c0.shape)
-        c2 = np.broadcast_to(tile >> np.uint64(32), c0.shape)
-        c3 = np.zeros(c0.shape, dtype=np.uint64)
-
-        x0, x1, x2, x3 = philox4x32((c0, c1, c2, c3), seed & 0xFFFFFFFF,
-                                    (seed >> 32) & 0xFFFFFFFF)
-
-        ua = (x0 << np.uint64(32)) | x1
-        ub = (x2 << np.uint64(32)) | x3
-        # (0,1] for the log, [0,1) for the angle
-        u1 = ((ua >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
-        u2 = (ub >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
-        z = np.empty((tile.shape[0], 2 * n_blocks), dtype=np.float64)
-        z[:, 0::2] = r * np.cos(theta)
-        z[:, 1::2] = r * np.sin(theta)
-        out[rows] = z[:, skip:skip + count]
+        x0, x1, x2, x3 = philox4x32((blocks, tile & _MASK32, tile >> _S32, np.uint64(0)),
+                                    seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF)
+        # ua = x0 x1 and ub = x2 x3 as 64-bit words, cut to their top 53 bits
+        for hi, lo in ((x0, x1), (x2, x3)):
+            np.left_shift(hi, _S32, out=hi)
+            np.bitwise_or(hi, lo, out=hi)
+            np.right_shift(hi, _S11, out=hi)
+        # as floats in the buffers of the consumed low words, every step in
+        # place: u1 in (0,1] for the log, u2 in [0,1) for the angle
+        r, theta = x1.view(np.float64), x3.view(np.float64)
+        np.add(x0, 1.0, out=r)
+        r *= 2.0 ** -53
+        np.multiply(x2, 2.0 ** -53, out=theta)
+        # the log, cosine and sine see whole contiguous tiles, as they always have
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= 2.0 * np.pi
+        cos, sin = np.cos(theta, out=x0.view(np.float64)), np.sin(theta, out=x2.view(np.float64))
+        np.multiply(r[:, skip:skip + n_cos], cos[:, skip:skip + n_cos], out=out[rows, skip::2])
+        np.multiply(r[:, :n_sin], sin[:, :n_sin], out=out[rows, 1 - skip::2])
     return out.reshape(shape + (count,))

@@ -32,7 +32,10 @@ nothing behind; a non-finite value where a healthy run has none is a
 counts, the environment and the working directory, against which a relative
 ``table_path`` or ``file:`` shift path resolves; the canonical text keeps
 such a path as written, and a replay (``root``) resolves it against the
-recorded directory, from any directory.
+recorded directory, from any directory.  It also records, under ``inputs``,
+the absolute path and sha256 of each file the run read, by config key; a
+replay handed that record exits 1, naming the key and both digests, when a
+file has changed since.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -107,10 +110,36 @@ def _write_csv(path: Path, cfg: ExperimentConfig, subcommand: str,
         csv.writer(fh, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
 
 
+def _input_digests(cfg: ExperimentConfig, root: str) -> Dict[str, dict]:
+    """The absolute path and sha256 of each file the run reads, by config key.
+
+    A file that cannot be read is left out: the run then fails on it, as it
+    would have without this record.
+    """
+    files = {}
+    if cfg.kernel_table_path is not None:
+        files["kernel.table_path"] = cfg.kernel_table_path
+    if cfg.matrix_shift.startswith("file:"):
+        files["matrix.shift"] = cfg.matrix_shift[len("file:"):]
+    digests = {}
+    for key, path in files.items():
+        path = os.path.abspath(os.path.join(root, path))
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError:
+            continue
+        import hashlib  # here, not at the top: it loads OpenSSL, 3.6 MB of RSS
+        digests[key] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+    return digests
+
+
 def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
-        threads: int = 1, root: str = "") -> List[str]:
+        threads: int = 1, root: str = "", inputs: Optional[Dict[str, dict]] = None) -> List[str]:
     """Execute a subcommand; returns the list of files written.  A relative
-    input path resolves against ``root``, the working directory by default."""
+    input path resolves against ``root``, the working directory by default;
+    ``inputs``, a manifest's record of the files its run read, must match
+    their digests now."""
     if subcommand not in SUBCOMMANDS:
         raise RunUsageError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
     for name, default in cfg.away_from_default(("sampler", "observables", "experiment")).items():
@@ -120,6 +149,13 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
     if out_dir is not None:
         cfg = replace(cfg, output_directory=str(out_dir))
     out = Path(cfg.output_directory)
+    read = _input_digests(cfg, root)
+    for key, recorded in (inputs or {}).items():
+        # a file that cannot be read now fails the run below, as it always has
+        now = read.get(key, recorded)["sha256"]
+        if now != recorded["sha256"]:
+            raise RunUsageError(f"{key} = {recorded['path']} has changed since the manifest "
+                                f"was written: sha256 {recorded['sha256']} then, {now} now")
 
     started = time.perf_counter()
     threads = max(1, threads)
@@ -140,6 +176,7 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
         "blas_threads": 1 if blas_libraries else None,
         "outputs": [str(p) for p in written],
         "working_directory": os.path.abspath(root),
+        "inputs": read,
         "wall_time_s": time.perf_counter() - started,
         "versions": {
             "python": platform.python_version(),

@@ -2,8 +2,10 @@
 
 import contextlib
 import csv
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -213,6 +215,45 @@ class TestManifest:
         manifests = [json.loads((out / "run_manifest.json").read_text()) for out in (one, two)]
         assert [m["working_directory"] for m in manifests] == [str(golden)] * 2
         assert "table_path = table.csv" in manifests[1]["canonical_config"]
+        # both manifests record the files the run read, by key
+        for m in manifests:
+            assert {key: record["path"] for key, record in m["inputs"].items()} == {
+                "kernel.table_path": str(golden / "table.csv"),
+                "matrix.shift": str(golden / "shift.csv")}
+        assert manifests[0]["inputs"] == manifests[1]["inputs"]
+
+    def test_replay_after_an_input_changed_exits_1_with_both_digests(self, tmp_path):
+        golden = Path(__file__).resolve().parent / "golden"
+        work = tmp_path / "work"
+        work.mkdir()
+        for name in ("collisions-table-file.cfg", "table.csv", "shift.csv"):
+            shutil.copy(golden / name, work / name)
+        proc = run_cli(["collisions", "--config", "collisions-table-file.cfg",
+                        "--out", str(tmp_path / "one")], cwd=work)
+        assert proc.returncode == 0, proc.stderr
+        manifest = tmp_path / "one" / "run_manifest.json"
+        before = json.loads(manifest.read_text())["inputs"]["kernel.table_path"]["sha256"]
+        table = work / "table.csv"
+        table.write_text(table.read_text() + "\n")  # a blank line: the same kernel
+        after = hashlib.sha256(table.read_bytes()).hexdigest()
+        assert after != before
+        proc = run_cli(["collisions", "--config", str(manifest), "--out", str(tmp_path / "two")],
+                       cwd="/")
+        assert proc.returncode == 1
+        assert "kernel.table_path" in proc.stderr
+        assert before in proc.stderr and after in proc.stderr
+        assert not (tmp_path / "two").exists()
+        # the unchanged shift file alone passes, and a manifest without the
+        # record replays as before
+        table.write_bytes((golden / "table.csv").read_bytes())
+        record = json.loads(manifest.read_text())
+        assert run_cli(["collisions", "--config", str(manifest), "--out",
+                        str(tmp_path / "three")], cwd="/").returncode == 0
+        del record["inputs"]
+        manifest.write_text(json.dumps(record))
+        table.write_text(table.read_text() + "\n")
+        assert run_cli(["collisions", "--config", str(manifest), "--out",
+                        str(tmp_path / "four")], cwd="/").returncode == 0
 
 
 class TestSubcommands:
@@ -607,8 +648,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name, content", [
         ("latin.cfg", b"\xff\xfe\x00bad"), ("run_manifest.json", b'{"canonical_config": 5}'),
-        ("run_manifest.json", b'{"canonical_config": "", "working_directory": 5}')],
-        ids=["not-utf8", "config-not-a-string", "directory-not-a-string"])
+        ("run_manifest.json", b'{"canonical_config": "", "working_directory": 5}'),
+        ("run_manifest.json",
+         b'{"canonical_config": "", "inputs": {"matrix.shift": {"sha256": 5}}}')],
+        ids=["not-utf8", "config-not-a-string", "directory-not-a-string", "inputs-not-digests"])
     def test_unreadable_config_text_is_config_error(self, tmp_path, name, content):
         # a UnicodeDecodeError and an AttributeError used to escape as tracebacks
         p = tmp_path / name

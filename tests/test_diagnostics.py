@@ -370,13 +370,13 @@ class TestEnsembleMap:
     @pytest.mark.parametrize("ensemble, bound", [(residual_fbm_ensemble, 3.0e6),
                                                  (collisions_circulant_ensemble, 3.5e6)],
                              ids=["residual", "collisions"])
-    def test_a_chunk_holds_one_path_tile_at_a_time(self, traced_peak, ensemble, bound):
+    def test_a_task_holds_one_path_tile_at_a_time(self, traced_peak, ensemble, bound):
         # each pool task is one path here: the run holds one path's triangle
         # and matrix stack at a time, not those of every path
         sampler, shifts, paths, reduce = ensemble()
         assert traced_peak(diagnostics.ensemble_map, sampler, shifts, 3, paths, reduce) < bound
 
-    def test_a_collisions_chunk_assembles_one_path_at_a_time(self, monkeypatch):
+    def test_a_collisions_tile_assembles_one_path_at_a_time(self, monkeypatch):
         # one path's triangle and 17 matrices of n = 100 outgrow a tile
         sampler, shifts, paths, reduce = collisions_circulant_ensemble()
         sizes = []
@@ -392,7 +392,7 @@ class TestEnsembleMap:
 
     @pytest.mark.parametrize("method", ["cholesky", "circulant"])
     def test_the_tile_budget_moves_no_bit(self, method, monkeypatch):
-        # 40 paths in one chunk, drawn per tile by each of the 3 experiments
+        # 40 paths, drawn per tile by each of the 3 experiments
         sampler = path_sampler(FractionalBrownianKernel(0.7), TimeGrid.uniform(1.0, 4), method)
         shifts = [np.diag(np.resize([1.0, -1.0], n)) for n in (3, 5, 8)]
         tiles = []
@@ -457,9 +457,9 @@ class TestEnsembleMap:
             drawn.append(out.size)
             return out
 
-        def mapper(task, chunks):
-            maps.append(len(chunks))
-            return map(task, chunks)
+        def mapper(task, tiles):
+            maps.append(len(tiles))
+            return map(task, tiles)
 
         monkeypatch.setattr(rng, "normals", counted_normals)
         monkeypatch.setattr(budget, "TILE_BYTES", 1)  # ten tasks, still one map
@@ -469,7 +469,7 @@ class TestEnsembleMap:
         assert sum(drawn) == 36 * paths * len(grid)  # the n = 8 triangle holds 36 entries
         assert maps == [paths]
 
-    def test_experiments_ignore_chunk_budget_and_workers(self, monkeypatch):
+    def test_experiments_ignore_tile_budget_and_workers(self, monkeypatch):
         kernel = FractionalBrownianKernel(0.7)
         grid = TimeGrid.uniform(1.0, 4)
         f = gaussian_bump

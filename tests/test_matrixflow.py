@@ -11,7 +11,7 @@ from eigenflow.grids import TimeGrid
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
 from eigenflow.matrixflow import (DegenerateEigenvalueError, assemble_from_triangle,
                                   diagonal_scale, eigenvalue_derivatives, make_shift,
-                                  sample_flows, spectra_of_stack)
+                                  sample_flows, spectra_of_stack, triangle)
 from eigenflow.sampling import path_sampler
 from oracles import eigh_jacobi, hoffman_wielandt_holds
 
@@ -25,6 +25,17 @@ def _flow_with_vectors(n, seed, t_max=1.0, steps=2, kernel=None):
 
 
 class TestAssembly:
+    @pytest.mark.parametrize("n, k", [(1, 0), (5, 0), (5, 1), (64, 1)])
+    def test_triangle_is_one_read_only_layout(self, n, k):
+        # every caller shares the cached arrays, so none may write them
+        rows, cols = triangle(n, k)
+        assert all(np.array_equal(a, b) for a, b in zip((rows, cols), np.triu_indices(n, k)))
+        assert triangle(n, k)[0] is rows
+        with pytest.raises(ValueError):
+            rows[0] = 1
+        with pytest.raises(ValueError):
+            cols[0] = 1
+
     def test_scalar_flow_diagonal_scaling(self):
         x = 0.8312
         y = assemble_from_triangle(np.array([[0.0, x]]), np.zeros((1, 1)))
@@ -79,7 +90,7 @@ class TestAssembly:
         assert off == pytest.approx(0.5)
         assert diag == pytest.approx(np.sqrt(2.0) / 2.0)
 
-    def test_chunking_does_not_change_samples(self, monkeypatch):
+    def test_tiling_does_not_change_samples(self, monkeypatch):
         # ensembles are tiled by diagnostics.ensemble_map, not by sample_flows
         grid = TimeGrid.uniform(1.0, 3)
         kernel = FractionalBrownianKernel(0.6)

@@ -65,6 +65,12 @@ def test_cli_import_does_not_load_scipy():
     assert not _cli_import_loads("scipy")
 
 
+def test_cli_import_does_not_load_hashlib():
+    # hashlib loads OpenSSL, 3.6 MB of resident memory; only a run that
+    # reads an input file hashes it for the manifest
+    assert not _cli_import_loads("hashlib")
+
+
 def test_one_random_generator():
     # every draw goes through eigenflow.rng, keyed by (seed, stream id, position)
     src = Path(eigenflow.__file__).resolve().parent

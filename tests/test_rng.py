@@ -1,5 +1,8 @@
 """Counter-based generator: known-answer vectors, determinism, statistics."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -137,3 +140,37 @@ def test_stream_id_broadcasts():
                 (0, 0, 0, np.array([[3], [1 << 36]])), (np.array([2, 16]), 0, 0, 0)):
         with pytest.raises(ValueError):
             rng.stream_id(*bad)
+
+
+# sha256 of every normals() case below, per seed, as drawn before the
+# in-place rewrite of Philox and Box-Muller: it must move no bit
+NORMALS_DIGESTS = {
+    0: "a1d44dcad5e59caeba35f2e9945f29ad496d227e6744b75267e31d5cc99b4878",
+    2 ** 63 + 12345: "5375917a260948b2d81264a3af60093de7ae84aba37439c93a0ea52a46763ef8",
+    2 ** 64 - 1: "b28581846cdf706bd83681f84cff74b1a1b5357cee061b1b4769a39f6091557b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(NORMALS_DIGESTS))
+def test_normals_bits_over_seeds_starts_and_counts(seed):
+    # ids with every 32-bit half at its edges, and a 2-D block of stream ids;
+    # odd and even starts, one beyond a tile; counts 0, 1, odd and even
+    id_sets = (
+        np.array([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64 - 1], dtype=np.uint64),
+        rng.stream_id(rng.DOMAIN_CIRCULANT, *np.triu_indices(4),
+                      np.array([0, 9, 1 << 35])[:, None]),
+    )
+    digest = hashlib.sha256()
+    for ids, start, count in itertools.product(id_sets, (0, 1, 3, 5600), (0, 1, 25, 32)):
+        z = rng.normals(seed, ids, count, start=start)
+        assert z.shape == ids.shape + (count,) and z.dtype == np.float64
+        digest.update(z.tobytes())
+    assert digest.hexdigest() == NORMALS_DIGESTS[seed]
+
+
+def test_peak_memory_of_one_path_draw(traced_peak):
+    # one residual-fbm path at n = 64: 2080 entries, 25 normals each; the
+    # output is 0.42 MB, and a tile's buffers are six words per counter
+    ids = rng.stream_id(rng.DOMAIN_ENTRY, *np.triu_indices(64), 0)
+    assert ids.size == 2080
+    assert traced_peak(rng.normals, 7, ids, 25) < 1.3e6
