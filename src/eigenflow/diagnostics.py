@@ -434,7 +434,9 @@ def _sde_step(lam: np.ndarray, dt: np.ndarray, noise: np.ndarray, depth: int,
     rejected and redone as two halves, with keyed noise, when the starting
     state cannot resolve the repulsion at this step size (minimum gap below
     the step-dependent threshold 2 dt max|drift|).  ``tree(stiff)`` gives
-    the stiff columns' (_SDE_NODES, n, rows) noise, entry h - 1 for node h.
+    the refinement draw ``below``, (hits, _SDE_NODES, n), and the row of
+    ``below`` of each stiff column; node h's noise is gathered from entry
+    h - 1 of those rows only when node h steps.
     The criterion depends only on the starting state, so refinement is pure
     step-size adaptivity and does not condition the outcome.  At the
     recursion cap the drift is gap-tamed instead, and the stiffness test is
@@ -456,10 +458,10 @@ def _sde_step(lam: np.ndarray, dt: np.ndarray, noise: np.ndarray, depth: int,
             stiff = (2.0 * dt * np.abs(drift).max(axis=0) > gap) & (gap > 0.0)
             if stiff.any():
                 sub, sub_dt, sub_sorts = lam[:, stiff], 0.5 * dt[stiff], sorts[stiff]
-                below = tree(stiff)
+                below, rows = tree(stiff)
                 for child in (2 * node + 1, 2 * node + 2):
-                    sub = _sde_step(sub, sub_dt, below[child - 1], depth + 1, sub_sorts,
-                                    lambda s: below.compress(s, axis=2), child)
+                    sub = _sde_step(sub, sub_dt, below[rows, child - 1].T, depth + 1,
+                                    sub_sorts, lambda s: (below, rows[s]), child)
                 prop[:, stiff] = sub
                 sorts[stiff] = sub_sorts
 
@@ -507,8 +509,7 @@ def _sde_paths(lam0: np.ndarray, dts: Sequence[float], n_steps: Sequence[int], s
                     hit = stiff.reshape(-1, p).any(axis=0)
                     below = rng.normals(seed, tree_ids[hit], _SDE_NODES * n,
                                         start=step * _SDE_NODES * n).reshape(-1, _SDE_NODES, n)
-                    rows = (np.cumsum(hit) - 1)[np.flatnonzero(stiff) % p]
-                    return below.transpose(1, 2, 0).take(rows, axis=2)
+                    return below, (np.cumsum(hit) - 1)[np.flatnonzero(stiff) % p]
 
                 lam[:, :live] = _sde_step(lam[:, :live], dt[:live],
                                           np.tile(noise[step - first], live // p),

@@ -4,7 +4,9 @@ An empirical spectral measure is the uniform measure on the eigenvalues of
 one matrix, held as a plain ``(..., n)`` array of spectra; every function
 here acts on the last axis and broadcasts over the others.  The pairwise
 divided-difference form is built from the i < j pairs alone, in row tiles of
-``budget.TILE_BYTES``, so its temporaries stay cache-sized.
+``budget.TILE_BYTES``, so its temporaries stay cache-sized: three pair
+buffers of the largest tile, which every tile reuses for its tolerances,
+differences and quotients.
 """
 
 from __future__ import annotations
@@ -28,24 +30,37 @@ def divided_difference_stack(lambdas: np.ndarray, f: TestFunction) -> np.ndarray
     (sum_i f''(x_i) + 2 sum_{i<j} q_ij) / n^2, with f'' evaluated on the
     near-coincident pairs alone.  Spectra are taken in row tiles, 8 bytes a
     pair under ``budget.TILE_BYTES``, and each row is reduced on its own, so
-    a block gives its rows' values bit for bit.
+    a block gives its rows' values bit for bit.  A tile writes into three
+    pair buffers held for the whole call, with the operations and their
+    order unchanged.
     """
     x = np.asarray(lambdas, dtype=float)
     lead, n = x.shape[:-1], x.shape[-1]
     x = x.reshape(-1, n)
     iu, ju = triangle(n, 1)
     out = np.empty(x.shape[0])
-    for rows in budget.row_slices(x.shape[0], 8 * max(iu.size, 1), budget.TILE_BYTES):
+    tiles = budget.row_slices(x.shape[0], 8 * max(iu.size, 1), budget.TILE_BYTES)
+    # three pair buffers of the first (largest) tile, reused by every tile
+    held = np.empty((3, tiles[0].stop if tiles else 0, iu.size))
+    for rows in tiles:
         xt = x[rows]
-        d1 = f.d1(xt)
-        xi, xj = np.take(xt, iu, axis=1), np.take(xt, ju, axis=1)
-        diff = xi - xj
-        near = np.abs(diff) <= 1e-6 * (1.0 + np.abs(xi) + np.abs(xj))
+        a, b, diff = held[:, :xt.shape[0]]
+        np.take(xt, iu, axis=1, out=a, mode="clip")  # mode "raise" would copy via a buffer
+        np.take(xt, ju, axis=1, out=b, mode="clip")
+        np.subtract(a, b, out=diff)
+        np.abs(a, out=a)
+        a += 1.0
+        np.abs(b, out=b)
+        a += b
+        a *= 1e-6  # 1e-6 (1 + |x| + |y|), summed left to right
+        near = np.abs(diff, out=b) <= a
         diff[near] = 1.0  # a finite divisor; these quotients are replaced by f'' below
-        q = np.take(d1, iu, axis=1)
-        q -= np.take(d1, ju, axis=1)
+        d1 = f.d1(xt)
+        q = np.take(d1, iu, axis=1, out=a, mode="clip")
+        q -= np.take(d1, ju, axis=1, out=b, mode="clip")
         q /= diff
-        q[near] = f.d2(0.5 * (xi[near] + xj[near]))
+        r, c = np.nonzero(near)
+        q[near] = f.d2(0.5 * (xt[r, iu[c]] + xt[r, ju[c]]))
         out[rows] = (np.sum(f.d2(xt), axis=-1) + 2.0 * np.sum(q, axis=-1)) / n ** 2
     return out.reshape(lead)[()]
 

@@ -7,11 +7,15 @@ frozen ``PathSampler`` it returns draws one path per stream id:
 * ``cholesky``: ``sample_entry_block`` draws z @ L.T where L is a
   (jittered) Cholesky factor of the Gram matrix [R(t_i, t_j)]
   (``factor_grid``) and each row of z comes from the counter-based stream
-  keyed by (seed, stream id).  Works for every kernel and grid.
+  keyed by (seed, stream id).  Works for every kernel and grid.  The
+  product overwrites the draw, one ``_GEMM_TILE`` of rows at a time, so
+  the block holds one draw and one tile's product.
 * ``circulant``: ``circulant_fbm_block`` draws fractional Gaussian noise by
   circulant embedding (FFT) and cumulates it into fractional Brownian
   paths; only for fbm on uniform grids, same distribution as the Cholesky
-  route.  It works in ``budget.TILE_BYTES`` row tiles that write into the output.
+  route.  It works in ``budget.TILE_BYTES`` row tiles that write into the
+  output; a tile holds its normals and one complex (rows, 2K) buffer, held
+  for the whole block, which is scaled and Fourier-transformed in place.
   An embedding that is not nonnegative definite raises
   ``FactorizationError``.  No embedding had a negative eigenvalue in a scan
   of 502 Hurst indices in (0, 1) at every step count from 1 to 1024 and at
@@ -85,24 +89,24 @@ _GEMM_TILE = 512
 
 
 def _apply_factor(z: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """z @ lower.T in fixed-size row tiles.
+    """z @ lower.T in fixed-size row tiles, written back into ``z``, which is returned.
 
     BLAS picks different (bit-inequivalent) kernels for different matrix
     heights; tiling every call to the same height makes the transform a
     pure function of each input row, so single-path and bulk sampling are
-    bit-identical.
+    bit-identical.  Each tile's product replaces the rows it came from, so
+    the transform holds one tile beside the draw, not a second draw.
     """
     rows = z.shape[0]
-    out = np.empty((rows, lower.shape[0]))
     lt = np.ascontiguousarray(lower.T)
     for lo in range(0, rows - rows % _GEMM_TILE, _GEMM_TILE):
-        out[lo:lo + _GEMM_TILE] = z[lo:lo + _GEMM_TILE] @ lt
+        z[lo:lo + _GEMM_TILE] = z[lo:lo + _GEMM_TILE] @ lt
     rem = rows % _GEMM_TILE
     if rem:
         pad = np.zeros((_GEMM_TILE, z.shape[1]))
         pad[:rem] = z[rows - rem:]
-        out[rows - rem:] = (pad @ lt)[:rem]
-    return out
+        z[rows - rem:] = (pad @ lt)[:rem]
+    return z
 
 
 def sample_entry_block(factor: PathFactor, seed: int, ids: np.ndarray) -> np.ndarray:
@@ -154,22 +158,27 @@ def circulant_fbm_block(sqrt_eigs: np.ndarray, hurst: float, dt: float, seed: in
     tag so the two samplers stay on independent streams.  Normals, FFT and
     cumulative sum run over ``budget.TILE_BYTES`` row tiles (8 bytes an entry)
     and write into the output, so no temporary grows with the block; each
-    row is transformed on its own, so the tiling changes no bit.
+    row is transformed on its own, so the tiling changes no bit.  Every
+    tile fills one complex buffer of the first (largest) tile, held for the
+    whole call, and scales and inverse-transforms it in place.
     """
     m = sqrt_eigs.size
     n_steps = m // 2
     ids = np.asarray(ids, dtype=np.uint64)
     flat = ids.reshape(-1)
     paths = np.zeros((flat.size, n_steps + 1))
-    for rows in budget.row_slices(flat.size, 8 * m, budget.TILE_BYTES):
+    tiles = budget.row_slices(flat.size, 8 * m, budget.TILE_BYTES)
+    held = np.empty((tiles[0].stop if tiles else 0, m), dtype=np.complex128)
+    for rows in tiles:
         g = rng.normals(seed, flat[rows], m)
-        z = np.empty((g.shape[0], m), dtype=np.complex128)
+        z = held[:g.shape[0]]
         z[:, 0] = g[:, 0]
         z[:, n_steps] = g[:, 1]
         z[:, 1:n_steps] = (g[:, 2::2] + 1j * g[:, 3::2]) / np.sqrt(2.0)
         z[:, n_steps + 1:] = np.conj(z[:, 1:n_steps][:, ::-1])
 
-        noise = np.fft.ifft(sqrt_eigs[None, :] * z, axis=1).real[:, :n_steps]
+        z *= sqrt_eigs
+        noise = np.fft.ifft(z, axis=1, out=z).real[:, :n_steps]
         noise *= np.sqrt(m) * dt ** hurst
         np.cumsum(noise, axis=1, out=paths[rows, 1:])
     return paths.reshape(ids.shape + (n_steps + 1,))

@@ -320,6 +320,13 @@ class TestDyson:
             tracemalloc.stop()
         assert peak < 10e6
 
+    def test_peak_memory_of_the_sde_paths_alone(self, traced_peak):
+        # the dyson-sde SDE side without the matrix side: from the zero start
+        # every path is stiff at first; a node gathers its noise when it steps
+        peak = traced_peak(diagnostics._sde_paths, np.zeros(2), (1e-3, 5e-4), (250, 500), 1,
+                           range(3000))
+        assert peak < 3.0e6
+
     def test_criterion_9_sde_side_is_one_chunk(self):
         # a chunk counts what the pass holds per path, not a refinement tree
         # per row and step, so criterion 9's 10000 paths run as one chunk

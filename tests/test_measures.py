@@ -1,5 +1,7 @@
 """Empirical spectral measures as arrays: bilinear form and Kolmogorov distance."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,32 @@ class TestTriangleOnlyForm:
         # the residual-fbm chunk at n = 64: 6 paths, 25 grid times
         lam = np.random.default_rng(10).normal(size=(6, 25, 64))
         assert traced_peak(divided_difference_stack, lam, gaussian_bump) < 4e6
+
+    def test_peak_memory_of_one_residual_path(self, traced_peak):
+        # one residual-fbm path at n = 64: 25 spectra, 2016 pairs each, in
+        # tiles of 8 spectra; three reused pair buffers of 0.13 MB each
+        lam = np.random.default_rng(11).normal(size=(25, 64))
+        assert traced_peak(divided_difference_stack, lam, gaussian_bump) < 0.6e6
+
+
+# sha256 of the divided differences of every built-in, computed before the
+# tile loop wrote into its own buffers: every bit must stay
+DIVIDED_DIFFERENCE_DIGEST = "3591dba5dc9a009f9b79d55a02afad1dd3960f85950c34ea5a190900cbf27641"
+
+
+def test_divided_difference_bits_over_ties_and_sizes():
+    gen = np.random.default_rng(12)
+    digest = hashlib.sha256()
+    for n in (1, 2, 3, 8, 64):
+        lam = gen.normal(size=(4, 3, n))
+        lam[0, 0] = 0.0                                  # all-zero spectrum
+        lam[1, :, 1::2] = lam[1, :, ::2][..., :n // 2]  # exact ties
+        lam[2, :, 1::2] = lam[2, :, ::2][..., :n // 2] * (1.0 + 1e-9)  # near ties
+        for name in sorted(BUILTINS):
+            dd = divided_difference_stack(lam, BUILTINS[name])
+            assert dd.shape == (4, 3)
+            digest.update(dd.tobytes())
+    assert digest.hexdigest() == DIVIDED_DIFFERENCE_DIGEST
 
 
 class TestKolmogorov:

@@ -1,13 +1,16 @@
 """Path samplers: factorization, exactness in distribution, reproducibility."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
-from eigenflow import rng
+from eigenflow import budget, rng, sampling
 from eigenflow.grids import TimeGrid
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
-from eigenflow.sampling import (factor_grid, fgn_autocovariance, path_sampler,
-                                sample_entry_block)
+from eigenflow.sampling import (circulant_fbm_block, circulant_sqrt_spectrum, factor_grid,
+                                fgn_autocovariance, path_sampler, sample_entry_block)
 
 
 def _one_id(domain, i, j, path):
@@ -262,3 +265,63 @@ class TestPathSampler:
     def test_unknown_method_is_named(self):
         with pytest.raises(ValueError, match="sampler.method = quantum does not apply"):
             path_sampler(BrownianKernel(), TimeGrid.uniform(1.0, 4), "quantum")
+
+
+# sha256 of both samplers' paths, drawn before either transform wrote into
+# its own buffers: every bit must stay
+CIRCULANT_DIGEST = "8dd8fc5fdd21fc91d8314414aa664286627a7047d308184e22130c2f161648d4"
+CHOLESKY_DIGEST = "2414eb2013e90d20226844fafbbea4612d64375185558c350f62a09ec30b9ac2"
+
+
+def _circulant_digest():
+    id_sets = (rng.stream_id(rng.DOMAIN_CIRCULANT, 0, 1, np.arange(5)),
+               rng.stream_id(rng.DOMAIN_CIRCULANT, *np.triu_indices(3),
+                             np.array([0, 7])[:, None]))
+    digest = hashlib.sha256()
+    for hurst, steps, ids in itertools.product((0.3, 0.5, 0.75), (1, 2, 7, 16, 33), id_sets):
+        paths = circulant_fbm_block(circulant_sqrt_spectrum(hurst, steps), hurst,
+                                    1.0 / steps, 11, ids)
+        assert paths.shape == ids.shape + (steps + 1,)
+        digest.update(paths.tobytes())
+    return digest.hexdigest()
+
+
+class TestTransformsInPlace:
+    @pytest.mark.parametrize("tile_bytes", [None, 240])  # 240: a row or two a tile
+    def test_circulant_bits_over_hurst_steps_and_tiles(self, tile_bytes, monkeypatch):
+        if tile_bytes is not None:
+            monkeypatch.setattr(budget, "TILE_BYTES", tile_bytes)
+        assert _circulant_digest() == CIRCULANT_DIGEST
+
+    def test_cholesky_bits_around_the_gemm_tile(self):
+        factor = factor_grid(FractionalBrownianKernel(0.3), TimeGrid.uniform(1.0, 7))
+        digest = hashlib.sha256()
+        for rows in (511, 512, 513, 1025):
+            ids = rng.stream_id(rng.DOMAIN_ENTRY, 0, 1, np.arange(rows))
+            paths = sample_entry_block(factor, 5, ids)
+            assert paths.shape == (rows, 8)
+            digest.update(paths.tobytes())
+        ids = rng.stream_id(rng.DOMAIN_ENTRY, *np.triu_indices(5), np.arange(41)[:, None])
+        digest.update(sample_entry_block(factor, 5, ids).tobytes())  # 615 rows, 2-D ids
+        assert digest.hexdigest() == CHOLESKY_DIGEST
+
+    def test_apply_factor_writes_into_the_draw(self, traced_peak):
+        # one residual-fbm path at n = 64: 2080 rows of 25 normals, 0.42 MB
+        lower = factor_grid(FractionalBrownianKernel(0.75), TimeGrid.uniform(1.0, 24)).lower
+        z = np.random.default_rng(3).normal(size=(2080, 25))
+        lt = np.ascontiguousarray(lower.T)
+        expected = np.concatenate([z[lo:lo + 512] @ lt for lo in range(0, 2048, 512)]
+                                  + [(np.vstack([z[2048:], np.zeros((480, 25))]) @ lt)[:32]])
+        # the padded remainder and its product, 0.1 MB each, and no second draw
+        assert traced_peak(sampling._apply_factor, z.copy(), lower) < 0.3e6
+        out = sampling._apply_factor(z, lower)
+        assert out is z and np.array_equal(out, expected)
+
+    def test_peak_memory_of_one_collisions_path_draw(self, traced_peak):
+        # one collisions-circulant path: 5050 entries of 16 steps, 0.69 MB;
+        # a 512-row tile holds its normals and the call's complex buffer,
+        # 0.13 and 0.26 MB
+        ids = rng.stream_id(rng.DOMAIN_CIRCULANT, *np.triu_indices(100), 0)
+        sampler = path_sampler(FractionalBrownianKernel(0.3), TimeGrid.uniform(1.0, 16),
+                               "circulant")
+        assert traced_peak(sampler.draw, 5, ids) < 1.75e6
