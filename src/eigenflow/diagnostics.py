@@ -41,13 +41,14 @@ Monte Carlo experiment takes the run's one ``sampling.PathSampler``
 experiment draws on, and streams its ensemble through
 :func:`ensemble_map`: each task of the pool is one tile of whole paths
 under ``budget.TILE_BYTES`` (one path on the large runs), which it
-samples, diagonalises and reduces, keeping only the reductions, and the
-per-path results are placed in path order, so neither the tile size nor
-the worker count changes an output.  One draw per tile serves every n:
-the tile samples the upper triangle of the largest n once, and each n
-diagonalises its leading sub-triangle, which is its own draw bit for
-bit.  So the results of several n in one call are those of one call per
-n, and they share their paths, which correlates them.  The Dyson SDE
+samples, diagonalises a block of grid times at a time and reduces,
+keeping only the reductions, and the per-path results are placed in path
+order, so neither the tile size nor the worker count changes an output.
+One draw per tile serves every n: the tile samples the upper triangle of
+the largest n once, and each n diagonalises its leading sub-triangle,
+which is its own draw bit for bit.  So the results of several n in one
+call are those of one call per n, and they share their paths, which
+correlates them.  The Dyson SDE
 side maps its paths by the same rule in chunks under
 ``budget.CHUNK_BYTES``, the one reader of that budget, with noise keyed
 by (seed, path, step), so its paths are pure functions of (seed, path)
@@ -67,7 +68,7 @@ import numpy as np
 from . import budget, matrixflow, rng
 from .kernels import CovarianceKernel
 from .limitlaw import AtomicMeasure, law_at_time
-# unused here, but bound for the benchmark's tracer, which wraps sample_flows at this name
+# unused here, but bound for the benchmark's tracer, which wraps the last two at these names
 from .matrixflow import DEGENERATE_GAP, sample_flows, sample_triangle, spectra_of_stack
 from .measures import divided_difference_stack, kolmogorov_distance
 from .sampling import PathSampler
@@ -91,15 +92,16 @@ def ensemble_map(sampler: PathSampler, shifts: Sequence[np.ndarray], seed: int, 
 
     ``mapper`` (a thread pool's map, say) maps one task over each tile of
     whole paths under ``budget.TILE_BYTES``, a path's row being its triangle
-    of the largest n and its largest matrix stack.  A task draws the upper
-    triangle of the largest n once, through the one factor of ``sampler``,
-    and every shift assembles and diagonalises its leading sub-triangle and
-    reduces the spectra at once: stream ids carry no n, so that is exactly
-    the draw of its own n.  Only the reductions outlive the task; each
-    shift's are concatenated along the first axis in path order.  Flows are
-    pure functions of (seed, path index) and ``reduce`` must act on each
-    path on its own, so neither the tile size, ``mapper`` nor the other
-    shifts change a result.
+    and its spectra of the largest n.  A task draws the upper triangle of the
+    largest n once, through the one factor of ``sampler``, and every shift
+    assembles and diagonalises its leading sub-triangle a block of grid
+    times at a time (``matrixflow.spectra_of_triangle``) and reduces the
+    spectra at once: stream ids carry no n, so that is exactly the draw of
+    its own n.  No task holds a whole matrix stack, and only the reductions
+    outlive it; each shift's are concatenated along the first axis in path
+    order.  Flows are pure functions of (seed, path index) and ``reduce``
+    must act on each path on its own, so neither the tile size, ``mapper``
+    nor the other shifts change a result.
     """
     sizes = [len(shift) for shift in shifts]
     top = max(sizes)
@@ -109,11 +111,10 @@ def ensemble_map(sampler: PathSampler, shifts: Sequence[np.ndarray], seed: int, 
 
     def task(pid: range) -> list:
         entries = sample_triangle(sampler, top, seed, pid)
-        return [reduce(k, spectra_of_stack(
-                    matrixflow.assemble_from_triangle(entries[:, keep], shifts[k])))
+        return [reduce(k, matrixflow.spectra_of_triangle(entries, keep, shifts[k]))
                 for k, keep in enumerate(leading)]
 
-    tiles = _map_paths(task, paths, len(sampler.grid) * (len(ju) + top * top) * 8,
+    tiles = _map_paths(task, paths, len(sampler.grid) * (len(ju) + top) * 8,
                        budget.TILE_BYTES, mapper)
     return [np.concatenate(results) for results in zip(*tiles)]
 
@@ -165,15 +166,17 @@ def residual_experiment(sampler: PathSampler, shifts: Sequence[np.ndarray], f: T
         lambda k, lam: weak_equation_residual(lam, sampler.kernel, sampler.grid, f), mapper)
     reports = []
     for shift, resid in zip(shifts, residuals):
-        sq = resid ** 2
+        (mean, se), (square, square_se) = _mean_se(resid), _mean_se(resid ** 2)
         reports.append(ResidualReport(
-            n=len(shift), paths=paths, test_function=f.name,
-            mean_residual=float(resid.mean()),
-            mean_residual_se=float(resid.std(ddof=1) / math.sqrt(paths)),
-            mean_square=float(sq.mean()),
-            mean_square_se=float(sq.std(ddof=1) / math.sqrt(paths)),
-            residuals=resid))
+            n=len(shift), paths=paths, test_function=f.name, mean_residual=float(mean),
+            mean_residual_se=float(se), mean_square=float(square),
+            mean_square_se=float(square_se), residuals=resid))
     return reports
+
+
+def _mean_se(x: np.ndarray):
+    """The mean over paths, the first axis of ``x``, and its standard error."""
+    return x.mean(axis=0), x.std(axis=0, ddof=1) / math.sqrt(len(x))
 
 
 def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -222,16 +225,11 @@ def convergence_study(sampler: PathSampler, shifts: Sequence[np.ndarray], paths:
                          for j, law in enumerate(laws[k])], axis=1)
 
     studies = []
+    times = [*map(float, sampler.grid.times), None]
     for shift, dist in zip(shifts, ensemble_map(sampler, shifts, seed, paths, distances, mapper)):
-        rows = [ConvergenceRow(n=len(shift), t=float(t), mean_distance=float(dist[:, k].mean()),
-                               stderr=float(dist[:, k].std(ddof=1) / math.sqrt(paths)),
-                               paths=paths)
-                for k, t in enumerate(sampler.grid.times)]
-        sup = dist.max(axis=1)
-        rows.append(ConvergenceRow(
-            n=len(shift), t=None, mean_distance=float(sup.mean()),
-            stderr=float(sup.std(ddof=1) / math.sqrt(paths)), paths=paths))
-        studies.append(rows)
+        studies.append([ConvergenceRow(n=len(shift), t=t, mean_distance=float(mean),
+                                       stderr=float(se), paths=paths)
+                        for t, (mean, se) in zip(times, map(_mean_se, [*dist.T, dist.max(1)]))])
     return studies
 
 
@@ -294,8 +292,7 @@ def holder_increments(sampler: PathSampler, shift: np.ndarray,
         return np.abs(mu_f[:, idx] - mu_f[:, base_idx, None]) ** p
 
     (incr,) = ensemble_map(sampler, [shift], seed, paths, lambda k, lam: increments(lam), mapper)
-    moments = np.array([col.mean() for col in incr.T])
-    errs = np.array([col.std(ddof=1) for col in incr.T]) / math.sqrt(paths)
+    moments, errs = np.array([_mean_se(col) for col in incr.T]).T  # column by column
 
     pairs = [HolderPair(t1=t_base, t2=float(t_base + d), moment=float(m), stderr=float(e))
              for d, m, e in zip(seps, moments, errs)]
@@ -547,8 +544,7 @@ def dyson_crosscheck(sampler: PathSampler, shift: np.ndarray, dts: Sequence[floa
     n_steps = [sde_steps(t_max, dt) for dt in dts]
     (lam_matrix,) = ensemble_map(sampler, [shift], seed, paths,
                                  lambda k, lam: lam[:, -1, ::-1], mapper)  # ascending
-    mean_matrix = lam_matrix.mean(axis=0)
-    se_matrix = lam_matrix.std(axis=0, ddof=1) / math.sqrt(paths)
+    mean_matrix, se_matrix = _mean_se(lam_matrix)
 
     lam0 = np.linalg.eigvalsh(shift)  # ascending
     n = lam0.size
@@ -562,8 +558,7 @@ def dyson_crosscheck(sampler: PathSampler, shift: np.ndarray, dts: Sequence[floa
     sorts = np.sum([c[1] for c in chunks], axis=0)
     rows = []
     for dt, lam, forced in zip(dts, runs, sorts):
-        mean_sde = lam.mean(axis=0)
-        se_sde = lam.std(axis=0, ddof=1) / math.sqrt(paths)
+        mean_sde, se_sde = _mean_se(lam)
         rows.append(DysonRow(n=n, t=t_max, dt=dt, paths=paths,
                              w1_distance=float(np.mean(np.abs(mean_sde - mean_matrix))),
                              w1_mc_error=float(np.mean(np.sqrt(se_sde ** 2 + se_matrix ** 2))),

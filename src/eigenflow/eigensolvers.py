@@ -11,10 +11,12 @@ independent cyclic Jacobi reference that shares no code with LAPACK.
 thread inside its block, so that a pool of k workers, each calling LAPACK,
 keeps k cores busy rather than k times OpenBLAS's own thread count.
 ``np.linalg.eigvalsh`` releases the GIL only when one call holds more than
-500 eigenvalues (matrices times n): two threads ran 4 matrices of n = 100
-at 1.08x the serial rate and 6 at 1.41x, 12 of n = 32 at 0.99x and 16 at
-2.2x.  So the pool runs in parallel only while each call keeps a stack of
-that size; a task that diagonalises one large matrix per call serialises it.
+``GIL_EIGENVALUES`` = 500 eigenvalues (matrices times n): two threads ran 4
+matrices of n = 100 at 1.08x the serial rate and 6 at 1.41x, 12 of n = 32
+at 0.99x and 16 at 2.2x.  So the pool runs in parallel only while each
+call keeps a stack of that size; a task that diagonalises one large matrix
+per call serialises it.  ``matrixflow.spectra_of_triangle`` cuts its time
+blocks no smaller.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import contextlib
 
 import numpy as np
 
+GIL_EIGENVALUES = 500
 # thread-count setters in the order they are tried; each has a ``_get_`` twin
 _OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                      "openblas_set_num_threads64_", "openblas_set_num_threads")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from eigenflow.budget import row_slices
+from eigenflow.budget import balanced_slices, row_slices
 
 
 def test_zero_rows_give_no_slice():
@@ -30,3 +30,29 @@ def test_slices_cover_every_row_once_in_order(rows, row_bytes, budget):
     assert all(s.stop - s.start >= 1 for s in slices)
     assert all((s.stop - s.start) * row_bytes <= budget for s in slices
                if row_bytes <= budget)
+
+
+@pytest.mark.parametrize("rows, row_bytes, least, sizes", [
+    (17, 80_000, 6, [8, 9]),  # n = 100: 17 slices of a row each would hold 100 eigenvalues
+    (25, 32_768, 8, [8, 8, 9]),  # n = 64, not the 9, 9, 7 of a ceiling step
+    (25, 8_192, 16, [25]),  # n = 32 stays whole
+    (7, 8, 1, [7]),  # the whole stack fits
+    (5, 1000, 6, [5]),  # fewer rows than the floor: one slice
+])
+def test_balanced_slices(rows, row_bytes, least, sizes):
+    slices = balanced_slices(rows, row_bytes, 1 << 17, least)
+    assert [s.stop - s.start for s in slices] == sizes
+    assert slices[0].start == 0 and slices[-1].stop == rows
+    assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+
+
+@pytest.mark.parametrize("rows", [1, 5, 97, 513])
+@pytest.mark.parametrize("row_bytes,budget", [(8, 5e6), (96, 240), (7, 50), (3, 1)])
+@pytest.mark.parametrize("least", [1, 2, 6])
+def test_balanced_slices_are_as_many_as_the_floor_allows(rows, row_bytes, budget, least):
+    slices = balanced_slices(rows, row_bytes, budget, least)
+    sizes = [s.stop - s.start for s in slices]
+    assert [i for s in slices for i in range(rows)[s]] == list(range(rows))
+    assert max(sizes) - min(sizes) <= 1
+    assert min(sizes) >= least or len(slices) == 1
+    assert len(slices) == min(len(row_slices(rows, row_bytes, budget)), max(1, rows // least))

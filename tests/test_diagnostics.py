@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from eigenflow import budget, diagnostics, matrixflow, rng
+from eigenflow import budget, diagnostics, eigensolvers, matrixflow, rng
 from eigenflow.diagnostics import (collision_experiment, collision_proximity,
                                    convergence_study, dyson_crosscheck, fit_loglog_slope,
                                    holder_increments, holder_times, residual_experiment,
@@ -374,28 +374,96 @@ def ensemble_bytes(sampler, shifts, paths):
 
 
 class TestEnsembleMap:
+    @pytest.mark.parametrize("method, hurst, steps, sizes, signed, expected", [
+        ("circulant", 0.3, 16, (5, 40, 100), False,
+         "e008db3dd26b897962b109f09154c01660a5b538533356e3c1604d9a0f44b4fc"),
+        ("circulant", 0.3, 16, (5, 40, 100), True,
+         "84850ddb113a03a83a496b8ee4455210e14a72b151961dd43abd14fa9932490f"),
+        ("circulant", 0.3, 64, (5, 40, 100), False,
+         "d07ee4e6fec9e8a5e72424e3884be3dc077e2ab834c1fa37a1ac9b7d94f35bb9"),
+        ("circulant", 0.3, 64, (5, 40, 100), True,
+         "94ab033643f03bb6d83b4be46edb45a930a2e188c478f64a4e4271113adc26bd"),
+        ("cholesky", 0.75, 24, (8, 16, 32, 64), False,
+         "e83014de0f15751ad4f4108c78f997f12353593a08a3f8b70fb5040b9317528c"),
+    ])
+    def test_spectra_bits(self, method, hurst, steps, sizes, signed, expected):
+        # every size from one draw, at zero and diag +-1 shifts; pinned before
+        # the time axis was split into blocks, which must move no bit
+        sampler = path_sampler(FractionalBrownianKernel(hurst), TimeGrid.uniform(1.0, steps),
+                               method)
+        shifts = [np.diag(np.resize([1.0, -1.0], n)) if signed else np.zeros((n, n))
+                  for n in sizes]
+        spectra = diagnostics.ensemble_map(sampler, shifts, 7, 3, lambda k, lam: lam)
+        digest = hashlib.sha256(b"".join(s.tobytes() for s in spectra)).hexdigest()
+        assert digest == expected
+
     @pytest.mark.parametrize("ensemble, bound", [(residual_fbm_ensemble, 3.0e6),
-                                                 (collisions_circulant_ensemble, 3.5e6)],
+                                                 (collisions_circulant_ensemble, 2.0e6)],
                              ids=["residual", "collisions"])
     def test_a_task_holds_one_path_tile_at_a_time(self, traced_peak, ensemble, bound):
         # each pool task is one path here: the run holds one path's triangle
-        # and matrix stack at a time, not those of every path
+        # and spectra and one block of its matrices at a time, not those of
+        # every path, nor its whole matrix stack
         sampler, shifts, paths, reduce = ensemble()
         assert traced_peak(diagnostics.ensemble_map, sampler, shifts, 3, paths, reduce) < bound
 
+    def test_a_long_grid_task_holds_no_whole_matrix_stack(self, traced_peak):
+        # one path of n = 96 on 513 grid times: its matrix stack alone is
+        # 37.8 MB, its triangle 18.0 MB
+        sampler = path_sampler(FractionalBrownianKernel(0.3), TimeGrid.uniform(1.0, 512),
+                               "circulant")
+        peak = traced_peak(diagnostics.ensemble_map, sampler, [np.zeros((96, 96))], 3, 1,
+                           lambda k, lam: diagnostics._min_gaps(lam))
+        assert peak < 25e6
+
     def test_a_collisions_tile_assembles_one_path_at_a_time(self, monkeypatch):
-        # one path's triangle and 17 matrices of n = 100 outgrow a tile
+        # one path's triangle and spectra outgrow a tile, and its 17 matrices
+        # of n = 100 go in two blocks of over 500 eigenvalues each
         sampler, shifts, paths, reduce = collisions_circulant_ensemble()
         sizes = []
         real_assemble = matrixflow.assemble_from_triangle
 
         def counted(values, shift):
-            sizes.append(len(values))
+            sizes.append(values.shape[::2])
             return real_assemble(values, shift)
 
         monkeypatch.setattr(matrixflow, "assemble_from_triangle", counted)
         diagnostics.ensemble_map(sampler, shifts, 1, paths, reduce)
-        assert sizes == [1] * paths
+        assert sizes == [(1, 8), (1, 9)] * paths
+
+    @pytest.mark.parametrize("kernel, steps, method, sizes, paths", [
+        (FractionalBrownianKernel(0.75), 24, "cholesky", (8, 16, 32, 64), 4),  # residual-fbm
+        (BrownianKernel(), 1, "cholesky", (20,), 2),  # converge-shift
+        (BrownianKernel(), 1, "cholesky", (2,), 3000),  # dyson-sde, the matrix side
+        (FractionalBrownianKernel(0.3), 16, "circulant", (100,), 3),  # collisions-circulant
+        (FractionalBrownianKernel(0.3), 512, "circulant", (96,), 1),
+    ], ids=["residual", "converge", "dyson", "collisions", "n96-K512"])
+    def test_every_eigvalsh_call_keeps_the_gil_floor(self, kernel, steps, method, sizes, paths,
+                                                     monkeypatch):
+        # a call of at most 500 eigenvalues keeps the GIL and serialises the
+        # pool, so only a tile's whole stack may be that small; the blocks of
+        # one tile differ by at most one grid time
+        calls = []
+        real_eigvalsh = eigensolvers.eigvalsh_stack
+
+        def spy(matrices):
+            calls.append(matrices.shape[:3])
+            return real_eigvalsh(matrices)
+
+        monkeypatch.setattr(eigensolvers, "eigvalsh_stack", spy)
+        sampler = path_sampler(kernel, TimeGrid.uniform(1.0, steps), method)
+        diagnostics.ensemble_map(sampler, [np.zeros((n, n)) for n in sizes], 1, paths,
+                                 lambda k, lam: lam)
+        tiles, held = [], steps + 1
+        for p, times, n in calls:
+            assert p * times * n > eigensolvers.GIL_EIGENVALUES or times == steps + 1
+            if held == steps + 1:
+                tiles.append([])
+                held = 0
+            tiles[-1].append(times)
+            held += times
+        assert held == steps + 1
+        assert all(max(blocks) - min(blocks) <= 1 for blocks in tiles)
 
     @pytest.mark.parametrize("method", ["cholesky", "circulant"])
     def test_the_tile_budget_moves_no_bit(self, method, monkeypatch):
@@ -411,7 +479,7 @@ class TestEnsembleMap:
 
         monkeypatch.setattr(diagnostics, "sample_triangle", counted)
         expected = ensemble_bytes(sampler, shifts, 40)
-        assert tiles == [32, 8] * 3  # the default budget
+        assert tiles == [40] * 3  # the default budget
         for tile, sizes in ((1, [1] * 40), (1 << 40, [40])):
             tiles.clear()
             monkeypatch.setattr(budget, "TILE_BYTES", tile)
