@@ -12,15 +12,15 @@ path tile assembles and diagonalises its matrices, and the row tiles
 inside Philox, the circulant sampler and the divided differences.  A row
 tile counts one array of its rows; the loops write into buffers held for
 the whole call (the circulant sampler one complex array, twice a tile's
-budget, the divided differences three pair arrays), so no tile holds more
-than a few times its budget.  A time block must not shrink below a stack
-of ``eigensolvers.GIL_EIGENVALUES`` eigenvalues per ``eigvalsh`` call, or
-the pool would serialise.
+budget, that Philox draws into; the divided differences three pair
+arrays), so no tile holds more than a few times its budget.  A time block
+must not shrink below a stack of ``eigensolvers.GIL_EIGENVALUES``
+eigenvalues per ``eigvalsh`` call, or the pool would serialise.
 ``CHUNK_BYTES`` belongs to the Dyson SDE side alone: it bounds a chunk of
 SDE paths, which one pool task advances through every step, and a block
-of their base noise.  ``sampling._GEMM_TILE`` is not a budget: it fixes
-the height of every BLAS call so that bulk and single-path sampling stay
-bit-identical.
+of their base noise, drawn into one buffer held for the pass.
+``sampling._GEMM_TILE`` is not a budget: it fixes the height of every BLAS
+call so that bulk and single-path sampling stay bit-identical.
 """
 
 from __future__ import annotations

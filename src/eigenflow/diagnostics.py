@@ -54,7 +54,8 @@ side maps its paths by the same rule in chunks under
 by (seed, path, step), so its paths are pure functions of (seed, path)
 as well; its chunk counts the state of each step size and a step's
 pairwise drift, and its base Euler noise is drawn for a block of steps
-at a time under the same budget, once for every step size.
+at a time under the same budget, once for every step size, into one
+block buffer held for the whole pass.
 """
 
 from __future__ import annotations
@@ -482,7 +483,8 @@ def _sde_paths(lam0: np.ndarray, dts: Sequence[float], n_steps: Sequence[int], s
     steps.  Noise is keyed as laid out in :mod:`eigenflow.rng`, so each path
     is a pure function of (seed, path) and step k of every run draws the
     same noise: the base noise of a block of steps, under
-    ``budget.CHUNK_BYTES / 8``, is drawn once for all runs as (steps, n,
+    ``budget.CHUNK_BYTES / 8``, is drawn once for all runs into one
+    (steps n, paths) buffer held for the whole pass and read as (steps, n,
     paths), and one refinement-tree draw per step serves every run.
     """
     n, p = lam0.size, len(pid)
@@ -492,11 +494,14 @@ def _sde_paths(lam0: np.ndarray, dts: Sequence[float], n_steps: Sequence[int], s
     lam = np.repeat(lam0[:, None], len(dts) * p, axis=1)
     dt = np.repeat([dts[r] for r in order], p)
     sorts = np.zeros(len(dts) * p, dtype=np.int64)
+    blocks = budget.row_slices(n_steps[order[0]], 64 * n * p, budget.CHUNK_BYTES)
+    held = np.empty(((blocks[0].stop if blocks else 0) * n, p))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for block in budget.row_slices(n_steps[order[0]], 64 * n * p, budget.CHUNK_BYTES):
+        for block in blocks:
             first, steps = block.start, block.stop - block.start
-            noise = np.ascontiguousarray(rng.normals(seed, base_ids, steps * n, start=first * n)
-                                         .reshape(p, steps, n).transpose(1, 2, 0))
+            # drawn through the transpose, so each step's (n, paths) is contiguous
+            rng.normals(seed, base_ids, steps * n, start=first * n, out=held[:steps * n].T)
+            noise = held[:steps * n].reshape(steps, n, p)
             for step in range(first, first + steps):
                 live = p * sum(n_steps[r] > step for r in order)
 

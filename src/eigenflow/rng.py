@@ -14,6 +14,9 @@ as a scalar, so the first rounds run on rows and columns.  From round 3 on,
 Philox runs in place in the tile's word buffers, Box-Muller turns those
 buffers into floats in place, and the normals are written straight into
 the output, so a tile holds six word-sized buffers however it is drawn.
+The output may be the caller's own buffer (``normals(..., out=)``): the
+circulant sampler draws into its complex buffer and the Dyson SDE into
+one noise block held for its pass, so neither allocates per draw.
 
 Stream ids pack a small domain tag (which subsystem is drawing), two matrix
 indices and a path index into one 64-bit word.  :func:`stream_id` is the
@@ -126,35 +129,48 @@ def stream_id(domain, i, j, path):
     return (d << np.uint64(60)) | (i << np.uint64(48)) | (j << np.uint64(36)) | path
 
 
-def normals(seed: int, ids: np.ndarray, count: int, start: int = 0) -> np.ndarray:
+def normals(seed: int, ids: np.ndarray, count: int, start: int = 0,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Standard normal variates for each stream id.
 
     Returns shape ``ids.shape + (count,)`` holding positions
-    ``[start, start + count)`` of each stream, for any ``start >= 0``:
-    Philox block b carries positions 2b and 2b + 1, so the draw runs from
-    block ``start // 2`` and drops the first normal when ``start`` is odd.
-    Stream ``s`` yields the same values at the same positions no matter
-    how the draw is chunked.  Philox and Box-Muller run over tiles of whole
-    stream rows, 16 bytes a counter under ``budget.TILE_BYTES``, written
-    into one preallocated output, so the temporaries stay cache-sized;
-    every operation is elementwise, so the tiling changes no bit.  Within
-    a tile the counter words go in unbroadcast, and the later Philox rounds
-    run in place (:func:`philox4x32`).  Box-Muller converts the words to
-    floats in the buffers of words already consumed, takes the log, cosine
-    and sine over whole contiguous tiles, and writes r cos(theta) and
-    r sin(theta) straight into the strided columns of the output that they
-    fill, so an odd ``start`` or ``count`` copies nothing.
+    ``[start, start + count)`` of each stream, for any ``start >= 0``,
+    written into ``out`` where it is given and returned: a float64 array
+    of that shape whose leading axes merge into one without a copy (a
+    column slice, the float view of a complex buffer and the transpose of
+    a (count, streams) array all do), so a caller that draws often holds
+    one buffer.  Any other ``out`` raises ``ValueError`` before a value is
+    written.  Either way the bits are the same.  Philox block b carries
+    positions 2b and 2b + 1, so the draw runs from block ``start // 2``
+    and drops the first normal when ``start`` is odd.  Stream ``s`` yields
+    the same values at the same positions no matter how the draw is
+    chunked.  Philox and Box-Muller run over tiles of whole stream rows,
+    16 bytes a counter under ``budget.TILE_BYTES``, written into the one
+    output, so the temporaries stay cache-sized; every operation is
+    elementwise, so the tiling changes no bit.  Within a tile the counter
+    words go in unbroadcast, and the later Philox rounds run in place
+    (:func:`philox4x32`).  Box-Muller converts the words to floats in the
+    buffers of words already consumed, takes the log, cosine and sine over
+    whole contiguous tiles, and writes r cos(theta) and r sin(theta)
+    straight into the strided columns of the output that they fill, so an
+    odd ``start`` or ``count`` copies nothing.
     """
     ids = np.asarray(ids, dtype=np.uint64)
-    shape = ids.shape
+    shape = ids.shape + (count,)
     flat = ids.reshape(-1)
+    if out is None:
+        out = np.empty(shape, dtype=np.float64)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be float64 of shape {shape}, "
+                         f"not {out.dtype} of shape {out.shape}")
+    # one row per stream, as a view of ``out``; raises where none exists
+    rows_out = np.reshape(out, (flat.size, count), copy=False)
     first, skip = divmod(start, 2)
     n_blocks = (skip + count + 1) // 2
     blocks = np.arange(first, first + n_blocks, dtype=np.uint64)[None, :]
     # out column c is position start + c: block b's cosine lands in column
     # 2b - skip and its sine in column 2b + 1 - skip, where those exist
     n_cos, n_sin = len(range(skip, count, 2)), len(range(1 - skip, count, 2))
-    out = np.empty((flat.size, count), dtype=np.float64)
     for rows in budget.row_slices(flat.size, 16 * max(n_blocks, 1), budget.TILE_BYTES):
         tile = flat[rows, None]
         x0, x1, x2, x3 = philox4x32((blocks, tile & _MASK32, tile >> _S32, np.uint64(0)),
@@ -176,6 +192,7 @@ def normals(seed: int, ids: np.ndarray, count: int, start: int = 0) -> np.ndarra
         np.sqrt(r, out=r)
         theta *= 2.0 * np.pi
         cos, sin = np.cos(theta, out=x0.view(np.float64)), np.sin(theta, out=x2.view(np.float64))
-        np.multiply(r[:, skip:skip + n_cos], cos[:, skip:skip + n_cos], out=out[rows, skip::2])
-        np.multiply(r[:, :n_sin], sin[:, :n_sin], out=out[rows, 1 - skip::2])
-    return out.reshape(shape + (count,))
+        np.multiply(r[:, skip:skip + n_cos], cos[:, skip:skip + n_cos],
+                    out=rows_out[rows, skip::2])
+        np.multiply(r[:, :n_sin], sin[:, :n_sin], out=rows_out[rows, 1 - skip::2])
+    return out

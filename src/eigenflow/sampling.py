@@ -14,8 +14,9 @@ frozen ``PathSampler`` it returns draws one path per stream id:
   circulant embedding (FFT) and cumulates it into fractional Brownian
   paths; only for fbm on uniform grids, same distribution as the Cholesky
   route.  It works in ``budget.TILE_BYTES`` row tiles that write into the
-  output; a tile holds its normals and one complex (rows, 2K) buffer, held
-  for the whole block, which is scaled and Fourier-transformed in place.
+  output; a tile draws its normals straight into one complex (rows, 2K)
+  buffer, held for the whole block, which is scaled, mirrored and
+  Fourier-transformed in place.
   An embedding that is not nonnegative definite raises
   ``FactorizationError``.  No embedding had a negative eigenvalue in a scan
   of 502 Hurst indices in (0, 1) at every step count from 1 to 1024 and at
@@ -159,8 +160,9 @@ def circulant_fbm_block(sqrt_eigs: np.ndarray, hurst: float, dt: float, seed: in
     cumulative sum run over ``budget.TILE_BYTES`` row tiles (8 bytes an entry)
     and write into the output, so no temporary grows with the block; each
     row is transformed on its own, so the tiling changes no bit.  Every
-    tile fills one complex buffer of the first (largest) tile, held for the
-    whole call, and scales and inverse-transforms it in place.
+    tile draws its normals into one complex buffer of the first (largest)
+    tile, held for the whole call, and scales, mirrors and
+    inverse-transforms it in place.
     """
     m = sqrt_eigs.size
     n_steps = m // 2
@@ -170,12 +172,15 @@ def circulant_fbm_block(sqrt_eigs: np.ndarray, hurst: float, dt: float, seed: in
     tiles = budget.row_slices(flat.size, 8 * m, budget.TILE_BYTES)
     held = np.empty((tiles[0].stop if tiles else 0, m), dtype=np.complex128)
     for rows in tiles:
-        g = rng.normals(seed, flat[rows], m)
-        z = held[:g.shape[0]]
-        z[:, 0] = g[:, 0]
-        z[:, n_steps] = g[:, 1]
-        z[:, 1:n_steps] = (g[:, 2::2] + 1j * g[:, 3::2]) / np.sqrt(2.0)
-        z[:, n_steps + 1:] = np.conj(z[:, 1:n_steps][:, ::-1])
+        z = held[:rows.stop - rows.start]
+        # normals g_0..g_{m-1} land interleaved as (re, im) of columns
+        # 0..K-1: g_{2j}, g_{2j+1} are already column j's parts for 0 < j < K
+        parts = z.view(np.float64)
+        rng.normals(seed, flat[rows], m, out=parts[:, :m])
+        parts[:, m] = parts[:, 1]  # g_1 is the real column K
+        parts[:, 1] = parts[:, m + 1] = 0.0
+        parts[:, 2:m] *= 1.0 / np.sqrt(2.0)  # as complex-by-real division rounds
+        np.conjugate(z[:, n_steps - 1:0:-1], out=z[:, n_steps + 1:])
 
         z *= sqrt_eigs
         noise = np.fft.ifft(z, axis=1, out=z).real[:, :n_steps]

@@ -8,12 +8,14 @@ right one.
 import numpy as np
 import pytest
 
+from eigenflow.diagnostics import ensemble_map, fit_loglog_slope, weak_equation_residual
 from eigenflow.grids import TimeGrid
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
 from eigenflow.limitlaw import Semicircle, semicircle_stieltjes
 from eigenflow.matrixflow import sample_flows, spectra_of_stack
 from eigenflow.measures import kolmogorov_distance
 from eigenflow.sampling import path_sampler
+from eigenflow.testfunctions import gaussian_bump
 
 
 @pytest.mark.parametrize("hurst", [0.3, 0.75])
@@ -46,3 +48,24 @@ def test_criterion_2_rejects_the_brownian_variance():
     right, wrong = worst(kernel), worst(BrownianKernel())
     assert right <= bound, f"right variance: max |G_emp - F| = {right:.4f} > {bound}"
     assert wrong > bound, f"Brownian variance: max |G_emp - F| = {wrong:.4f} <= {bound}"
+
+
+def test_criterion_3_rejects_a_wrong_variance_rate():
+    # criterion 3's statistic on its H = 0.3 setup (power-graded 24-step
+    # grid, gaussian_bump, seed 2024), at n = 8 to 32 and 200 paths: the
+    # residual's drift integrates against dR(s,s), and with the Brownian or
+    # the H = 0.75 R(s,s) E[G^2] barely decays (slopes about -0.51 and
+    # -0.31, against about -2.07 with the right one)
+    kernel, grid, bound = FractionalBrownianKernel(0.3), TimeGrid.power_graded(1.0, 24), -0.7
+    n_values = (8, 16, 32)
+    kernels = (kernel, BrownianKernel(), FractionalBrownianKernel(0.75))
+    residuals = ensemble_map(
+        path_sampler(kernel, grid), [np.zeros((n, n)) for n in n_values], 2024, 200,
+        lambda k, lam: np.stack([weak_equation_residual(lam, rate, grid, gaussian_bump)
+                                 for rate in kernels], axis=-1))
+    mean_square = np.array([np.mean(g ** 2, axis=0) for g in residuals])  # (n, kernel)
+    right, brownian, smoother = (fit_loglog_slope(np.array(n_values, dtype=float), column)
+                                for column in mean_square.T)
+    assert right <= bound, f"right R(s,s): slope {right:.2f} > {bound}"
+    assert brownian > bound, f"Brownian R(s,s): slope {brownian:.2f} <= {bound}"
+    assert smoother > bound, f"H = 0.75 R(s,s): slope {smoother:.2f} <= {bound}"

@@ -270,6 +270,28 @@ class TestDyson:
         assert np.array_equal(blocked, single)
         assert np.array_equal(blocked_sorts, single_sorts) and np.all(blocked_sorts > 0)
 
+    def test_noise_blocks_land_in_one_held_buffer(self, monkeypatch):
+        # the setup above: three blocks, the last one short; every base
+        # noise draw of the pass writes into one buffer, at the positions
+        # its block of steps has always read
+        n, paths, n_steps = 3, 1100, (30, 60)
+        base = rng.stream_id(rng.DOMAIN_SDE, 0, 0, np.arange(paths))
+        draws, draw = [], rng.normals
+
+        def spy(seed, ids, count, start=0, out=None):
+            if np.array_equal(ids, base):
+                draws.append((start, count, out))
+            return draw(seed, ids, count, start=start, out=out)
+
+        monkeypatch.setattr(rng, "normals", spy)
+        diagnostics._sde_paths(np.zeros(n), (1e-2, 5e-3), n_steps, 5, range(paths))
+        blocks = budget.row_slices(60, 64 * n * paths, budget.CHUNK_BYTES)
+        assert len(blocks) == 3 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+        assert [(start, count) for start, count, _ in draws] == \
+            [(b.start * n, (b.stop - b.start) * n) for b in blocks]
+        held = draws[0][2]
+        assert all(out is not None and np.shares_memory(out, held) for _, _, out in draws)
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_dts_together_or_apart_move_no_bit(self, n):
         # the zero start drives refinement and forced sorts at both step sizes

@@ -157,6 +157,21 @@ class TestBurgersSolver:
         assert moment_from_stieltjes(mu0, tau, 1) == pytest.approx(0.0, abs=1e-8)
         assert moment_from_stieltjes(mu0, tau, 2) == pytest.approx(1.0 + tau, abs=1e-6)
 
+    @pytest.mark.parametrize("tau", [0.25, 1.0])
+    def test_moment_series_of_two_atom_start(self, tau):
+        # free cumulants add: the +-1 start has kappa_2, kappa_4, kappa_6 =
+        # 1, -1, 2 and the semicircle adds tau to kappa_2; odd ones vanish.
+        # F(z) = -sum_k m_k / z^(k+1), and the support lies within |x| <= 3,
+        # so from |z| = 20 the tail past m_4 is under 1.2 m_6 / |z|^7
+        mu0 = AtomicMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+        k2, k4, k6 = 1.0 + tau, -1.0, 2.0
+        m2, m4, m6 = k2, k4 + 2.0 * k2 ** 2, k6 + 6.0 * k2 * k4 + 5.0 * k2 ** 3
+        for radius in (20.0, 30.0, 50.0):
+            for angle in np.linspace(0.05, np.pi - 0.05, 9):
+                z = radius * np.exp(1j * angle)
+                tail = limit_stieltjes(mu0, tau, z) + 1.0 / z + m2 / z ** 3 + m4 / z ** 5
+                assert abs(tail) <= 2.0 * m6 / radius ** 7, (z, abs(tail) * radius ** 7)
+
 
 class TestLimitAtTime:
     def test_fbm_time_one(self):

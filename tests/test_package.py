@@ -3,6 +3,7 @@
 import ast
 import collections
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -172,3 +173,19 @@ def test_benchmark_configs_set_only_keys_their_subcommand_reads():
         keys = cfg.away_from_default(("sampler", "observables", "experiment"))
         unread[name] = sorted(set(keys) - set(READS[workload.subcommand]))
     assert unread == {name: [] for name in unread}
+
+
+def test_every_bench_record_names_its_claim():
+    # a BENCH_*.json records one change: what it was, its parent, the layers
+    # it touched, and a claim on a metric and workload the benchmark defines
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"] for m in bench["end_to_end"] + bench["per_layer"]}
+    workloads = {w["name"] for w in bench["workloads"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert {"change", "parent", "layers_changed", "claim"} <= record.keys(), path.name
+        assert record["layers_changed"], path.name
+        claim = record["claim"]
+        assert claim["metric"] in metrics and claim["workload"] in workloads, path.name

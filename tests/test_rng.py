@@ -151,17 +151,18 @@ NORMALS_DIGESTS = {
 }
 
 
+# ids with every 32-bit half at its edges, and a 2-D block of stream ids;
+# odd and even starts, one beyond a tile; counts 0, 1, odd and even
+NORMALS_GRID = tuple(itertools.product(
+    (np.array([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64 - 1], dtype=np.uint64),
+     rng.stream_id(rng.DOMAIN_CIRCULANT, *np.triu_indices(4), np.array([0, 9, 1 << 35])[:, None])),
+    (0, 1, 3, 5600), (0, 1, 25, 32)))
+
+
 @pytest.mark.parametrize("seed", sorted(NORMALS_DIGESTS))
 def test_normals_bits_over_seeds_starts_and_counts(seed):
-    # ids with every 32-bit half at its edges, and a 2-D block of stream ids;
-    # odd and even starts, one beyond a tile; counts 0, 1, odd and even
-    id_sets = (
-        np.array([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64 - 1], dtype=np.uint64),
-        rng.stream_id(rng.DOMAIN_CIRCULANT, *np.triu_indices(4),
-                      np.array([0, 9, 1 << 35])[:, None]),
-    )
     digest = hashlib.sha256()
-    for ids, start, count in itertools.product(id_sets, (0, 1, 3, 5600), (0, 1, 25, 32)):
+    for ids, start, count in NORMALS_GRID:
         z = rng.normals(seed, ids, count, start=start)
         assert z.shape == ids.shape + (count,) and z.dtype == np.float64
         digest.update(z.tobytes())
@@ -174,3 +175,43 @@ def test_peak_memory_of_one_path_draw(traced_peak):
     ids = rng.stream_id(rng.DOMAIN_ENTRY, *np.triu_indices(64), 0)
     assert ids.size == 2080
     assert traced_peak(rng.normals, 7, ids, 25) < 1.3e6
+
+
+
+def _wide(shape, count):
+    """A column slice of a wider float array."""
+    return np.full(shape + (count + 3,), np.nan)[..., :count]
+
+
+def _complex_view(shape, count):
+    """The leading floats of a complex buffer's rows, as its float view."""
+    buffer = np.full(shape + (count // 2 + 2,), np.nan, dtype=np.complex128)
+    return buffer.view(np.float64)[..., :count]
+
+
+def _transposed(shape, count):
+    """The transpose of a (count, streams) array, as the Dyson SDE holds its noise."""
+    return np.full((count, int(np.prod(shape))), np.nan).T.reshape(shape + (count,))
+
+
+@pytest.mark.parametrize("seed", sorted(NORMALS_DIGESTS))
+@pytest.mark.parametrize("target", [_wide, _complex_view, _transposed])
+def test_normals_into_out_keep_every_bit(seed, target):
+    # the sha256 grid above, drawn into strided buffers a caller holds
+    digest = hashlib.sha256()
+    for ids, start, count in NORMALS_GRID:
+        out = target(ids.shape, count)
+        assert rng.normals(seed, ids, count, start=start, out=out) is out
+        assert np.array_equal(out, rng.normals(seed, ids, count, start=start))
+        digest.update(out.tobytes())
+    assert digest.hexdigest() == NORMALS_DIGESTS[seed]
+
+def test_normals_rejects_an_out_it_cannot_fill_before_writing():
+    ids = rng.stream_id(rng.DOMAIN_ENTRY, 0, 1, np.arange(10).reshape(2, 5))
+    for out in (np.full((2, 5, 6), np.nan),                    # a count too short
+                np.full((10, 7), np.nan),                      # ids flattened
+                np.full((2, 5, 7), np.nan, dtype=np.float32),  # not float64
+                np.full((2, 6, 7), np.nan)[:, :5]):            # rows that do not merge
+        with pytest.raises(ValueError):
+            rng.normals(3, ids, 7, out=out)
+        assert np.isnan(out).all()
