@@ -163,8 +163,12 @@ def normals(seed: int, ids: np.ndarray, count: int, start: int = 0,
     elif out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out must be float64 of shape {shape}, "
                          f"not {out.dtype} of shape {out.shape}")
-    # one row per stream, as a view of ``out``; raises where none exists
-    rows_out = np.reshape(out, (flat.size, count), copy=False)
+    # one row per stream, as a view of ``out``; where none exists the
+    # reshape copies, and the copy lies outside ``out``'s memory
+    rows_out = out.reshape(flat.size, count)
+    if out.size and not np.may_share_memory(rows_out, out):
+        raise ValueError(f"the leading axes of out, strides {out.strides}, "
+                         "do not merge into one without a copy")
     first, skip = divmod(start, 2)
     n_blocks = (skip + count + 1) // 2
     blocks = np.arange(first, first + n_blocks, dtype=np.uint64)[None, :]

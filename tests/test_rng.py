@@ -177,7 +177,6 @@ def test_peak_memory_of_one_path_draw(traced_peak):
     assert traced_peak(rng.normals, 7, ids, 25) < 1.3e6
 
 
-
 def _wide(shape, count):
     """A column slice of a wider float array."""
     return np.full(shape + (count + 3,), np.nan)[..., :count]
@@ -205,6 +204,7 @@ def test_normals_into_out_keep_every_bit(seed, target):
         assert np.array_equal(out, rng.normals(seed, ids, count, start=start))
         digest.update(out.tobytes())
     assert digest.hexdigest() == NORMALS_DIGESTS[seed]
+
 
 def test_normals_rejects_an_out_it_cannot_fill_before_writing():
     ids = rng.stream_id(rng.DOMAIN_ENTRY, 0, 1, np.arange(10).reshape(2, 5))
