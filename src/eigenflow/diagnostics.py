@@ -69,8 +69,9 @@ import numpy as np
 from . import budget, matrixflow, rng
 from .kernels import CovarianceKernel
 from .limitlaw import AtomicMeasure, law_at_time
-# unused here, but bound for the benchmark's tracer, which wraps the last two at these names
-from .matrixflow import DEGENERATE_GAP, sample_flows, sample_triangle, spectra_of_stack
+from .matrixflow import DEGENERATE_GAP, sample_triangle
+# unused here: bound for the benchmark's tracer, which wraps both at these names
+from .matrixflow import sample_flows, spectra_of_stack
 from .measures import divided_difference_stack, kolmogorov_distance
 from .sampling import PathSampler
 from .testfunctions import TestFunction

@@ -62,6 +62,6 @@ class TimeGrid:
             raise ValueError(f"{t} is not a grid time")
         return k
 
-    def is_uniform(self, rtol: float = 1e-9) -> bool:
+    def is_uniform(self) -> bool:
         d = self.deltas
-        return bool(np.all(np.abs(d - d[0]) <= rtol * d[0]))
+        return bool(np.all(np.abs(d - d[0]) <= 1e-9 * d[0]))

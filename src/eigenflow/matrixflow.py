@@ -131,8 +131,8 @@ def spectra_of_triangle(values: np.ndarray, keep, shift: np.ndarray) -> np.ndarr
     """Descending spectra (P, K+1, n) of the matrices that the entries ``keep``
     of ``values`` (P, entries, K+1) assemble at ``shift``, n its size.
 
-    The grid times go in balanced blocks under ``budget.TILE_BYTES`` of
-    matrices, each block of every path in one ``eigvalsh`` call of more
+    The grid times go in ``budget.row_slices`` blocks under ``TILE_BYTES``
+    of matrices, each block of every path in one ``eigvalsh`` call of more
     than ``eigensolvers.GIL_EIGENVALUES`` eigenvalues where the stack has
     them.  Every matrix is diagonalised on its own, so the blocks move no
     bit.  The spectra have the strides of ``spectra_of_stack``'s result.
@@ -140,8 +140,8 @@ def spectra_of_triangle(values: np.ndarray, keep, shift: np.ndarray) -> np.ndarr
     p, _, times = values.shape
     n = len(shift)
     spectra = np.empty((p, times, n))[..., ::-1]
-    for block in budget.balanced_slices(times, p * n * n * 8, budget.TILE_BYTES,
-                                        eigensolvers.GIL_EIGENVALUES // (p * n) + 1):
+    for block in budget.row_slices(times, p * n * n * 8, budget.TILE_BYTES,
+                                   eigensolvers.GIL_EIGENVALUES // (p * n) + 1):
         spectra[:, block] = spectra_of_stack(assemble_from_triangle(values[:, keep, block], shift))
     return spectra
 

@@ -8,7 +8,8 @@ right one.
 import numpy as np
 import pytest
 
-from eigenflow.diagnostics import ensemble_map, fit_loglog_slope, weak_equation_residual
+from eigenflow.diagnostics import (ensemble_map, fit_loglog_slope, holder_increments,
+                                   holder_times, weak_equation_residual)
 from eigenflow.grids import TimeGrid
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
 from eigenflow.limitlaw import Semicircle, semicircle_stieltjes
@@ -69,3 +70,18 @@ def test_criterion_3_rejects_a_wrong_variance_rate():
     assert right <= bound, f"right R(s,s): slope {right:.2f} > {bound}"
     assert brownian > bound, f"Brownian R(s,s): slope {brownian:.2f} <= {bound}"
     assert smoother > bound, f"H = 0.75 R(s,s): slope {smoother:.2f} <= {bound}"
+
+
+def test_criterion_5_rejects_rougher_paths():
+    # criterion 5's Hoelder statistic and setup (n = 32, 400 paths, p = 4,
+    # t_base = 0.5, seed 5150) on fBm paths with H = 0.3: their slope (1.59
+    # to 1.68 at seeds 5150 to 5152) must fail the Brownian bound.  The
+    # control runs rougher paths, not smoother ones, since Brownian paths
+    # (slope about 3.0) also pass the H = 0.75 bound of 2.7
+    seps = np.geomspace(1e-3, 1e-1, 7)
+    sampler = path_sampler(FractionalBrownianKernel(0.3), TimeGrid(holder_times(0.5, seps)))
+    rep = holder_increments(sampler, np.zeros((32, 32)), gaussian_bump, 4.0, 0.5, seps,
+                            paths=400, seed=5150)
+    bound = 0.9 * (4.0 * 1.0 / 2.0)
+    assert rep.slope is not None and rep.slope < bound, \
+        f"H = 0.3 paths: qhat {rep.slope} >= Brownian bound {bound}"

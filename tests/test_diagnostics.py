@@ -255,13 +255,13 @@ class TestDyson:
 
     def test_noise_blocks_move_no_bit(self, monkeypatch):
         # odd n and an odd block put block starts at odd positions, and the
-        # last block is short; the shorter run retires inside the second
+        # blocks differ in size; the shorter run retires inside the second
         # block, which starts at an odd position; the zero start drives
         # refinement and sorts
-        n, paths, n_steps = 3, 1100, (30, 60)
-        blocks = budget.row_slices(60, 64 * n * paths, budget.CHUNK_BYTES)
-        block = blocks[0].stop
-        assert block % 2 == 1 and 60 % block and 60 > block
+        n, paths, n_steps = 3, 1100, (30, 61)
+        blocks = budget.row_slices(61, 64 * n * paths, budget.CHUNK_BYTES)
+        sizes = [b.stop - b.start for b in blocks]
+        assert sizes[0] % 2 == 1 and sizes[0] == max(sizes) == min(sizes) + 1
         assert blocks[1].start < 30 < blocks[1].stop and blocks[1].start * n % 2 == 1
         args = (np.zeros(n), (1e-2, 5e-3), n_steps, 5, range(paths))
         blocked, blocked_sorts = diagnostics._sde_paths(*args)
@@ -271,10 +271,10 @@ class TestDyson:
         assert np.array_equal(blocked_sorts, single_sorts) and np.all(blocked_sorts > 0)
 
     def test_noise_blocks_land_in_one_held_buffer(self, monkeypatch):
-        # the setup above: three blocks, the last one short; every base
+        # the setup above: three blocks, the first the largest; every base
         # noise draw of the pass writes into one buffer, at the positions
         # its block of steps has always read
-        n, paths, n_steps = 3, 1100, (30, 60)
+        n, paths, n_steps = 3, 1100, (30, 61)
         base = rng.stream_id(rng.DOMAIN_SDE, 0, 0, np.arange(paths))
         draws, draw = [], rng.normals
 
@@ -285,8 +285,9 @@ class TestDyson:
 
         monkeypatch.setattr(rng, "normals", spy)
         diagnostics._sde_paths(np.zeros(n), (1e-2, 5e-3), n_steps, 5, range(paths))
-        blocks = budget.row_slices(60, 64 * n * paths, budget.CHUNK_BYTES)
-        assert len(blocks) == 3 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+        blocks = budget.row_slices(61, 64 * n * paths, budget.CHUNK_BYTES)
+        sizes = [b.stop - b.start for b in blocks]
+        assert len(blocks) == 3 and max(sizes) - min(sizes) == 1 and sizes[0] == max(sizes)
         assert [(start, count) for start, count, _ in draws] == \
             [(b.start * n, (b.stop - b.start) * n) for b in blocks]
         held = draws[0][2]
@@ -451,7 +452,7 @@ class TestEnsembleMap:
 
         monkeypatch.setattr(matrixflow, "assemble_from_triangle", counted)
         diagnostics.ensemble_map(sampler, shifts, 1, paths, reduce)
-        assert sizes == [(1, 8), (1, 9)] * paths
+        assert sizes == [(1, 9), (1, 8)] * paths
 
     @pytest.mark.parametrize("kernel, steps, method, sizes, paths", [
         (FractionalBrownianKernel(0.75), 24, "cholesky", (8, 16, 32, 64), 4),  # residual-fbm

@@ -99,9 +99,15 @@ def test_one_working_set_policy():
                for node in ast.walk(scope)
                if getattr(node, "attr", getattr(node, "id", None)) == "CHUNK_BYTES"}
     assert readers == {("diagnostics.py", "_sde_paths"), ("diagnostics.py", "dyson_crosscheck")}
-    budgets = [node.targets[0].id for node in ast.parse((src / "budget.py").read_text()).body
-               if isinstance(node, ast.Assign)]
-    assert budgets == ["CHUNK_BYTES", "TILE_BYTES"]
+    body = ast.parse((src / "budget.py").read_text()).body
+    assert [node.targets[0].id for node in body if isinstance(node, ast.Assign)] == \
+        ["CHUNK_BYTES", "TILE_BYTES"]
+    # one slicing rule: the time blocks pass their GIL floor to row_slices,
+    # and no module names another slicing function
+    assert [node.name for node in body if isinstance(node, ast.FunctionDef)] == ["row_slices"]
+    names = {getattr(node, "name", getattr(node, "attr", getattr(node, "id", None)))
+             for p in sorted(src.rglob("*.py")) for node in ast.walk(ast.parse(p.read_text()))}
+    assert {name for name in names if str(name).endswith("_slices")} == {"row_slices"}
 
 
 def test_sizes_come_from_the_arrays():

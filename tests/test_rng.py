@@ -77,7 +77,7 @@ def test_normals_chunked_start_offset():
 
 @pytest.mark.parametrize("start,count", [(0, 9), (3, 13), (1, 1), (5, 40)])
 def test_normals_tiles_match_single_rows(start, count, monkeypatch):
-    # 16 counters per tile: several rows per tile with a partial last tile,
+    # 16 counters per tile: several rows per tile, in tiles of two sizes,
     # and at count 40 a row of 21 counters, longer than a tile
     monkeypatch.setattr(budget, "TILE_BYTES", 16 * 16)
     ids = rng.stream_id(rng.DOMAIN_ENTRY, 1, 2, np.arange(40))
