@@ -6,6 +6,8 @@ eigenvalues and eigenvectors of one matrix or a (..., n, n) stack, and
 returns descending eigenvalues and orthonormal eigenvector columns whose
 first nonzero component is positive.  The tests check both against an
 independent cyclic Jacobi reference that shares no code with LAPACK.
+LAPACK's ``eigh`` and ``eigvalsh`` routines need not agree to the last bit,
+so every spectrum of a run comes from ``eigvalsh_stack``.
 
 ``one_blas_thread`` holds every OpenBLAS the process has loaded at one
 thread inside its block, so that a pool of k workers, each calling LAPACK,
@@ -64,13 +66,10 @@ def _sorted_descending(values: np.ndarray, vectors: np.ndarray | None):
     return values, fix_eigenvector_signs(np.take_along_axis(vectors, order[..., None, :], axis=-1))
 
 
-def eigh(a: np.ndarray, want_vectors: bool = True):
-    """Descending eigenvalues and, when asked, eigenvector columns of one
-    symmetric matrix or of a (..., n, n) stack of them (LAPACK)."""
-    a0 = _check_symmetric(a)
-    if want_vectors:
-        return _sorted_descending(*np.linalg.eigh(a0))
-    return _sorted_descending(np.linalg.eigvalsh(a0), None)
+def eigh(a: np.ndarray):
+    """Descending eigenvalues and eigenvector columns of one symmetric
+    matrix or of a (..., n, n) stack of them (LAPACK)."""
+    return _sorted_descending(*np.linalg.eigh(_check_symmetric(a)))
 
 
 def eigvalsh_stack(matrices: np.ndarray) -> np.ndarray:

@@ -10,9 +10,9 @@ its (n, n) shift matrix A; n is its size.  Flows and spectra are plain
 arrays: ``sample_triangle`` draws the upper-triangle paths of a batch of
 realisations through the run's ``sampling.PathSampler``,
 ``assemble_from_triangle`` turns them into (..., K+1, n, n) matrix stacks
-(``sample_flows`` does both) and ``spectra_of_stack`` returns their
-descending eigenvalues (..., K+1, n).  ``spectra_of_triangle`` does the
-last two a block of grid times at a time, so only the spectra and one
+(``sample_flows`` does both) and ``eigensolvers.eigvalsh_stack`` returns
+their descending eigenvalues (..., K+1, n).  ``spectra_of_triangle`` does
+the last two a block of grid times at a time, so only the spectra and one
 block's matrices exist at once.  Stream ids carry no n, so the draw
 of size n is the leading sub-triangle of the draw of any larger size.
 ``triangle(n, k)`` is the one ``triu_indices`` layout of size n, built once
@@ -122,11 +122,6 @@ def sample_flows(sampler: sampling.PathSampler, shift: np.ndarray, seed: int,
     return assemble_from_triangle(sample_triangle(sampler, len(shift), seed, paths), shift)
 
 
-def spectra_of_stack(matrices: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of (..., n, n) symmetric stacks via LAPACK."""
-    return eigensolvers.eigvalsh_stack(matrices)
-
-
 def spectra_of_triangle(values: np.ndarray, keep, shift: np.ndarray) -> np.ndarray:
     """Descending spectra (P, K+1, n) of the matrices that the entries ``keep``
     of ``values`` (P, entries, K+1) assemble at ``shift``, n its size.
@@ -135,14 +130,16 @@ def spectra_of_triangle(values: np.ndarray, keep, shift: np.ndarray) -> np.ndarr
     of matrices, each block of every path in one ``eigvalsh`` call of more
     than ``eigensolvers.GIL_EIGENVALUES`` eigenvalues where the stack has
     them.  Every matrix is diagonalised on its own, so the blocks move no
-    bit.  The spectra have the strides of ``spectra_of_stack``'s result.
+    bit.  The spectra have the strides of ``eigensolvers.eigvalsh_stack``'s
+    result.
     """
     p, _, times = values.shape
     n = len(shift)
     spectra = np.empty((p, times, n))[..., ::-1]
     for block in budget.row_slices(times, p * n * n * 8, budget.TILE_BYTES,
                                    eigensolvers.GIL_EIGENVALUES // (p * n) + 1):
-        spectra[:, block] = spectra_of_stack(assemble_from_triangle(values[:, keep, block], shift))
+        spectra[:, block] = eigensolvers.eigvalsh_stack(
+            assemble_from_triangle(values[:, keep, block], shift))
     return spectra
 
 

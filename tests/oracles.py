@@ -15,6 +15,8 @@ produces by another route:
   integration of ``limit_stieltjes``.
 * ``sde_drift_rows``: the Dyson SDE drift of a (rows, n) state, summed
   along its contiguous length-n axis in numpy's own order.
+* ``moment_identity_z``: sampled spectra and increments against the exact
+  finite-n means that Wick's theorem gives for them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import math
 import numpy as np
 
 from eigenflow.eigensolvers import _check_symmetric, _sorted_descending
+from eigenflow.kernels import CovarianceKernel
 from eigenflow.limitlaw import AtomicMeasure, limit_stieltjes
+from eigenflow.matrixflow import diagonal_scale, spectra_of_triangle, triangle
 
 JACOBI_MAX_SWEEPS = 30
 
@@ -170,3 +174,51 @@ def sde_drift_rows(lam: np.ndarray) -> np.ndarray:
     inv = 1.0 / diff
     inv[diff == 0.0] = 0.0
     return inv.sum(axis=2) / lam.shape[-1]
+
+
+# ---------------------------------------------------------------------------
+# Exact finite-n moments
+# ---------------------------------------------------------------------------
+
+def moment_identity_z(entries: np.ndarray, shift: np.ndarray, kernel: CovarianceKernel,
+                      times: np.ndarray) -> dict:
+    """(mean - exact) / se over paths of three exact identities, one (K,)
+    array each at the grid times t_1..t_K after 0.
+
+    ``entries`` (P, n(n+1)/2, K+1) are upper-triangle paths of covariance R
+    (``kernel``) on ``times``, and Y(t) = A + their scaled Gaussian part, A
+    the (n, n) ``shift``.  With tau = R(t,t) and m_k = (1/n) tr A^k, Wick's
+    theorem gives at every n:
+
+    * ``m2``: E (1/n) sum lambda_i(t)^2 = m_2 + tau (n+1)/n;
+    * ``m4``: E (1/n) sum lambda_i(t)^4 = m_4 + 4 tau m_2 (n+1)/n
+      + 2 tau (m_2/n + m_1^2) + tau^2 (2 + 5/n + 5/n^2);
+    * ``increment``: E (1/n) tr (Y(t) - Y(s))^2
+      = (R(t,t) - 2 R(s,t) + R(s,s)) (n+1)/n for consecutive times s < t.
+
+    The moments come from the package's spectra; the increment needs no
+    eigensolve, being a weighted sum of the triangle's squared increments.
+    """
+    n = len(shift)
+    m1, m2 = np.trace(shift) / n, np.sum(shift * shift) / n
+    m4 = np.sum((shift @ shift) ** 2) / n
+    s, t = np.asarray(times[:-1], dtype=float), np.asarray(times[1:], dtype=float)
+    tau = kernel.diag(t)
+    exact = {
+        "m2": m2 + tau * (n + 1) / n,
+        "m4": (m4 + 4 * tau * m2 * (n + 1) / n + 2 * tau * (m2 / n + m1 ** 2)
+               + tau ** 2 * (2 + 5 / n + 5 / n ** 2)),
+        "increment": (tau - 2 * kernel.eval(s, t) + kernel.diag(s)) * (n + 1) / n,
+    }
+    lam = spectra_of_triangle(entries, slice(None), shift)[:, 1:]
+    iu, ju = triangle(n)
+    off, diag = diagonal_scale(n)
+    weight = np.where(iu == ju, diag ** 2, 2 * off ** 2) / n
+    sampled = {
+        "m2": np.mean(lam ** 2, axis=-1),
+        "m4": np.mean(lam ** 4, axis=-1),
+        "increment": np.einsum("pek,e->pk", np.diff(entries, axis=-1) ** 2, weight),
+    }
+    paths = len(entries)
+    return {name: (x.mean(axis=0) - exact[name]) / (x.std(axis=0, ddof=1) / math.sqrt(paths))
+            for name, x in sampled.items()}

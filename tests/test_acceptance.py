@@ -16,16 +16,16 @@ from scipy.stats import ks_2samp
 from eigenflow import rng
 from eigenflow.cli import main as cli_main
 from eigenflow.diagnostics import dyson_crosscheck, fit_loglog_slope, residual_experiment
-from eigenflow.eigensolvers import eigh, one_blas_thread
+from eigenflow.eigensolvers import eigh, eigvalsh_stack, one_blas_thread
 from eigenflow.grids import TimeGrid
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
 from eigenflow.limitlaw import (AtomicMeasure, Semicircle, burgers_solve,
                                 semicircle_stieltjes)
-from eigenflow.matrixflow import eigenvalue_derivatives, sample_flows, spectra_of_stack
+from eigenflow.matrixflow import eigenvalue_derivatives, sample_flows, sample_triangle, triangle
 from eigenflow.measures import kolmogorov_distance
 from eigenflow.sampling import factor_grid, path_sampler, sample_entry_block
 from eigenflow.testfunctions import gaussian_bump
-from oracles import burgers_pde_residual, hoffman_wielandt_holds
+from oracles import burgers_pde_residual, hoffman_wielandt_holds, moment_identity_z
 
 
 def _report(num: int, name: str, ok: bool, detail: str):
@@ -38,8 +38,8 @@ def _ks_to_semicircle(kernel, n, t, paths, seed):
     # genuinely different across Hurst indices even though the time-t
     # marginal has the same variance
     grid = TimeGrid([0.0, 0.5 * t, t])
-    lam = spectra_of_stack(sample_flows(path_sampler(kernel, grid), np.zeros((n, n)),
-                                        seed, range(paths)))[:, -1, :]
+    lam = eigvalsh_stack(sample_flows(path_sampler(kernel, grid), np.zeros((n, n)),
+                                      seed, range(paths)))[:, -1, :]
     law = Semicircle(0.0, float(kernel.diag(t)))
     d = kolmogorov_distance(lam, law)
     return d.mean(), d.std(ddof=1) / np.sqrt(paths)
@@ -68,8 +68,8 @@ def test_criterion_2_cauchy_transform_match():
     kernel = FractionalBrownianKernel(0.75)
     grid = TimeGrid([0.0, 0.5, 1.0, 2.0])
     n, paths = 200, 50
-    lam = spectra_of_stack(sample_flows(path_sampler(kernel, grid), np.zeros((n, n)),
-                                        31415, range(paths)))
+    lam = eigvalsh_stack(sample_flows(path_sampler(kernel, grid), np.zeros((n, n)),
+                                      31415, range(paths)))
     worst = 0.0
     for k, t in ((1, 0.5), (2, 1.0), (3, 2.0)):
         tau = float(kernel.diag(t))
@@ -160,7 +160,7 @@ def test_criterion_5_hoffman_wielandt_and_holder_scaling():
         hurst = float(gen.choice([0.3, 0.5, 0.75]))
         y = sample_flows(path_sampler(FractionalBrownianKernel(hurst), grid),
                          np.zeros((n, n)), int(gen.integers(1 << 40)), [0])[0]
-        lam = spectra_of_stack(y)
+        lam = eigvalsh_stack(y)
         for _ in range(4):
             k1, k2 = gen.choice(len(grid), size=2, replace=False)
             total += 1
@@ -292,3 +292,29 @@ def test_criterion_9_dyson_crosscheck():
     _report(9, "Dyson cross-check", True,
             f"W1(dt)={row.w1_distance:.4f}, W1(dt/2)={half.w1_distance:.4f}, "
             f"mc budget {budget:.4f}")
+
+
+def test_criterion_10_exact_finite_n_moment_identities():
+    # Wick's theorem gives the means of (1/n) sum lambda^2, (1/n) sum
+    # lambda^4 and (1/n) tr (Y(t) - Y(s))^2 exactly at every n
+    # (oracles.moment_identity_z), so the gate |z| <= 4 is not calibrated;
+    # seed 777, 2000 paths
+    started = time.perf_counter()
+    grid = TimeGrid.uniform(1.0, 4)
+    worst, where = 0.0, ""
+    for hurst in (0.3, 0.75):
+        kernel = FractionalBrownianKernel(hurst)
+        # one n = 16 draw; n = 8 is its leading sub-triangle, as in ensemble_map
+        entries = sample_triangle(path_sampler(kernel, grid), 16, 777, range(2000))
+        for n in (8, 16):
+            leading = entries[:, triangle(16)[1] < n]
+            for start, shift in (("zero", np.zeros((n, n))),
+                                 ("+-1", np.diag(np.repeat([-1.0, 1.0], n // 2)))):
+                for name, z in moment_identity_z(leading, shift, kernel, grid.times).items():
+                    k = int(np.argmax(np.abs(z)))
+                    if abs(z[k]) > worst:
+                        worst = abs(z[k])
+                        where = f"H={hurst} n={n} {start} start, {name} at t={grid.times[k + 1]}"
+    elapsed = time.perf_counter() - started
+    _report(10, "exact moment identities", worst <= 4.0,
+            f"max |z| {worst:.2f} ({where}); {elapsed:.1f}s")

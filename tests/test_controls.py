@@ -10,13 +10,15 @@ import pytest
 
 from eigenflow.diagnostics import (ensemble_map, fit_loglog_slope, holder_increments,
                                    holder_times, weak_equation_residual)
+from eigenflow.eigensolvers import eigvalsh_stack
 from eigenflow.grids import TimeGrid
-from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
+from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel, TableKernel
 from eigenflow.limitlaw import Semicircle, semicircle_stieltjes
-from eigenflow.matrixflow import sample_flows, spectra_of_stack
+from eigenflow.matrixflow import sample_flows, sample_triangle
 from eigenflow.measures import kolmogorov_distance
 from eigenflow.sampling import path_sampler
 from eigenflow.testfunctions import gaussian_bump
+from oracles import moment_identity_z
 
 
 @pytest.mark.parametrize("hurst", [0.3, 0.75])
@@ -26,8 +28,8 @@ def test_criterion_1_rejects_the_brownian_variance(hurst):
     t, n, paths, bound = 0.25, 200, 20, 0.08
     kernel = FractionalBrownianKernel(hurst)
     grid = TimeGrid([0.0, 0.5 * t, t])
-    lam = spectra_of_stack(sample_flows(path_sampler(kernel, grid), np.zeros((n, n)),
-                                        20240101, range(paths)))[:, -1, :]
+    lam = eigvalsh_stack(sample_flows(path_sampler(kernel, grid), np.zeros((n, n)),
+                                      20240101, range(paths)))[:, -1, :]
     right, wrong = (kolmogorov_distance(lam, Semicircle(0.0, float(k.diag(t)))).mean()
                     for k in (kernel, BrownianKernel()))
     assert right <= bound, f"H={hurst}: right variance, mean distance {right:.4f} > {bound}"
@@ -38,8 +40,8 @@ def test_criterion_2_rejects_the_brownian_variance():
     # criterion 2's statistic and setup; t = 1 is left out, since R(1,1) = 1
     # for every fBm, so the Brownian tau = t is wrong only at t = 0.5 and 2
     kernel, n, paths, bound = FractionalBrownianKernel(0.75), 200, 50, 0.05
-    lam = spectra_of_stack(sample_flows(path_sampler(kernel, TimeGrid([0.0, 0.5, 1.0, 2.0])),
-                                        np.zeros((n, n)), 31415, range(paths)))
+    lam = eigvalsh_stack(sample_flows(path_sampler(kernel, TimeGrid([0.0, 0.5, 1.0, 2.0])),
+                                      np.zeros((n, n)), 31415, range(paths)))
 
     def worst(tau_kernel):
         return max(abs(np.mean(1.0 / (lam[:, k] - z), axis=1).mean()
@@ -85,3 +87,33 @@ def test_criterion_5_rejects_rougher_paths():
     bound = 0.9 * (4.0 * 1.0 / 2.0)
     assert rep.slope is not None and rep.slope < bound, \
         f"H = 0.3 paths: qhat {rep.slope} >= Brownian bound {bound}"
+
+
+def test_criterion_10_rejects_a_kernel_with_the_same_diagonal():
+    # criterion 10's identities and setup at n = 8 on B(t^0.6), a table of
+    # min(s,t)^0.6 with fBm H = 0.3's R(t,t): the fixed-time moments cannot
+    # tell the two apart, but the increments after the first (z about -183,
+    # -271 and -341) fail the fBm increment identity
+    nodes = np.linspace(0.0, 1.0, 41)
+    table = TableKernel(nodes, np.minimum.outer(nodes, nodes) ** 0.6)
+    grid, n, bound = TimeGrid.uniform(1.0, 4), 8, 4.0
+    entries = sample_triangle(path_sampler(table, grid), n, 777, range(2000))
+    z = moment_identity_z(entries, np.zeros((n, n)), FractionalBrownianKernel(0.3), grid.times)
+    marginal = max(np.max(np.abs(z["m2"])), np.max(np.abs(z["m4"])))
+    assert marginal <= bound, f"same R(t,t): moments max |z| {marginal:.1f} > {bound}"
+    assert np.max(np.abs(z["increment"])) > bound, \
+        f"same R(t,t): increments max |z| {np.max(np.abs(z['increment'])):.1f} <= {bound}"
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.75])
+def test_criterion_10_rejects_the_brownian_variance(hurst):
+    # criterion 10's m2 identity and setup at n = 8 with the Brownian R: it
+    # must fail at some t < 1 (z about 83, 45 and 21 for H = 0.3, -193, -81
+    # and -30 for H = 0.75); at t = 1 every fBm has R(1,1) = 1
+    kernel, grid, n, bound = FractionalBrownianKernel(hurst), TimeGrid.uniform(1.0, 4), 8, 4.0
+    entries = sample_triangle(path_sampler(kernel, grid), n, 777, range(2000))
+    right, wrong = (moment_identity_z(entries, np.zeros((n, n)), k, grid.times)["m2"]
+                    for k in (kernel, BrownianKernel()))
+    assert np.max(np.abs(right)) <= bound, f"right R: m2 max |z| {np.max(np.abs(right)):.1f}"
+    assert np.max(np.abs(wrong[:-1])) > bound, \
+        f"Brownian R: m2 max |z| before t = 1 is {np.max(np.abs(wrong[:-1])):.1f} <= {bound}"

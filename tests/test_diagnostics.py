@@ -12,10 +12,11 @@ from eigenflow.diagnostics import (collision_experiment, collision_proximity,
                                    convergence_study, dyson_crosscheck, fit_loglog_slope,
                                    holder_increments, holder_times, residual_experiment,
                                    weak_equation_residual)
+from eigenflow.eigensolvers import eigvalsh_stack
 from eigenflow.grids import TimeGrid
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel, TableKernel
 from eigenflow.limitlaw import AtomicMeasure
-from eigenflow.matrixflow import sample_flows, spectra_of_stack
+from eigenflow.matrixflow import sample_flows
 from eigenflow.sampling import path_sampler
 from eigenflow.testfunctions import TestFunction, gaussian_bump
 from oracles import burgers_pde_residual, sde_drift_rows
@@ -206,7 +207,7 @@ class TestCollisions:
     def test_goe_like_snapshot_has_no_degenerate_gaps(self):
         # snapshot at t=1 (the start is trivially degenerate when A = 0)
         grid = TimeGrid.uniform(1.0, 1)
-        lam = spectra_of_stack(sample_flows(
+        lam = eigvalsh_stack(sample_flows(
             path_sampler(BrownianKernel(), grid), np.zeros((50, 50)), 37, range(100)))
         rep = collision_proximity(lam[:, 1:, :])
         assert rep.degenerate_fraction == 0.0
@@ -214,7 +215,7 @@ class TestCollisions:
 
     def test_repeated_shift_entry_gives_zero_gap_at_start(self):
         grid = TimeGrid.uniform(1.0, 1)
-        lam = spectra_of_stack(sample_flows(
+        lam = eigvalsh_stack(sample_flows(
             path_sampler(BrownianKernel(), grid), np.diag([2.0, 2.0, 0.0]), 41, range(8)))
         rep = collision_proximity(lam[:, :1, :])
         assert rep.quantiles[0.0] == 0.0

@@ -171,6 +171,35 @@ def test_every_public_src_function_is_used():
     assert unused == []
 
 
+def _passes_through(node):
+    """Whether a function's body, after its docstring, is one ``return f(...)``
+    of its own parameters in order, with no keywords."""
+    body = node.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
+            and isinstance(body[0].value.value, str):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return) \
+            or not isinstance(body[0].value, ast.Call):
+        return False
+    call = body[0].value
+    params = [a.arg for a in node.args.posonlyargs + node.args.args]
+    owner = getattr(call.func, "value", None)
+    if params and isinstance(owner, ast.Name) and owner.id == params[0]:
+        params = params[1:]  # self.f(x) in a method f(self, x)
+    return not call.keywords and [getattr(a, "id", None) for a in call.args] == params
+
+
+def test_no_pass_through_wrappers():
+    # a function that only hands its parameters on to another adds a name
+    # and no behaviour: its callers call the other function
+    src = Path(eigenflow.__file__).resolve().parent
+    wrappers = [f"{p.name}: {node.name}" for p in sorted(src.glob("*.py"))
+                for node in ast.walk(ast.parse(p.read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and _passes_through(node)]
+    assert wrappers == []
+
+
 def test_benchmark_configs_set_only_keys_their_subcommand_reads():
     # a key a subcommand does not read, set away from its default, fails the run
     unread = {}

@@ -42,7 +42,7 @@ class TestTimeGrid:
             TimeGrid([0.0, 1.0, 1.0])
 
     def test_power_graded(self):
-        g = TimeGrid.power_graded(2.0, 4, grade=2.0)
+        g = TimeGrid.power_graded(2.0, 4)
         assert np.allclose(g.times, 2.0 * (np.arange(5) / 4) ** 2)
         assert g.times[0] == 0.0
 
