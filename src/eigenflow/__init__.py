@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .eigensolvers import eigh
 from .grids import TimeGrid
-from .kernels import (BrownianKernel, CovarianceKernel, FractionalBrownianKernel,
-                      TableKernel, make_kernel)
+from .kernels import BrownianKernel, CovarianceKernel, FractionalBrownianKernel, TableKernel
 from .limitlaw import (AtomicMeasure, BurgersEvolved, Semicircle,
                        burgers_solve, law_at_time, semicircle_stieltjes)
 from .matrixflow import eigenvalue_derivatives, make_shift, sample_flows
@@ -23,7 +22,6 @@ from .testfunctions import TestFunction, by_name
 __all__ = [
     "TimeGrid",
     "CovarianceKernel", "BrownianKernel", "FractionalBrownianKernel", "TableKernel",
-    "make_kernel",
     "AtomicMeasure", "Semicircle", "BurgersEvolved",
     "semicircle_stieltjes", "burgers_solve", "law_at_time",
     "eigh", "eigenvalue_derivatives", "make_shift", "sample_flows",

@@ -28,6 +28,8 @@ Every problem is collected and reported together, and each one a value
 causes names its line.  Optional keys have documented defaults that are
 materialised into the resolved configuration (and echoed in every output),
 so two configs with the same canonical form produce identical runs.
+``config_to_grid`` and ``config_to_kernel`` build a run's grid and kernel
+from the resolved configuration.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .grids import TimeGrid
-from .kernels import make_kernel
+from .kernels import BrownianKernel, FractionalBrownianKernel, load_table_kernel
 from .testfunctions import BUILTINS
 
 
@@ -285,7 +287,10 @@ def config_to_grid(cfg: ExperimentConfig) -> TimeGrid:
 
 
 def config_to_kernel(cfg: ExperimentConfig, root: str = ""):
-    """The kernel of ``cfg``; a relative ``table_path`` resolves against ``root``."""
-    table = cfg.kernel_table_path
-    return make_kernel(cfg.kernel_kind, hurst=cfg.kernel_hurst,
-                       table_path=None if table is None else os.path.join(root, table))
+    """The kernel of ``cfg``; a relative ``table_path`` resolves against ``root``.
+    ``parse_config`` has checked the kind and that its one key is set."""
+    if cfg.kernel_kind == "brownian":
+        return BrownianKernel()
+    if cfg.kernel_kind == "fbm":
+        return FractionalBrownianKernel(cfg.kernel_hurst)
+    return load_table_kernel(os.path.join(root, cfg.kernel_table_path))

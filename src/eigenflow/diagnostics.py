@@ -67,7 +67,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 import numpy as np
 
 from . import budget, matrixflow, rng
-from .kernels import CovarianceKernel
+from .kernels import BrownianKernel, CovarianceKernel
 from .limitlaw import AtomicMeasure, law_at_time
 from .matrixflow import DEGENERATE_GAP, sample_triangle
 # unused here: bound for the benchmark's tracer, which wraps both at these names
@@ -538,8 +538,9 @@ def dyson_crosscheck(sampler: PathSampler, shift: np.ndarray, dts: Sequence[floa
     """Wasserstein-1 distance between SDE and matrix spectra at the last time of
     ``sampler.grid``, one row per step size in ``dts``, in their order.
 
-    ``sampler`` must draw Brownian entries; the SDE is the free Brownian
-    case only.  Both ensembles start from the spectrum of the shift matrix.
+    ``sampler`` must draw Brownian entries, since the SDE is the free
+    Brownian case only; any other kernel raises ``ValueError`` before a
+    draw.  Both ensembles start from the spectrum of the shift matrix.
     The matrix side is sampled exactly, once for every row.  The SDE side is
     one Euler-Maruyama pass with non-collision step rejection that advances
     every step size together, so each path draws its noise once.  The matrix
@@ -547,6 +548,9 @@ def dyson_crosscheck(sampler: PathSampler, shift: np.ndarray, dts: Sequence[floa
     spectra are averaged over paths before the distance; ``w1_mc_error``
     combines the standard errors of the two averages.
     """
+    if not isinstance(sampler.kernel, BrownianKernel):
+        raise ValueError(f"the Dyson SDE is Brownian, but the sampler draws "
+                         f"{type(sampler.kernel).__name__} entries")
     t_max = sampler.grid.t_max
     n_steps = [sde_steps(t_max, dt) for dt in dts]
     (lam_matrix,) = ensemble_map(sampler, [shift], seed, paths,

@@ -58,12 +58,10 @@ def fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return v * signs
 
 
-def _sorted_descending(values: np.ndarray, vectors: np.ndarray | None):
+def _sorted_descending(values: np.ndarray, vectors: np.ndarray):
     order = np.argsort(-values, axis=-1, kind="stable")
-    values = np.take_along_axis(values, order, axis=-1)
-    if vectors is None:
-        return values, None
-    return values, fix_eigenvector_signs(np.take_along_axis(vectors, order[..., None, :], axis=-1))
+    return (np.take_along_axis(values, order, axis=-1),
+            fix_eigenvector_signs(np.take_along_axis(vectors, order[..., None, :], axis=-1)))
 
 
 def eigh(a: np.ndarray):

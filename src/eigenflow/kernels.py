@@ -4,7 +4,11 @@ Three kernel families are built in:
 
 * Brownian:            R(s,t) = min(s,t)
 * fractional Brownian: R(s,t) = (s^{2H} + t^{2H} - |t-s|^{2H}) / 2,  H in (0,1)
-* tabulated:           bilinear interpolation of a symmetric grid of samples
+* tabulated:           bilinear interpolation of a symmetric grid of samples,
+                       read from a CSV by ``load_table_kernel``
+
+``config.config_to_kernel`` builds the kernel a configuration names, and
+library code constructs the classes directly.
 
 A kernel carries the covariance itself and the exact diagonal increment
 R(b,b) - R(a,a); every time integral against d/ds R(s,s) uses the
@@ -21,8 +25,6 @@ All kernels are immutable and safe to share across workers.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 
@@ -32,8 +34,6 @@ class KernelDomainError(ValueError):
 
 class CovarianceKernel:
     """Base class; subclasses implement ``eval`` on nonnegative times."""
-
-    kind: str = "abstract"
 
     def eval(self, s, t):
         raise NotImplementedError
@@ -57,14 +57,9 @@ class CovarianceKernel:
         t = np.asarray(times, dtype=float)
         return self.eval(t[:, None], t[None, :])
 
-    def __repr__(self):  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} {self.kind}>"
-
 
 class BrownianKernel(CovarianceKernel):
     """R(s,t) = min(s,t)."""
-
-    kind = "brownian"
 
     def eval(self, s, t):
         s = np.asarray(s, dtype=float)
@@ -75,8 +70,6 @@ class BrownianKernel(CovarianceKernel):
 
 class FractionalBrownianKernel(CovarianceKernel):
     """R(s,t) = (s^{2H} + t^{2H} - |t-s|^{2H}) / 2 for Hurst index H."""
-
-    kind = "fbm"
 
     def __init__(self, hurst: float):
         if not (0.0 < hurst < 1.0):
@@ -102,8 +95,6 @@ class TableKernel(CovarianceKernel):
     pair so that eval(s,t) and eval(t,s) are bit-identical.  Out-of-domain
     evaluation is an error, never extrapolation.
     """
-
-    kind = "table"
 
     def __init__(self, times: np.ndarray, values: np.ndarray):
         times = np.asarray(times, dtype=float)
@@ -148,25 +139,6 @@ class TableKernel(CovarianceKernel):
 def _check_nonnegative(s, t):
     if np.any(np.asarray(s) < 0) or np.any(np.asarray(t) < 0):
         raise KernelDomainError("covariance kernels are defined for s, t >= 0")
-
-
-# ---------------------------------------------------------------------------
-# Construction from configuration values
-# ---------------------------------------------------------------------------
-
-def make_kernel(kind: str, hurst: Optional[float] = None,
-                table_path: Optional[str] = None) -> CovarianceKernel:
-    if kind == "brownian":
-        return BrownianKernel()
-    if kind == "fbm":
-        if hurst is None:
-            raise ValueError("fbm kernel requires a hurst index")
-        return FractionalBrownianKernel(hurst)
-    if kind == "table":
-        if table_path is None:
-            raise ValueError("table kernel requires a table path")
-        return load_table_kernel(table_path)
-    raise ValueError(f"unknown kernel kind {kind!r}")
 
 
 def load_table_kernel(path: str) -> TableKernel:

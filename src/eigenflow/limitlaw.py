@@ -78,10 +78,6 @@ class AtomicMeasure:
         object.__setattr__(self, "cumulative", np.cumsum(self.weights))
 
     @classmethod
-    def point_mass(cls, a: float = 0.0) -> "AtomicMeasure":
-        return cls(np.array([a]), np.array([1.0]))
-
-    @classmethod
     def from_eigenvalues(cls, values) -> "AtomicMeasure":
         values = np.asarray(values, dtype=float).ravel()
         atoms, counts = np.unique(values, return_counts=True)
@@ -212,10 +208,6 @@ class Semicircle:
     def radius(self) -> float:
         return 2.0 * math.sqrt(self.variance)
 
-    @property
-    def support(self):
-        return (self.center - self.radius, self.center + self.radius)
-
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         u = x - self.center
@@ -265,12 +257,6 @@ class BurgersEvolved:
             raise BurgersError(f"the boundary table of mu_0 boxplus semicircle({self.tau}) "
                                f"overflows: mu_0 spans [{a[0]:g}, {a[-1]:g}]")
         object.__setattr__(self, "_nodes", nodes)
-
-    @property
-    def support(self):
-        spread = 2.0 * math.sqrt(self.tau)
-        return (float(self.initial.atoms.min()) - spread,
-                float(self.initial.atoms.max()) + spread)
 
     def pdf(self, x):
         return self._pdf_cdf(x)[0]

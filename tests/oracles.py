@@ -12,11 +12,14 @@ produces by another route:
 * ``burgers_pde_residual``: central differences of ``limit_stieltjes`` put
   into the Burgers equation dF/dtau = F dF/dz.
 * ``moment_from_stieltjes``: moments of the limit law by contour
-  integration of ``limit_stieltjes``.
+  integration of ``limit_stieltjes``; ``limit_support`` is an interval
+  that holds the law.
 * ``sde_drift_rows``: the Dyson SDE drift of a (rows, n) state, summed
   along its contiguous length-n axis in numpy's own order.
 * ``moment_identity_z``: sampled spectra and increments against the exact
   finite-n means that Wick's theorem gives for them.
+* ``loop_identity_z``: sampled resolvents against the loop equation, the
+  exact finite-n identity that Gaussian integration by parts gives for them.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ import math
 
 import numpy as np
 
-from eigenflow.eigensolvers import _check_symmetric, _sorted_descending
+from eigenflow.eigensolvers import _check_symmetric, _sorted_descending, eigh
 from eigenflow.kernels import CovarianceKernel
 from eigenflow.limitlaw import AtomicMeasure, limit_stieltjes
-from eigenflow.matrixflow import diagonal_scale, spectra_of_triangle, triangle
+from eigenflow.matrixflow import (assemble_from_triangle, diagonal_scale, spectra_of_triangle,
+                                  triangle)
 
 JACOBI_MAX_SWEEPS = 30
 
@@ -57,14 +61,20 @@ def eigh_jacobi(a: np.ndarray, want_vectors: bool = True,
         raise ValueError("expected a square matrix")
     A = a0.copy()
     n = A.shape[0]
-    V = np.eye(n) if want_vectors else None
+    V = np.eye(n)
+
+    def result():
+        # sorted with the vectors, which are then dropped if not wanted
+        values, vectors = _sorted_descending(np.diag(A).copy(), V)
+        return values, vectors if want_vectors else None
+
     if n == 1:
-        return _sorted_descending(np.diag(A).copy(), V)
+        return result()
 
     for sweep in range(max_sweeps):
         off_sum = float(np.sum(np.abs(A[_offdiag_idx(n)])))
         if off_sum == 0.0:
-            return _sorted_descending(np.diag(A).copy(), V)
+            return result()
         # gentle threshold for the first sweeps, then rotate on anything
         # that the small-element rule below does not zero outright
         thresh = 0.2 * off_sum / (n * n) if sweep < 3 else 0.0
@@ -98,13 +108,12 @@ def eigh_jacobi(a: np.ndarray, want_vectors: bool = True,
                 A[:, q] = s * cp + c * cq
                 A[p, q] = 0.0
                 A[q, p] = 0.0
-                if V is not None:
-                    vp = V[:, p].copy()
-                    V[:, p] = c * vp - s * V[:, q]
-                    V[:, q] = s * vp + c * V[:, q]
+                vp = V[:, p].copy()
+                V[:, p] = c * vp - s * V[:, q]
+                V[:, q] = s * vp + c * V[:, q]
     off_sum = float(np.sum(np.abs(A[_offdiag_idx(n)])))
     if off_sum == 0.0:
-        return _sorted_descending(np.diag(A).copy(), V)
+        return result()
     raise EigenConvergenceError(
         f"cyclic Jacobi did not converge in {max_sweeps} sweeps (n={n})", a0)
 
@@ -141,17 +150,24 @@ def burgers_pde_residual(mu0: AtomicMeasure, taus: np.ndarray, zs: np.ndarray,
     return worst
 
 
+def limit_support(mu0: AtomicMeasure, tau: float):
+    """[min a_i - 2 sqrt(tau), max a_i + 2 sqrt(tau)], which holds the limit
+    law mu_0 boxplus semicircle(tau): the spectrum of a sum of self-adjoint
+    operators lies within the sum of their spectra's hulls."""
+    spread = 2.0 * math.sqrt(tau)
+    return float(mu0.atoms.min()) - spread, float(mu0.atoms.max()) + spread
+
+
 def moment_from_stieltjes(mu0: AtomicMeasure, tau: float, order: int,
                           radius: float | None = None, nodes: int = 512) -> float:
     """k-th moment of the limit law at tau > 0, from F_tau = ``limit_stieltjes``.
 
-    Contour integral of -z^k F(z)/(2 pi i) over a circle enclosing the
-    support [min a_i - 2 sqrt(tau), max a_i + 2 sqrt(tau)], evaluated by the
-    trapezoid rule (spectrally accurate for the analytic integrand); the
-    lower half-circle uses F(conj z) = conj F(z).
+    Contour integral of -z^k F(z)/(2 pi i) over a circle enclosing
+    ``limit_support``, evaluated by the trapezoid rule (spectrally accurate
+    for the analytic integrand); the lower half-circle uses
+    F(conj z) = conj F(z).
     """
-    spread = 2.0 * math.sqrt(tau)
-    lo, hi = float(mu0.atoms.min()) - spread, float(mu0.atoms.max()) + spread
+    lo, hi = limit_support(mu0, tau)
     if radius is None:
         radius = max(abs(lo), abs(hi)) + 1.0
     theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
@@ -222,3 +238,36 @@ def moment_identity_z(entries: np.ndarray, shift: np.ndarray, kernel: Covariance
     paths = len(entries)
     return {name: (x.mean(axis=0) - exact[name]) / (x.std(axis=0, ddof=1) / math.sqrt(paths))
             for name, x in sampled.items()}
+
+
+def loop_identity_z(entries: np.ndarray, shift: np.ndarray, kernel: CovarianceKernel,
+                    times: np.ndarray, zs) -> np.ndarray:
+    """(mean - exact) / se over paths of the loop equation, shape (K, len(zs),
+    2): at the grid times t_1..t_K after 0, each z, real and imaginary part.
+
+    ``entries``, ``shift`` and ``kernel`` are as for ``moment_identity_z``.
+    With tau = R(t,t), G = (Y(t) - z)^-1 and g = (1/n) tr G, Gaussian
+    integration by parts of (A - z) G + X G = I over the Gaussian part X
+    (off-diagonal variance tau/n, diagonal 2 tau/n) gives at every n
+
+        E (1/n) tr((A - z) G) - tau E g^2 - (tau/n) E (1/n) tr G^2 = 1
+
+    (Khorunzhy, Khoruzhenko and Pastur, J. Math. Phys. 37, 1996).  In the
+    eigenbasis, (1/n) tr((A - z) G) = (1/n) sum_k (v_k' A v_k - z) / (lambda_k
+    - z): from the zero start it needs the eigenvalues only, and from any
+    other the eigenvectors of ``eigensolvers.eigh``.
+    """
+    n = len(shift)
+    tau = kernel.diag(np.asarray(times[1:], dtype=float))[:, None]  # (K, 1)
+    if np.any(shift):
+        lam, vectors = eigh(assemble_from_triangle(entries[..., 1:], shift))
+        a = np.einsum("...ik,ij,...jk->...k", vectors, shift, vectors)[..., None, :]
+    else:
+        lam, a = spectra_of_triangle(entries, slice(None), shift)[:, 1:], 0.0
+    z = np.asarray(zs, dtype=complex)[:, None]
+    resolvent = 1.0 / (lam[..., None, :] - z)  # (P, K, len(zs), n)
+    g = resolvent.mean(axis=-1)
+    loop = ((a - z) * resolvent).mean(axis=-1) - tau * g ** 2 \
+        - tau / n * (resolvent ** 2).mean(axis=-1)
+    parts = np.stack([loop.real - 1.0, loop.imag], axis=-1)
+    return parts.mean(axis=0) / (parts.std(axis=0, ddof=1) / math.sqrt(len(entries)))

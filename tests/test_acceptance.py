@@ -25,7 +25,8 @@ from eigenflow.matrixflow import eigenvalue_derivatives, sample_flows, sample_tr
 from eigenflow.measures import kolmogorov_distance
 from eigenflow.sampling import factor_grid, path_sampler, sample_entry_block
 from eigenflow.testfunctions import gaussian_bump
-from oracles import burgers_pde_residual, hoffman_wielandt_holds, moment_identity_z
+from oracles import (burgers_pde_residual, hoffman_wielandt_holds, loop_identity_z,
+                     moment_identity_z)
 
 
 def _report(num: int, name: str, ok: bool, detail: str):
@@ -175,16 +176,16 @@ def test_criterion_5_hoffman_wielandt_and_holder_scaling():
         rep = holder_increments(path_sampler(kernel, holder_grid), np.zeros((32, 32)),
                                 gaussian_bump, 4.0, 0.5, seps, paths=400, seed=5150)
         bound = 0.9 * (4.0 * gamma / 2.0)
-        slopes[kernel.kind + f"(g={gamma})"] = rep.slope
+        slopes[f"{type(kernel).__name__}(g={gamma})"] = rep.slope
         assert rep.slope is not None and rep.slope >= bound, \
-            f"{kernel.kind}: qhat {rep.slope:.2f} < {bound}"
+            f"{type(kernel).__name__}: qhat {rep.slope:.2f} < {bound}"
     _report(5, "Hoffman-Wielandt + Hoelder", True,
             f"HW {held}/{total}; slopes " +
             ", ".join(f"{k}:{v:.2f}" for k, v in slopes.items()))
 
 
 def test_criterion_6_burgers_solver_correctness():
-    mu0 = AtomicMeasure.point_mass(0.0)
+    mu0 = AtomicMeasure.from_eigenvalues([0.0])
     gen = np.random.default_rng(66)
 
     worst_fp = 0.0
@@ -206,7 +207,7 @@ def test_criterion_6_burgers_solver_correctness():
 
     worst_shift = 0.0
     for a in (-1.2, 0.4, 2.0):
-        mua = AtomicMeasure.point_mass(a)
+        mua = AtomicMeasure.from_eigenvalues([a])
         for tau in (0.3, 1.0, 3.0):
             z = 0.25 + 0.9j
             worst_shift = max(worst_shift, abs(
@@ -294,14 +295,10 @@ def test_criterion_9_dyson_crosscheck():
             f"mc budget {budget:.4f}")
 
 
-def test_criterion_10_exact_finite_n_moment_identities():
-    # Wick's theorem gives the means of (1/n) sum lambda^2, (1/n) sum
-    # lambda^4 and (1/n) tr (Y(t) - Y(s))^2 exactly at every n
-    # (oracles.moment_identity_z), so the gate |z| <= 4 is not calibrated;
-    # seed 777, 2000 paths
-    started = time.perf_counter()
-    grid = TimeGrid.uniform(1.0, 4)
-    worst, where = 0.0, ""
+def _finite_n_cases(grid):
+    """Criteria 10 and 11's setup on ``grid``: fBm with H = 0.3 and 0.75, 2000
+    paths at seed 777, n = 8 and 16, from the zero and +-1 starts; yields
+    (label, kernel, entries, shift)."""
     for hurst in (0.3, 0.75):
         kernel = FractionalBrownianKernel(hurst)
         # one n = 16 draw; n = 8 is its leading sub-triangle, as in ensemble_map
@@ -310,11 +307,41 @@ def test_criterion_10_exact_finite_n_moment_identities():
             leading = entries[:, triangle(16)[1] < n]
             for start, shift in (("zero", np.zeros((n, n))),
                                  ("+-1", np.diag(np.repeat([-1.0, 1.0], n // 2)))):
-                for name, z in moment_identity_z(leading, shift, kernel, grid.times).items():
-                    k = int(np.argmax(np.abs(z)))
-                    if abs(z[k]) > worst:
-                        worst = abs(z[k])
-                        where = f"H={hurst} n={n} {start} start, {name} at t={grid.times[k + 1]}"
+                yield f"H={hurst} n={n} {start} start", kernel, leading, shift
+
+
+def test_criterion_10_exact_finite_n_moment_identities():
+    # Wick's theorem gives the means of (1/n) sum lambda^2, (1/n) sum
+    # lambda^4 and (1/n) tr (Y(t) - Y(s))^2 exactly at every n
+    # (oracles.moment_identity_z), so the gate |z| <= 4 is not calibrated
+    started = time.perf_counter()
+    grid = TimeGrid.uniform(1.0, 4)
+    worst, where = 0.0, ""
+    for case, kernel, entries, shift in _finite_n_cases(grid):
+        for name, z in moment_identity_z(entries, shift, kernel, grid.times).items():
+            k = int(np.argmax(np.abs(z)))
+            if abs(z[k]) > worst:
+                worst = abs(z[k])
+                where = f"{case}, {name} at t={grid.times[k + 1]}"
     elapsed = time.perf_counter() - started
     _report(10, "exact moment identities", worst <= 4.0,
             f"max |z| {worst:.2f} ({where}); {elapsed:.1f}s")
+
+
+def test_criterion_11_loop_equation():
+    # Gaussian integration by parts gives the mean of the resolvent's loop
+    # equation exactly at every n, from any start (oracles.loop_identity_z):
+    # the abstract's characterisation by the Cauchy transform before the
+    # limit, so the gate |z| <= 4 is not calibrated
+    started = time.perf_counter()
+    grid = TimeGrid.uniform(1.0, 4)
+    zs = (0.5j, 1 + 0.5j, 2j, -1.5 + 0.25j, 0.1j)
+    worst, where = 0.0, ""
+    for case, kernel, entries, shift in _finite_n_cases(grid):
+        z = loop_identity_z(entries, shift, kernel, grid.times, zs)
+        k, j, part = np.unravel_index(np.argmax(np.abs(z)), z.shape)
+        if abs(z[k, j, part]) > worst:
+            worst = abs(z[k, j, part])
+            where = f"{case}, {('Re', 'Im')[part]} at t={grid.times[k + 1]}, z={zs[j]}"
+    elapsed = time.perf_counter() - started
+    _report(11, "loop equation", worst <= 4.0, f"max |z| {worst:.2f} ({where}); {elapsed:.1f}s")

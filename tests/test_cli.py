@@ -398,7 +398,7 @@ class TestSubcommands:
         out = tmp_path / "run"
         assert main(["limit", "--config", str(p), "--out", str(out)]) == 0
         _, rows = read_rows(out / "limit_stieltjes.csv")
-        f = AtomicMeasure.point_mass(0.0).stieltjes(0.5 + 0.1j)
+        f = AtomicMeasure.from_eigenvalues([0.0]).stieltjes(0.5 + 0.1j)
         assert rows[0] == ["0.0", "0.5", "0.1", repr(f.real), repr(f.imag)]
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from eigenflow.config import (_SCHEMA, ConfigError, _value_problems, config_to_grid,
                               config_to_kernel, parse_config, parse_complex)
+from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
 
 MINIMAL = """
 [kernel]
@@ -311,7 +312,8 @@ class TestCanonical:
         assert "seed = 777" in cfg.canonical_text()
 
     def test_kernel_construction(self):
+        assert isinstance(config_to_kernel(parse_config(MINIMAL)), BrownianKernel)
         cfg = parse_config(MINIMAL.replace("kind = brownian", "kind = fbm\nhurst = 0.3"))
         k = config_to_kernel(cfg)
-        assert k.kind == "fbm"
+        assert isinstance(k, FractionalBrownianKernel)
         assert k.hurst == 0.3

@@ -18,7 +18,7 @@ from eigenflow.matrixflow import sample_flows, sample_triangle
 from eigenflow.measures import kolmogorov_distance
 from eigenflow.sampling import path_sampler
 from eigenflow.testfunctions import gaussian_bump
-from oracles import moment_identity_z
+from oracles import loop_identity_z, moment_identity_z
 
 
 @pytest.mark.parametrize("hurst", [0.3, 0.75])
@@ -117,3 +117,19 @@ def test_criterion_10_rejects_the_brownian_variance(hurst):
     assert np.max(np.abs(right)) <= bound, f"right R: m2 max |z| {np.max(np.abs(right)):.1f}"
     assert np.max(np.abs(wrong[:-1])) > bound, \
         f"Brownian R: m2 max |z| before t = 1 is {np.max(np.abs(wrong[:-1])):.1f} <= {bound}"
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.75])
+def test_criterion_11_rejects_the_brownian_variance(hurst):
+    # criterion 11's loop equation and setup at n = 8 from the zero start
+    # with the Brownian R: it must fail at some t < 1 (max |z| about 89, 47
+    # and 21 for H = 0.3, 180, 75 and 29 for H = 0.75); at t = 1 every fBm
+    # has R(1,1) = 1
+    kernel, grid, n, bound = FractionalBrownianKernel(hurst), TimeGrid.uniform(1.0, 4), 8, 4.0
+    zs = (0.5j, 1 + 0.5j, 2j, -1.5 + 0.25j, 0.1j)
+    entries = sample_triangle(path_sampler(kernel, grid), n, 777, range(2000))
+    right, wrong = (loop_identity_z(entries, np.zeros((n, n)), k, grid.times, zs)
+                    for k in (kernel, BrownianKernel()))
+    assert np.max(np.abs(right)) <= bound, f"right R: max |z| {np.max(np.abs(right)):.1f}"
+    assert np.max(np.abs(wrong[:-1])) > bound, \
+        f"Brownian R: max |z| before t = 1 is {np.max(np.abs(wrong[:-1])):.1f} <= {bound}"

@@ -94,7 +94,7 @@ class TestWeakEquationResidual:
                                           seed=5)
             for rep in reports:
                 assert abs(rep.mean_residual) <= 4.0 * rep.mean_residual_se, \
-                    f"{kernel.kind} n={rep.n}"
+                    f"{type(kernel).__name__} n={rep.n}"
 
     def test_mean_square_decreases_in_n(self):
         f = gaussian_bump
@@ -238,6 +238,14 @@ class TestDyson:
         (row,) = dyson_crosscheck(dyson_sampler(1.0), np.zeros((2, 2)), (0.01,), paths=4000,
                                   seed=47).rows
         assert row.w1_distance <= 0.05
+
+    def test_rejects_a_sampler_that_is_not_brownian(self, monkeypatch):
+        # the SDE is the free Brownian one: fBm spectra would be compared
+        # with it silently, so the check comes before any draw
+        monkeypatch.setattr(rng, "normals", None)
+        sampler = path_sampler(FractionalBrownianKernel(0.3), TimeGrid.uniform(0.25, 1))
+        with pytest.raises(ValueError, match="FractionalBrownianKernel"):
+            dyson_crosscheck(sampler, np.zeros((2, 2)), (1e-2,), 200, seed=1)
 
     def test_dt_must_divide_horizon(self):
         with pytest.raises(ValueError):
@@ -611,7 +619,7 @@ class TestBurgersPde:
         taus = np.linspace(0.3, 2.0, 10)
         zs = np.array([complex(re, im) for re in np.linspace(-1.5, 1.5, 5)
                        for im in (0.8, 1.6)])
-        res = burgers_pde_residual(AtomicMeasure.point_mass(0.0), taus, zs)
+        res = burgers_pde_residual(AtomicMeasure.from_eigenvalues([0.0]), taus, zs)
         assert res <= 1e-6
 
     def test_residual_two_atoms(self):

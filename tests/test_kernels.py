@@ -16,6 +16,10 @@ BUILTIN_KERNELS = [
 ]
 
 
+def _kernel_id(kernel):
+    return f"fbm{kernel.hurst}" if isinstance(kernel, FractionalBrownianKernel) else "brownian"
+
+
 class TestEval:
     def test_brownian_is_min(self):
         k = BrownianKernel()
@@ -33,7 +37,7 @@ class TestEval:
         assert k.eval(1.0, 2.0) == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
-    @pytest.mark.parametrize("kernel", BUILTIN_KERNELS, ids=lambda k: k.kind + str(getattr(k, "hurst", "")))
+    @pytest.mark.parametrize("kernel", BUILTIN_KERNELS, ids=_kernel_id)
     def test_symmetry_bit_identical(self, kernel):
         gen = np.random.default_rng(11)
         s = gen.uniform(0, 5, size=200)
@@ -41,7 +45,7 @@ class TestEval:
         assert np.array_equal(kernel.eval(s, t), kernel.eval(t, s))
 
     @pytest.mark.parametrize("kernel", BUILTIN_KERNELS,
-                             ids=lambda k: k.kind + str(getattr(k, "hurst", "")))
+                             ids=_kernel_id)
     def test_increment_variance_is_the_hoelder_power(self, kernel):
         # V(s,t) = |t-s|^{2H} is the exponent gamma = 2H that criterion 5 rests on
         gen = np.random.default_rng(13)
@@ -108,7 +112,7 @@ class TestTableKernel:
         assert np.array_equal(k.eval(s, t), k.eval(t, s))
 
     def test_csv_loader_roundtrip(self, tmp_path):
-        from eigenflow.kernels import load_table_kernel, make_kernel
+        from eigenflow.kernels import load_table_kernel
         ts = np.linspace(0.0, 1.0, 5)
         lines = ["s,t,value"]
         for s in ts:
@@ -118,8 +122,7 @@ class TestTableKernel:
         p.write_text("\n".join(lines) + "\n")
         k = load_table_kernel(str(p))
         assert k.eval(0.25, 0.75) == pytest.approx(0.25, abs=1e-12)
-        k2 = make_kernel("table", table_path=str(p))
-        assert k2.eval(0.5, 1.0) == pytest.approx(0.5, abs=1e-12)
+        assert k.eval(0.5, 1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_csv_loader_rejects_bad_header(self, tmp_path):
         from eigenflow.kernels import load_table_kernel
@@ -153,7 +156,7 @@ class TestDiagDerivative:
 
 class TestGram:
     @pytest.mark.parametrize("kernel", BUILTIN_KERNELS,
-                             ids=lambda k: k.kind + str(getattr(k, "hurst", "")))
+                             ids=_kernel_id)
     @pytest.mark.parametrize("points", [8, 33, 64])
     def test_gram_symmetric_psd(self, kernel, points):
         grid = TimeGrid.uniform(2.0, points - 1)

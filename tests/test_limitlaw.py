@@ -9,7 +9,7 @@ from eigenflow.limitlaw import (AtomicMeasure, BurgersError, BurgersEvolved,
                                 burgers_solve, law_at_time, limit_stieltjes,
                                 semicircle_stieltjes)
 from eigenflow.kernels import BrownianKernel, FractionalBrownianKernel
-from oracles import moment_from_stieltjes
+from oracles import limit_support, moment_from_stieltjes
 
 GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
 
@@ -61,7 +61,7 @@ class TestSemicircleStieltjes:
 
 class TestBurgersSolver:
     def test_point_mass_matches_closed_form(self):
-        mu0 = AtomicMeasure.point_mass(0.0)
+        mu0 = AtomicMeasure.from_eigenvalues([0.0])
         for tau in (0.1, 1.0, 4.0):
             for z in (1j, 1 + 1j, -2 + 0.5j, 0.1j):
                 direct = burgers_solve(mu0, tau, z)
@@ -69,7 +69,7 @@ class TestBurgersSolver:
 
     def test_translation_equivariance(self):
         for a in (-1.5, 0.7):
-            mu0 = AtomicMeasure.point_mass(a)
+            mu0 = AtomicMeasure.from_eigenvalues([a])
             for tau in (0.5, 2.0):
                 z = 0.3 + 0.8j
                 assert abs(burgers_solve(mu0, tau, z)
@@ -143,7 +143,7 @@ class TestBurgersSolver:
 
     def test_moments_of_evolved_point_mass(self):
         # second moment tau, fourth moment 2 tau^2
-        mu0 = AtomicMeasure.point_mass(0.0)
+        mu0 = AtomicMeasure.from_eigenvalues([0.0])
         for tau in (0.3, 1.0, 2.5):
             assert moment_from_stieltjes(mu0, tau, 0) == pytest.approx(1.0, abs=1e-10)
             assert moment_from_stieltjes(mu0, tau, 1) == pytest.approx(0.0, abs=1e-10)
@@ -176,13 +176,13 @@ class TestBurgersSolver:
 class TestLimitAtTime:
     def test_fbm_time_one(self):
         k = FractionalBrownianKernel(0.75)
-        mu0 = AtomicMeasure.point_mass(0.0)
+        mu0 = AtomicMeasure.from_eigenvalues([0.0])
         tau = float(k.diag(1.0))
         assert limit_stieltjes(mu0, tau, 1j) == pytest.approx(GOLDEN * 1j, abs=1e-12)
 
     def test_brownian_time_four(self):
         k = BrownianKernel()
-        mu0 = AtomicMeasure.point_mass(0.0)
+        mu0 = AtomicMeasure.from_eigenvalues([0.0])
         got = limit_stieltjes(mu0, float(k.diag(4.0)), 2j)
         assert got == pytest.approx(semicircle_stieltjes(4.0, 2j), abs=1e-12)
 
@@ -195,7 +195,7 @@ class TestLimitAtTime:
     def test_time_zero_one_atom_has_one_evaluator(self):
         # the one-atom closed form divides in Python and mu0.stieltjes in
         # numpy; at tau = 0 both routes must give mu0's own value, bit for bit
-        mu0 = AtomicMeasure.point_mass(0.0)
+        mu0 = AtomicMeasure.from_eigenvalues([0.0])
         z = 0.5 + 0.1j
         got = limit_stieltjes(mu0, 0.0, z)
         assert got == law_at_time(BrownianKernel(), mu0, 0.0).stieltjes(z)
@@ -218,28 +218,31 @@ class TestSemicircleLaw:
 
     def test_mass_and_moments_closed_form(self):
         law = Semicircle(0.5, 2.0)
-        mass, _ = quad(law.pdf, *law.support, limit=200)
+        support = (0.5 - law.radius, 0.5 + law.radius)
+        mass, _ = quad(law.pdf, *support, limit=200)
         assert mass == pytest.approx(1.0, abs=1e-10)
-        m2, _ = quad(lambda x: (x - 0.5) ** 2 * law.pdf(x), *law.support, limit=200)
+        m2, _ = quad(lambda x: (x - 0.5) ** 2 * law.pdf(x), *support, limit=200)
         assert m2 == pytest.approx(2.0, abs=1e-9)
-        m4, _ = quad(lambda x: (x - 0.5) ** 4 * law.pdf(x), *law.support, limit=200)
+        m4, _ = quad(lambda x: (x - 0.5) ** 4 * law.pdf(x), *support, limit=200)
         assert m4 == pytest.approx(2 * 2.0 ** 2, abs=1e-8)
 
     def test_support_matches_two_sigma(self):
         law = Semicircle(0.0, 4.0)
-        assert law.support == (-4.0, 4.0)
+        assert law.radius == 4.0
+        assert np.all(law.pdf([-4.5, -4.0, 4.0, 4.5]) == 0.0)
+        assert np.all(law.pdf([-3.99, 3.99]) > 0.0)
 
 
 class TestBurgersEvolvedLaw:
     def test_density_matches_semicircle(self):
-        law = BurgersEvolved(initial=AtomicMeasure.point_mass(0.0), tau=1.0)
+        law = BurgersEvolved(initial=AtomicMeasure.from_eigenvalues([0.0]), tau=1.0)
         ref = Semicircle(0.0, 1.0)
         for x in (-2.0, -1.99, -1.5, -0.3, 0.0, 0.9, 1.99, 2.0):
             assert law.pdf(x) == pytest.approx(ref.pdf(x), abs=1e-5)
         assert law.pdf(0.0) == pytest.approx(1 / np.pi, abs=1e-5)
 
     def test_cdf_matches_semicircle(self):
-        law = BurgersEvolved(initial=AtomicMeasure.point_mass(0.0), tau=1.0)
+        law = BurgersEvolved(initial=AtomicMeasure.from_eigenvalues([0.0]), tau=1.0)
         ref = Semicircle(0.0, 1.0)
         for x in (-1.0, 0.0, 1.3):
             assert law.cdf(x) == pytest.approx(ref.cdf(x), abs=2e-5)
@@ -247,7 +250,7 @@ class TestBurgersEvolvedLaw:
     def test_mass_within_inversion_accuracy(self):
         mu0 = AtomicMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
         law = BurgersEvolved(initial=mu0, tau=0.5)
-        lo, hi = law.support
+        lo, hi = limit_support(law.initial, law.tau)
         mass, _ = quad(law.pdf, lo, hi, limit=300)
         assert mass == pytest.approx(1.0, abs=1e-4)
 
@@ -266,7 +269,7 @@ class TestBurgersEvolvedLaw:
 
     def test_law_at_time_dispatch(self):
         k = BrownianKernel()
-        assert isinstance(law_at_time(k, AtomicMeasure.point_mass(0.0), 1.0), Semicircle)
+        assert isinstance(law_at_time(k, AtomicMeasure.from_eigenvalues([0.0]), 1.0), Semicircle)
         two = AtomicMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
         assert isinstance(law_at_time(k, two, 1.0), BurgersEvolved)
         assert law_at_time(k, two, 0.0) is two
@@ -292,7 +295,7 @@ def evolved(request):
 
 
 def _assert_block_equals_elements(law):
-    lo, hi = law.support
+    lo, hi = limit_support(law.initial, law.tau)
     x = np.linspace(lo - 0.1, hi + 0.1, 301)
     for name in ("pdf", "cdf"):
         evaluate = getattr(law, name)
@@ -314,23 +317,23 @@ class TestBoundaryExactness:
         _assert_block_equals_elements(BurgersEvolved(initial=mu0, tau=0.2))
 
     def test_cdf_is_zero_and_one_off_support(self, evolved):
-        lo, hi = evolved.support
+        lo, hi = limit_support(evolved.initial, evolved.tau)
         assert np.all(evolved.cdf(np.linspace(lo - 3.0, lo, 50)) == 0.0)
         assert np.all(evolved.cdf(np.linspace(hi, hi + 3.0, 50)) == 1.0)
 
     def test_cdf_nondecreasing(self, evolved):
-        lo, hi = evolved.support
+        lo, hi = limit_support(evolved.initial, evolved.tau)
         assert np.all(np.diff(evolved.cdf(np.linspace(lo - 0.1, hi + 0.1, 2001))) >= 0.0)
 
     def test_cdf_increments_match_density_quadrature(self, evolved):
-        lo, hi = evolved.support
+        lo, hi = limit_support(evolved.initial, evolved.tau)
         for a, b in ((lo, hi), (lo + 0.3 * (hi - lo), lo + 0.55 * (hi - lo))):
             mass, _ = quad(evolved.pdf, a, b, limit=200, epsabs=1e-10, epsrel=1e-10)
             assert evolved.cdf(b) - evolved.cdf(a) == pytest.approx(mass, abs=1e-9)
 
     def test_mean_and_variance_from_cdf(self, evolved):
         # E X = lo + int (1 - F) and E (X - lo)^2 = 2 int (x - lo)(1 - F)
-        lo, hi = evolved.support
+        lo, hi = limit_support(evolved.initial, evolved.tau)
         tail, _ = quad(lambda x: 1.0 - evolved.cdf(x), lo, hi,
                        limit=200, epsabs=1e-11, epsrel=1e-11)
         second, _ = quad(lambda x: 2.0 * (x - lo) * (1.0 - evolved.cdf(x)), lo, hi,

@@ -182,7 +182,7 @@ class TestKolmogorov:
             assert kolmogorov_distance(atoms, law) == 0.0, atoms.size
 
     def test_atomic_mismatch(self):
-        law = AtomicMeasure.point_mass(0.0)
+        law = AtomicMeasure.from_eigenvalues([0.0])
         d = kolmogorov_distance(np.array([1.0]), law)
         assert d == 1.0
 

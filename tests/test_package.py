@@ -151,24 +151,57 @@ def _names(node):
         for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
 
 
-# exported for library callers though no package code calls them;
-# criterion 4 checks them
-LIBRARY_ONLY = ("eigh", "eigenvalue_derivatives")
+# each public name that no package code uses, kept for library callers,
+# and why
+LIBRARY_ONLY = {
+    "eigh": "exported; criterion 4 checks it and criterion 11 takes eigenvectors from it",
+    "eigenvalue_derivatives": "exported; criterion 4 checks it",
+    "EigenvalueDerivatives.grad_square_sum": "criterion 4's gradient identity",
+    "EigenvalueDerivatives.hess_sum": "criterion 4's curvature identity",
+    "TimeGrid.power_graded": "the README's grid for rough kernels",
+}
+
+
+def _public_definitions(tree):
+    """(name, node) of each public function or class at the top of a module,
+    and of each public method or property of its classes as ``Class.name``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{sub.name}", sub) for sub in node.body
+                        if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"))
+
+
+def _traced_names():
+    """The names the benchmark's tracer wraps, a method as ``Class.name``."""
+    tracer = _load("tracer")
+    owners = ((tracer._resolve(owner), attr) for owner, attr, _, _ in tracer.SPANS)
+    return {f"{owner.__name__}.{attr}" if isinstance(owner, type) else attr
+            for owner, attr in owners}
 
 
 def test_every_public_src_function_is_used():
-    # a public function or class that no other package code names and that
-    # the benchmark does not wrap serves only the tests, and belongs with
-    # them in tests/oracles.py; exporting it is not a use
+    # a public function, class, method or property that no other package
+    # code names and that the benchmark does not wrap serves only the tests,
+    # and belongs with them in tests/oracles.py; exporting it is not a use
     src = Path(eigenflow.__file__).resolve().parent
-    trees = [ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))]
-    everywhere = sum((_names(tree) for tree in trees), collections.Counter())
-    kept = set(LIBRARY_ONLY) | {attr for _, attr, _, _ in _load("tracer").SPANS}
-    unused = [node.name for tree in trees for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in kept
-              and everywhere[node.name] == _names(node)[node.name]]
-    assert unused == []
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    everywhere = sum((_names(tree) for tree in trees.values()), collections.Counter())
+    defined, unused = set(), set()
+    for file, tree in trees.items():
+        for name, node in _public_definitions(tree):
+            short = name.rpartition(".")[2]
+            defined.add(name)
+            if everywhere[short] == _names(node)[short]:
+                unused.add((file, name))
+    kept = LIBRARY_ONLY.keys() | _traced_names()
+    assert sorted(f"{file}: {name}" for file, name in unused if name not in kept) == []
+    # an exemption goes stale once package code uses its name or the name goes
+    unused_names = {name for _, name in unused}
+    stale = {name: "used by package code" if name in defined else "not defined"
+             for name in LIBRARY_ONLY if name not in unused_names}
+    assert stale == {}
 
 
 def _passes_through(node):

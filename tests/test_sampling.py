@@ -153,7 +153,7 @@ class TestEntrySampling:
             # SE of a Gaussian covariance estimate
             se = np.sqrt((np.outer(np.diag(gram), np.diag(gram)) + gram ** 2) / n_paths)
             err = np.abs(emp - gram)[1:, 1:]
-            assert np.all(err <= 4.0 * se[1:, 1:]), f"{kern.kind} exceeded 4 SE"
+            assert np.all(err <= 4.0 * se[1:, 1:]), f"{type(kern).__name__} exceeded 4 SE"
 
     def test_distinct_entries_independent(self):
         f = factor_grid(BrownianKernel(), TimeGrid([0.0, 1.0]))
